@@ -14,34 +14,32 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use mlstar_data::{EpochOrder, Partitioner, SparseDataset};
-use mlstar_glm::{mgd_step, LearningRate, Loss, Regularizer};
+use mlstar_data::{EpochOrder, SparseDataset};
+use mlstar_glm::Regularizer;
 use mlstar_linalg::DenseVector;
 use mlstar_ps::{Aggregation, Consistency, PsConfig, PsEngine, WorkerLogic, WorkerStep};
 use mlstar_sim::{dense_op_flops, pass_flops, ClusterSpec, CostModel, SeedStream, SimDuration};
 
 use crate::checkpoint::{CheckpointError, PsCkptHook, PsCkptRun};
-use crate::common::partition_active_coords;
+use crate::common::{partition_active_coords, partition_nnz};
 use crate::engine::{assemble_output, ps_round_stats, ClockTracer};
-use crate::{AngelConfig, TrainConfig, TrainOutput};
+use crate::exec::{dispatch_one, expect_model, to_wire_indices, ComputeBackend, WorkerOp};
+use crate::{AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput};
 
 /// The Angel worker-local computation: one epoch of per-batch GD.
 struct AngelWorker<'a> {
-    ds: &'a SparseDataset,
-    parts: Vec<Vec<usize>>,
+    backend: &'a mut dyn ComputeBackend,
+    parts: &'a [Vec<usize>],
     part_nnz: Vec<usize>,
     /// Distinct features per partition (sparse pull/push volume).
     part_active: Vec<usize>,
     sparse_messages: bool,
     orders: Vec<EpochOrder>,
     counters: Vec<u64>,
-    loss: Loss,
     reg: Regularizer,
-    lr: LearningRate,
     batch_frac: f64,
     alloc_per_batch: SimDuration,
     updates: Rc<Cell<u64>>,
-    grad_buf: DenseVector,
 }
 
 impl WorkerLogic for AngelWorker<'_> {
@@ -61,44 +59,18 @@ impl WorkerLogic for AngelWorker<'_> {
             ((part.len() as f64 * self.batch_frac).round() as usize).clamp(1, part.len());
         let order = self.orders[worker].next_order(part);
 
-        let (w, n_batches) = if crate::exec::backend_active() {
-            // The worker replays the same chunked mgd_step loop (it holds
-            // the learning-rate schedule from its assignment); the
-            // returned counter is t0 + #chunks, mirrored here.
-            let n_chunks = order.chunks(batch_size).count() as u64;
-            let res = crate::exec::dispatch(vec![(
-                worker,
-                crate::exec::WorkerOp::MgdEpoch {
-                    w: model.clone(),
-                    order: crate::exec::to_wire_indices(&order),
-                    batch_size: batch_size as u32,
-                    t0: self.counters[worker],
-                },
-            )]);
-            let (w, t) = crate::exec::expect_model(crate::exec::expect_single(res));
-            debug_assert_eq!(t, self.counters[worker] + n_chunks);
-            self.counters[worker] = t;
-            (w, n_chunks)
-        } else {
-            let mut w = model.clone();
-            let mut n_batches = 0u64;
-            for chunk in order.chunks(batch_size) {
-                let eta = self.lr.eta(self.counters[worker]);
-                mgd_step(
-                    self.loss,
-                    self.reg,
-                    &mut w,
-                    self.ds.rows(),
-                    self.ds.labels(),
-                    chunk,
-                    eta,
-                    &mut self.grad_buf,
-                );
-                self.counters[worker] += 1;
-                n_batches += 1;
-            }
-            (w, n_batches)
+        // One epoch of chunked `mgd_step`s; the worker holds the
+        // learning-rate schedule and advances the counter once per chunk.
+        let n_batches = order.chunks(batch_size).count() as u64;
+        let op = WorkerOp::MgdEpoch {
+            w: model.clone(),
+            order: to_wire_indices(&order),
+            batch_size: batch_size as u32,
+            t0: self.counters[worker],
         };
+        let (w, t) = expect_model(dispatch_one(self.backend, worker, op));
+        debug_assert_eq!(t, self.counters[worker] + n_batches);
+        self.counters[worker] = t;
 
         // Push the accumulated delta; Angel's servers sum worker updates.
         // Without a regularizer the epoch's delta touches only the
@@ -151,56 +123,41 @@ pub fn train_angel(
     cfg: &TrainConfig,
     angel: &AngelConfig,
 ) -> TrainOutput {
-    match train_angel_ckpt(ds, cluster, cfg, angel, None) {
-        Ok(out) => out,
-        // Without a checkpoint run there is no I/O and no anchor to miss.
-        Err(e) => panic!("checkpoint-free run cannot fail: {e}"),
-    }
+    System::Angel.train(ds, cluster, cfg, &PsSystemConfig::default(), angel)
 }
 
-/// [`train_angel`] with optional anchor checkpointing and replay
-/// verification (see [`PsCkptHook`](crate::checkpoint::PsCkptHook)).
+/// The Angel run over `parts`, with optional anchor checkpointing and
+/// replay verification (see [`PsCkptHook`](crate::checkpoint::PsCkptHook)).
 pub(crate) fn train_angel_ckpt(
     ds: &SparseDataset,
     cluster: &ClusterSpec,
     cfg: &TrainConfig,
     angel: &AngelConfig,
     ckpt: Option<PsCkptRun<'_>>,
+    parts: &[Vec<usize>],
+    backend: &mut dyn ComputeBackend,
 ) -> Result<TrainOutput, CheckpointError> {
-    assert!(!ds.is_empty(), "cannot train on an empty dataset");
     let validation = cfg.validate();
     assert!(validation.is_ok(), "invalid TrainConfig: {validation:?}");
     let k = cluster.num_executors();
     let dim = ds.num_features();
     let seeds = SeedStream::new(cfg.seed);
-    let parts = Partitioner::Shuffled {
-        seed: seeds.child("partition").seed(),
-    }
-    .partition(ds.len(), k);
-    let part_nnz: Vec<usize> = parts
-        .iter()
-        .map(|p| p.iter().map(|&i| ds.rows()[i].nnz()).sum())
-        .collect();
-    let part_active = partition_active_coords(ds, &parts);
     let updates = Rc::new(Cell::new(0u64));
     let alloc_per_batch = SimDuration::from_secs_f64((dim * 8) as f64 / angel.alloc_bandwidth_bps);
     let mut logic = AngelWorker {
-        ds,
+        backend,
         parts,
-        part_nnz,
-        part_active,
+        part_nnz: partition_nnz(ds, parts),
+        part_active: partition_active_coords(ds, parts),
         sparse_messages: angel.sparse_messages,
         orders: (0..k)
             .map(|r| EpochOrder::new(seeds.child("epoch").child_idx(r as u64).seed()))
             .collect(),
         counters: vec![0; k],
-        loss: cfg.loss,
         reg: cfg.reg,
-        lr: cfg.lr,
         batch_frac: cfg.batch_frac,
         alloc_per_batch,
         updates: Rc::clone(&updates),
-        grad_buf: DenseVector::zeros(dim),
     };
 
     let cost = CostModel::new(cluster.clone());
@@ -229,6 +186,8 @@ pub(crate) fn train_angel_ckpt(
     });
     hook.finish()?;
 
+    // A PS worker dispatches one op per tick, so no batch ever spreads
+    // over host threads.
     Ok(assemble_output(
         tracer.trace,
         engine.gantt().clone(),

@@ -459,7 +459,7 @@ pub fn prune_checkpoints(dir: &Path, system: System, keep: u64) -> Result<usize,
 /// system to stamp, and optionally an anchor the deterministic replay
 /// must pass through bit-exactly.
 pub(crate) struct PsCkptRun<'a> {
-    pub dir: Option<&'a Path>,
+    pub dir: &'a Path,
     pub system: System,
     pub verify: Option<PsAnchor>,
 }
@@ -491,9 +491,9 @@ impl<'a> PsCkptHook<'a> {
                 system,
                 verify,
             }) => {
-                let meta = dir.filter(|_| cfg.checkpoint_every > 0).map(|d| {
+                let meta = (cfg.checkpoint_every > 0).then(|| {
                     (
-                        d,
+                        dir,
                         system,
                         DatasetFingerprint::of(ds),
                         config_digest(cfg),

@@ -1,12 +1,18 @@
 //! Shared harness for the BSP (MLlib-family) trainers.
 
-use mlstar_data::{Partitioner, SparseDataset};
+use mlstar_codec::{CodecError, Reader, Writer};
+use mlstar_data::{EpochOrder, SparseDataset};
 use mlstar_glm::{objective_value, Loss, Regularizer};
 use mlstar_linalg::DenseVector;
-use mlstar_sim::{ClusterSpec, CostModel, NodeId, SeedStream};
+use mlstar_sim::{pass_flops, Activity, ClusterSpec, CostModel, NodeId, SeedStream};
+
+use crate::checkpoint::read_rng_state;
+use crate::engine::BspRound;
+use crate::exec::{dispatch, expect_model, to_wire_indices, ComputeBackend, WorkerOp};
+use crate::{MaWeighting, TrainConfig};
 
 /// Partitioned dataset + cost model + node lists for one BSP run.
-pub(crate) struct BspHarness {
+pub(crate) struct BspHarness<'a> {
     /// The cost model over the cluster.
     pub cost: CostModel,
     /// Driver plus all executors (round participants for driver-centric
@@ -14,49 +20,22 @@ pub(crate) struct BspHarness {
     pub all_nodes: Vec<NodeId>,
     /// Executors only (round participants for AllReduce).
     pub exec_nodes: Vec<NodeId>,
-    /// Row indices owned by each executor.
-    pub parts: Vec<Vec<usize>>,
+    /// Row indices owned by each executor (see
+    /// [`system_partitions`](crate::system_partitions)).
+    pub parts: &'a [Vec<usize>],
     /// Total stored nonzeros per partition (drives compute cost).
     pub part_nnz: Vec<usize>,
-    /// Host threads for local passes, read from `MLSTAR_HOST_THREADS`
-    /// exactly once when the harness is built. Re-reading the environment
-    /// every round would let a mid-run change of the variable silently
-    /// alter the execution plan; capturing it here pins the whole run to
-    /// one setting and lets provenance record it.
-    pub host_threads: usize,
 }
 
-impl BspHarness {
-    /// Builds the harness: rows are randomly shuffled across executors
-    /// (the paper's footnote: data "need to be randomly shuffled and
-    /// distributed across the workers"). A `skew` gives worker 0 that
-    /// fraction of the rows (for the weighted-averaging ablation).
-    pub fn new(ds: &SparseDataset, cluster: &ClusterSpec, seed: u64) -> Self {
-        Self::with_skew(ds, cluster, seed, None)
-    }
-
-    /// Like [`BspHarness::new`] with an optional hot-worker skew.
-    pub fn with_skew(
-        ds: &SparseDataset,
-        cluster: &ClusterSpec,
-        seed: u64,
-        skew: Option<f64>,
-    ) -> Self {
-        let k = cluster.num_executors();
-        let part_seed = SeedStream::new(seed).child("partition").seed();
-        let partitioner = match skew {
-            Some(hot_fraction) => Partitioner::SkewedShuffled {
-                seed: part_seed,
-                hot_fraction,
-            },
-            None => Partitioner::Shuffled { seed: part_seed },
-        };
-        let parts = partitioner.partition(ds.len(), k);
-        let part_nnz = parts
-            .iter()
-            .map(|p| p.iter().map(|&i| ds.rows()[i].nnz()).sum())
-            .collect();
-        let exec_nodes: Vec<NodeId> = (0..k).map(NodeId::Executor).collect();
+impl<'a> BspHarness<'a> {
+    /// Builds the harness over `parts`, one partition per executor.
+    pub fn new(ds: &SparseDataset, cluster: &ClusterSpec, parts: &'a [Vec<usize>]) -> Self {
+        assert_eq!(
+            parts.len(),
+            cluster.num_executors(),
+            "one partition per executor"
+        );
+        let exec_nodes: Vec<NodeId> = (0..parts.len()).map(NodeId::Executor).collect();
         let mut all_nodes = vec![NodeId::Driver];
         all_nodes.extend(exec_nodes.iter().copied());
         BspHarness {
@@ -64,14 +43,132 @@ impl BspHarness {
             all_nodes,
             exec_nodes,
             parts,
-            part_nnz,
-            host_threads: crate::local_pass::host_threads(),
+            part_nnz: partition_nnz(ds, parts),
         }
     }
 
     /// Number of executors.
     pub fn k(&self) -> usize {
         self.parts.len()
+    }
+}
+
+/// Total stored nonzeros of each partition's rows.
+pub(crate) fn partition_nnz(ds: &SparseDataset, parts: &[Vec<usize>]) -> Vec<usize> {
+    parts
+        .iter()
+        .map(|p| p.iter().map(|&i| ds.rows()[i].nnz()).sum())
+        .collect()
+}
+
+/// The SendModel local-pass phase shared by MLlib+MA and MLlib\*: the
+/// per-worker epoch-order streams, lazy-regularization update counters
+/// and local-model buffers.
+pub(crate) struct LocalPasses {
+    orders: Vec<EpochOrder>,
+    counters: Vec<u64>,
+    /// Each worker's model after the latest pass. Scratch across rounds —
+    /// every pass seeds them from the global model — so not checkpointed.
+    pub locals: Vec<DenseVector>,
+}
+
+impl LocalPasses {
+    pub fn new(k: usize, dim: usize, seed: u64) -> Self {
+        let seeds = SeedStream::new(seed).child("epoch");
+        LocalPasses {
+            orders: (0..k)
+                .map(|r| EpochOrder::new(seeds.child_idx(r as u64).seed()))
+                .collect(),
+            counters: vec![0; k],
+            locals: vec![DenseVector::zeros(dim); k],
+        }
+    }
+
+    /// Runs one local SGD pass per worker from the global model `w`,
+    /// charging each to simulated time, and leaves the (optionally
+    /// reweighted) local models in `locals` — workers with empty
+    /// partitions keep a copy of `w`. Epoch orders are drawn here (the RNG
+    /// streams never leave the orchestrating thread) and `locals[r]`
+    /// itself travels as the op's model buffer, so nothing model-sized is
+    /// allocated per round. Returns the number of updates performed.
+    pub fn run(
+        &mut self,
+        rd: &mut BspRound<'_, '_>,
+        backend: &mut dyn ComputeBackend,
+        h: &BspHarness<'_>,
+        ds: &SparseDataset,
+        cfg: &TrainConfig,
+        w: &DenseVector,
+    ) -> u64 {
+        let k = h.k();
+        let mut updates = 0u64;
+        let mut ops = Vec::with_capacity(k);
+        for (r, part) in h.parts.iter().enumerate() {
+            self.locals[r].copy_from(w);
+            if part.is_empty() {
+                continue;
+            }
+            let order = self.orders[r].next_order(part);
+            updates += order.len() as u64;
+            ops.push((
+                r,
+                WorkerOp::SgdPass {
+                    w: std::mem::take(&mut self.locals[r]),
+                    order: to_wire_indices(&order),
+                    t0: self.counters[r],
+                },
+            ));
+            rd.charge_flops(pass_flops(h.part_nnz[r]));
+            rd.rb.work(
+                NodeId::Executor(r),
+                Activity::Compute,
+                h.cost
+                    .executor_waves(r, pass_flops(h.part_nnz[r]), cfg.waves, rd.straggler_rng),
+            );
+        }
+        for (r, res) in dispatch(backend, ops) {
+            (self.locals[r], self.counters[r]) = expect_model(res);
+        }
+        // Optional Zhang & Jordan reweighting: scale each local model by
+        // k·n_r/n so the uniform average that follows becomes the
+        // partition-size-weighted average.
+        if cfg.ma_weighting == MaWeighting::PartitionSize {
+            for (local, part) in self.locals.iter_mut().zip(h.parts) {
+                local.scale(k as f64 * part.len() as f64 / ds.len() as f64);
+            }
+        }
+        updates
+    }
+
+    /// Serializes the epoch streams mid-stride and the update counters.
+    pub fn save_state(&self, w: &mut Writer) {
+        w.put_u64(self.orders.len() as u64);
+        for order in &self.orders {
+            w.put_bytes(&order.export_state());
+        }
+        for &count in &self.counters {
+            w.put_u64(count);
+        }
+    }
+
+    /// Restores what [`LocalPasses::save_state`] wrote.
+    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        let k = r.u64()? as usize;
+        if k != self.orders.len() {
+            return Err(CodecError::Corrupt(format!(
+                "checkpoint has {k} workers, run has {}",
+                self.orders.len()
+            )));
+        }
+        for order in &mut self.orders {
+            let state = read_rng_state(r)?;
+            *order = EpochOrder::restore_state(&state)
+                .ok_or_else(|| CodecError::Corrupt("invalid epoch order state".into()))?;
+        }
+        for count in &mut self.counters {
+            *count = r.u64()?;
+        }
+        Ok(())
     }
 }
 
@@ -83,7 +180,7 @@ impl BspHarness {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn maybe_inject_failure<R: rand::Rng>(
     rb: &mut mlstar_sim::RoundBuilder<'_>,
-    h: &BspHarness,
+    h: &BspHarness<'_>,
     prob: f64,
     waves: usize,
     flops_of: impl Fn(usize) -> f64,
@@ -152,17 +249,17 @@ pub(crate) fn eval_objective(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{system_partitions, InProcessBackend};
+    use crate::System;
     use mlstar_data::SyntheticConfig;
 
     #[test]
-    fn harness_partitions_every_row_once() {
+    fn harness_accounts_for_every_row() {
         let ds = SyntheticConfig::small("h", 103, 20).generate();
         let cluster = ClusterSpec::cluster1();
-        let h = BspHarness::new(&ds, &cluster, 5);
+        let parts = system_partitions(System::Mllib, &ds, &cluster, &TrainConfig::default());
+        let h = BspHarness::new(&ds, &cluster, &parts);
         assert_eq!(h.k(), 8);
-        let mut all: Vec<usize> = h.parts.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..103).collect::<Vec<_>>());
         assert_eq!(h.all_nodes.len(), 9);
         assert_eq!(h.exec_nodes.len(), 8);
         let total_nnz: usize = h.part_nnz.iter().sum();
@@ -188,13 +285,26 @@ mod tests {
     }
 
     #[test]
-    fn harness_is_seed_deterministic() {
-        let ds = SyntheticConfig::small("h2", 50, 10).generate();
-        let cluster = ClusterSpec::cluster1();
-        let a = BspHarness::new(&ds, &cluster, 9);
-        let b = BspHarness::new(&ds, &cluster, 9);
-        assert_eq!(a.parts, b.parts);
-        let c = BspHarness::new(&ds, &cluster, 10);
-        assert_ne!(a.parts, c.parts);
+    fn empty_partitions_keep_the_global_model() {
+        let ds = SyntheticConfig::small("local-pass", 160, 24).generate();
+        let cluster = ClusterSpec::uniform(
+            3,
+            mlstar_sim::NodeSpec::standard(),
+            mlstar_sim::NetworkSpec::gbps1(),
+        );
+        let cfg = TrainConfig::default();
+        let mut parts = system_partitions(System::MllibStar, &ds, &cluster, &cfg);
+        parts[2].clear();
+        let h = BspHarness::new(&ds, &cluster, &parts);
+        let mut backend = InProcessBackend::new(&ds, &parts, &cfg);
+        let w = DenseVector::filled(ds.num_features(), 0.5);
+        let mut passes = LocalPasses::new(3, ds.num_features(), cfg.seed);
+        let updates = crate::engine::StepCtx::new(cfg.seed).round(&h.exec_nodes, |rd| {
+            passes.run(rd, &mut backend, &h, &ds, &cfg, &w)
+        });
+        assert_eq!(updates as usize, parts[0].len() + parts[1].len());
+        assert_ne!(passes.locals[0], w);
+        assert_eq!(passes.locals[2], w);
+        assert_eq!(passes.counters[2], 0);
     }
 }

@@ -37,6 +37,7 @@ use crate::checkpoint::{
     TrainCheckpoint,
 };
 use crate::common::{eval_objective, maybe_inject_failure, workload_label, BspHarness};
+use crate::exec::ComputeBackend;
 use crate::{ConvergenceTrace, System, TracePoint, TrainConfig, TrainOutput};
 
 /// Bytes moved in one communication step, split by pattern.
@@ -190,7 +191,7 @@ impl BspRound<'_, '_> {
     /// and the recomputed flops to the step's flop counter.
     pub fn inject_failure(
         &mut self,
-        h: &BspHarness,
+        h: &BspHarness<'_>,
         cfg: &TrainConfig,
         flops_of: impl Fn(usize) -> f64,
     ) -> Option<usize> {
@@ -347,15 +348,24 @@ pub(crate) trait RoundStrategy {
 
     /// One-time setup charged to simulated time but not counted as a
     /// round (e.g. `spark.ml`'s warm-up gradient).
-    fn init(&mut self, _ctx: &mut StepCtx, _ds: &SparseDataset, _cfg: &TrainConfig) {}
+    fn init(
+        &mut self,
+        _ctx: &mut StepCtx,
+        _backend: &mut dyn ComputeBackend,
+        _ds: &SparseDataset,
+        _cfg: &TrainConfig,
+    ) {
+    }
 
-    /// Performs communication step `round`: local work plus communication
-    /// against [`StepCtx::round`]. Returns the number of model updates
-    /// performed, or `None` to stop training before this step counts
-    /// (e.g. `spark.ml`'s gradient-norm and line-search exits).
+    /// Performs communication step `round`: worker-local math as ops on
+    /// `backend`, communication against [`StepCtx::round`]. Returns the
+    /// number of model updates performed, or `None` to stop training
+    /// before this step counts (e.g. `spark.ml`'s gradient-norm and
+    /// line-search exits).
     fn step(
         &mut self,
         ctx: &mut StepCtx,
+        backend: &mut dyn ComputeBackend,
         ds: &SparseDataset,
         cfg: &TrainConfig,
         round: u64,
@@ -373,15 +383,9 @@ pub(crate) trait RoundStrategy {
     /// does not belong to this run and surface as
     /// [`CodecError::Corrupt`].
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError>;
-
-    /// Host threads the strategy uses for local passes (recorded in
-    /// provenance; affects wall-clock only, never results).
-    fn host_threads(&self) -> usize {
-        1
-    }
 }
 
-/// Checkpointing instructions for one [`run_rounds_ckpt`] call: where to
+/// Checkpointing instructions for one [`run_rounds`] call: where to
 /// write (cadence comes from [`TrainConfig::checkpoint_every`]), which
 /// system name to stamp, and optionally a decoded state to resume from.
 pub(crate) struct CheckpointRun<'a> {
@@ -391,35 +395,22 @@ pub(crate) struct CheckpointRun<'a> {
 }
 
 /// The single BSP driver: owns seeding, the trace cadence, stop handling
-/// and output assembly for every [`RoundStrategy`].
-pub(crate) fn run_rounds<S: RoundStrategy>(
-    ds: &SparseDataset,
-    cfg: &TrainConfig,
-    strategy: S,
-) -> TrainOutput {
-    match run_rounds_ckpt(ds, cfg, strategy, None) {
-        Ok(out) => out,
-        // Without a checkpoint directory there is no I/O and no decoding,
-        // so no error path is reachable.
-        Err(e) => panic!("checkpoint-free run cannot fail: {e}"),
-    }
-}
-
-/// [`run_rounds`] with optional checkpointing: when `ckpt` is supplied,
+/// and output assembly for every [`RoundStrategy`]. When `ckpt` is supplied,
 /// a [`TrainCheckpoint`] is written every
 /// [`TrainConfig::checkpoint_every`] rounds (unless the run stops at
 /// that round), and an embedded `resume` state re-enters the loop at its
 /// saved round with every RNG stream mid-stride — producing bit-identical
 /// traces, [`RoundStats`], and final models versus never stopping.
-pub(crate) fn run_rounds_ckpt<S: RoundStrategy>(
+pub(crate) fn run_rounds<S: RoundStrategy>(
     ds: &SparseDataset,
     cfg: &TrainConfig,
     mut strategy: S,
     ckpt: Option<CheckpointRun<'_>>,
+    backend: &mut dyn ComputeBackend,
 ) -> Result<TrainOutput, CheckpointError> {
     let validation = cfg.validate();
     assert!(validation.is_ok(), "invalid TrainConfig: {validation:?}");
-    let host_threads = strategy.host_threads();
+    let host_threads = backend.host_threads();
 
     let (meta, resume) = match ckpt {
         Some(CheckpointRun {
@@ -465,7 +456,7 @@ pub(crate) fn run_rounds_ckpt<S: RoundStrategy>(
                 objective: strategy.objective(ds, cfg),
                 total_updates: 0,
             });
-            strategy.init(&mut ctx, ds, cfg);
+            strategy.init(&mut ctx, backend, ds, cfg);
             ctx.discard_step_accumulators();
             0
         }
@@ -474,7 +465,7 @@ pub(crate) fn run_rounds_ckpt<S: RoundStrategy>(
     let eval_every = cfg.eval_every.max(1);
     for round in first_round..cfg.max_rounds {
         let start = ctx.now;
-        let Some(updates) = strategy.step(&mut ctx, ds, cfg, round) else {
+        let Some(updates) = strategy.step(&mut ctx, backend, ds, cfg, round) else {
             break;
         };
         total_updates += updates;
@@ -532,6 +523,15 @@ pub(crate) fn run_rounds_ckpt<S: RoundStrategy>(
         round_stats,
         host_threads,
     ))
+}
+
+/// Unwraps a run that had no checkpoint directory: with no I/O, no
+/// decoding and no anchor to miss, it has no reachable error path.
+pub(crate) fn expect_uncheckpointed(run: Result<TrainOutput, CheckpointError>) -> TrainOutput {
+    match run {
+        Ok(out) => out,
+        Err(e) => panic!("checkpoint-free run cannot fail: {e}"),
+    }
 }
 
 /// The one place a [`TrainOutput`] is built — BSP and PS paths both end

@@ -47,7 +47,6 @@ mod cv;
 mod engine;
 mod exec;
 mod grid;
-mod local_pass;
 mod mllib;
 mod mllib_ma;
 mod mllib_star;
@@ -69,7 +68,10 @@ pub use config::{
 };
 pub use cv::{cross_validate_path, CvConfig, CvError, CvFoldResult, CvJobStats, CvResult};
 pub use engine::{CommBytes, RoundStats};
-pub use exec::{system_partitions, with_backend, ComputeBackend, ExecAbort, OpResult, WorkerOp};
+pub use exec::{
+    system_partitions, ComputeBackend, ExecAbort, ExecError, InProcessBackend, OpExecutor,
+    OpResult, Shard, WorkerOp,
+};
 pub use grid::{GridPoint, GridResult, GridSearch};
 pub use mllib::train_mllib;
 pub use mllib_ma::train_mllib_ma;

@@ -16,28 +16,33 @@
 
 use mlstar_codec::{CodecError, Reader, Writer};
 use mlstar_data::{BatchSampler, SparseDataset};
-use mlstar_glm::batch_gradient_into;
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId, SeedStream};
 
 use crate::checkpoint::{put_vector, read_rng_state, read_vector};
 use crate::common::BspHarness;
-use crate::engine::{run_rounds, RoundStrategy, StepCtx};
-use crate::{TrainConfig, TrainOutput};
+use crate::engine::{RoundStrategy, StepCtx};
+use crate::exec::{dispatch, expect_grad, to_wire_indices, ComputeBackend, WorkerOp};
+use crate::{System, TrainConfig, TrainOutput};
 
 /// The MLlib round: broadcast, batch gradients, treeAggregate, one
 /// driver-side update.
-pub(crate) struct MllibStrategy {
-    h: BspHarness,
+pub(crate) struct MllibStrategy<'a> {
+    h: BspHarness<'a>,
     samplers: Vec<BatchSampler>,
     w: DenseVector,
     /// Per-worker gradient buffers, reused across rounds.
     grads: Vec<DenseVector>,
 }
 
-impl MllibStrategy {
-    pub(crate) fn new(ds: &SparseDataset, cluster: &ClusterSpec, cfg: &TrainConfig) -> Self {
-        let h = BspHarness::new(ds, cluster, cfg.seed);
+impl<'a> MllibStrategy<'a> {
+    pub(crate) fn new(
+        ds: &SparseDataset,
+        cluster: &ClusterSpec,
+        cfg: &TrainConfig,
+        parts: &'a [Vec<usize>],
+    ) -> Self {
+        let h = BspHarness::new(ds, cluster, parts);
         let k = h.k();
         let dim = ds.num_features();
         let seeds = SeedStream::new(cfg.seed);
@@ -52,7 +57,7 @@ impl MllibStrategy {
     }
 }
 
-impl RoundStrategy for MllibStrategy {
+impl RoundStrategy for MllibStrategy<'_> {
     fn name(&self) -> &'static str {
         "MLlib"
     }
@@ -68,6 +73,7 @@ impl RoundStrategy for MllibStrategy {
     fn step(
         &mut self,
         ctx: &mut StepCtx,
+        backend: &mut dyn ComputeBackend,
         ds: &SparseDataset,
         cfg: &TrainConfig,
         round: u64,
@@ -84,11 +90,10 @@ impl RoundStrategy for MllibStrategy {
             // (1) Driver broadcasts the model.
             rd.broadcast(&h.cost, dim);
 
-            // (2) Executors compute batch gradients. Batches are always
-            // sampled here (the RNG streams stay with the round driver);
-            // with a backend installed the gradient math runs remotely.
-            let mut ops = Vec::new();
-            let mut targets = Vec::new();
+            // (2) Executors compute batch gradients. Batches are sampled
+            // here (the RNG streams stay with the round driver) and
+            // `grads[r]` itself carries the model to the worker.
+            let mut ops = Vec::with_capacity(k);
             for r in 0..k {
                 if h.parts[r].is_empty() {
                     grads[r].clear();
@@ -97,18 +102,15 @@ impl RoundStrategy for MllibStrategy {
                 let batch_size = cfg.batch_size(h.parts[r].len());
                 let batch = samplers[r].sample(&h.parts[r], batch_size);
                 let batch_nnz: usize = batch.iter().map(|&i| ds.rows()[i].nnz()).sum();
-                if crate::exec::backend_active() {
-                    ops.push((
-                        r,
-                        crate::exec::WorkerOp::BatchGrad {
-                            w: w.clone(),
-                            batch: crate::exec::to_wire_indices(&batch),
-                        },
-                    ));
-                    targets.push(r);
-                } else {
-                    batch_gradient_into(cfg.loss, w, ds.rows(), ds.labels(), &batch, &mut grads[r]);
-                }
+                let mut model = std::mem::take(&mut grads[r]);
+                model.copy_from(w);
+                ops.push((
+                    r,
+                    WorkerOp::BatchGrad {
+                        w: model,
+                        batch: to_wire_indices(&batch),
+                    },
+                ));
                 rd.charge_flops(pass_flops(batch_nnz));
                 rd.rb.work(
                     NodeId::Executor(r),
@@ -117,10 +119,8 @@ impl RoundStrategy for MllibStrategy {
                         .executor_waves(r, pass_flops(batch_nnz), cfg.waves, rd.straggler_rng),
                 );
             }
-            if !ops.is_empty() {
-                for (r, res) in targets.into_iter().zip(crate::exec::dispatch(ops)) {
-                    grads[r] = crate::exec::expect_grad(res);
-                }
+            for (r, res) in dispatch(backend, ops) {
+                grads[r] = expect_grad(res);
             }
             rd.rb.barrier();
             rd.inject_failure(h, cfg, |r| pass_flops(h.part_nnz[r]) * cfg.batch_frac);
@@ -179,8 +179,7 @@ impl RoundStrategy for MllibStrategy {
 ///
 /// Panics if the dataset is empty.
 pub fn train_mllib(ds: &SparseDataset, cluster: &ClusterSpec, cfg: &TrainConfig) -> TrainOutput {
-    assert!(!ds.is_empty(), "cannot train on an empty dataset");
-    run_rounds(ds, cfg, MllibStrategy::new(ds, cluster, cfg))
+    System::Mllib.train_default(ds, cluster, cfg)
 }
 
 #[cfg(test)]

@@ -14,46 +14,42 @@
 //! communication pattern still serializes at the driver.
 
 use mlstar_codec::{CodecError, Reader, Writer};
-use mlstar_data::{EpochOrder, SparseDataset};
+use mlstar_data::SparseDataset;
 use mlstar_linalg::DenseVector;
-use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId, SeedStream};
+use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId};
 
-use crate::checkpoint::{put_vector, read_rng_state, read_vector};
-use crate::common::BspHarness;
-use crate::engine::{run_rounds, RoundStrategy, StepCtx};
-use crate::local_pass::local_sgd_passes;
-use crate::{MaWeighting, TrainConfig, TrainOutput};
+use crate::checkpoint::{put_vector, read_vector};
+use crate::common::{BspHarness, LocalPasses};
+use crate::engine::{RoundStrategy, StepCtx};
+use crate::exec::ComputeBackend;
+use crate::{System, TrainConfig, TrainOutput};
 
 /// The MLlib+MA round: broadcast, local SGD pass, treeAggregate, driver
 /// average.
-pub(crate) struct MllibMaStrategy {
-    h: BspHarness,
-    orders: Vec<EpochOrder>,
-    update_counters: Vec<u64>,
+pub(crate) struct MllibMaStrategy<'a> {
+    h: BspHarness<'a>,
+    passes: LocalPasses,
     w: DenseVector,
-    /// Per-worker local-model buffers, reused across rounds.
-    locals: Vec<DenseVector>,
 }
 
-impl MllibMaStrategy {
-    pub(crate) fn new(ds: &SparseDataset, cluster: &ClusterSpec, cfg: &TrainConfig) -> Self {
-        let h = BspHarness::with_skew(ds, cluster, cfg.seed, cfg.partition_skew);
-        let k = h.k();
+impl<'a> MllibMaStrategy<'a> {
+    pub(crate) fn new(
+        ds: &SparseDataset,
+        cluster: &ClusterSpec,
+        cfg: &TrainConfig,
+        parts: &'a [Vec<usize>],
+    ) -> Self {
+        let h = BspHarness::new(ds, cluster, parts);
         let dim = ds.num_features();
-        let seeds = SeedStream::new(cfg.seed);
         MllibMaStrategy {
+            passes: LocalPasses::new(h.k(), dim, cfg.seed),
             h,
-            orders: (0..k)
-                .map(|r| EpochOrder::new(seeds.child("epoch").child_idx(r as u64).seed()))
-                .collect(),
-            update_counters: vec![0u64; k],
             w: DenseVector::zeros(dim),
-            locals: (0..k).map(|_| DenseVector::zeros(dim)).collect(),
         }
     }
 }
 
-impl RoundStrategy for MllibMaStrategy {
+impl RoundStrategy for MllibMaStrategy<'_> {
     fn name(&self) -> &'static str {
         "MLlib+MA"
     }
@@ -69,67 +65,26 @@ impl RoundStrategy for MllibMaStrategy {
     fn step(
         &mut self,
         ctx: &mut StepCtx,
+        backend: &mut dyn ComputeBackend,
         ds: &SparseDataset,
         cfg: &TrainConfig,
         _round: u64,
     ) -> Option<u64> {
-        let MllibMaStrategy {
-            h,
-            orders,
-            update_counters,
-            w,
-            locals,
-        } = self;
+        let MllibMaStrategy { h, passes, w } = self;
         let k = h.k();
         let dim = ds.num_features();
         let updates = ctx.round(&h.all_nodes, |rd| {
             // (1) Broadcast the global model.
             rd.broadcast(&h.cost, dim);
 
-            // (2) Local SGD pass on every executor (math possibly on
-            // several host threads; simulated time recorded below,
-            // identically). The thread count was captured once at harness
-            // build — re-reading the environment per round would let a
-            // mid-run change alter the execution plan.
-            let updates = local_sgd_passes(
-                ds,
-                &h.parts,
-                cfg.loss,
-                cfg.reg,
-                cfg.lr,
-                w,
-                orders,
-                update_counters,
-                locals,
-                h.host_threads,
-            );
-            for r in 0..k {
-                if h.parts[r].is_empty() {
-                    continue;
-                }
-                rd.charge_flops(pass_flops(h.part_nnz[r]));
-                rd.rb.work(
-                    NodeId::Executor(r),
-                    Activity::Compute,
-                    h.cost.executor_waves(
-                        r,
-                        pass_flops(h.part_nnz[r]),
-                        cfg.waves,
-                        rd.straggler_rng,
-                    ),
-                );
-            }
-            // Optional Zhang & Jordan reweighting (see mllib_star).
-            if cfg.ma_weighting == MaWeighting::PartitionSize {
-                for (local, part) in locals.iter_mut().zip(h.parts.iter()) {
-                    local.scale(k as f64 * part.len() as f64 / ds.len() as f64);
-                }
-            }
+            // (2) Local SGD pass on every executor.
+            let updates = passes.run(rd, backend, h, ds, cfg, w);
             rd.rb.barrier();
             rd.inject_failure(h, cfg, |r| pass_flops(h.part_nnz[r]));
 
             // (3) + (4) treeAggregate the local models; driver averages.
-            let sum = rd.tree_aggregate(&h.cost, locals, cfg.tree_fanin, Activity::SendModel);
+            let sum =
+                rd.tree_aggregate(&h.cost, &passes.locals, cfg.tree_fanin, Activity::SendModel);
             *w = sum;
             w.scale(1.0 / k as f64);
             rd.charge_flops(dense_op_flops(dim));
@@ -144,42 +99,13 @@ impl RoundStrategy for MllibMaStrategy {
     }
 
     fn save_state(&self, w: &mut Writer) {
-        // The local-model buffers are scratch: every pass seeds them from
-        // the broadcast model (empty partitions copy it verbatim), so only
-        // the global model, the per-worker epoch streams, and the lazy-reg
-        // update counters survive a round boundary.
         put_vector(w, &self.w);
-        w.put_u64(self.orders.len() as u64);
-        for order in &self.orders {
-            w.put_bytes(&order.export_state());
-        }
-        for &count in &self.update_counters {
-            w.put_u64(count);
-        }
+        self.passes.save_state(w);
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
         self.w = read_vector(r, self.w.dim())?;
-        let k = r.u64()? as usize;
-        if k != self.orders.len() {
-            return Err(CodecError::Corrupt(format!(
-                "checkpoint has {k} workers, run has {}",
-                self.orders.len()
-            )));
-        }
-        for order in &mut self.orders {
-            let state = read_rng_state(r)?;
-            *order = EpochOrder::restore_state(&state)
-                .ok_or_else(|| CodecError::Corrupt("invalid epoch order state".into()))?;
-        }
-        for count in &mut self.update_counters {
-            *count = r.u64()?;
-        }
-        Ok(())
-    }
-
-    fn host_threads(&self) -> usize {
-        self.h.host_threads
+        self.passes.restore_state(r)
     }
 }
 
@@ -189,8 +115,7 @@ impl RoundStrategy for MllibMaStrategy {
 ///
 /// Panics if the dataset is empty.
 pub fn train_mllib_ma(ds: &SparseDataset, cluster: &ClusterSpec, cfg: &TrainConfig) -> TrainOutput {
-    assert!(!ds.is_empty(), "cannot train on an empty dataset");
-    run_rounds(ds, cfg, MllibMaStrategy::new(ds, cluster, cfg))
+    System::MllibMa.train_default(ds, cluster, cfg)
 }
 
 #[cfg(test)]

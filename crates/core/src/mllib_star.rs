@@ -16,27 +16,24 @@
 
 use mlstar_codec::{CodecError, Reader, Writer};
 use mlstar_collectives::CompressionConfig;
-use mlstar_data::{EpochOrder, SparseDataset};
+use mlstar_data::SparseDataset;
 use mlstar_linalg::DenseVector;
-use mlstar_sim::{pass_flops, Activity, ClusterSpec, NodeId, SeedStream};
+use mlstar_sim::{pass_flops, ClusterSpec};
 
-use crate::checkpoint::{put_vector, read_rng_state, read_vector};
-use crate::common::BspHarness;
-use crate::engine::{run_rounds, RoundStrategy, StepCtx};
-use crate::local_pass::local_sgd_passes;
-use crate::{MaWeighting, TrainConfig, TrainOutput};
+use crate::checkpoint::{put_vector, read_vector};
+use crate::common::{BspHarness, LocalPasses};
+use crate::engine::{RoundStrategy, StepCtx};
+use crate::exec::ComputeBackend;
+use crate::{System, TrainConfig, TrainOutput};
 
 /// The MLlib\* round: local SGD pass, then AllReduce (Reduce-Scatter +
 /// AllGather) with no driver on the critical path.
-pub(crate) struct MllibStarStrategy {
-    h: BspHarness,
-    orders: Vec<EpochOrder>,
-    update_counters: Vec<u64>,
+pub(crate) struct MllibStarStrategy<'a> {
+    h: BspHarness<'a>,
+    passes: LocalPasses,
     /// Every executor holds an identical copy of the global model; we
     /// track one copy (they are bit-identical by construction).
     w: DenseVector,
-    /// Per-worker local-model buffers, reused across rounds.
-    locals: Vec<DenseVector>,
     /// Compressed-collective policy (captured from the config; the
     /// default is the legacy dense path).
     comm: CompressionConfig,
@@ -45,27 +42,26 @@ pub(crate) struct MllibStarStrategy {
     residuals: Vec<DenseVector>,
 }
 
-impl MllibStarStrategy {
-    pub(crate) fn new(ds: &SparseDataset, cluster: &ClusterSpec, cfg: &TrainConfig) -> Self {
-        let h = BspHarness::with_skew(ds, cluster, cfg.seed, cfg.partition_skew);
-        let k = h.k();
+impl<'a> MllibStarStrategy<'a> {
+    pub(crate) fn new(
+        ds: &SparseDataset,
+        cluster: &ClusterSpec,
+        cfg: &TrainConfig,
+        parts: &'a [Vec<usize>],
+    ) -> Self {
+        let h = BspHarness::new(ds, cluster, parts);
         let dim = ds.num_features();
-        let seeds = SeedStream::new(cfg.seed);
         MllibStarStrategy {
+            passes: LocalPasses::new(h.k(), dim, cfg.seed),
             h,
-            orders: (0..k)
-                .map(|r| EpochOrder::new(seeds.child("epoch").child_idx(r as u64).seed()))
-                .collect(),
-            update_counters: vec![0u64; k],
             w: DenseVector::zeros(dim),
-            locals: (0..k).map(|_| DenseVector::zeros(dim)).collect(),
             comm: cfg.compression,
             residuals: Vec::new(),
         }
     }
 }
 
-impl RoundStrategy for MllibStarStrategy {
+impl RoundStrategy for MllibStarStrategy<'_> {
     fn name(&self) -> &'static str {
         "MLlib*"
     }
@@ -81,62 +77,22 @@ impl RoundStrategy for MllibStarStrategy {
     fn step(
         &mut self,
         ctx: &mut StepCtx,
+        backend: &mut dyn ComputeBackend,
         ds: &SparseDataset,
         cfg: &TrainConfig,
         _round: u64,
     ) -> Option<u64> {
         let MllibStarStrategy {
             h,
-            orders,
-            update_counters,
+            passes,
             w,
-            locals,
             comm,
             residuals,
         } = self;
-        let k = h.k();
         // Note: executors only — there is no driver in this pattern.
         let updates = ctx.round(&h.exec_nodes, |rd| {
-            // (1) Local SGD pass (UpdateModel) — math possibly on several
-            // host threads; simulated time recorded below, identically.
-            // The thread count was captured once at harness build — see
-            // `BspHarness::host_threads`.
-            let updates = local_sgd_passes(
-                ds,
-                &h.parts,
-                cfg.loss,
-                cfg.reg,
-                cfg.lr,
-                w,
-                orders,
-                update_counters,
-                locals,
-                h.host_threads,
-            );
-            for r in 0..k {
-                if h.parts[r].is_empty() {
-                    continue;
-                }
-                rd.charge_flops(pass_flops(h.part_nnz[r]));
-                rd.rb.work(
-                    NodeId::Executor(r),
-                    Activity::Compute,
-                    h.cost.executor_waves(
-                        r,
-                        pass_flops(h.part_nnz[r]),
-                        cfg.waves,
-                        rd.straggler_rng,
-                    ),
-                );
-            }
-            // Optional Zhang & Jordan reweighting: scale each local model
-            // by k·n_r/n so the uniform average below becomes the
-            // partition-size-weighted average.
-            if cfg.ma_weighting == MaWeighting::PartitionSize {
-                for (local, part) in locals.iter_mut().zip(h.parts.iter()) {
-                    local.scale(k as f64 * part.len() as f64 / ds.len() as f64);
-                }
-            }
+            // (1) Local SGD pass (UpdateModel).
+            let updates = passes.run(rd, backend, h, ds, cfg, w);
             rd.rb.barrier();
             rd.inject_failure(h, cfg, |r| pass_flops(h.part_nnz[r]));
 
@@ -146,9 +102,9 @@ impl RoundStrategy for MllibStarStrategy {
             // branch is untouched, keeping the default bit-identical to
             // the golden traces.
             *w = if comm.enabled() {
-                rd.compressed_all_reduce_average(&h.cost, locals, comm, residuals)
+                rd.compressed_all_reduce_average(&h.cost, &passes.locals, comm, residuals)
             } else {
-                rd.all_reduce_average(&h.cost, locals)
+                rd.all_reduce_average(&h.cost, &passes.locals)
             };
             updates
         });
@@ -156,17 +112,8 @@ impl RoundStrategy for MllibStarStrategy {
     }
 
     fn save_state(&self, w: &mut Writer) {
-        // Same reasoning as MLlib+MA: the local-model buffers are
-        // re-seeded from the global model every pass, so only the model,
-        // epoch streams, and lazy-reg counters carry across rounds.
         put_vector(w, &self.w);
-        w.put_u64(self.orders.len() as u64);
-        for order in &self.orders {
-            w.put_bytes(&order.export_state());
-        }
-        for &count in &self.update_counters {
-            w.put_u64(count);
-        }
+        self.passes.save_state(w);
         // Error-feedback residuals carry un-shipped gradient mass across
         // rounds, so a restore without them would change the math.
         w.put_u64(self.residuals.len() as u64);
@@ -177,36 +124,18 @@ impl RoundStrategy for MllibStarStrategy {
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
         self.w = read_vector(r, self.w.dim())?;
-        let k = r.u64()? as usize;
-        if k != self.orders.len() {
-            return Err(CodecError::Corrupt(format!(
-                "checkpoint has {k} workers, run has {}",
-                self.orders.len()
-            )));
-        }
-        for order in &mut self.orders {
-            let state = read_rng_state(r)?;
-            *order = EpochOrder::restore_state(&state)
-                .ok_or_else(|| CodecError::Corrupt("invalid epoch order state".into()))?;
-        }
-        for count in &mut self.update_counters {
-            *count = r.u64()?;
-        }
+        self.passes.restore_state(r)?;
         let res_count = r.u64()? as usize;
-        if res_count != 0 && res_count != self.orders.len() {
+        if res_count != 0 && res_count != self.h.k() {
             return Err(CodecError::Corrupt(format!(
                 "checkpoint has {res_count} error-feedback residuals, run has {} workers",
-                self.orders.len()
+                self.h.k()
             )));
         }
         self.residuals = (0..res_count)
             .map(|_| read_vector(r, self.w.dim()))
             .collect::<Result<_, _>>()?;
         Ok(())
-    }
-
-    fn host_threads(&self) -> usize {
-        self.h.host_threads
     }
 }
 
@@ -220,8 +149,7 @@ pub fn train_mllib_star(
     cluster: &ClusterSpec,
     cfg: &TrainConfig,
 ) -> TrainOutput {
-    assert!(!ds.is_empty(), "cannot train on an empty dataset");
-    run_rounds(ds, cfg, MllibStarStrategy::new(ds, cluster, cfg))
+    System::MllibStar.train_default(ds, cluster, cfg)
 }
 
 #[cfg(test)]
@@ -230,7 +158,7 @@ mod tests {
     use crate::train_mllib_ma;
     use mlstar_data::SyntheticConfig;
     use mlstar_glm::{LearningRate, Loss, Regularizer};
-    use mlstar_sim::NodeId;
+    use mlstar_sim::{Activity, NodeId};
 
     fn tiny_ds() -> SparseDataset {
         let mut cfg = SyntheticConfig::small("star-test", 240, 30);
@@ -526,10 +454,13 @@ mod tests {
             },
             ..quick_cfg()
         };
-        let mut strat = MllibStarStrategy::new(&ds, &ClusterSpec::cluster1(), &cfg);
+        let cluster = ClusterSpec::cluster1();
+        let parts = crate::system_partitions(System::MllibStar, &ds, &cluster, &cfg);
+        let mut backend = crate::InProcessBackend::new(&ds, &parts, &cfg);
+        let mut strat = MllibStarStrategy::new(&ds, &cluster, &cfg, &parts);
         let mut ctx = crate::engine::StepCtx::new(cfg.seed);
-        strat.step(&mut ctx, &ds, &cfg, 0);
-        strat.step(&mut ctx, &ds, &cfg, 1);
+        strat.step(&mut ctx, &mut backend, &ds, &cfg, 0);
+        strat.step(&mut ctx, &mut backend, &ds, &cfg, 1);
         assert!(
             strat.residuals.iter().any(|r| r.norm1() > 0.0),
             "top-k should leave residual mass behind"
@@ -539,7 +470,7 @@ mod tests {
         strat.save_state(&mut w);
         let saved = w.into_payload();
 
-        let mut fresh = MllibStarStrategy::new(&ds, &ClusterSpec::cluster1(), &cfg);
+        let mut fresh = MllibStarStrategy::new(&ds, &cluster, &cfg, &parts);
         let mut r = Reader::new(&saved);
         fresh.restore_state(&mut r).unwrap();
         assert_eq!(fresh.residuals.len(), strat.residuals.len());

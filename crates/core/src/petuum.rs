@@ -18,33 +18,33 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use mlstar_data::{BatchSampler, Partitioner, SparseDataset};
-use mlstar_glm::{mgd_step, sgd_epoch_lazy, LearningRate, Loss, Regularizer};
-use mlstar_linalg::{DenseVector, ScaledVector};
+use mlstar_data::{BatchSampler, SparseDataset};
+use mlstar_glm::{LearningRate, Regularizer};
+use mlstar_linalg::DenseVector;
 use mlstar_ps::{Aggregation, Consistency, PsConfig, PsEngine, WorkerLogic, WorkerStep};
 use mlstar_sim::{dense_op_flops, pass_flops, ClusterSpec, CostModel, SeedStream, SimDuration};
 
 use crate::checkpoint::{CheckpointError, PsCkptHook, PsCkptRun};
 use crate::common::partition_active_coords;
 use crate::engine::{assemble_output, ps_round_stats, ClockTracer};
-use crate::{PsSystemConfig, TrainConfig, TrainOutput};
+use crate::exec::{dispatch_one, expect_model, to_wire_indices, ComputeBackend, WorkerOp};
+use crate::{AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput};
 
 /// The Petuum worker-local computation.
 struct PetuumWorker<'a> {
+    backend: &'a mut dyn ComputeBackend,
     ds: &'a SparseDataset,
-    parts: Vec<Vec<usize>>,
+    parts: &'a [Vec<usize>],
     /// Distinct features per partition (sparse-pull volume).
     part_active: Vec<usize>,
     sparse_messages: bool,
     samplers: Vec<BatchSampler>,
     counters: Vec<u64>,
-    loss: Loss,
     reg: Regularizer,
     lr: LearningRate,
     batch_frac: f64,
     aggregation: Aggregation,
     updates: Rc<Cell<u64>>,
-    grad_buf: DenseVector,
 }
 
 impl WorkerLogic for PetuumWorker<'_> {
@@ -77,62 +77,24 @@ impl WorkerLogic for PetuumWorker<'_> {
 
         let (w_local, n_updates, flops) = if self.reg.is_none() {
             // Parallel SGD over the batch: many updates per step.
-            let w_local = if crate::exec::backend_active() {
-                let res = crate::exec::dispatch(vec![(
-                    worker,
-                    crate::exec::WorkerOp::SgdBatch {
-                        w: model.clone(),
-                        batch: crate::exec::to_wire_indices(&batch),
-                        t0: self.counters[worker],
-                    },
-                )]);
-                let (w_local, t) = crate::exec::expect_model(crate::exec::expect_single(res));
-                self.counters[worker] = t;
-                w_local
-            } else {
-                let mut local = ScaledVector::from_dense(model.clone());
-                self.counters[worker] = sgd_epoch_lazy(
-                    self.loss,
-                    self.reg,
-                    &mut local,
-                    self.ds.rows(),
-                    self.ds.labels(),
-                    &batch,
-                    self.lr,
-                    self.counters[worker],
-                );
-                local.into_dense()
+            let op = WorkerOp::SgdBatch {
+                w: model.clone(),
+                batch: to_wire_indices(&batch),
+                t0: self.counters[worker],
             };
+            let (w_local, t) = expect_model(dispatch_one(self.backend, worker, op));
+            self.counters[worker] = t;
             (w_local, batch.len() as u64, pass_flops(batch_nnz))
         } else {
             // One dense GD step over the batch: a single update per step.
-            // The schedule is evaluated here either way, so the counter
-            // stream never leaves the orchestrator.
-            let eta = self.lr.eta(self.counters[worker]);
-            let w_local = if crate::exec::backend_active() {
-                let res = crate::exec::dispatch(vec![(
-                    worker,
-                    crate::exec::WorkerOp::MgdStep {
-                        w: model.clone(),
-                        batch: crate::exec::to_wire_indices(&batch),
-                        eta,
-                    },
-                )]);
-                crate::exec::expect_model(crate::exec::expect_single(res)).0
-            } else {
-                let mut w = model.clone();
-                mgd_step(
-                    self.loss,
-                    self.reg,
-                    &mut w,
-                    self.ds.rows(),
-                    self.ds.labels(),
-                    &batch,
-                    eta,
-                    &mut self.grad_buf,
-                );
-                w
+            // The schedule is evaluated here, so the counter stream never
+            // leaves the orchestrator.
+            let op = WorkerOp::MgdStep {
+                w: model.clone(),
+                batch: to_wire_indices(&batch),
+                eta: self.lr.eta(self.counters[worker]),
             };
+            let (w_local, _) = expect_model(dispatch_one(self.backend, worker, op));
             self.counters[worker] += 1;
             (
                 w_local,
@@ -190,11 +152,7 @@ pub fn train_petuum(
     cfg: &TrainConfig,
     ps: &PsSystemConfig,
 ) -> TrainOutput {
-    match train_petuum_ckpt(ds, cluster, cfg, ps, false, None) {
-        Ok(out) => out,
-        // Without a checkpoint run there is no I/O and no anchor to miss.
-        Err(e) => panic!("checkpoint-free run cannot fail: {e}"),
-    }
+    System::Petuum.train(ds, cluster, cfg, ps, &AngelConfig::default())
 }
 
 /// Trains with Petuum\* (the paper's model-**averaging** variant).
@@ -204,16 +162,13 @@ pub fn train_petuum_star(
     cfg: &TrainConfig,
     ps: &PsSystemConfig,
 ) -> TrainOutput {
-    match train_petuum_ckpt(ds, cluster, cfg, ps, true, None) {
-        Ok(out) => out,
-        // Without a checkpoint run there is no I/O and no anchor to miss.
-        Err(e) => panic!("checkpoint-free run cannot fail: {e}"),
-    }
+    System::PetuumStar.train(ds, cluster, cfg, ps, &AngelConfig::default())
 }
 
-/// [`train_petuum`] / [`train_petuum_star`] with optional anchor
-/// checkpointing and replay verification (see
-/// [`PsCkptHook`](crate::checkpoint::PsCkptHook)).
+/// The Petuum (`star = false`, summation) / Petuum\* (`star = true`,
+/// averaging) run over `parts`, with optional anchor checkpointing and
+/// replay verification (see [`PsCkptHook`](crate::checkpoint::PsCkptHook)).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn train_petuum_ckpt(
     ds: &SparseDataset,
     cluster: &ClusterSpec,
@@ -221,53 +176,35 @@ pub(crate) fn train_petuum_ckpt(
     ps: &PsSystemConfig,
     star: bool,
     ckpt: Option<PsCkptRun<'_>>,
+    parts: &[Vec<usize>],
+    backend: &mut dyn ComputeBackend,
 ) -> Result<TrainOutput, CheckpointError> {
+    let validation = cfg.validate();
+    assert!(validation.is_ok(), "invalid TrainConfig: {validation:?}");
     let k = cluster.num_executors();
     let (aggregation, name) = if star {
         (Aggregation::Average { num_workers: k }, "Petuum*")
     } else {
         (Aggregation::Sum, "Petuum")
     };
-    train_petuum_inner(ds, cluster, cfg, ps, aggregation, name, ckpt)
-}
-
-fn train_petuum_inner(
-    ds: &SparseDataset,
-    cluster: &ClusterSpec,
-    cfg: &TrainConfig,
-    ps: &PsSystemConfig,
-    aggregation: Aggregation,
-    name: &str,
-    ckpt: Option<PsCkptRun<'_>>,
-) -> Result<TrainOutput, CheckpointError> {
-    assert!(!ds.is_empty(), "cannot train on an empty dataset");
-    let validation = cfg.validate();
-    assert!(validation.is_ok(), "invalid TrainConfig: {validation:?}");
-    let k = cluster.num_executors();
     let dim = ds.num_features();
     let seeds = SeedStream::new(cfg.seed);
-    let parts = Partitioner::Shuffled {
-        seed: seeds.child("partition").seed(),
-    }
-    .partition(ds.len(), k);
-    let part_active = partition_active_coords(ds, &parts);
     let updates = Rc::new(Cell::new(0u64));
     let mut logic = PetuumWorker {
+        backend,
         ds,
         parts,
-        part_active,
+        part_active: partition_active_coords(ds, parts),
         sparse_messages: ps.sparse_messages,
         samplers: (0..k)
             .map(|r| BatchSampler::new(seeds.child("batch").child_idx(r as u64).seed()))
             .collect(),
         counters: vec![0; k],
-        loss: cfg.loss,
         reg: cfg.reg,
         lr: cfg.lr,
         batch_frac: cfg.batch_frac,
         aggregation,
         updates: Rc::clone(&updates),
-        grad_buf: DenseVector::zeros(dim),
     };
 
     let cost = CostModel::new(cluster.clone());
@@ -292,6 +229,8 @@ fn train_petuum_inner(
     });
     hook.finish()?;
 
+    // A PS worker dispatches one op per tick, so no batch ever spreads
+    // over host threads.
     Ok(assemble_output(
         tracer.trace,
         engine.gantt().clone(),

@@ -20,15 +20,19 @@
 
 use mlstar_codec::{CodecError, Reader, Writer};
 use mlstar_data::SparseDataset;
-use mlstar_glm::{batch_gradient_into, lbfgs_direction, objective_value_subset};
+use mlstar_glm::lbfgs_direction;
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{put_vector, read_vector};
 use crate::common::{eval_objective, BspHarness};
-use crate::engine::{run_rounds, RoundStrategy, StepCtx};
-use crate::{TrainConfig, TrainOutput};
+use crate::engine::{expect_uncheckpointed, run_rounds, RoundStrategy, StepCtx};
+use crate::exec::{
+    dispatch, expect_grad, expect_value, system_partitions, ComputeBackend, InProcessBackend,
+    WorkerOp,
+};
+use crate::{System, TrainConfig, TrainOutput};
 
 /// Extra configuration for the `spark.ml` L-BFGS trainer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -59,8 +63,8 @@ impl Default for SparkMlConfig {
 /// backtracking line search (one superstep per trial), and a full
 /// distributed gradient — each opening its own superstep against the
 /// engine's shared round counter.
-pub(crate) struct SparkMlStrategy {
-    h: BspHarness,
+pub(crate) struct SparkMlStrategy<'a> {
+    h: BspHarness<'a>,
     ml: SparkMlConfig,
     w: DenseVector,
     grad: DenseVector,
@@ -70,14 +74,15 @@ pub(crate) struct SparkMlStrategy {
     f: f64,
 }
 
-impl SparkMlStrategy {
+impl<'a> SparkMlStrategy<'a> {
     pub(crate) fn new(
         ds: &SparseDataset,
         cluster: &ClusterSpec,
         cfg: &TrainConfig,
         ml: &SparkMlConfig,
+        parts: &'a [Vec<usize>],
     ) -> Self {
-        let h = BspHarness::new(ds, cluster, cfg.seed);
+        let h = BspHarness::new(ds, cluster, parts);
         let dim = ds.num_features();
         let w = DenseVector::zeros(dim);
         let f = eval_objective(ds, cfg.loss, cfg.reg, &w);
@@ -95,8 +100,9 @@ impl SparkMlStrategy {
 /// One distributed full gradient (broadcast + per-partition compute +
 /// treeAggregate), charged to simulated time.
 fn distributed_gradient(
-    h: &BspHarness,
+    h: &BspHarness<'_>,
     ctx: &mut StepCtx,
+    backend: &mut dyn ComputeBackend,
     ds: &SparseDataset,
     cfg: &TrainConfig,
     w: &DenseVector,
@@ -106,40 +112,29 @@ fn distributed_gradient(
     let dim = ds.num_features();
     ctx.round(&h.all_nodes, |rd| {
         rd.broadcast(&h.cost, dim);
-        let mut partials: Vec<DenseVector> = Vec::with_capacity(k);
-        let mut ops = Vec::new();
-        let mut targets = Vec::new();
-        for r in 0..k {
-            let mut g_r = DenseVector::zeros(dim);
-            if !h.parts[r].is_empty() {
-                if crate::exec::backend_active() {
-                    // The worker returns its unscaled partition gradient;
-                    // the partition weight is applied below with the same
-                    // factor, so the scaled bits match the inline path.
-                    ops.push((r, crate::exec::WorkerOp::PartitionGrad { w: w.clone() }));
-                    targets.push(r);
-                } else {
-                    batch_gradient_into(cfg.loss, w, ds.rows(), ds.labels(), &h.parts[r], &mut g_r);
-                    // Weight by partition size so the sum over workers is
-                    // the dataset-average gradient.
-                    g_r.scale(h.parts[r].len() as f64 / ds.len() as f64);
-                }
-                rd.charge_flops(pass_flops(h.part_nnz[r]));
-                rd.rb.work(
-                    NodeId::Executor(r),
-                    Activity::Compute,
-                    h.cost
-                        .executor_compute(r, pass_flops(h.part_nnz[r]), rd.straggler_rng),
-                );
+        let mut partials = vec![DenseVector::zeros(dim); k];
+        let mut ops = Vec::with_capacity(k);
+        for (r, partial) in partials.iter_mut().enumerate() {
+            if h.parts[r].is_empty() {
+                continue;
             }
-            partials.push(g_r);
+            let mut model = std::mem::take(partial);
+            model.copy_from(w);
+            ops.push((r, WorkerOp::PartitionGrad { w: model }));
+            rd.charge_flops(pass_flops(h.part_nnz[r]));
+            rd.rb.work(
+                NodeId::Executor(r),
+                Activity::Compute,
+                h.cost
+                    .executor_compute(r, pass_flops(h.part_nnz[r]), rd.straggler_rng),
+            );
         }
-        if !ops.is_empty() {
-            for (r, res) in targets.into_iter().zip(crate::exec::dispatch(ops)) {
-                let mut g_r = crate::exec::expect_grad(res);
-                g_r.scale(h.parts[r].len() as f64 / ds.len() as f64);
-                partials[r] = g_r;
-            }
+        for (r, res) in dispatch(backend, ops) {
+            // Workers return the unscaled partition gradient; weight it by
+            // partition size so the sum over workers is the dataset-average
+            // gradient.
+            partials[r] = expect_grad(res);
+            partials[r].scale(h.parts[r].len() as f64 / ds.len() as f64);
         }
         rd.rb.barrier();
         let sum = rd.tree_aggregate(&h.cost, &partials, cfg.tree_fanin, Activity::SendGradient);
@@ -157,8 +152,9 @@ fn distributed_gradient(
 /// One distributed objective evaluation (line-search trial): broadcast
 /// the trial model, compute local losses, gather scalars at the driver.
 fn distributed_objective(
-    h: &BspHarness,
+    h: &BspHarness<'_>,
     ctx: &mut StepCtx,
+    backend: &mut dyn ComputeBackend,
     ds: &SparseDataset,
     cfg: &TrainConfig,
     w: &DenseVector,
@@ -167,30 +163,12 @@ fn distributed_objective(
     let dim = ds.num_features();
     ctx.round(&h.all_nodes, |rd| {
         rd.broadcast(&h.cost, dim);
-        let mut weighted = 0.0;
-        let mut ops = Vec::new();
-        let mut targets = Vec::new();
+        let mut ops = Vec::with_capacity(k);
         for r in 0..k {
             if h.parts[r].is_empty() {
                 continue;
             }
-            if crate::exec::backend_active() {
-                ops.push((
-                    r,
-                    crate::exec::WorkerOp::PartitionObjective { w: w.clone() },
-                ));
-                targets.push(r);
-            } else {
-                let local = objective_value_subset(
-                    cfg.loss,
-                    mlstar_glm::Regularizer::None,
-                    w,
-                    ds.rows(),
-                    ds.labels(),
-                    &h.parts[r],
-                );
-                weighted += local * h.parts[r].len() as f64 / ds.len() as f64;
-            }
+            ops.push((r, WorkerOp::PartitionObjective { w: w.clone() }));
             // Loss evaluation is ~half the flops of a gradient pass.
             rd.charge_flops(pass_flops(h.part_nnz[r]) / 2.0);
             rd.rb.work(
@@ -200,12 +178,10 @@ fn distributed_objective(
                     .executor_compute(r, pass_flops(h.part_nnz[r]) / 2.0, rd.straggler_rng),
             );
         }
-        if !ops.is_empty() {
-            // Accumulated in worker order, exactly like the inline loop.
-            for (r, res) in targets.into_iter().zip(crate::exec::dispatch(ops)) {
-                let local = crate::exec::expect_value(res);
-                weighted += local * h.parts[r].len() as f64 / ds.len() as f64;
-            }
+        // Loss-only local values, accumulated in worker order.
+        let mut weighted = 0.0;
+        for (r, res) in dispatch(backend, ops) {
+            weighted += expect_value(res) * h.parts[r].len() as f64 / ds.len() as f64;
         }
         rd.rb.barrier();
         // Scalar gather: k tiny messages through the driver NIC (counted
@@ -228,7 +204,7 @@ fn distributed_objective(
     })
 }
 
-impl RoundStrategy for SparkMlStrategy {
+impl RoundStrategy for SparkMlStrategy<'_> {
     fn name(&self) -> &'static str {
         "spark.ml(L-BFGS)"
     }
@@ -245,15 +221,22 @@ impl RoundStrategy for SparkMlStrategy {
         self.f
     }
 
-    fn init(&mut self, ctx: &mut StepCtx, ds: &SparseDataset, cfg: &TrainConfig) {
+    fn init(
+        &mut self,
+        ctx: &mut StepCtx,
+        backend: &mut dyn ComputeBackend,
+        ds: &SparseDataset,
+        cfg: &TrainConfig,
+    ) {
         // Warm-up gradient at w₀ — costs a superstep but is not an outer
         // iteration.
-        distributed_gradient(&self.h, ctx, ds, cfg, &self.w, &mut self.grad);
+        distributed_gradient(&self.h, ctx, backend, ds, cfg, &self.w, &mut self.grad);
     }
 
     fn step(
         &mut self,
         ctx: &mut StepCtx,
+        backend: &mut dyn ComputeBackend,
         ds: &SparseDataset,
         cfg: &TrainConfig,
         _round: u64,
@@ -277,7 +260,7 @@ impl RoundStrategy for SparkMlStrategy {
         for _ in 0..self.ml.max_line_search {
             w_new = self.w.clone();
             w_new.axpy(step, &direction);
-            f_new = distributed_objective(&self.h, ctx, ds, cfg, &w_new);
+            f_new = distributed_objective(&self.h, ctx, backend, ds, cfg, &w_new);
             if f_new <= self.f + self.ml.c1 * step * dg {
                 accepted = true;
                 break;
@@ -289,7 +272,7 @@ impl RoundStrategy for SparkMlStrategy {
         }
 
         let mut grad_new = DenseVector::zeros(ds.num_features());
-        distributed_gradient(&self.h, ctx, ds, cfg, &w_new, &mut grad_new);
+        distributed_gradient(&self.h, ctx, backend, ds, cfg, &w_new, &mut grad_new);
 
         let mut s = w_new.clone();
         s.axpy(-1.0, &self.w);
@@ -359,7 +342,10 @@ pub fn train_sparkml_lbfgs(
     ml: &SparkMlConfig,
 ) -> TrainOutput {
     assert!(!ds.is_empty(), "cannot train on an empty dataset");
-    run_rounds(ds, cfg, SparkMlStrategy::new(ds, cluster, cfg, ml))
+    let parts = system_partitions(System::SparkMl, ds, cluster, cfg);
+    let mut backend = InProcessBackend::new(ds, &parts, cfg);
+    let strategy = SparkMlStrategy::new(ds, cluster, cfg, ml, &parts);
+    expect_uncheckpointed(run_rounds(ds, cfg, strategy, None, &mut backend))
 }
 
 #[cfg(test)]

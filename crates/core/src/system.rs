@@ -1,5 +1,6 @@
 //! Unified dispatch over the six systems.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use mlstar_codec::CodecError;
@@ -9,17 +10,20 @@ use serde::{Deserialize, Serialize};
 
 use crate::angel::train_angel_ckpt;
 use crate::checkpoint::{config_digest, CheckpointState, PsCkptRun, TrainCheckpoint};
-use crate::engine::{run_rounds_ckpt, CheckpointRun};
+use crate::engine::{expect_uncheckpointed, run_rounds, CheckpointRun};
+use crate::exec::{system_partitions, ComputeBackend, ExecAbort, InProcessBackend};
 use crate::mllib::MllibStrategy;
 use crate::mllib_ma::MllibMaStrategy;
 use crate::mllib_star::MllibStarStrategy;
 use crate::petuum::train_petuum_ckpt;
 use crate::sparkml::SparkMlStrategy;
 use crate::{
-    train_angel, train_mllib, train_mllib_ma, train_mllib_star, train_petuum, train_petuum_star,
-    train_sparkml_lbfgs, AngelConfig, CheckpointError, PsSystemConfig, SparkMlConfig, TrainConfig,
-    TrainOutput,
+    AngelConfig, CheckpointError, PsSystemConfig, SparkMlConfig, TrainConfig, TrainOutput,
 };
+
+/// Where a checkpointed run writes, and the decoded state it resumes from
+/// (if any).
+type CkptArgs<'a> = (&'a Path, Option<CheckpointState>);
 
 /// The six distributed training systems compared in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -73,7 +77,12 @@ impl System {
         matches!(self, System::Petuum | System::PetuumStar | System::Angel)
     }
 
-    /// Trains this system with explicit PS/Angel configuration.
+    /// Trains this system on the simulated cluster, with explicit PS/Angel
+    /// configuration. Worker-local math runs on an [`InProcessBackend`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dataset is empty.
     pub fn train(
         &self,
         ds: &SparseDataset,
@@ -82,15 +91,41 @@ impl System {
         ps: &PsSystemConfig,
         angel: &AngelConfig,
     ) -> TrainOutput {
-        match self {
-            System::Mllib => train_mllib(ds, cluster, cfg),
-            System::MllibMa => train_mllib_ma(ds, cluster, cfg),
-            System::MllibStar => train_mllib_star(ds, cluster, cfg),
-            System::Petuum => train_petuum(ds, cluster, cfg, ps),
-            System::PetuumStar => train_petuum_star(ds, cluster, cfg, ps),
-            System::Angel => train_angel(ds, cluster, cfg, angel),
-            System::SparkMl => train_sparkml_lbfgs(ds, cluster, cfg, &SparkMlConfig::default()),
-        }
+        expect_uncheckpointed(self.run_in_process(ds, cluster, cfg, ps, angel, None))
+    }
+
+    /// [`System::train`] with the worker-local math on a backend of the
+    /// caller's choosing — the entry point for backend hosts such as
+    /// `mlstar-net`. Worker `r` of `backend` must hold exactly the rows
+    /// [`system_partitions`] assigns it. Everything but the math (RNG
+    /// streams, simulated clock, aggregation) runs here, so the output is
+    /// bit-identical to [`System::train`]'s for any correct backend.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ExecAbort`] raised when `backend` fails a batch; the
+    /// trainer stopped mid-round and no partial output exists.
+    pub fn train_on(
+        &self,
+        ds: &SparseDataset,
+        cluster: &ClusterSpec,
+        cfg: &TrainConfig,
+        ps: &PsSystemConfig,
+        angel: &AngelConfig,
+        backend: &mut dyn ComputeBackend,
+    ) -> Result<TrainOutput, ExecAbort> {
+        let parts = system_partitions(*self, ds, cluster, cfg);
+        // The trainer's state is dropped by the unwind and `backend` is
+        // the caller's to inspect, so observing either after a panic is
+        // sound.
+        catch_unwind(AssertUnwindSafe(|| {
+            expect_uncheckpointed(self.run(ds, cluster, cfg, ps, angel, None, &parts, backend))
+        }))
+        .map_err(|payload| match payload.downcast::<ExecAbort>() {
+            Ok(abort) => *abort,
+            // A genuine trainer panic, not a backend failure.
+            Err(payload) => resume_unwind(payload),
+        })
     }
 
     /// Trains with default PS/Angel configuration.
@@ -130,7 +165,7 @@ impl System {
         angel: &AngelConfig,
         dir: &Path,
     ) -> Result<TrainOutput, CheckpointError> {
-        self.run_ckpt(ds, cluster, cfg, ps, angel, dir, None)
+        self.run_in_process(ds, cluster, cfg, ps, angel, Some((dir, None)))
     }
 
     /// Resumes a run from `ckpt`, continuing to checkpoint into `dir`.
@@ -173,21 +208,42 @@ impl System {
         if ckpt.fingerprint != DatasetFingerprint::of(ds) {
             return Err(CheckpointError::DatasetMismatch);
         }
-        self.run_ckpt(ds, cluster, cfg, ps, angel, dir, Some(ckpt.state))
+        self.run_in_process(ds, cluster, cfg, ps, angel, Some((dir, Some(ckpt.state))))
     }
 
-    /// Shared dispatch for checkpointed training and resume.
-    #[allow(clippy::too_many_arguments)]
-    fn run_ckpt(
+    /// [`System::run`] on an [`InProcessBackend`] over the partitions it
+    /// trains on.
+    fn run_in_process(
         &self,
         ds: &SparseDataset,
         cluster: &ClusterSpec,
         cfg: &TrainConfig,
         ps: &PsSystemConfig,
         angel: &AngelConfig,
-        dir: &Path,
-        state: Option<CheckpointState>,
+        ckpt: Option<CkptArgs<'_>>,
     ) -> Result<TrainOutput, CheckpointError> {
+        let parts = system_partitions(*self, ds, cluster, cfg);
+        let mut backend = InProcessBackend::new(ds, &parts, cfg);
+        self.run(ds, cluster, cfg, ps, angel, ckpt, &parts, &mut backend)
+    }
+
+    /// The one dispatch over the seven trainers: plain, checkpointed and
+    /// resumed runs on any backend all end here.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &self,
+        ds: &SparseDataset,
+        cluster: &ClusterSpec,
+        cfg: &TrainConfig,
+        ps: &PsSystemConfig,
+        angel: &AngelConfig,
+        ckpt: Option<CkptArgs<'_>>,
+        parts: &[Vec<usize>],
+        backend: &mut dyn ComputeBackend,
+    ) -> Result<TrainOutput, CheckpointError> {
+        assert!(!ds.is_empty(), "cannot train on an empty dataset");
+        let (dir, state) = ckpt.unzip();
+        let state = state.flatten();
         if self.is_parameter_server() {
             let verify = match state {
                 Some(CheckpointState::PsAnchor(anchor)) => Some(anchor),
@@ -198,15 +254,17 @@ impl System {
                 }
                 None => None,
             };
-            let run = PsCkptRun {
-                dir: Some(dir),
+            let run = dir.map(|dir| PsCkptRun {
+                dir,
                 system: *self,
                 verify,
-            };
+            });
             return match self {
-                System::Petuum => train_petuum_ckpt(ds, cluster, cfg, ps, false, Some(run)),
-                System::PetuumStar => train_petuum_ckpt(ds, cluster, cfg, ps, true, Some(run)),
-                System::Angel => train_angel_ckpt(ds, cluster, cfg, angel, Some(run)),
+                System::Petuum | System::PetuumStar => {
+                    let star = *self == System::PetuumStar;
+                    train_petuum_ckpt(ds, cluster, cfg, ps, star, run, parts, backend)
+                }
+                System::Angel => train_angel_ckpt(ds, cluster, cfg, angel, run, parts, backend),
                 _ => unreachable!("is_parameter_server covers exactly these variants"),
             };
         }
@@ -220,28 +278,29 @@ impl System {
             }
             None => None,
         };
-        let run = CheckpointRun {
+        let run = dir.map(|dir| CheckpointRun {
             dir,
             system: *self,
             resume,
-        };
-        assert!(!ds.is_empty(), "cannot train on an empty dataset");
+        });
         match self {
             System::Mllib => {
-                run_rounds_ckpt(ds, cfg, MllibStrategy::new(ds, cluster, cfg), Some(run))
+                let strategy = MllibStrategy::new(ds, cluster, cfg, parts);
+                run_rounds(ds, cfg, strategy, run, backend)
             }
             System::MllibMa => {
-                run_rounds_ckpt(ds, cfg, MllibMaStrategy::new(ds, cluster, cfg), Some(run))
+                let strategy = MllibMaStrategy::new(ds, cluster, cfg, parts);
+                run_rounds(ds, cfg, strategy, run, backend)
             }
             System::MllibStar => {
-                run_rounds_ckpt(ds, cfg, MllibStarStrategy::new(ds, cluster, cfg), Some(run))
+                let strategy = MllibStarStrategy::new(ds, cluster, cfg, parts);
+                run_rounds(ds, cfg, strategy, run, backend)
             }
-            System::SparkMl => run_rounds_ckpt(
-                ds,
-                cfg,
-                SparkMlStrategy::new(ds, cluster, cfg, &SparkMlConfig::default()),
-                Some(run),
-            ),
+            System::SparkMl => {
+                let strategy =
+                    SparkMlStrategy::new(ds, cluster, cfg, &SparkMlConfig::default(), parts);
+                run_rounds(ds, cfg, strategy, run, backend)
+            }
             _ => unreachable!("BSP branch covers exactly these variants"),
         }
     }

@@ -20,7 +20,7 @@ use crate::{LinalgError, SparseVector};
 /// w.axpy(-0.1, &g); // w -= 0.1 * g
 /// assert_eq!(w.as_slice(), &[-0.1, 0.0, 0.2, -0.05]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DenseVector {
     values: Vec<f64>,
 }

@@ -146,11 +146,11 @@ impl RuleId {
                 "sim-critical lib/bin code, plus anything its public APIs reach"
             }
             RuleId::AmbientRand => "everywhere except crates/bench",
-            RuleId::ThreadSpawn => "lib/bin code outside `core::local_pass`, `serve::engine`, `net::pool`",
+            RuleId::ThreadSpawn => "lib/bin code outside `core::exec`, `serve::engine`, `net::pool`",
             RuleId::LockUnwrap => "non-test library code",
             RuleId::LockOrder => "per-function first-acquisition sequences, workspace-wide",
             RuleId::HotLoopAlloc => {
-                "loop bodies in `linalg`, `glm::{cd, gradient, lazy_l1, lbfgs, optimizer, path, sgd}`, `serve::engine`"
+                "loop bodies in `linalg`, `glm::{cd, gradient, lazy_l1, lbfgs, optimizer, path, sgd}`, `serve::engine`, `core::exec`"
             }
             RuleId::DuplicateHashImpl => "every crate except `codec`",
             RuleId::ForbidUnsafeMissing => "every crate root",
@@ -386,7 +386,7 @@ pub(crate) fn pass_ambient_rand(units: &mut [FileUnit], out: &mut Vec<Violation>
 /// ordered joins) and the net backend's scoped worker pool (rank-ordered
 /// spawn, join-all-before-return).
 pub const THREAD_ALLOWLIST: &[(&str, &str)] =
-    &[("core", "local_pass"), ("net", "pool"), ("serve", "engine")];
+    &[("core", "exec"), ("net", "pool"), ("serve", "engine")];
 
 pub(crate) fn pass_thread_spawn(units: &mut [FileUnit], out: &mut Vec<Violation>) {
     for unit in units.iter_mut() {
@@ -414,7 +414,7 @@ pub(crate) fn pass_thread_spawn(units: &mut [FileUnit], out: &mut Vec<Violation>
                         lineno,
                         RuleId::ThreadSpawn,
                         format!(
-                            "`{token}` outside the allowlisted modules (core::local_pass, net::pool, serve::engine): raw threads bypass the deterministic merge order"
+                            "`{token}` outside the allowlisted modules (core::exec, net::pool, serve::engine): raw threads bypass the deterministic merge order"
                         ),
                         Vec::new(),
                     );
@@ -567,6 +567,7 @@ pub const HOT_PATH_MODULES: &[(&str, &[&str])] = &[
         ],
     ),
     ("serve", &["engine"]),
+    ("core", &["exec"]),
 ];
 
 pub(crate) fn pass_hot_loop_alloc(units: &mut [FileUnit], out: &mut Vec<Violation>) {
@@ -891,8 +892,8 @@ pub(crate) fn pass_print_in_lib(units: &mut [FileUnit], out: &mut Vec<Violation>
     }
 }
 
-/// The top-level file module of a path: `crates/core/src/local_pass.rs` →
-/// `local_pass`, `crates/glm/src/sgd.rs` → `sgd`, `src/lib.rs` → `lib`.
+/// The top-level file module of a path: `crates/core/src/exec.rs` →
+/// `exec`, `crates/glm/src/sgd.rs` → `sgd`, `src/lib.rs` → `lib`.
 pub(crate) fn file_module(ctx: &FileContext) -> String {
     let rest = ctx
         .rel_path
@@ -1024,7 +1025,7 @@ fn leaf(n: u64) -> u64 {\n    let m = std::collections::HashMap::new();\n    m.l
             vec!["thread_spawn"]
         );
         // Allowlisted modules and the bench crate are exempt.
-        assert!(rules_fired("crates/core/src/local_pass.rs", src).is_empty());
+        assert!(rules_fired("crates/core/src/exec.rs", src).is_empty());
         assert!(rules_fired("crates/serve/src/engine.rs", src).is_empty());
         assert!(rules_fired("crates/bench/src/x.rs", src).is_empty());
         // Test code may spawn threads.
@@ -1076,8 +1077,13 @@ pub fn kernel(rows: &[Vec<f64>]) -> f64 {\n    let mut acc = 0.0;\n    for r in 
             rules_fired("crates/glm/src/sgd.rs", src),
             vec!["hot_loop_alloc"]
         );
+        assert_eq!(
+            rules_fired("crates/core/src/exec.rs", src),
+            vec!["hot_loop_alloc"]
+        );
         // Cold modules of the same crates are exempt.
         assert!(rules_fired("crates/glm/src/metrics.rs", src).is_empty());
+        assert!(rules_fired("crates/core/src/engine.rs", src).is_empty());
         assert!(rules_fired("crates/data/src/x.rs", src).is_empty());
     }
 
@@ -1275,8 +1281,8 @@ pub fn kernel(rows: &[Vec<f64>]) -> f64 {\n    let mut scratch = Vec::new();\n  
 
     #[test]
     fn file_module_extraction() {
-        let ctx = classify("crates/core/src/local_pass.rs").unwrap();
-        assert_eq!(file_module(&ctx), "local_pass");
+        let ctx = classify("crates/core/src/exec.rs").unwrap();
+        assert_eq!(file_module(&ctx), "exec");
         let root = classify("src/lib.rs").unwrap();
         assert_eq!(file_module(&root), "lib");
     }

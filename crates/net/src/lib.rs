@@ -1,12 +1,14 @@
 //! Real-thread execution backend for the MLlib\* trainers.
 //!
-//! Every trainer in `mlstar-core` normally runs its per-worker math
-//! inline under the simulated clock. This crate executes that same math
-//! on real OS threads behind an orchestrator/worker command protocol
-//! (framed on `mlstar-codec`, vector payloads via `collectives::wire`),
-//! over either in-process channels or loopback TCP — while leaving the
-//! trainer itself, its RNG streams, and the simulated timing machinery
-//! untouched. The result: [`train_net`] produces a `TrainOutput` that is
+//! Every trainer in `mlstar-core` describes its per-worker math as
+//! `WorkerOp`s for a `ComputeBackend`; a simulated run executes them in
+//! process. This crate is the other backend: it runs the same ops (via
+//! the same `mlstar_core::OpExecutor`) on real OS threads behind an
+//! orchestrator/worker command protocol (framed on `mlstar-codec`, vector
+//! payloads via `collectives::wire`), over either in-process channels or
+//! loopback TCP — while leaving the trainer itself, its RNG streams, and
+//! the simulated timing machinery untouched. The result: [`train_net`]
+//! produces a `TrainOutput` that is
 //! **bit-for-bit identical** to the simulated run (traces, Gantt,
 //! weights, telemetry), plus real measured wall-clock per worker per
 //! round that `mlstar_sim`'s cost model can be calibrated against.
@@ -15,8 +17,8 @@
 //!
 //! * All randomness stays on the orchestrating thread; workers receive
 //!   explicit row-index lists.
-//! * Workers execute the exact `mlstar-glm` call sequences of the inline
-//!   path (see `core::WorkerOp`), over the same rows in the same order.
+//! * Workers execute ops with the one executor every backend shares (see
+//!   `core::WorkerOp`), over the same rows in the same order.
 //! * `f64` survives the wire exactly (little-endian byte round-trip).
 //! * Wall-clock is measured but never consulted: no timeout, retry, or
 //!   scheduling decision depends on it.
@@ -24,9 +26,9 @@
 //! # Failure contract
 //!
 //! A worker that dies mid-run surfaces as
-//! [`NetError::WorkerLost`] from [`train_net`] — the training unwind is
-//! caught at the boundary, no partial `TrainOutput` is produced, and the
-//! remaining workers are shut down before the call returns.
+//! [`NetError::WorkerLost`] from [`train_net`] — the trainer stops
+//! mid-round, no partial `TrainOutput` is produced, and the remaining
+//! workers are shut down before the call returns.
 //!
 //! # Example
 //!
@@ -68,14 +70,10 @@ mod protocol;
 mod transport;
 mod worker;
 
-use std::cell::RefCell;
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
 
 use mlstar_core::{
-    system_partitions, with_backend, AngelConfig, ExecAbort, PsSystemConfig, System, TrainConfig,
-    TrainOutput,
+    system_partitions, AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput,
 };
 use mlstar_data::SparseDataset;
 use mlstar_sim::ClusterSpec;
@@ -86,7 +84,7 @@ pub use protocol::{decode_msg, encode_msg, AssignedRow, Msg, NET_MAGIC, NET_VERS
 pub use transport::{channel_pair, ChannelTransport, TcpTransport, Transport};
 
 use measure::Stopwatch;
-use orchestrator::{Orchestrator, SharedFailure, SharedLinks, SharedStats};
+use orchestrator::Orchestrator;
 
 /// Which transport carries the command protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,8 +176,6 @@ pub fn train_net(
         .map(|p| p.iter().map(|&i| row_nnz[i]).sum())
         .collect();
 
-    let stats: SharedStats = Rc::new(RefCell::new(Vec::new()));
-    let failure: SharedFailure = Rc::new(RefCell::new(None));
     let sw = Stopwatch::start();
 
     // Build worker bodies and a way for the orchestrator to reach them.
@@ -226,9 +222,7 @@ pub fn train_net(
         }
     };
 
-    let body_stats = Rc::clone(&stats);
-    let body_failure = Rc::clone(&failure);
-    let result: Result<TrainOutput, NetError> = pool::run_scoped(bodies, move || {
+    let result = pool::run_scoped(bodies, move || {
         let raw_links: Vec<Box<dyn Transport>> = match endpoints {
             Endpoints::Ready(links) => links,
             Endpoints::Accept(listener, n) => {
@@ -299,48 +293,27 @@ pub fn train_net(
             ))?;
         }
 
-        // Train with the orchestrator installed as the compute backend.
-        // A backend failure unwinds out of the trainer as ExecAbort; the
-        // typed error is parked in `body_failure` by the orchestrator.
-        let links: SharedLinks = Rc::new(RefCell::new(links));
-        let backend = Orchestrator::new(
-            Rc::clone(&links),
-            body_stats,
-            Rc::clone(&body_failure),
-            row_nnz,
-            part_nnz,
-            dim,
-            switch,
-        );
-        let trained = with_backend(Box::new(backend), || {
-            catch_unwind(AssertUnwindSafe(|| {
-                system.train(ds, cluster, cfg, ps, angel)
-            }))
-        });
+        // Train with the orchestrator as the compute backend. A failed
+        // batch comes back as the rendered ExecAbort; the typed error is
+        // parked in the orchestrator.
+        let mut backend = Orchestrator::new(links, row_nnz, part_nnz, dim, switch);
+        let trained = system.train_on(ds, cluster, cfg, ps, angel, &mut backend);
 
         // Orderly shutdown, dead links ignored (their workers are gone).
-        for link in links.borrow_mut().iter_mut() {
+        for link in &mut backend.links {
             let _ = link.send(&encode_msg(&Msg::Shutdown, switch));
         }
 
         match trained {
-            Ok(output) => Ok(output),
-            Err(payload) => {
-                if let Some(e) = body_failure.borrow_mut().take() {
-                    return Err(e);
-                }
-                match payload.downcast::<ExecAbort>() {
-                    Ok(abort) => Err(NetError::Protocol(abort.0)),
-                    // A genuine trainer panic (not a backend failure):
-                    // let it propagate as in the simulated path.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
+            Ok(output) => Ok((output, backend.stats)),
+            Err(abort) => Err(backend
+                .failure
+                .take()
+                .unwrap_or(NetError::Protocol(abort.0))),
         }
     });
 
-    let output = result?;
-    let batches = std::mem::take(&mut *stats.borrow_mut());
+    let (output, batches) = result?;
     Ok(NetTrainOutput {
         output,
         batches,

@@ -8,9 +8,7 @@
 //! timing flows through [`crate::measure`]; none of it feeds back into
 //! the math.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use mlstar_collectives::FrameSwitch;
 use mlstar_core::{ComputeBackend, OpResult, WorkerOp};
@@ -73,15 +71,17 @@ impl NetBatchStats {
     }
 }
 
-pub(crate) type SharedLinks = Rc<RefCell<Vec<Box<dyn Transport>>>>;
-pub(crate) type SharedStats = Rc<RefCell<Vec<NetBatchStats>>>;
-pub(crate) type SharedFailure = Rc<RefCell<Option<NetError>>>;
-
-/// The backend installed for the duration of a net-backed training run.
+/// The backend a net-backed training run dispatches to. `train_net`
+/// lends it to the trainer for the duration of the run and reads the
+/// links, measurements and any parked failure back afterwards.
 pub(crate) struct Orchestrator {
-    links: SharedLinks,
-    stats: SharedStats,
-    failure: SharedFailure,
+    /// One link per worker, in worker order.
+    pub links: Vec<Box<dyn Transport>>,
+    /// Per-dispatch-batch measurements, in dispatch order.
+    pub stats: Vec<NetBatchStats>,
+    /// The typed error behind a failed `run_ops`, whose own error channel
+    /// carries only its rendering.
+    pub failure: Option<NetError>,
     /// nnz of every dataset row, for per-op flop accounting.
     row_nnz: Vec<usize>,
     /// Total nnz per worker partition.
@@ -95,9 +95,7 @@ pub(crate) struct Orchestrator {
 
 impl Orchestrator {
     pub(crate) fn new(
-        links: SharedLinks,
-        stats: SharedStats,
-        failure: SharedFailure,
+        links: Vec<Box<dyn Transport>>,
         row_nnz: Vec<usize>,
         part_nnz: Vec<usize>,
         dim: usize,
@@ -105,8 +103,8 @@ impl Orchestrator {
     ) -> Self {
         Orchestrator {
             links,
-            stats,
-            failure,
+            stats: Vec::new(),
+            failure: None,
             row_nnz,
             part_nnz,
             dim,
@@ -117,9 +115,9 @@ impl Orchestrator {
 
     /// Records the typed error and returns its rendering for the
     /// `ComputeBackend` contract.
-    fn fail(&self, e: NetError) -> String {
+    fn fail(&mut self, e: NetError) -> String {
         let msg = e.to_string();
-        *self.failure.borrow_mut() = Some(e);
+        self.failure = Some(e);
         msg
     }
 
@@ -127,8 +125,8 @@ impl Orchestrator {
         idx.iter().map(|&i| self.row_nnz[i as usize]).sum()
     }
 
-    /// The modeled flops of one op — the same formulas the simulated path
-    /// charges for the equivalent inline work.
+    /// The modeled flops of one op — the same formulas the trainers charge
+    /// to simulated time for it.
     fn op_flops(&self, worker: usize, op: &WorkerOp) -> f64 {
         match op {
             WorkerOp::SgdPass { order, .. } => pass_flops(self.indices_nnz(order)),
@@ -166,7 +164,6 @@ impl ComputeBackend for Orchestrator {
             entry.2 += flops;
         }
 
-        let mut links = self.links.borrow_mut();
         let sw = Stopwatch::start();
         let mut worker_stats: Vec<WorkerBatchStats> = Vec::with_capacity(per_worker.len());
         let mut positions: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
@@ -181,7 +178,7 @@ impl ComputeBackend for Orchestrator {
                 },
                 self.switch,
             );
-            if links[worker].send(&frame).is_err() {
+            if self.links[worker].send(&frame).is_err() {
                 return Err(self.fail(NetError::WorkerLost { worker }));
             }
             worker_stats.push(WorkerBatchStats {
@@ -201,7 +198,7 @@ impl ComputeBackend for Orchestrator {
         let mut slots: Vec<Option<OpResult>> = (0..n_ops).map(|_| None).collect();
         for ws in worker_stats.iter_mut() {
             let worker = ws.worker;
-            let frame = match links[worker].recv() {
+            let frame = match self.links[worker].recv() {
                 Ok(f) => f,
                 Err(_) => return Err(self.fail(NetError::WorkerLost { worker })),
             };
@@ -241,7 +238,7 @@ impl ComputeBackend for Orchestrator {
         }
 
         let wall_s = sw.elapsed_s();
-        self.stats.borrow_mut().push(NetBatchStats {
+        self.stats.push(NetBatchStats {
             batch,
             wall_s,
             workers: worker_stats,

@@ -1,21 +1,16 @@
 //! The worker loop: execute compute ops against the assigned partition.
 //!
 //! A worker holds only its own rows. Ops address rows by *global* dataset
-//! index; the worker maps them to local storage and then performs the
-//! exact `mlstar-glm` call sequence the inline (simulated) path performs
-//! — same functions, same visit order, same scratch-buffer entry points —
-//! so the returned floats are bit-identical to what the orchestrator
-//! would have computed itself.
+//! index; the worker maps them to local storage and hands the op to
+//! `mlstar_core::OpExecutor` — the same executor a simulated run uses
+//! over the whole dataset — so the returned floats are bit-identical to
+//! what the orchestrator would have computed itself.
 
 use std::collections::BTreeMap;
 
 use mlstar_collectives::FrameSwitch;
-use mlstar_core::{OpResult, WorkerOp};
-use mlstar_glm::{
-    batch_gradient_into, mgd_step, objective_value_subset, sgd_epoch_lazy, LearningRate, Loss,
-    Regularizer,
-};
-use mlstar_linalg::{DenseVector, ScaledVector, SparseVector};
+use mlstar_core::{OpExecutor, OpResult, Shard, WorkerOp};
+use mlstar_linalg::SparseVector;
 
 use crate::error::NetError;
 use crate::measure::Stopwatch;
@@ -59,7 +54,7 @@ fn worker_loop(
             "assignment for worker {echoed} delivered to worker {worker}"
         )));
     }
-    let mut rt = Runtime::new(dim as usize, loss, reg, lr, rows);
+    let mut rt = Runtime::new(OpExecutor::new(dim as usize, loss, reg, lr), rows);
     loop {
         match decode_msg(&link.recv()?)? {
             Msg::Ops { batch, ops } => {
@@ -97,10 +92,7 @@ fn worker_loop(
 
 /// A worker's standing state between op batches.
 struct Runtime {
-    dim: usize,
-    loss: Loss,
-    reg: Regularizer,
-    lr: LearningRate,
+    exec: OpExecutor,
     /// Partition rows, in assignment (= partition) order.
     rows: Vec<SparseVector>,
     labels: Vec<f64>,
@@ -108,20 +100,10 @@ struct Runtime {
     index: BTreeMap<u32, usize>,
     /// `0..rows.len()` — the whole partition, in partition order.
     all: Vec<usize>,
-    /// Reused lazy-scale buffer, mirroring the inline path's scratch.
-    scratch: ScaledVector,
-    /// Reused gradient buffer for `mgd_step`.
-    grad_buf: DenseVector,
 }
 
 impl Runtime {
-    fn new(
-        dim: usize,
-        loss: Loss,
-        reg: Regularizer,
-        lr: LearningRate,
-        assigned: Vec<AssignedRow>,
-    ) -> Self {
+    fn new(exec: OpExecutor, assigned: Vec<AssignedRow>) -> Self {
         let mut rows = Vec::with_capacity(assigned.len());
         let mut labels = Vec::with_capacity(assigned.len());
         let mut index = BTreeMap::new();
@@ -132,163 +114,26 @@ impl Runtime {
         }
         let all = (0..rows.len()).collect();
         Runtime {
-            dim,
-            loss,
-            reg,
-            lr,
+            exec,
             rows,
             labels,
             index,
             all,
-            scratch: ScaledVector::zeros(dim),
-            grad_buf: DenseVector::zeros(dim),
         }
     }
 
-    /// Maps a global index list to local positions, in order.
-    fn local(&self, global: &[u32]) -> Result<Vec<usize>, NetError> {
-        global
-            .iter()
-            .map(|g| {
-                self.index
-                    .get(g)
-                    .copied()
-                    .ok_or_else(|| NetError::Protocol(format!("row {g} not in this partition")))
-            })
-            .collect()
-    }
-
-    fn check_dim(&self, w: &DenseVector) -> Result<(), NetError> {
-        if w.dim() == self.dim {
-            Ok(())
-        } else {
-            Err(NetError::Protocol(format!(
-                "op model has dim {}, assignment said {}",
-                w.dim(),
-                self.dim
-            )))
-        }
-    }
-
+    /// Runs one op over this worker's rows; an op that does not fit the
+    /// assignment (wrong dimension, foreign row, zero batch size) is a
+    /// protocol violation.
     fn execute(&mut self, op: WorkerOp) -> Result<OpResult, NetError> {
-        match op {
-            WorkerOp::SgdPass { w, order, t0 } => {
-                self.check_dim(&w)?;
-                let order = self.local(&order)?;
-                // Mirrors local_sgd_passes: assign into the reused
-                // scratch, run the lazy epoch, copy out.
-                self.scratch.assign_dense(&w);
-                let t = sgd_epoch_lazy(
-                    self.loss,
-                    self.reg,
-                    &mut self.scratch,
-                    &self.rows,
-                    &self.labels,
-                    &order,
-                    self.lr,
-                    t0,
-                );
-                let mut out = DenseVector::zeros(self.dim);
-                self.scratch.copy_into(&mut out);
-                Ok(OpResult::Model { w: out, t })
-            }
-            WorkerOp::SgdBatch { w, batch, t0 } => {
-                self.check_dim(&w)?;
-                let batch = self.local(&batch)?;
-                // Mirrors PetuumWorker::compute (Ω = 0): fresh
-                // ScaledVector from the model, lazy epoch, into_dense.
-                let mut local = ScaledVector::from_dense(w);
-                let t = sgd_epoch_lazy(
-                    self.loss,
-                    self.reg,
-                    &mut local,
-                    &self.rows,
-                    &self.labels,
-                    &batch,
-                    self.lr,
-                    t0,
-                );
-                Ok(OpResult::Model {
-                    w: local.into_dense(),
-                    t,
-                })
-            }
-            WorkerOp::PartitionGrad { w } => {
-                self.check_dim(&w)?;
-                let mut g = DenseVector::zeros(self.dim);
-                batch_gradient_into(self.loss, &w, &self.rows, &self.labels, &self.all, &mut g);
-                Ok(OpResult::Grad(g))
-            }
-            WorkerOp::BatchGrad { w, batch } => {
-                self.check_dim(&w)?;
-                let batch = self.local(&batch)?;
-                let mut g = DenseVector::zeros(self.dim);
-                batch_gradient_into(self.loss, &w, &self.rows, &self.labels, &batch, &mut g);
-                Ok(OpResult::Grad(g))
-            }
-            WorkerOp::MgdStep { w, batch, eta } => {
-                self.check_dim(&w)?;
-                let batch = self.local(&batch)?;
-                let mut w = w;
-                mgd_step(
-                    self.loss,
-                    self.reg,
-                    &mut w,
-                    &self.rows,
-                    &self.labels,
-                    &batch,
-                    eta,
-                    &mut self.grad_buf,
-                );
-                // The counter advance for a single step lives with the
-                // orchestrator (it evaluated η); echo t = 0.
-                Ok(OpResult::Model { w, t: 0 })
-            }
-            WorkerOp::MgdEpoch {
-                w,
-                order,
-                batch_size,
-                t0,
-            } => {
-                self.check_dim(&w)?;
-                if batch_size == 0 {
-                    return Err(NetError::Protocol("MgdEpoch batch_size is zero".into()));
-                }
-                let order = self.local(&order)?;
-                // Mirrors AngelWorker::compute: chunked mgd_step with the
-                // schedule advancing per chunk.
-                let mut w = w;
-                let mut t = t0;
-                for chunk in order.chunks(batch_size as usize) {
-                    let eta = self.lr.eta(t);
-                    mgd_step(
-                        self.loss,
-                        self.reg,
-                        &mut w,
-                        &self.rows,
-                        &self.labels,
-                        chunk,
-                        eta,
-                        &mut self.grad_buf,
-                    );
-                    t += 1;
-                }
-                Ok(OpResult::Model { w, t })
-            }
-            WorkerOp::PartitionObjective { w } => {
-                self.check_dim(&w)?;
-                // Loss-only, like the spark.ml line search (the driver
-                // adds the regularizer term).
-                let v = objective_value_subset(
-                    self.loss,
-                    Regularizer::None,
-                    &w,
-                    &self.rows,
-                    &self.labels,
-                    &self.all,
-                );
-                Ok(OpResult::Value(v))
-            }
-        }
+        let shard = Shard {
+            rows: &self.rows,
+            labels: &self.labels,
+            partition: &self.all,
+        };
+        let index = &self.index;
+        self.exec
+            .execute(&shard, |g| index.get(&g).copied(), op)
+            .map_err(|e| NetError::Protocol(e.to_string()))
     }
 }

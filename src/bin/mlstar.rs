@@ -135,8 +135,8 @@ fn print_help() {
     println!("newest N snapshots of the trained system (default 0 = keep all).");
     println!("The other train options must match the original run exactly.");
     println!();
-    println!("backend: --backend sim (default) runs the per-worker math inline");
-    println!("under the simulated clock; --backend net runs it on real worker");
+    println!("backend: --backend sim (default) runs the per-worker ops in process");
+    println!("under the simulated clock; --backend net runs them on real worker");
     println!("threads over the command protocol (--net-transport channel|tcp)");
     println!("with bit-identical results plus measured per-round wall-clock.");
 }
