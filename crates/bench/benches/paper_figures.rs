@@ -1,6 +1,6 @@
 //! Runs every paper-exhibit harness under `cargo bench`.
 //!
-//! This is a plain (non-Criterion) bench target so that
+//! A plain `harness = false` bench target, so that
 //! `cargo bench --workspace` regenerates every table and figure of the
 //! paper in one go. Set `MLSTAR_QUICK=1` for a fast smoke run.
 fn main() {

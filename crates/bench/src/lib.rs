@@ -15,9 +15,9 @@
 //! | Figure 6 | [`figures::run_fig6`] | `fig6_scalability` |
 //! | (ours) ablations | [`figures::run_ablation`] | `ablation` |
 //!
-//! `cargo bench -p mlstar-bench` additionally runs the Criterion
-//! microbenches (`linalg_ops`, `sgd_epoch`, `collectives_cost`,
-//! `end_to_end`).
+//! `cargo bench -p mlstar-bench` runs all of them in one go
+//! (`benches/paper_figures.rs`). Kernel and end-to-end *speed* is measured
+//! by the repo benchmark under `benchmarks/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -245,6 +245,25 @@ impl Writer {
         self.put_u64(v.to_bits());
     }
 
+    /// Appends every `f64` of `vs` as its exact bit pattern, with no
+    /// length prefix.
+    pub fn put_f64s(&mut self, vs: &[f64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + vs.len() * 8, 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    /// Appends every `u32` of `vs`, with no length prefix.
+    pub fn put_u32s(&mut self, vs: &[u32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + vs.len() * 4, 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// Appends raw bytes with no length prefix.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -269,6 +288,17 @@ impl Writer {
     pub fn put_blob64(&mut self, bytes: &[u8]) {
         self.put_u64(bytes.len() as u64);
         self.put_bytes(bytes);
+    }
+
+    /// Appends whatever `write` appends as a `u64` length followed by
+    /// those bytes: [`Writer::put_blob64`] for a blob that is produced in
+    /// place instead of copied in.
+    pub fn put_blob64_with(&mut self, write: impl FnOnce(&mut Writer)) {
+        let len_at = self.buf.len();
+        self.put_u64(0);
+        write(self);
+        let len = (self.buf.len() - len_at - 8) as u64;
+        self.buf[len_at..len_at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Bytes written so far.
@@ -349,6 +379,24 @@ impl<'a> Reader<'a> {
     /// The next `f64`, decoded from its exact bit pattern.
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// The next `n` `f64`s. The count is checked against the bytes left
+    /// before anything is allocated, so a crafted `n` is an error, not an
+    /// allocation.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CodecError> {
+        // A product that overflows saturates to a length `bytes` refuses.
+        let raw = self.bytes(n.saturating_mul(8))?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|c| f64::from_bits(le_u64(c)))
+            .collect())
+    }
+
+    /// The next `n` `u32`s, bounded like [`Reader::f64s`].
+    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>, CodecError> {
+        let raw = self.bytes(n.saturating_mul(4))?;
+        Ok(raw.chunks_exact(4).map(le_u32).collect())
     }
 
     /// The next `u16`-prefixed UTF-8 string.

@@ -14,7 +14,6 @@
 //! decode from it. The caller computes its error-feedback residual as
 //! `input − decoded`, which is exactly the mass the wire lost.
 
-use bytes::Bytes;
 use mlstar_linalg::{DenseVector, SparseVector};
 
 use crate::wire;
@@ -103,7 +102,7 @@ impl CompressionConfig {
 #[derive(Debug, Clone)]
 pub struct EncodedUpdate {
     /// The winning wire frame (smallest admissible encoding).
-    pub frame: Bytes,
+    pub frame: Vec<u8>,
     /// The values a receiver decodes from `frame` — the caller's
     /// error-feedback residual is `input − decoded`.
     pub decoded: DenseVector,
@@ -331,7 +330,7 @@ mod tests {
         };
         let a = compress_update(&v, &cfg);
         let b = compress_update(&v, &cfg);
-        assert_eq!(a.frame.as_ref_slice(), b.frame.as_ref_slice());
+        assert_eq!(a.frame, b.frame);
         assert_eq!(bits(&a.decoded), bits(&b.decoded));
     }
 }

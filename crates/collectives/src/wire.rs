@@ -31,7 +31,7 @@
 //! the adaptive path — they are produced only inside the compressed
 //! collectives, where the error-feedback accumulators live.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use mlstar_codec::{CodecError, Reader, Writer};
 use mlstar_linalg::{DenseVector, LinalgError, SparseVector};
 
 /// `"MLS*"` — the frame magic.
@@ -167,78 +167,93 @@ fn check_len(expected: usize, actual: usize) -> Result<(), WireError> {
     }
 }
 
+/// Runs `read` over `frame[skip..]`. Every caller has checked, or is
+/// checking, that the frame holds `expected` bytes, so running off the end
+/// means it is shorter than that.
+fn read_from<'a, T>(
+    frame: &'a [u8],
+    skip: usize,
+    expected: usize,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, CodecError>,
+) -> Result<T, WireError> {
+    let mut r = Reader::new(frame.get(skip..).unwrap_or_default());
+    read(&mut r).map_err(|_| WireError::Truncated {
+        expected,
+        actual: frame.len(),
+    })
+}
+
 /// Writes the 16-byte header.
-fn put_header(buf: &mut BytesMut, kind: u8, dim: u32, aux: u32) {
-    buf.put_u32_le(WIRE_MAGIC);
-    buf.put_u8(kind);
-    buf.put_u8(0);
-    buf.put_u8(0);
-    buf.put_u8(0);
-    buf.put_u32_le(dim);
-    buf.put_u32_le(aux);
+fn put_header(w: &mut Writer, kind: u8, dim: u32, aux: u32) {
+    w.put_u32(WIRE_MAGIC);
+    w.put_u8(kind);
+    w.put_u8(0);
+    w.put_u8(0);
+    w.put_u8(0);
+    w.put_u32(dim);
+    w.put_u32(aux);
 }
 
 /// Parses and validates the 16-byte header (magic, zero pad), returning
-/// `(kind, dim, aux, payload)`.
-fn decode_header(frame: &Bytes) -> Result<(u8, usize, usize, Bytes), WireError> {
-    if frame.len() < HEADER_LEN {
-        return Err(WireError::Truncated {
-            expected: HEADER_LEN,
-            actual: frame.len(),
-        });
-    }
-    let mut header = frame.slice(..HEADER_LEN);
-    let magic = header.get_u32_le();
+/// `(kind, dim, aux)`.
+fn decode_header(frame: &[u8]) -> Result<(u8, usize, usize), WireError> {
+    let (magic, kind, pad, dim, aux) = read_from(frame, 0, HEADER_LEN, |r| {
+        Ok((
+            r.u32()?,
+            r.u8()?,
+            [r.u8()?, r.u8()?, r.u8()?],
+            r.u32()?,
+            r.u32()?,
+        ))
+    })?;
     if magic != WIRE_MAGIC {
         return Err(WireError::BadMagic(magic));
     }
-    let kind = header.get_u8();
-    let pad0 = header.get_u8();
-    let pad1 = header.get_u8();
-    let pad2 = header.get_u8();
-    if pad0 != 0 || pad1 != 0 || pad2 != 0 {
+    if pad != [0; 3] {
         return Err(WireError::ReservedNonzero {
             offset: 5,
-            value: u32::from_le_bytes([pad0, pad1, pad2, 0]),
+            value: u32::from_le_bytes([pad[0], pad[1], pad[2], 0]),
         });
     }
-    let dim = header.get_u32_le() as usize;
-    let aux = header.get_u32_le() as usize;
-    Ok((kind, dim, aux, frame.slice(HEADER_LEN..)))
+    Ok((kind, dim as usize, aux as usize))
 }
 
-/// Encodes a dense vector.
+/// Appends the dense frame of `v` to `w`.
 ///
 /// # Panics
 ///
 /// Panics if `dim > u32::MAX` (the wire format's limit).
-pub fn encode_dense(v: &DenseVector) -> Bytes {
+pub fn put_dense(w: &mut Writer, v: &DenseVector) {
     assert!(v.dim() <= u32::MAX as usize, "dimension exceeds wire limit");
-    let mut buf = BytesMut::with_capacity(encoded_dense_len(v.dim()));
-    put_header(&mut buf, KIND_DENSE, v.dim() as u32, 0);
-    for &x in v.as_slice() {
-        buf.put_f64_le(x);
-    }
-    buf.freeze()
+    put_header(w, KIND_DENSE, v.dim() as u32, 0);
+    w.put_f64s(v.as_slice());
 }
 
-/// Encodes a sparse vector.
+/// Appends the sparse frame of `v` to `w`.
 ///
 /// # Panics
 ///
 /// Panics if `dim` or `nnz` exceeds `u32::MAX`.
-pub fn encode_sparse(v: &SparseVector) -> Bytes {
+pub fn put_sparse(w: &mut Writer, v: &SparseVector) {
     assert!(v.dim() <= u32::MAX as usize, "dimension exceeds wire limit");
     assert!(v.nnz() <= u32::MAX as usize, "nnz exceeds wire limit");
-    let mut buf = BytesMut::with_capacity(encoded_sparse_len(v.nnz()));
-    put_header(&mut buf, KIND_SPARSE, v.dim() as u32, v.nnz() as u32);
-    for &i in v.indices() {
-        buf.put_u32_le(i);
-    }
-    for &x in v.values() {
-        buf.put_f64_le(x);
-    }
-    buf.freeze()
+    put_header(w, KIND_SPARSE, v.dim() as u32, v.nnz() as u32);
+    w.put_u32s(v.indices());
+    w.put_f64s(v.values());
+}
+
+/// [`put_dense`] into a buffer of its own.
+pub fn encode_dense(v: &DenseVector) -> Vec<u8> {
+    let mut w = Writer::with_capacity(encoded_dense_len(v.dim()));
+    put_dense(&mut w, v);
+    w.into_payload()
+}
+
+/// [`put_sparse`] into a buffer of its own.
+pub fn encode_sparse(v: &SparseVector) -> Vec<u8> {
+    let mut w = Writer::with_capacity(encoded_sparse_len(v.nnz()));
+    put_sparse(&mut w, v);
+    w.into_payload()
 }
 
 /// Encodes a dense vector with 8-bit linear quantization over its value
@@ -249,19 +264,17 @@ pub fn encode_sparse(v: &SparseVector) -> Bytes {
 /// Panics if `dim > u32::MAX` or any value is non-finite (quantization
 /// has no representation for NaN/∞ — callers gate on
 /// [`DenseVector::is_finite`]).
-pub fn encode_qdense(v: &DenseVector) -> Bytes {
+pub fn encode_qdense(v: &DenseVector) -> Vec<u8> {
     assert!(v.dim() <= u32::MAX as usize, "dimension exceeds wire limit");
     assert!(v.is_finite(), "quantization requires finite values");
     let (lo, hi) = value_range(v.as_slice());
     let step = quant_step(lo, hi);
-    let mut buf = BytesMut::with_capacity(encoded_qdense_len(v.dim()));
-    put_header(&mut buf, KIND_QDENSE, v.dim() as u32, 0);
-    buf.put_f64_le(lo);
-    buf.put_f64_le(hi);
-    for &x in v.as_slice() {
-        buf.put_u8(quant_level(x, lo, step));
-    }
-    buf.freeze()
+    let mut w = Writer::with_capacity(encoded_qdense_len(v.dim()));
+    put_header(&mut w, KIND_QDENSE, v.dim() as u32, 0);
+    w.put_f64(lo);
+    w.put_f64(hi);
+    w.put_bytes(&quant_levels(v.as_slice(), lo, step));
+    w.into_payload()
 }
 
 /// Encodes a sparse vector with 8-bit linear quantization over its
@@ -271,27 +284,23 @@ pub fn encode_qdense(v: &DenseVector) -> Bytes {
 ///
 /// Panics if `dim` or `nnz` exceeds `u32::MAX` (values are already
 /// finite by the [`SparseVector`] invariant).
-pub fn encode_qsparse(v: &SparseVector) -> Bytes {
+pub fn encode_qsparse(v: &SparseVector) -> Vec<u8> {
     assert!(v.dim() <= u32::MAX as usize, "dimension exceeds wire limit");
     assert!(v.nnz() <= u32::MAX as usize, "nnz exceeds wire limit");
     let (lo, hi) = value_range(v.values());
     let step = quant_step(lo, hi);
-    let mut buf = BytesMut::with_capacity(encoded_qsparse_len(v.nnz()));
-    put_header(&mut buf, KIND_QSPARSE, v.dim() as u32, v.nnz() as u32);
-    buf.put_f64_le(lo);
-    buf.put_f64_le(hi);
-    for &i in v.indices() {
-        buf.put_u32_le(i);
-    }
-    for &x in v.values() {
-        buf.put_u8(quant_level(x, lo, step));
-    }
-    buf.freeze()
+    let mut w = Writer::with_capacity(encoded_qsparse_len(v.nnz()));
+    put_header(&mut w, KIND_QSPARSE, v.dim() as u32, v.nnz() as u32);
+    w.put_f64(lo);
+    w.put_f64(hi);
+    w.put_u32s(v.indices());
+    w.put_bytes(&quant_levels(v.values(), lo, step));
+    w.into_payload()
 }
 
 /// Decodes a dense vector frame, rejecting a nonzero reserved word.
-pub fn decode_dense(frame: &Bytes) -> Result<DenseVector, WireError> {
-    let (kind, dim, aux, mut payload) = decode_header(frame)?;
+pub fn decode_dense(frame: &[u8]) -> Result<DenseVector, WireError> {
+    let (kind, dim, aux) = decode_header(frame)?;
     if kind != KIND_DENSE {
         return Err(WireError::BadKind(kind));
     }
@@ -301,38 +310,31 @@ pub fn decode_dense(frame: &Bytes) -> Result<DenseVector, WireError> {
             value: aux as u32,
         });
     }
-    check_len(encoded_dense_len(dim), frame.len())?;
-    let mut values = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        values.push(payload.get_f64_le());
-    }
+    let len = encoded_dense_len(dim);
+    check_len(len, frame.len())?;
+    let values = read_from(frame, HEADER_LEN, len, |r| r.f64s(dim))?;
     Ok(DenseVector::from_vec(values))
 }
 
 /// Decodes a sparse vector frame, validating all sparse invariants.
-pub fn decode_sparse(frame: &Bytes) -> Result<SparseVector, WireError> {
-    let (kind, dim, nnz, mut payload) = decode_header(frame)?;
+pub fn decode_sparse(frame: &[u8]) -> Result<SparseVector, WireError> {
+    let (kind, dim, nnz) = decode_header(frame)?;
     if kind != KIND_SPARSE {
         return Err(WireError::BadKind(kind));
     }
     if nnz > dim {
         return Err(WireError::NnzExceedsDim { nnz, dim });
     }
-    check_len(encoded_sparse_len(nnz), frame.len())?;
-    let mut indices = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        indices.push(payload.get_u32_le());
-    }
-    let mut values = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        values.push(payload.get_f64_le());
-    }
+    let len = encoded_sparse_len(nnz);
+    check_len(len, frame.len())?;
+    let (indices, values) =
+        read_from(frame, HEADER_LEN, len, |r| Ok((r.u32s(nnz)?, r.f64s(nnz)?)))?;
     SparseVector::new(dim, indices, values).map_err(WireError::Invalid)
 }
 
 /// Decodes a quantized dense frame back to the dequantized values.
-pub fn decode_qdense(frame: &Bytes) -> Result<DenseVector, WireError> {
-    let (kind, dim, aux, mut payload) = decode_header(frame)?;
+pub fn decode_qdense(frame: &[u8]) -> Result<DenseVector, WireError> {
+    let (kind, dim, aux) = decode_header(frame)?;
     if kind != KIND_QDENSE {
         return Err(WireError::BadKind(kind));
     }
@@ -342,55 +344,56 @@ pub fn decode_qdense(frame: &Bytes) -> Result<DenseVector, WireError> {
             value: aux as u32,
         });
     }
-    check_len(encoded_qdense_len(dim), frame.len())?;
-    let lo = payload.get_f64_le();
-    let hi = payload.get_f64_le();
+    let len = encoded_qdense_len(dim);
+    check_len(len, frame.len())?;
+    let (lo, hi, levels) = read_from(frame, HEADER_LEN, len, |r| {
+        Ok((r.f64()?, r.f64()?, r.bytes(dim)?))
+    })?;
     let step = checked_quant_step(lo, hi)?;
-    let mut values = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        values.push(dequant(payload.get_u8(), lo, step));
-    }
+    let values = levels.iter().map(|&l| dequant(l, lo, step)).collect();
     Ok(DenseVector::from_vec(values))
 }
 
 /// Decodes a quantized sparse frame back to the dequantized values,
 /// validating all sparse invariants.
-pub fn decode_qsparse(frame: &Bytes) -> Result<SparseVector, WireError> {
-    let (kind, dim, nnz, mut payload) = decode_header(frame)?;
+pub fn decode_qsparse(frame: &[u8]) -> Result<SparseVector, WireError> {
+    let (kind, dim, nnz) = decode_header(frame)?;
     if kind != KIND_QSPARSE {
         return Err(WireError::BadKind(kind));
     }
     if nnz > dim {
         return Err(WireError::NnzExceedsDim { nnz, dim });
     }
-    check_len(encoded_qsparse_len(nnz), frame.len())?;
-    let lo = payload.get_f64_le();
-    let hi = payload.get_f64_le();
+    let len = encoded_qsparse_len(nnz);
+    check_len(len, frame.len())?;
+    let (lo, hi, indices, levels) = read_from(frame, HEADER_LEN, len, |r| {
+        Ok((r.f64()?, r.f64()?, r.u32s(nnz)?, r.bytes(nnz)?))
+    })?;
     let step = checked_quant_step(lo, hi)?;
-    let mut indices = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        indices.push(payload.get_u32_le());
-    }
-    let mut values = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        values.push(dequant(payload.get_u8(), lo, step));
-    }
+    let values = levels.iter().map(|&l| dequant(l, lo, step)).collect();
     SparseVector::new(dim, indices, values).map_err(WireError::Invalid)
 }
 
-/// Encodes a vector for the real wire path: losslessly, as whichever of
+/// Appends `v` to `w` for the real wire path: losslessly, as whichever of
 /// the dense / exact-sparse frames is smaller by actual encoded length
 /// (only when `switch` allows the sparse form). Non-finite vectors fall
 /// back to the dense frame, which represents every bit pattern.
-pub fn encode_adaptive(v: &DenseVector, switch: FrameSwitch) -> Bytes {
+pub fn put_adaptive(w: &mut Writer, v: &DenseVector, switch: FrameSwitch) {
     match sparse_candidate(v, switch) {
-        Some(s) => encode_sparse(&s),
-        None => encode_dense(v),
+        Some(s) => put_sparse(w, &s),
+        None => put_dense(w, v),
     }
 }
 
+/// [`put_adaptive`] into a buffer of its own.
+pub fn encode_adaptive(v: &DenseVector, switch: FrameSwitch) -> Vec<u8> {
+    let mut w = Writer::new();
+    put_adaptive(&mut w, v, switch);
+    w.into_payload()
+}
+
 /// Decodes either frame kind produced by [`encode_adaptive`].
-pub fn decode_adaptive(frame: &Bytes) -> Result<DenseVector, WireError> {
+pub fn decode_adaptive(frame: &[u8]) -> Result<DenseVector, WireError> {
     match frame_kind(frame) {
         Some(KIND_SPARSE) => Ok(materialize_exact(&decode_sparse(frame)?)),
         _ => decode_dense(frame),
@@ -412,11 +415,11 @@ pub(crate) fn materialize_exact(s: &SparseVector) -> DenseVector {
 
 /// Peeks at a frame's kind byte without consuming anything. `None` if the
 /// frame is shorter than a header.
-pub fn frame_kind(frame: &Bytes) -> Option<u8> {
+pub fn frame_kind(frame: &[u8]) -> Option<u8> {
     if frame.len() < HEADER_LEN {
         return None;
     }
-    Some(frame.as_ref_slice()[4])
+    Some(frame[4])
 }
 
 /// Per-payload dense↔sparse switch for the real wire path
@@ -483,6 +486,12 @@ fn quant_level(x: f64, lo: f64, step: f64) -> u8 {
     } else {
         0
     }
+}
+
+/// [`quant_level`] of every value: the one-byte-per-value field of the
+/// quantized kinds.
+fn quant_levels(values: &[f64], lo: f64, step: f64) -> Vec<u8> {
+    values.iter().map(|&x| quant_level(x, lo, step)).collect()
 }
 
 /// Reconstructs the value of a quantization level.
@@ -588,7 +597,7 @@ mod tests {
         let mut v = DenseVector::zeros(50);
         v.set(7, 2.5);
         let forced = encode_adaptive(&v, FrameSwitch::Dense);
-        assert_eq!(forced.as_ref_slice(), encode_dense(&v).as_ref_slice());
+        assert_eq!(forced, encode_dense(&v));
     }
 
     #[test]
@@ -618,10 +627,10 @@ mod tests {
     fn rejects_bad_magic_and_kind() {
         let v = DenseVector::zeros(2);
         let frame = encode_dense(&v);
-        let mut corrupted = frame.to_vec();
+        let mut corrupted = frame.clone();
         corrupted[0] ^= 0xFF;
         assert!(matches!(
-            decode_dense(&Bytes::from(corrupted)),
+            decode_dense(&corrupted),
             Err(WireError::BadMagic(_))
         ));
         // Dense frame through the sparse decoder.
@@ -645,14 +654,13 @@ mod tests {
     fn rejects_truncated_frames() {
         let v = DenseVector::zeros(8);
         let frame = encode_dense(&v);
-        let short = frame.slice(..frame.len() - 4);
+        let short = &frame[..frame.len() - 4];
         assert!(matches!(
-            decode_dense(&short),
+            decode_dense(short),
             Err(WireError::Truncated { .. })
         ));
-        let tiny = Bytes::from_static(&[1, 2, 3]);
         assert!(matches!(
-            decode_dense(&tiny),
+            decode_dense(&[1, 2, 3]),
             Err(WireError::Truncated { .. })
         ));
     }
@@ -660,9 +668,9 @@ mod tests {
     #[test]
     fn rejects_over_long_frames_as_trailing_bytes() {
         let v = DenseVector::zeros(4);
-        let mut padded = encode_dense(&v).to_vec();
+        let mut padded = encode_dense(&v);
         padded.push(0xAB);
-        let err = decode_dense(&Bytes::from(padded)).unwrap_err();
+        let err = decode_dense(&padded).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -675,10 +683,10 @@ mod tests {
         );
 
         let s = SparseVector::from_pairs(10, &[(1, 1.0)]).unwrap();
-        let mut padded = encode_sparse(&s).to_vec();
+        let mut padded = encode_sparse(&s);
         padded.extend_from_slice(&[0, 0, 0]);
         assert!(matches!(
-            decode_sparse(&Bytes::from(padded)),
+            decode_sparse(&padded),
             Err(WireError::TrailingBytes { .. })
         ));
     }
@@ -686,16 +694,16 @@ mod tests {
     #[test]
     fn rejects_nonzero_reserved_word() {
         let v = DenseVector::zeros(2);
-        let mut bytes = encode_dense(&v).to_vec();
+        let mut bytes = encode_dense(&v);
         bytes[12] = 1; // reserved u32 at offset 12
         assert!(matches!(
-            decode_dense(&Bytes::from(bytes)),
+            decode_dense(&bytes),
             Err(WireError::ReservedNonzero { offset: 12, .. })
         ));
-        let mut bytes = encode_dense(&v).to_vec();
+        let mut bytes = encode_dense(&v);
         bytes[6] = 9; // pad byte
         assert!(matches!(
-            decode_dense(&Bytes::from(bytes)),
+            decode_dense(&bytes),
             Err(WireError::ReservedNonzero { offset: 5, .. })
         ));
     }
@@ -703,12 +711,12 @@ mod tests {
     #[test]
     fn rejects_nnz_exceeding_dim_before_allocation() {
         let s = SparseVector::from_pairs(4, &[(0, 1.0), (3, 2.0)]).unwrap();
-        let mut bytes = encode_sparse(&s).to_vec();
+        let mut bytes = encode_sparse(&s);
         // Rewrite nnz (offset 12) to a huge count; the typed error must
         // surface before any length/alloc logic touches it.
         bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            decode_sparse(&Bytes::from(bytes)),
+            decode_sparse(&bytes),
             Err(WireError::NnzExceedsDim { dim: 4, .. })
         ));
     }
@@ -716,18 +724,18 @@ mod tests {
     #[test]
     fn rejects_bad_quantization_range() {
         let v = DenseVector::from_vec(vec![1.0, 2.0]);
-        let mut bytes = encode_qdense(&v).to_vec();
+        let mut bytes = encode_qdense(&v);
         // lo (offset 16) := NaN.
         bytes[16..24].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
         assert!(matches!(
-            decode_qdense(&Bytes::from(bytes)),
+            decode_qdense(&bytes),
             Err(WireError::BadQuantRange { .. })
         ));
         // lo > hi.
-        let mut bytes = encode_qdense(&v).to_vec();
+        let mut bytes = encode_qdense(&v);
         bytes[16..24].copy_from_slice(&5.0f64.to_bits().to_le_bytes());
         assert!(matches!(
-            decode_qdense(&Bytes::from(bytes)),
+            decode_qdense(&bytes),
             Err(WireError::BadQuantRange { lo, hi }) if lo > hi
         ));
     }
@@ -736,17 +744,13 @@ mod tests {
     fn rejects_invalid_sparse_payload() {
         // Hand-craft a frame with unsorted indices.
         let good = SparseVector::from_pairs(10, &[(1, 1.0), (5, 2.0)]).unwrap();
-        let frame = encode_sparse(&good);
-        let mut bytes = frame.to_vec();
+        let mut bytes = encode_sparse(&good);
         // Swap the two index words (offsets 16..20 and 20..24).
         bytes.swap(16, 20);
         bytes.swap(17, 21);
         bytes.swap(18, 22);
         bytes.swap(19, 23);
-        assert!(matches!(
-            decode_sparse(&Bytes::from(bytes)),
-            Err(WireError::Invalid(_))
-        ));
+        assert!(matches!(decode_sparse(&bytes), Err(WireError::Invalid(_))));
     }
 
     #[test]

@@ -271,9 +271,7 @@ impl TrainCheckpoint {
                 w.put_u64(a.time_nanos);
                 w.put_u64(a.updates);
                 w.put_u64(a.model.len() as u64);
-                for &v in &a.model {
-                    w.put_f64(v);
-                }
+                w.put_f64s(&a.model);
             }
         }
         w.into_frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
@@ -347,10 +345,7 @@ impl TrainCheckpoint {
                 let time_nanos = r.u64()?;
                 let updates = r.u64()?;
                 let dim = r.u64()? as usize;
-                let mut model = Vec::with_capacity(dim.min(payload.len()));
-                for _ in 0..dim {
-                    model.push(r.f64()?);
-                }
+                let model = r.f64s(dim)?;
                 CheckpointState::PsAnchor(PsAnchor {
                     clock,
                     time_nanos,
@@ -599,9 +594,7 @@ pub(crate) fn read_rng_state(r: &mut Reader<'_>) -> Result<[u8; 41], CodecError>
 /// Writes a dense vector as `dim` + exact f64 bit patterns.
 pub(crate) fn put_vector(w: &mut Writer, v: &DenseVector) {
     w.put_u64(v.dim() as u64);
-    for &x in v.as_slice() {
-        w.put_f64(x);
-    }
+    w.put_f64s(v.as_slice());
 }
 
 /// Reads a dense vector, requiring exactly `expected_dim` entries.
@@ -615,11 +608,7 @@ pub(crate) fn read_vector(
             "vector dimension {dim} does not match expected {expected_dim}"
         )));
     }
-    let mut values = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        values.push(r.f64()?);
-    }
-    Ok(DenseVector::from_vec(values))
+    Ok(DenseVector::from_vec(r.f64s(dim)?))
 }
 
 fn put_round_stats(w: &mut Writer, rs: &RoundStats) {

@@ -1,70 +1,53 @@
 //@ path: crates/collectives/src/wire.rs
 //@ expect:
 
-//! A symmetric model-frame pair over the `bytes` prims, shaped like the
-//! real `collectives::wire` codec: a shared header helper inlined on both
-//! sides, effect-free validation branches, and an adaptive dense↔sparse
-//! dispatch whose arms share the hoisted header prefix — the writer's
-//! `if` over the encoding choice and the reader's `match` over the kind
-//! byte normalize to the same branch node.
+//! A symmetric model-frame pair shaped like the real `collectives::wire`
+//! codec: a shared header helper inlined on both sides, effect-free
+//! validation branches, array fields moved by the matched slice
+//! primitives (`put_u32s`/`u32s`, `put_f64s`/`f64s`), and an adaptive
+//! dense↔sparse dispatch whose arms share the hoisted header prefix — the
+//! writer's `if` over the encoding choice and the reader's `match` over
+//! the kind byte normalize to the same branch node.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use mlstar_codec::{CodecError, Reader, Writer};
 
 const DEMO_MAGIC: u32 = 0x4D4C_5344;
 
-fn put_head(buf: &mut BytesMut, kind: u8, dim: u32) {
-    buf.put_u32_le(DEMO_MAGIC);
-    buf.put_u8(kind);
-    buf.put_u32_le(dim);
+fn put_head(w: &mut Writer, kind: u8, dim: u32) {
+    w.put_u32(DEMO_MAGIC);
+    w.put_u8(kind);
+    w.put_u32(dim);
 }
 
-fn read_head(payload: &mut Bytes) -> Option<(u8, u32)> {
-    if payload.len() < 9 {
-        return None;
-    }
-    let magic = payload.get_u32_le();
+fn read_head(r: &mut Reader<'_>) -> Result<(u8, usize), CodecError> {
+    let magic = r.u32()?;
     if magic != DEMO_MAGIC {
-        return None;
+        return Err(CodecError::BadMagic(magic));
     }
-    let kind = payload.get_u8();
-    let dim = payload.get_u32_le();
-    Some((kind, dim))
+    let kind = r.u8()?;
+    let dim = r.u32()? as usize;
+    Ok((kind, dim))
 }
 
-pub fn encode_vals(v: &[f64], sparse: bool) -> Bytes {
-    let mut buf = BytesMut::new();
+pub fn encode_vals(indices: &[u32], values: &[f64], sparse: bool) -> Vec<u8> {
+    let mut w = Writer::new();
     if sparse {
-        put_head(&mut buf, 2, v.len() as u32);
-        for (i, &x) in v.iter().enumerate() {
-            buf.put_u32_le(i as u32);
-            buf.put_f64_le(x);
-        }
+        put_head(&mut w, 2, indices.len() as u32);
+        w.put_u32s(indices);
+        w.put_f64s(values);
     } else {
-        put_head(&mut buf, 1, v.len() as u32);
-        for &x in v {
-            buf.put_f64_le(x);
-        }
+        put_head(&mut w, 1, values.len() as u32);
+        w.put_f64s(values);
     }
-    buf.freeze()
+    w.into_payload()
 }
 
-pub fn decode_vals(frame: &Bytes) -> Option<Vec<f64>> {
-    let mut payload = frame.clone();
-    let (kind, dim) = read_head(&mut payload)?;
-    let mut out = vec![0.0; dim as usize];
+pub fn decode_vals(frame: &[u8]) -> Result<(Vec<u32>, Vec<f64>), CodecError> {
+    let mut r = Reader::new(frame);
+    let (kind, dim) = read_head(&mut r)?;
     match kind {
-        1 => {
-            for x in out.iter_mut() {
-                *x = payload.get_f64_le();
-            }
-        }
-        2 => {
-            for _ in 0..dim {
-                let i = payload.get_u32_le() as usize;
-                out[i] = payload.get_f64_le();
-            }
-        }
-        _ => return None,
+        1 => Ok((Vec::new(), r.f64s(dim)?)),
+        2 => Ok((r.u32s(dim)?, r.f64s(dim)?)),
+        other => Err(CodecError::Corrupt(format!("unknown kind {other}"))),
     }
-    Some(out)
 }

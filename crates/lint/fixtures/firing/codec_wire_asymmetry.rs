@@ -1,49 +1,41 @@
 //@ path: crates/collectives/src/wire.rs
 //@ expect: codec_symmetry
 
-//! Two broken model-frame pairs over the `bytes` prims: `put_update`/
-//! `get_update` drift on the loop-guard width (u32 count written, u64
-//! count read), and `encode_range`/`decode_range` read the flag byte
-//! before the bounds the writer put after them. Both pairs exercise the
-//! `_le` spellings of the primitive alphabet.
+//! Two broken model-frame pairs: `put_update`/`get_update` write the
+//! values with the `put_f64s` array primitive and read them back in a
+//! hand-written loop of `u32`s (an array-width drift the rule must see
+//! through the primitive), and `encode_range`/`decode_range` read the
+//! flag byte before the bounds the writer put after them.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use mlstar_codec::{CodecError, Reader, Writer};
 
-pub fn put_update(buf: &mut BytesMut, indices: &[u32], values: &[f64]) {
-    buf.put_u32_le(indices.len() as u32);
-    for &i in indices {
-        buf.put_u32_le(i);
-    }
-    for &x in values {
-        buf.put_f64_le(x);
-    }
+pub fn put_update(w: &mut Writer, indices: &[u32], values: &[f64]) {
+    w.put_u32(indices.len() as u32);
+    w.put_u32s(indices);
+    w.put_f64s(values);
 }
 
-pub fn get_update(frame: &Bytes) -> (Vec<u32>, Vec<f64>) {
-    let mut payload = frame.clone();
-    // Width drift: the count was written as u32.
-    let nnz = payload.get_u64_le() as usize;
-    let mut indices = Vec::with_capacity(nnz);
+pub fn get_update(r: &mut Reader<'_>) -> Result<(Vec<u32>, Vec<u32>), CodecError> {
+    let nnz = r.u32()? as usize;
+    let indices = r.u32s(nnz)?;
+    // Width drift: the values were written as f64s.
+    let mut values = Vec::new();
     for _ in 0..nnz {
-        indices.push(payload.get_u32_le());
+        values.push(r.u32()?);
     }
-    let mut values = Vec::with_capacity(nnz);
-    for _ in 0..nnz {
-        values.push(payload.get_f64_le());
-    }
-    (indices, values)
+    Ok((indices, values))
 }
 
-pub fn encode_range(buf: &mut BytesMut, lo: f64, hi: f64, clamped: bool) {
-    buf.put_f64_le(lo);
-    buf.put_f64_le(hi);
-    buf.put_u8(u8::from(clamped));
+pub fn encode_range(w: &mut Writer, lo: f64, hi: f64, clamped: bool) {
+    w.put_f64(lo);
+    w.put_f64(hi);
+    w.put_u8(u8::from(clamped));
 }
 
-pub fn decode_range(payload: &mut Bytes) -> (f64, f64, bool) {
+pub fn decode_range(r: &mut Reader<'_>) -> Result<(f64, f64, bool), CodecError> {
     // Swapped: reads the flag byte before the bounds.
-    let clamped = payload.get_u8() != 0;
-    let lo = payload.get_f64_le();
-    let hi = payload.get_f64_le();
-    (lo, hi, clamped)
+    let clamped = r.u8()? != 0;
+    let lo = r.f64()?;
+    let hi = r.f64()?;
+    Ok((lo, hi, clamped))
 }

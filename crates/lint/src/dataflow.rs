@@ -5,19 +5,20 @@
 //! Every hand-rolled binary format in the workspace (artifact "MLSA",
 //! checkpoint "MLSC", registry "MLSR", net protocol "MLSN", model frames
 //! "MLS*") is a pair of functions — a writer driving `codec::Writer::put_*`
-//! or `bytes::BufMut::put_*_le` and a reader driving `codec::Reader` or
-//! `bytes::Buf` primitives — that must agree field-for-field
-//! on order, width, loop structure, and branch structure. This module
-//! extracts both sides as effect sequences from the token stream the
-//! [`crate::parse`] scope tracker already produces, normalizes them, and
-//! diagnoses any divergence with a side-by-side sequence diff.
+//! and a reader driving the `codec::Reader` primitives — that must agree
+//! field-for-field on order, width, loop structure, and branch structure.
+//! This module extracts both sides as effect sequences from the token
+//! stream the [`crate::parse`] scope tracker already produces, normalizes
+//! them, and diagnoses any divergence with a side-by-side sequence diff.
 //!
 //! The model (full precision discussion in DESIGN.md §16):
 //!
 //! * **Primitives** — `put_u8`…`put_bytes` on the writer side and
 //!   `u8()`…`bytes()` reader methods both map to the same [`Prim`]
 //!   alphabet, so a `put_u32` paired with a `u64()` read is a width
-//!   mismatch, not two unrelated calls.
+//!   mismatch, not two unrelated calls. The array primitives
+//!   (`put_f64s`/`f64s(n)`, `put_u32s`/`u32s(n)`) are letters of their
+//!   own: they pair with each other, never with a hand-written loop.
 //! * **Helpers** — calls named `put_X`/`get_X`/`read_X`/`write_X`/
 //!   `encode_X`/`decode_X` (or exactly `encode`/`decode`) are inlined
 //!   when the callee is in scope, otherwise kept as an opaque `<X>`
@@ -55,6 +56,8 @@ pub enum Prim {
     Str16,
     Blob64,
     Bytes,
+    F64s,
+    U32s,
 }
 
 impl Prim {
@@ -68,15 +71,13 @@ impl Prim {
             Prim::Str16 => "str16",
             Prim::Blob64 => "blob64",
             Prim::Bytes => "bytes",
+            Prim::F64s => "f64s",
+            Prim::U32s => "u32s",
         }
     }
 }
 
-/// Writer-side primitive method names. The `_le` variants are the
-/// `bytes::BufMut` spellings used by the `collectives::wire` frames; they
-/// map to the same width alphabet as the `codec::Writer` names, so a
-/// `put_u32_le` write paired with a `u64()` read is still a width
-/// mismatch.
+/// Writer-side primitive method names (`codec::Writer`).
 const WRITER_PRIMS: &[(&str, Prim)] = &[
     ("put_u8", Prim::U8),
     ("put_u16", Prim::U16),
@@ -85,15 +86,14 @@ const WRITER_PRIMS: &[(&str, Prim)] = &[
     ("put_f64", Prim::F64),
     ("put_str16", Prim::Str16),
     ("put_blob64", Prim::Blob64),
+    ("put_blob64_with", Prim::Blob64),
     ("put_bytes", Prim::Bytes),
-    ("put_u32_le", Prim::U32),
-    ("put_u64_le", Prim::U64),
-    ("put_f64_le", Prim::F64),
+    ("put_f64s", Prim::F64s),
+    ("put_u32s", Prim::U32s),
 ];
 
-/// Reader-side primitive method names (method position required — `u8`
-/// etc. are too short to trust as free identifiers, and the `bytes::Buf`
-/// getters would otherwise collide with the `get_X` helper namespace).
+/// Reader-side primitive method names (`codec::Reader`; method position
+/// required — `u8` etc. are too short to trust as free identifiers).
 const READER_PRIMS: &[(&str, Prim)] = &[
     ("u8", Prim::U8),
     ("u16", Prim::U16),
@@ -103,10 +103,8 @@ const READER_PRIMS: &[(&str, Prim)] = &[
     ("str16", Prim::Str16),
     ("blob64", Prim::Blob64),
     ("bytes", Prim::Bytes),
-    ("get_u8", Prim::U8),
-    ("get_u32_le", Prim::U32),
-    ("get_u64_le", Prim::U64),
-    ("get_f64_le", Prim::F64),
+    ("f64s", Prim::F64s),
+    ("u32s", Prim::U32s),
 ];
 
 /// Frame-envelope operations: symmetric by construction (magic, version,
@@ -376,7 +374,7 @@ struct ExtractedFn {
 }
 
 /// Which crates/modules own wire codecs. `collectives`/`wire` is the
-/// model-frame codec (dense/sparse/quantized kinds over `bytes` prims);
+/// model-frame codec (dense/sparse/quantized kinds);
 /// its sibling modules (`compress`, `allreduce`, `size`) hold policy and
 /// arithmetic, not byte layout, and stay out of scope.
 fn in_codec_scope(ctx: &FileContext) -> bool {

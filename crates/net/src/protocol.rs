@@ -2,9 +2,9 @@
 //!
 //! Every message is one `mlstar-codec` frame (magic `"MLSN"`,
 //! checksummed payload). Vector payloads reuse `collectives::wire` — the
-//! exact encoding whose byte counts the simulator charges for — embedded
-//! as length-prefixed blobs. Model payloads go through the adaptive
-//! dense↔sparse switch ([`wire::encode_adaptive`]): under
+//! exact encoding whose byte counts the simulator charges for — written
+//! in place as length-prefixed blobs. Model payloads go through the adaptive
+//! dense↔sparse switch ([`wire::put_adaptive`]): under
 //! [`FrameSwitch::Adaptive`] a model whose exact-sparse frame is smaller
 //! travels sparsely, and the decoder materializes it back bit-for-bit
 //! (the sparse path is lossless). Under [`FrameSwitch::Dense`] every
@@ -27,7 +27,6 @@
 //! orchestrator → worker   Shutdown
 //! ```
 
-use bytes::Bytes;
 use mlstar_codec::{decode_frame, CodecError, Reader, Writer};
 use mlstar_collectives::{wire, FrameSwitch};
 use mlstar_core::{OpResult, WorkerOp};
@@ -117,14 +116,35 @@ pub enum Msg {
     Shutdown,
 }
 
+/// Smallest encoding of an `Assign` row: index, label, empty blob.
+const MIN_ROW_BYTES: usize = 4 + 8 + 8;
+/// Smallest encoding of an op or a result: tag byte and an empty blob or
+/// an `f64`.
+const MIN_OP_BYTES: usize = 1 + 8;
+
+/// An element count, refused unless that many elements of at least
+/// `min_bytes` each can still follow — so the count a frame declares is
+/// never what sizes an allocation.
+fn get_count(r: &mut Reader<'_>, min_bytes: usize) -> Result<usize, NetError> {
+    let n = r.u64()?;
+    usize::try_from(n)
+        .ok()
+        .filter(|n| n.saturating_mul(min_bytes) <= r.remaining())
+        .ok_or_else(|| {
+            NetError::Protocol(format!(
+                "count {n} exceeds what {} payload bytes can hold",
+                r.remaining()
+            ))
+        })
+}
+
 fn put_model(w: &mut Writer, v: &DenseVector, switch: FrameSwitch) {
-    w.put_blob64(&wire::encode_adaptive(v, switch));
+    w.put_blob64_with(|w| wire::put_adaptive(w, v, switch));
 }
 
 fn get_model(r: &mut Reader<'_>) -> Result<DenseVector, NetError> {
-    let raw = r.blob64()?;
-    wire::decode_adaptive(&Bytes::from(raw.to_vec()))
-        .map_err(|e| NetError::Protocol(format!("model payload: {e}")))
+    let frame = r.blob64()?;
+    wire::decode_adaptive(frame).map_err(|e| NetError::Protocol(format!("model payload: {e}")))
 }
 
 fn put_switch(w: &mut Writer, switch: FrameSwitch) {
@@ -144,18 +164,12 @@ fn get_switch(r: &mut Reader<'_>) -> Result<FrameSwitch, NetError> {
 
 fn put_indices(w: &mut Writer, idx: &[u32]) {
     w.put_u64(idx.len() as u64);
-    for &i in idx {
-        w.put_u32(i);
-    }
+    w.put_u32s(idx);
 }
 
 fn get_indices(r: &mut Reader<'_>) -> Result<Vec<u32>, NetError> {
     let n = r.u64()? as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u32()?);
-    }
-    Ok(out)
+    Ok(r.u32s(n)?)
 }
 
 fn put_loss(w: &mut Writer, loss: Loss) {
@@ -399,7 +413,7 @@ pub fn encode_msg(msg: &Msg, switch: FrameSwitch) -> Vec<u8> {
             for r in rows {
                 w.put_u32(r.global);
                 w.put_f64(r.label);
-                w.put_blob64(&wire::encode_sparse(&r.row));
+                w.put_blob64_with(|w| wire::put_sparse(w, &r.row));
             }
         }
         Msg::Ops { batch, ops } => {
@@ -444,13 +458,13 @@ pub fn decode_msg(frame: &[u8]) -> Result<Msg, NetError> {
             let reg = get_reg(&mut r)?;
             let lr = get_lr(&mut r)?;
             let switch = get_switch(&mut r)?;
-            let n = r.u64()? as usize;
+            let n = get_count(&mut r, MIN_ROW_BYTES)?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 let global = r.u32()?;
                 let label = r.f64()?;
-                let raw = r.blob64()?;
-                let row = wire::decode_sparse(&Bytes::from(raw.to_vec()))
+                let frame = r.blob64()?;
+                let row = wire::decode_sparse(frame)
                     .map_err(|e| NetError::Protocol(format!("sparse payload: {e}")))?;
                 rows.push(AssignedRow { global, label, row });
             }
@@ -466,7 +480,7 @@ pub fn decode_msg(frame: &[u8]) -> Result<Msg, NetError> {
         }
         MSG_OPS => {
             let batch = r.u64()?;
-            let n = r.u64()? as usize;
+            let n = get_count(&mut r, MIN_OP_BYTES)?;
             let mut ops = Vec::with_capacity(n);
             for _ in 0..n {
                 ops.push(get_op(&mut r)?);
@@ -476,7 +490,7 @@ pub fn decode_msg(frame: &[u8]) -> Result<Msg, NetError> {
         MSG_OP_DONE => {
             let batch = r.u64()?;
             let compute_nanos = r.u64()?;
-            let n = r.u64()? as usize;
+            let n = get_count(&mut r, MIN_OP_BYTES)?;
             let mut results = Vec::with_capacity(n);
             for _ in 0..n {
                 results.push(get_result(&mut r)?);

@@ -123,9 +123,7 @@ impl ModelArtifact {
         w.put_u64(self.fingerprint.instances as u64);
         w.put_u64(self.fingerprint.content_hash);
         w.put_u64(self.weights.dim() as u64);
-        for &x in self.weights.as_slice() {
-            w.put_f64(x);
-        }
+        w.put_f64s(self.weights.as_slice());
         w.into_frame(ARTIFACT_MAGIC, CODEC_VERSION)
     }
 
@@ -149,10 +147,7 @@ impl ModelArtifact {
         if dim == 0 {
             return Err(ServeError::EmptyModel);
         }
-        let mut weights = Vec::with_capacity(dim);
-        for _ in 0..dim {
-            weights.push(r.f64()?);
-        }
+        let weights = r.f64s(dim)?;
         r.finish()?;
         Ok(ModelArtifact {
             weights: DenseVector::from_vec(weights),

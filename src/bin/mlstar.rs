@@ -346,8 +346,7 @@ fn cmd_predict(opts: &Options) -> Result<(), String> {
     let ds = load_dataset(opts)?;
     let model_path = opts.require("model")?;
     let raw = std::fs::read(model_path).map_err(|e| e.to_string())?;
-    let weights =
-        wire::decode_dense(&bytes_from(raw)).map_err(|e| format!("decoding {model_path}: {e}"))?;
+    let weights = wire::decode_dense(&raw).map_err(|e| format!("decoding {model_path}: {e}"))?;
     if weights.dim() != ds.num_features() {
         return Err(format!(
             "model dimension {} does not match dataset features {}",
@@ -462,10 +461,6 @@ fn cmd_path(opts: &Options) -> Result<(), String> {
         println!("wrote model to {path} ({} bytes)", frame.len());
     }
     Ok(())
-}
-
-fn bytes_from(v: Vec<u8>) -> bytes::Bytes {
-    bytes::Bytes::from(v)
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@ use mllib_star::codec::{decode_frame, encode_frame, CodecError, Reader, Writer, 
 use mllib_star::core::TrainProvenance;
 use mllib_star::glm::GlmModel;
 use mllib_star::linalg::DenseVector;
-use mllib_star::serve::{DatasetFingerprint, ModelArtifact};
+use mllib_star::serve::{DatasetFingerprint, ModelArtifact, ARTIFACT_MAGIC, CODEC_VERSION};
 use proptest::prelude::*;
 
 const MAGIC: u32 = 0x4D4C_5399; // tests-only magic
@@ -76,7 +76,8 @@ proptest! {
     }
 
     /// Writer → Reader preserves every field kind bit for bit, including
-    /// arbitrary `f64` bit patterns (negative zero, subnormals, NaNs).
+    /// arbitrary `f64` bit patterns (negative zero, subnormals, NaNs), and
+    /// the slice primitives write exactly what the per-element ones do.
     #[test]
     fn field_sequence_roundtrip(
         a in 0u64..u64::MAX,
@@ -98,7 +99,20 @@ proptest! {
         w.put_f64(f64::from_bits(b));
         w.put_str16(&s);
         w.put_blob64(&blob);
+        let f64s = [f64::from_bits(b), -0.0, f64::from_bits(a)];
+        let u32s = [a as u32, 0, b as u32, u32::MAX];
+        w.put_f64s(&f64s);
+        w.put_u32s(&u32s);
+        let by_slice = w.len();
+        f64s.iter().for_each(|&x| w.put_f64(x));
+        u32s.iter().for_each(|&x| w.put_u32(x));
+        w.put_blob64_with(|w| w.put_bytes(&blob));
         let payload = w.into_payload();
+        let arrays = 3 * 8 + 4 * 4;
+        prop_assert_eq!(
+            &payload[by_slice - arrays..by_slice],
+            &payload[by_slice..by_slice + arrays]
+        );
 
         let mut r = Reader::new(&payload);
         prop_assert_eq!(r.u8().unwrap(), a as u8);
@@ -108,7 +122,34 @@ proptest! {
         prop_assert_eq!(r.f64().unwrap().to_bits(), b);
         prop_assert_eq!(r.str16().unwrap(), s);
         prop_assert_eq!(r.blob64().unwrap(), &blob[..]);
+        for _ in 0..2 {
+            let got: Vec<u64> = r.f64s(3).unwrap().iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u64> = f64s.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(r.u32s(4).unwrap(), u32s);
+        }
+        prop_assert_eq!(r.blob64().unwrap(), &blob[..]);
         r.finish().unwrap();
+    }
+
+    /// An array count larger than what is left of the payload — by one
+    /// element or by an overflowing product — is `Corrupt` before anything
+    /// is allocated, and consumes nothing.
+    #[test]
+    fn oversized_array_counts_are_corrupt(len in 0usize..64, seed in 0u64..10_000) {
+        let payload = bytes_from_seed(seed, len);
+        for n in [len / 8 + 1, usize::MAX / 8, usize::MAX / 2, usize::MAX] {
+            let mut r = Reader::new(&payload);
+            prop_assert!(matches!(r.f64s(n), Err(CodecError::Corrupt(_))));
+            prop_assert_eq!(r.remaining(), len);
+        }
+        for n in [len / 4 + 1, usize::MAX / 4, usize::MAX / 2, usize::MAX] {
+            let mut r = Reader::new(&payload);
+            prop_assert!(matches!(r.u32s(n), Err(CodecError::Corrupt(_))));
+            prop_assert_eq!(r.remaining(), len);
+        }
+        let mut r = Reader::new(&payload);
+        prop_assert_eq!(r.f64s(len / 8).unwrap().len(), len / 8);
     }
 
     /// The artifact codec end to end: adversarial weight bit patterns
@@ -147,5 +188,16 @@ proptest! {
         let pos = HEADER_LEN + flip % (encoded.len() - HEADER_LEN);
         encoded[pos] ^= 0x20;
         prop_assert!(ModelArtifact::decode(&encoded).is_err());
+
+        // A checksum-valid artifact whose weight count was crafted to
+        // promise more than the payload holds is refused, not allocated.
+        let encoded = artifact.encode();
+        let mut payload = decode_frame(&encoded, ARTIFACT_MAGIC, CODEC_VERSION).unwrap().to_vec();
+        let dim_at = payload.len() - dim * 8 - 8;
+        for crafted in [dim as u64 + 1, u64::MAX / 2, u64::MAX] {
+            payload[dim_at..dim_at + 8].copy_from_slice(&crafted.to_le_bytes());
+            let frame = encode_frame(ARTIFACT_MAGIC, CODEC_VERSION, &payload);
+            prop_assert!(ModelArtifact::decode(&frame).is_err());
+        }
     }
 }

@@ -4,11 +4,12 @@
 //! every truncation point is detected, and any single flipped bit is
 //! refused by the FNV-1a frame check.
 
+use mllib_star::codec::{encode_frame, CodecError, HEADER_LEN};
 use mllib_star::collectives::FrameSwitch;
 use mllib_star::core::{OpResult, WorkerOp};
 use mllib_star::glm::{LearningRate, Loss, Regularizer};
 use mllib_star::linalg::{DenseVector, SparseVector};
-use mllib_star::net::{decode_msg, encode_msg, AssignedRow, Msg, NET_MAGIC};
+use mllib_star::net::{decode_msg, encode_msg, AssignedRow, Msg, NetError, NET_MAGIC, NET_VERSION};
 use proptest::prelude::*;
 
 fn sparse_row(seed: u64, dim: usize) -> SparseVector {
@@ -198,6 +199,121 @@ fn shutdown_frame_is_one_tag_byte() {
     let payload_len = u64::from_le_bytes(frame[8..16].try_into().expect("8 bytes"));
     assert_eq!(payload_len, 1);
     assert_eq!(decode_msg(&frame).expect("shutdown decodes"), Msg::Shutdown);
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// KAT: an `Ops{BatchGrad}` / `OpDone{Grad}` pair, whole frames, under
+/// both switch values — the model blob (length prefix + wire frame, dense
+/// or sparse) and the index array are pinned byte for byte.
+#[test]
+fn ops_and_op_done_frames_are_pinned_under_both_switches() {
+    let mut w = DenseVector::zeros(6);
+    w.set(1, -0.0);
+    w.set(4, 2.5);
+    let ops = Msg::Ops {
+        batch: 3,
+        ops: vec![WorkerOp::BatchGrad {
+            w: w.clone(),
+            batch: vec![7, 0, 65536],
+        }],
+    };
+    let done = Msg::OpDone {
+        batch: 3,
+        compute_nanos: 1_000_001,
+        results: vec![OpResult::Grad(w)],
+    };
+    assert_eq!(
+        hex(&encode_msg(&ops, FrameSwitch::Dense)),
+        "4e534c4d010000006e000000000000002e16d8f6b7bd2260\
+         03030000000000000001000000000000000440000000000000002a534c4d0100\
+         0000060000000000000000000000000000000000000000000080000000000000\
+         0000000000000000000000000000000004400000000000000000030000000000\
+         0000070000000000000000000100"
+    );
+    assert_eq!(
+        hex(&encode_msg(&done, FrameSwitch::Dense)),
+        "4e534c4d010000006200000000000000e6bdafff93e59051\
+         04030000000000000041420f0000000000010000000000000002400000000000\
+         00002a534c4d0100000006000000000000000000000000000000000000000000\
+         0080000000000000000000000000000000000000000000000440000000000000\
+         0000"
+    );
+    assert_eq!(
+        hex(&encode_msg(&ops, FrameSwitch::Adaptive)),
+        "4e534c4d01000000560000000000000082212cac149d0ad8\
+         03030000000000000001000000000000000428000000000000002a534c4d0200\
+         0000060000000200000001000000040000000000000000000080000000000000\
+         04400300000000000000070000000000000000000100"
+    );
+    assert_eq!(
+        hex(&encode_msg(&done, FrameSwitch::Adaptive)),
+        "4e534c4d010000004a000000000000007abc005c29ac7c2b\
+         04030000000000000041420f0000000000010000000000000002280000000000\
+         00002a534c4d0200000006000000020000000100000004000000000000000000\
+         00800000000000000440"
+    );
+    for switch in [FrameSwitch::Dense, FrameSwitch::Adaptive] {
+        for msg in [&ops, &done] {
+            assert_eq!(&decode_msg(&encode_msg(msg, switch)).expect("decodes"), msg);
+        }
+    }
+}
+
+/// A checksum-valid frame whose element count was crafted to promise far
+/// more than the payload holds is refused with a typed error — for every
+/// count the protocol reads (`Assign` rows, `Ops`, `OpDone`, an index
+/// array) — instead of sizing an allocation from it.
+#[test]
+fn crafted_counts_are_refused_not_allocated() {
+    let empty_lists = [
+        Msg::Assign {
+            worker: 0,
+            dim: 1,
+            loss: Loss::Hinge,
+            reg: Regularizer::None,
+            lr: LearningRate::Constant(0.5),
+            switch: FrameSwitch::Dense,
+            rows: vec![],
+        },
+        Msg::Ops {
+            batch: 0,
+            ops: vec![],
+        },
+        Msg::OpDone {
+            batch: 0,
+            compute_nanos: 0,
+            results: vec![],
+        },
+        Msg::Ops {
+            batch: 0,
+            ops: vec![WorkerOp::BatchGrad {
+                w: DenseVector::zeros(1),
+                batch: vec![],
+            }],
+        },
+    ];
+    for msg in &empty_lists {
+        // With its list empty, each message ends in that list's count.
+        let frame = encode_msg(msg, FrameSwitch::Dense);
+        let mut payload = frame[HEADER_LEN..].to_vec();
+        let count_at = payload.len() - 8;
+        assert_eq!(payload[count_at..], [0; 8]);
+        for count in [3, u64::MAX / 2, u64::MAX] {
+            payload[count_at..].copy_from_slice(&count.to_le_bytes());
+            let crafted = encode_frame(NET_MAGIC, NET_VERSION, &payload);
+            let err = decode_msg(&crafted).expect_err("count exceeds the payload");
+            assert!(
+                matches!(
+                    err,
+                    NetError::Protocol(_) | NetError::Codec(CodecError::Corrupt(_))
+                ),
+                "count {count} in {msg:?}: {err}"
+            );
+        }
+    }
 }
 
 /// Published-vector FNV-1a (64-bit), reimplemented independently of

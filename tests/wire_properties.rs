@@ -11,7 +11,6 @@
 //! documented exemption: a sub-step range perturbation may dequantize to
 //! the same values, which corrupts nothing).
 
-use bytes::Bytes;
 use mllib_star::collectives::wire::{self, FrameSwitch, WireError};
 use mllib_star::collectives::{
     dense_bytes, partition_bytes, quantized_dense_bytes, quantized_sparse_bytes, sparse_bytes,
@@ -78,10 +77,10 @@ fn sparse_fingerprint(v: &SparseVector) -> (usize, Vec<u32>, Vec<u64>) {
     )
 }
 
-fn flip(frame: &Bytes, pos: usize, bit: u32) -> Bytes {
+fn flip(frame: &[u8], pos: usize, bit: u32) -> Vec<u8> {
     let mut raw = frame.to_vec();
     raw[pos] ^= 1 << bit;
-    Bytes::from(raw)
+    raw
 }
 
 proptest! {
@@ -153,8 +152,8 @@ proptest! {
         let d = dense_from_seed(seed, dim);
         let nnz = 2 + (seed as usize % (dim - 1));
         let s = sparse_from_seed(seed, dim, nnz);
-        type Rejects = fn(&Bytes) -> bool;
-        let frames: [(Bytes, Rejects); 4] = [
+        type Rejects = fn(&[u8]) -> bool;
+        let frames: [(Vec<u8>, Rejects); 4] = [
             (wire::encode_dense(&d), |f| wire::decode_dense(f).is_err()),
             (wire::encode_sparse(&s), |f| wire::decode_sparse(f).is_err()),
             (wire::encode_qdense(&d), |f| wire::decode_qdense(f).is_err()),
@@ -163,7 +162,7 @@ proptest! {
         for (frame, rejects) in frames {
             for cut in 0..frame.len() {
                 prop_assert!(
-                    rejects(&frame.slice(..cut)),
+                    rejects(&frame[..cut]),
                     "truncation at {cut}/{} decoded", frame.len()
                 );
             }
@@ -177,25 +176,24 @@ proptest! {
         let d = dense_from_seed(seed, dim);
         let nnz = 2 + (seed as usize % (dim - 1));
         let s = sparse_from_seed(seed, dim, nnz);
-        let overlong = |frame: &Bytes| {
-            let mut raw = frame.to_vec();
-            raw.push(0xAB);
-            Bytes::from(raw)
+        let overlong = |mut frame: Vec<u8>| {
+            frame.push(0xAB);
+            frame
         };
         let is_trailing = |e: &WireError| matches!(e, WireError::TrailingBytes { .. });
-        let dense_refused = wire::decode_dense(&overlong(&wire::encode_dense(&d)))
+        let dense_refused = wire::decode_dense(&overlong(wire::encode_dense(&d)))
             .err()
             .is_some_and(|e| is_trailing(&e));
         prop_assert!(dense_refused);
-        let sparse_refused = wire::decode_sparse(&overlong(&wire::encode_sparse(&s)))
+        let sparse_refused = wire::decode_sparse(&overlong(wire::encode_sparse(&s)))
             .err()
             .is_some_and(|e| is_trailing(&e));
         prop_assert!(sparse_refused);
-        let qdense_refused = wire::decode_qdense(&overlong(&wire::encode_qdense(&d)))
+        let qdense_refused = wire::decode_qdense(&overlong(wire::encode_qdense(&d)))
             .err()
             .is_some_and(|e| is_trailing(&e));
         prop_assert!(qdense_refused);
-        let qsparse_refused = wire::decode_qsparse(&overlong(&wire::encode_qsparse(&s)))
+        let qsparse_refused = wire::decode_qsparse(&overlong(wire::encode_qsparse(&s)))
             .err()
             .is_some_and(|e| is_trailing(&e));
         prop_assert!(qsparse_refused);
@@ -283,4 +281,42 @@ proptest! {
             }
         }
     }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// KAT: one literal frame per kind on a fixed vector holding a `-0.0` and
+/// a denormal. Any change to the header, the field order or the
+/// little-endian packing is a wire-format break and must be versioned.
+#[test]
+fn frame_bytes_are_pinned_per_kind() {
+    let d = DenseVector::from_vec(vec![1.5, -0.0, 0.0, 5e-324, -2.25, 1000.0]);
+    let s = d.to_sparse().expect("finite");
+    assert_eq!(s.nnz(), 5, "-0.0 is a stored coordinate");
+    assert_eq!(
+        hex(&wire::encode_dense(&d)),
+        "2a534c4d010000000600000000000000\
+         000000000000f83f00000000000000800000000000000000\
+         010000000000000000000000000002c00000000000408f40"
+    );
+    assert_eq!(
+        hex(&wire::encode_sparse(&s)),
+        "2a534c4d020000000600000005000000\
+         0000000001000000030000000400000005000000\
+         000000000000f83f00000000000000800100000000000000\
+         00000000000002c00000000000408f40"
+    );
+    assert_eq!(
+        hex(&wire::encode_qdense(&d)),
+        "2a534c4d030000000600000000000000\
+         00000000000002c00000000000408f400101010100ff"
+    );
+    assert_eq!(
+        hex(&wire::encode_qsparse(&s)),
+        "2a534c4d040000000600000005000000\
+         00000000000002c00000000000408f40\
+         000000000100000003000000040000000500000001010100ff"
+    );
 }
