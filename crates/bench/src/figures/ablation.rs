@@ -1,209 +1,196 @@
-//! Ablation studies for the design choices called out in `DESIGN.md`.
-//!
-//! 1. **Technique isolation** — MLlib → +model averaging → +AllReduce
-//!    (the Figure 3 progression, quantified).
-//! 2. **`treeAggregate` fan-in sweep** — how much the hierarchical scheme
-//!    relieves the driver.
-//! 3. **SSP staleness sweep** — Petuum\* on the heterogeneous cluster.
-//! 4. **Aggregation scheme** — model summation vs model averaging across
-//!    learning rates (the Zhang & Jordan remark).
-//! 5. **Grid search** — the paper's tuning protocol, run live.
+//! Ablation studies for the design choices called out in `DESIGN.md`:
+//! twelve sweeps, each isolating one technique or knob (see the doc
+//! comment of each function).
 
 use mlstar_core::{
     reference_optimum, train_mllib, train_mllib_star, train_petuum, train_petuum_star, GridSearch,
-    PsSystemConfig, TrainConfig,
+    PsSystemConfig, System, TrainConfig, TrainOutput,
 };
-use mlstar_data::catalog;
+use mlstar_data::{catalog, SparseDataset};
 use mlstar_glm::{LearningRate, Loss, Regularizer};
 use mlstar_sim::ClusterSpec;
 
-use crate::figures::tuning::{quick_mode, tune_system};
+use crate::cli::{Args, Failure};
+use crate::figures::tuning::{best_objective, fixed_rounds, quick_mode, tune_system};
 use crate::report::{
-    banner, fmt_opt, json_mode, round_stats_json, summarize_rounds, write_artifact, Table,
+    banner, fmt_opt, fmt_split, round_stats_json, summarize_rounds, write_json, Sheet,
 };
-use mlstar_core::System;
 
-/// Runs all five ablations.
-pub fn run_ablation() {
-    let ds = super::scale_for_quick(catalog::kdd12_like()).generate();
-    let cluster = ClusterSpec::cluster1();
-    let reg = Regularizer::None;
-    let seed = 42;
-    let opt = reference_optimum(
-        &ds,
-        Loss::Hinge,
-        reg,
-        if quick_mode() { 5 } else { 25 },
-        seed,
-    );
-
-    technique_isolation(&ds, &cluster, reg, seed, opt);
-    fanin_sweep(&ds, &cluster, reg, seed);
-    staleness_sweep(&ds, reg, seed, opt);
-    aggregation_schemes(&ds, &cluster, reg, seed);
-    grid_search_demo(&ds, &cluster, reg, seed, opt);
-    angel_batch_sweep(&ds, &cluster, reg, seed);
-    weighted_averaging(&ds, &cluster, reg, seed);
-    second_order(&ds, &cluster, seed);
-    allreduce_algorithms();
-    waves_sweep(&ds, seed);
-    sparse_messaging(seed);
-    failure_overhead(&ds, &cluster, seed);
-}
-
-fn technique_isolation(
-    ds: &mlstar_data::SparseDataset,
-    cluster: &ClusterSpec,
+/// What the ablations share: the kdd12-like workload on Cluster 1,
+/// unregularized, and its reference optimum.
+struct Ctx {
+    ds: SparseDataset,
+    cluster: ClusterSpec,
     reg: Regularizer,
     seed: u64,
     opt: f64,
-) {
+}
+
+/// Runs every ablation.
+pub fn run(args: &Args) -> Result<(), Failure> {
+    let ds = super::scale_for_quick(catalog::kdd12_like()).generate();
+    let (reg, seed) = (Regularizer::None, 42);
+    let ref_epochs = if quick_mode() { 5 } else { 25 };
+    let opt = reference_optimum(&ds, Loss::Hinge, reg, ref_epochs, seed);
+    let cluster = ClusterSpec::cluster1();
+    let c = Ctx {
+        ds,
+        cluster,
+        reg,
+        seed,
+        opt,
+    };
+
+    technique_isolation(&c, args.json);
+    fanin_sweep(&c);
+    staleness_sweep(&c);
+    aggregation_schemes(&c);
+    grid_search_demo(&c);
+    angel_batch_sweep(&c);
+    weighted_averaging(&c);
+    second_order(&c);
+    allreduce_algorithms();
+    waves_sweep(&c);
+    sparse_messaging(c.seed);
+    failure_overhead(&c);
+    Ok(())
+}
+
+fn final_f(out: &TrainOutput) -> f64 {
+    out.trace.final_objective().unwrap_or(f64::NAN)
+}
+
+/// Sim time of the last trace point.
+fn end_time(out: &TrainOutput) -> f64 {
+    let last = out.trace.points.last();
+    last.map_or(f64::NAN, |p| p.time.as_secs_f64())
+}
+
+/// Ablation 1 — MLlib → +model averaging → +AllReduce (the Figure 3
+/// progression, quantified).
+fn technique_isolation(c: &Ctx, json: bool) {
     banner("Ablation 1 — technique isolation (kdd12-like, L2=0)");
-    let mllib = tune_system(System::Mllib, ds, cluster, reg, seed);
-    let ma = tune_system(System::MllibMa, ds, cluster, reg, seed);
-    let star = tune_system(System::MllibStar, ds, cluster, reg, seed);
-    let best = [&mllib, &ma, &star]
-        .iter()
-        .filter_map(|o| o.trace.best_objective())
-        .fold(opt, f64::min);
-    let target = best + 0.01;
-    let mut table = Table::new(&[
-        "system",
-        "steps to target",
-        "time to target",
-        "updates/step",
-        "comp/comm/idle",
-    ]);
-    let mut csv =
-        String::from("system,steps,time_s,updates_per_step,compute_s,comm_s,idle_s,recovery_s\n");
-    for o in [&mllib, &ma, &star] {
+    let runs = [System::Mllib, System::MllibMa, System::MllibStar]
+        .map(|system| tune_system(system, &c.ds, &c.cluster, c.reg, c.seed, 1.0));
+    let target = best_objective(&runs, c.opt) + 0.01;
+    let mut sheet = Sheet::new(
+        "system | steps to target | time to target | updates/step | comp/comm/idle",
+        "system,steps,time_s,updates_per_step,compute_s,comm_s,idle_s,recovery_s",
+    );
+    for o in &runs {
         let steps = o.trace.steps_to_reach(target);
         let time = o.trace.time_to_reach(target);
         let ups = o.total_updates as f64 / o.rounds_run.max(1) as f64;
         let phases = summarize_rounds(&o.round_stats);
-        table.row(&[
-            o.trace.system.clone(),
-            steps.map_or("—".into(), |s| s.to_string()),
-            fmt_opt(time, "s"),
-            format!("{ups:.0}"),
-            phases.fmt_split(),
-        ]);
-        csv.push_str(&format!(
-            "{},{},{},{ups:.1},{:.4},{:.4},{:.4},{:.4}\n",
-            o.trace.system,
-            steps.map_or(-1i64, |s| s as i64),
-            time.map_or(-1.0, |t| t),
-            phases.compute_s,
-            phases.comm_s,
-            phases.idle_s,
-            phases.recovery_s,
-        ));
+        sheet.row(
+            &[
+                o.trace.system.clone(),
+                steps.map_or("—".into(), |s| s.to_string()),
+                fmt_opt(time, "s"),
+                format!("{ups:.0}"),
+                fmt_split(&phases),
+            ],
+            format!(
+                "{},{},{},{ups:.1},{:.4},{:.4},{:.4},{:.4}",
+                o.trace.system,
+                steps.map_or(-1i64, |s| s as i64),
+                time.unwrap_or(-1.0),
+                phases.compute_s,
+                phases.comm_s,
+                phases.idle_s,
+                phases.recovery_s,
+            ),
+        );
     }
-    table.print();
+    sheet.finish("ablation_techniques.csv");
     println!("(model averaging cuts steps; AllReduce additionally cuts per-step latency)");
-    write_artifact("ablation_techniques.csv", &csv);
-    if json_mode() {
-        let runs: Vec<(String, &[mlstar_core::RoundStats])> = [&mllib, &ma, &star]
+    if json {
+        let labeled: Vec<(String, &[mlstar_core::RoundStats])> = runs
             .iter()
             .map(|o| (o.trace.system.clone(), o.round_stats.as_slice()))
             .collect();
-        let json = round_stats_json("ablation_technique_isolation", &runs);
-        let path = write_artifact("ablation_techniques.json", &json);
+        let json = round_stats_json("ablation_technique_isolation", &labeled);
+        let path = write_json("ablation_techniques.json", &json);
         println!("wrote {}", path.display());
     }
 }
 
-fn fanin_sweep(
-    ds: &mlstar_data::SparseDataset,
-    cluster: &ClusterSpec,
-    reg: Regularizer,
-    seed: u64,
-) {
+/// Ablation 2 — `treeAggregate` fan-in: how much the hierarchical scheme
+/// relieves the driver.
+fn fanin_sweep(c: &Ctx) {
     banner("Ablation 2 — treeAggregate fan-in sweep (MLlib, fixed 20 rounds)");
-    let mut table = Table::new(&["fan-in", "total time (20 rounds)", "driver busy time"]);
-    let mut csv = String::from("fanin,total_time_s,driver_busy_s\n");
+    let mut sheet = Sheet::new(
+        "fan-in | total time (20 rounds) | driver busy time",
+        "fanin,total_time_s,driver_busy_s",
+    );
     for fanin in [2usize, 3, 4, 8, 32] {
         let cfg = TrainConfig {
-            reg,
-            lr: LearningRate::Constant(4.0),
-            batch_frac: 0.01,
-            max_rounds: 20,
-            eval_every: 20,
             tree_fanin: fanin,
-            seed,
-            ..TrainConfig::default()
+            ..fixed_rounds(c.reg, c.seed, 4.0, 0.01, 20)
         };
-        let out = train_mllib(ds, cluster, &cfg);
+        let out = train_mllib(&c.ds, &c.cluster, &cfg);
         let total = out.gantt.makespan().as_secs_f64();
         let driver = out.gantt.busy_time(mlstar_sim::NodeId::Driver);
-        let label = if fanin >= cluster.num_executors() {
+        let label = if fanin >= c.cluster.num_executors() {
             format!("{fanin} (no tree: direct)")
         } else {
             fanin.to_string()
         };
-        table.row(&[label, format!("{total:.2}s"), format!("{driver:.2}s")]);
-        csv.push_str(&format!("{fanin},{total:.4},{driver:.4}\n"));
+        sheet.row(
+            &[label, format!("{total:.2}s"), format!("{driver:.2}s")],
+            format!("{fanin},{total:.4},{driver:.4}"),
+        );
     }
-    table.print();
+    sheet.finish("ablation_fanin.csv");
     println!("(larger fan-in pushes aggregation back onto the driver)");
-    write_artifact("ablation_fanin.csv", &csv);
 }
 
-fn staleness_sweep(ds: &mlstar_data::SparseDataset, reg: Regularizer, seed: u64, opt: f64) {
+/// Ablation 3 — SSP staleness, Petuum\* on the heterogeneous cluster.
+fn staleness_sweep(c: &Ctx) {
     banner("Ablation 3 — SSP staleness sweep (Petuum*, heterogeneous cluster)");
-    let cluster = ClusterSpec::cluster2(8, seed);
-    let base_cfg = petuum_base(reg, seed);
-    let mut table = Table::new(&["staleness", "time to target", "final objective"]);
-    let mut csv = String::from("staleness,time_s,final_objective\n");
-    // Establish a common target from a BSP probe run.
-    let probe = train_petuum_star(
-        ds,
-        &cluster,
-        &base_cfg,
-        &PsSystemConfig {
-            staleness: 0,
+    let cluster = ClusterSpec::cluster2(8, c.seed);
+    let base_cfg = petuum_base(c);
+    let run = |staleness: u64| {
+        let ps = PsSystemConfig {
+            staleness,
             num_servers: 2,
             ..PsSystemConfig::default()
-        },
+        };
+        train_petuum_star(&c.ds, &cluster, &base_cfg, &ps)
+    };
+    // Establish a common target from a BSP probe run.
+    let target = run(0).trace.best_objective().unwrap_or(c.opt).min(c.opt) + 0.01;
+    let mut sheet = Sheet::new(
+        "staleness | time to target | final objective",
+        "staleness,time_s,final_objective",
     );
-    let target = probe.trace.best_objective().unwrap_or(opt).min(opt) + 0.01;
     // u64::MAX staleness is effectively ASP (the bound never binds).
     for staleness in [0u64, 1, 2, 4, 8, u64::MAX] {
-        let out = train_petuum_star(
-            ds,
-            &cluster,
-            &base_cfg,
-            &PsSystemConfig {
-                staleness,
-                num_servers: 2,
-                ..PsSystemConfig::default()
-            },
-        );
+        let out = run(staleness);
         let t = out.trace.time_to_reach(target);
-        let f = out.trace.final_objective().unwrap_or(f64::NAN);
+        let f = final_f(&out);
         let label = if staleness == u64::MAX {
             "ASP".to_owned()
         } else {
             staleness.to_string()
         };
-        table.row(&[label, fmt_opt(t, "s"), format!("{f:.4}")]);
-        csv.push_str(&format!("{staleness},{},{f:.6}\n", t.map_or(-1.0, |x| x)));
+        sheet.row(
+            &[label, fmt_opt(t, "s"), format!("{f:.4}")],
+            format!("{staleness},{},{f:.6}", t.unwrap_or(-1.0)),
+        );
     }
-    table.print();
+    sheet.finish("ablation_staleness.csv");
     println!("(staleness hides stragglers; too much staleness hurts convergence)");
-    write_artifact("ablation_staleness.csv", &csv);
 }
 
-fn aggregation_schemes(
-    ds: &mlstar_data::SparseDataset,
-    cluster: &ClusterSpec,
-    reg: Regularizer,
-    seed: u64,
-) {
+/// Ablation 4 — model summation vs model averaging across learning rates
+/// (the Zhang & Jordan remark).
+fn aggregation_schemes(c: &Ctx) {
     banner("Ablation 4 — model summation (Petuum) vs model averaging (Petuum*)");
-    let mut table = Table::new(&["learning rate", "summation final f", "averaging final f"]);
-    let mut csv = String::from("eta,summation_final,averaging_final\n");
-    let base_cfg = petuum_base(reg, seed);
+    let mut sheet = Sheet::new(
+        "learning rate | summation final f | averaging final f",
+        "eta,summation_final,averaging_final",
+    );
     let ps = PsSystemConfig {
         num_servers: 2,
         staleness: 2,
@@ -215,43 +202,37 @@ fn aggregation_schemes(
             lr: LearningRate::Constant(eta),
             max_rounds: rounds,
             eval_every: rounds,
-            ..base_cfg.clone()
+            ..petuum_base(c)
         };
-        let sum = train_petuum(ds, cluster, &cfg, &ps);
-        let avg = train_petuum_star(ds, cluster, &cfg, &ps);
-        let fs = sum.trace.final_objective().unwrap_or(f64::NAN);
-        let fa = avg.trace.final_objective().unwrap_or(f64::NAN);
-        table.row(&[format!("{eta}"), format!("{fs:.4}"), format!("{fa:.4}")]);
-        csv.push_str(&format!("{eta},{fs:.6},{fa:.6}\n"));
+        let fs = final_f(&train_petuum(&c.ds, &c.cluster, &cfg, &ps));
+        let fa = final_f(&train_petuum_star(&c.ds, &c.cluster, &cfg, &ps));
+        sheet.row(
+            &[format!("{eta}"), format!("{fs:.4}"), format!("{fa:.4}")],
+            format!("{eta},{fs:.6},{fa:.6}"),
+        );
     }
-    table.print();
+    sheet.finish("ablation_aggregation.csv");
     println!("(summation can win at small rates but destabilizes as η grows — Zhang & Jordan)");
-    write_artifact("ablation_aggregation.csv", &csv);
 }
 
-fn grid_search_demo(
-    ds: &mlstar_data::SparseDataset,
-    cluster: &ClusterSpec,
-    reg: Regularizer,
-    seed: u64,
-    opt: f64,
-) {
+/// Ablation 5 — the paper's tuning protocol, run live.
+fn grid_search_demo(c: &Ctx) {
     banner("Ablation 5 — the paper's grid-search protocol, live (MLlib*)");
     let base = TrainConfig {
-        reg,
+        reg: c.reg,
         batch_frac: 1.0,
         max_rounds: if quick_mode() { 5 } else { 20 },
-        seed,
+        seed: c.seed,
         ..TrainConfig::default()
     };
     let grid = GridSearch {
         etas: vec![0.002, 0.02, 0.2],
         batch_fracs: vec![1.0],
         stalenesses: vec![0],
-        lambdas: vec![reg.lambda()],
+        lambdas: vec![c.reg.lambda()],
     };
-    let result = grid.run(&base, opt + 0.01, |cfg, _point| {
-        train_mllib_star(ds, cluster, cfg)
+    let result = grid.run(&base, c.opt + 0.01, |cfg, _point| {
+        train_mllib_star(&c.ds, &c.cluster, cfg)
     });
     println!(
         "evaluated {} combinations; winner: η={}, batch_frac={}, λ={} → final f = {:.4}",
@@ -259,24 +240,20 @@ fn grid_search_demo(
         result.best_point.eta,
         result.best_point.batch_frac,
         result.best_point.lambda,
-        result
-            .best_output
-            .trace
-            .final_objective()
-            .unwrap_or(f64::NAN)
+        final_f(&result.best_output),
     );
 }
 
 /// The Petuum-family base schedule used by the staleness/aggregation
 /// ablations.
-fn petuum_base(reg: Regularizer, seed: u64) -> TrainConfig {
+fn petuum_base(c: &Ctx) -> TrainConfig {
     TrainConfig {
-        reg,
+        reg: c.reg,
         lr: LearningRate::Constant(0.2),
         batch_frac: 0.05,
         max_rounds: if quick_mode() { 60 } else { 800 },
         eval_every: 20,
-        seed,
+        seed: c.seed,
         ..TrainConfig::default()
     }
 }
@@ -284,143 +261,109 @@ fn petuum_base(reg: Regularizer, seed: u64) -> TrainConfig {
 /// Ablation 6 — Angel's small-batch weakness (Section V-B2 of the paper):
 /// per-batch allocation/GC overhead makes small batches disproportionately
 /// expensive per epoch.
-fn angel_batch_sweep(
-    ds: &mlstar_data::SparseDataset,
-    cluster: &ClusterSpec,
-    reg: Regularizer,
-    seed: u64,
-) {
+fn angel_batch_sweep(c: &Ctx) {
     banner("Ablation 6 — Angel batch-size sweep (per-batch alloc/GC overhead)");
     let epochs = if quick_mode() { 5 } else { 30 };
-    let mut table = Table::new(&["batch fraction", "sim time for fixed epochs", "final f"]);
-    let mut csv = String::from("batch_frac,time_s,final_objective\n");
+    let mut sheet = Sheet::new(
+        "batch fraction | sim time for fixed epochs | final f",
+        "batch_frac,time_s,final_objective",
+    );
     for frac in [0.002, 0.01, 0.05, 0.25] {
-        let cfg = TrainConfig {
-            reg,
-            lr: LearningRate::Constant(0.01),
-            batch_frac: frac,
-            max_rounds: epochs,
-            eval_every: epochs,
-            seed,
-            ..TrainConfig::default()
-        };
+        let cfg = fixed_rounds(c.reg, c.seed, 0.01, frac, epochs);
         let angel = mlstar_core::AngelConfig {
             num_servers: 2,
             staleness: 1,
             alloc_bandwidth_bps: 2e8,
             ..Default::default()
         };
-        let out = mlstar_core::train_angel(ds, cluster, &cfg, &angel);
-        let t = out
-            .trace
-            .points
-            .last()
-            .map_or(f64::NAN, |p| p.time.as_secs_f64());
-        let f = out.trace.final_objective().unwrap_or(f64::NAN);
-        table.row(&[format!("{frac}"), format!("{t:.2}s"), format!("{f:.4}")]);
-        csv.push_str(&format!("{frac},{t:.4},{f:.6}\n"));
+        let out = mlstar_core::train_angel(&c.ds, &c.cluster, &cfg, &angel);
+        let (t, f) = (end_time(&out), final_f(&out));
+        sheet.row(
+            &[format!("{frac}"), format!("{t:.2}s"), format!("{f:.4}")],
+            format!("{frac},{t:.4},{f:.6}"),
+        );
     }
-    table.print();
+    sheet.finish("ablation_angel_batch.csv");
     println!("(smaller batches → more per-batch allocations → slower epochs)");
-    write_artifact("ablation_angel_batch.csv", &csv);
 }
 
 /// Ablation 7 — uniform vs partition-size-weighted model averaging on
 /// skewed partitions (the Zhang & Jordan refinement of the paper's
 /// Remark).
-fn weighted_averaging(
-    ds: &mlstar_data::SparseDataset,
-    cluster: &ClusterSpec,
-    reg: Regularizer,
-    seed: u64,
-) {
+fn weighted_averaging(c: &Ctx) {
     banner("Ablation 7 — model-averaging weighting under partition skew");
     let rounds = if quick_mode() { 4 } else { 15 };
-    let mut table = Table::new(&["worker-0 share", "uniform final f", "weighted final f"]);
-    let mut csv = String::from("hot_fraction,uniform_final,weighted_final\n");
+    let mut sheet = Sheet::new(
+        "worker-0 share | uniform final f | weighted final f",
+        "hot_fraction,uniform_final,weighted_final",
+    );
     for skew in [0.125, 0.3, 0.6] {
-        let base = TrainConfig {
-            reg,
-            lr: LearningRate::Constant(0.02),
-            batch_frac: 1.0,
-            max_rounds: rounds,
-            eval_every: rounds,
+        let uniform = TrainConfig {
             partition_skew: Some(skew),
-            seed,
-            ..TrainConfig::default()
+            ..fixed_rounds(c.reg, c.seed, 0.02, 1.0, rounds)
         };
-        let uniform = train_mllib_star(ds, cluster, &base);
-        let weighted = train_mllib_star(
-            ds,
-            cluster,
-            &TrainConfig {
-                ma_weighting: mlstar_core::MaWeighting::PartitionSize,
-                ..base
-            },
+        let weighted = TrainConfig {
+            ma_weighting: mlstar_core::MaWeighting::PartitionSize,
+            ..uniform.clone()
+        };
+        let fu = final_f(&train_mllib_star(&c.ds, &c.cluster, &uniform));
+        let fw = final_f(&train_mllib_star(&c.ds, &c.cluster, &weighted));
+        sheet.row(
+            &[format!("{skew}"), format!("{fu:.4}"), format!("{fw:.4}")],
+            format!("{skew},{fu:.6},{fw:.6}"),
         );
-        let fu = uniform.trace.final_objective().unwrap_or(f64::NAN);
-        let fw = weighted.trace.final_objective().unwrap_or(f64::NAN);
-        table.row(&[format!("{skew}"), format!("{fu:.4}"), format!("{fw:.4}")]);
-        csv.push_str(&format!("{skew},{fu:.6},{fw:.6}\n"));
     }
-    table.print();
+    sheet.finish("ablation_weighted_ma.csv");
     println!("(size-weighting matters as partitions become unequal)");
-    write_artifact("ablation_weighted_ma.csv", &csv);
 }
 
 /// Ablation 8 — first-order MLlib* vs the `spark.ml` L-BFGS plan (the
 /// paper's future-work question, quantified).
-fn second_order(ds: &mlstar_data::SparseDataset, cluster: &ClusterSpec, seed: u64) {
+fn second_order(c: &Ctx) {
     banner("Ablation 8 — MLlib* (parallel SGD + AllReduce) vs spark.ml (L-BFGS)");
     let reg = Regularizer::L2 { lambda: 0.01 };
-    let star = tune_system(System::MllibStar, ds, cluster, reg, seed);
+    let star = tune_system(System::MllibStar, &c.ds, &c.cluster, reg, c.seed, 1.0);
     let lbfgs_cfg = TrainConfig {
-        loss: mlstar_glm::Loss::Hinge,
+        loss: Loss::Hinge,
         reg,
         max_rounds: if quick_mode() { 5 } else { 25 },
-        seed,
+        seed: c.seed,
         ..TrainConfig::default()
     };
     let lbfgs = mlstar_core::train_sparkml_lbfgs(
-        ds,
-        cluster,
+        &c.ds,
+        &c.cluster,
         &lbfgs_cfg,
         &mlstar_core::SparkMlConfig::default(),
     );
-    let best = star
-        .trace
-        .best_objective()
-        .unwrap_or(f64::INFINITY)
-        .min(lbfgs.trace.best_objective().unwrap_or(f64::INFINITY));
-    let target = best + 0.01;
-    let mut table = Table::new(&[
-        "system",
-        "outer steps to target",
-        "time to target",
-        "final f",
-    ]);
-    let mut csv = String::from("system,steps,time_s,final_objective\n");
+    let best = |o: &TrainOutput| o.trace.best_objective().unwrap_or(f64::INFINITY);
+    let target = best(&star).min(best(&lbfgs)) + 0.01;
+    let mut sheet = Sheet::new(
+        "system | outer steps to target | time to target | final f",
+        "system,steps,time_s,final_objective",
+    );
     for o in [&star, &lbfgs] {
         let steps = o.trace.steps_to_reach(target);
         let time = o.trace.time_to_reach(target);
-        let f = o.trace.final_objective().unwrap_or(f64::NAN);
-        table.row(&[
-            o.trace.system.clone(),
-            steps.map_or("—".into(), |s| s.to_string()),
-            fmt_opt(time, "s"),
-            format!("{f:.4}"),
-        ]);
-        csv.push_str(&format!(
-            "{},{},{},{f:.6}\n",
-            o.trace.system,
-            steps.map_or(-1i64, |s| s as i64),
-            time.map_or(-1.0, |t| t),
-        ));
+        let f = final_f(o);
+        sheet.row(
+            &[
+                o.trace.system.clone(),
+                steps.map_or("—".into(), |s| s.to_string()),
+                fmt_opt(time, "s"),
+                format!("{f:.4}"),
+            ],
+            format!(
+                "{},{},{},{f:.6}",
+                o.trace.system,
+                steps.map_or(-1i64, |s| s as i64),
+                time.unwrap_or(-1.0),
+            ),
+        );
     }
-    table.print();
+    sheet.finish("ablation_second_order.csv");
     println!("(L-BFGS needs few outer iterations but pays full passes + line-search");
     println!(" rounds through the driver — the spark.ml question the paper leaves open)");
-    write_artifact("ablation_second_order.csv", &csv);
 }
 
 /// Ablation 9 — direct-shuffle AllReduce (MLlib*'s implementation on
@@ -431,21 +374,22 @@ fn allreduce_algorithms() {
     use mlstar_collectives::{all_reduce_average, ring_all_reduce_average};
     use mlstar_linalg::DenseVector;
     use mlstar_sim::{
-        CostModel, GanttRecorder, NetworkSpec, NodeSpec, RoundBuilder, SimDuration, SimTime,
+        CostModel, GanttRecorder, NetworkSpec, NodeId, NodeSpec, RoundBuilder, SimDuration, SimTime,
     };
-    let mut table = Table::new(&["k", "dim", "latency", "direct", "ring"]);
-    let mut csv = String::from("k,dim,latency_ms,direct_s,ring_s\n");
+    let mut sheet = Sheet::new(
+        "k | dim | latency | direct | ring",
+        "k,dim,latency_ms,direct_s,ring_s",
+    );
     for (k, dim, latency_ms) in [
         (8usize, 1_000_000usize, 1u64),
         (8, 1_000_000, 20),
         (32, 1_000_000, 1),
         (32, 10_000, 20),
     ] {
-        let mut spec =
-            mlstar_sim::ClusterSpec::uniform(k, NodeSpec::standard(), NetworkSpec::gbps1());
+        let mut spec = ClusterSpec::uniform(k, NodeSpec::standard(), NetworkSpec::gbps1());
         spec.network.latency = SimDuration::from_millis(latency_ms);
         let cost = CostModel::new(spec);
-        let nodes: Vec<mlstar_sim::NodeId> = (0..k).map(mlstar_sim::NodeId::Executor).collect();
+        let nodes: Vec<NodeId> = (0..k).map(NodeId::Executor).collect();
         let vs: Vec<DenseVector> = (0..k).map(|_| DenseVector::zeros(dim)).collect();
         let run = |ring: bool| {
             let mut g = GanttRecorder::new();
@@ -457,51 +401,48 @@ fn allreduce_algorithms() {
             }
             rb.finish().as_secs_f64()
         };
-        let direct = run(false);
-        let ring = run(true);
-        table.row(&[
-            k.to_string(),
-            dim.to_string(),
-            format!("{latency_ms}ms"),
-            format!("{direct:.3}s"),
-            format!("{ring:.3}s"),
-        ]);
-        csv.push_str(&format!("{k},{dim},{latency_ms},{direct:.6},{ring:.6}\n"));
+        let (direct, ring) = (run(false), run(true));
+        sheet.row(
+            &[
+                k.to_string(),
+                dim.to_string(),
+                format!("{latency_ms}ms"),
+                format!("{direct:.3}s"),
+                format!("{ring:.3}s"),
+            ],
+            format!("{k},{dim},{latency_ms},{direct:.6},{ring:.6}"),
+        );
     }
-    table.print();
+    sheet.finish("ablation_allreduce_algo.csv");
     println!("(same 2(k−1)m traffic; the ring pays 2(k−1) latency terms)");
-    write_artifact("ablation_allreduce_algo.csv", &csv);
 }
 
 /// Ablation 10 — tasks per executor ("waves"). The paper (Section V-C):
 /// "We tuned the number of tasks per executor, and the result turns out
 /// that one task per executor is the optimal solution, due to heavy
 /// communication overhead."
-fn waves_sweep(ds: &mlstar_data::SparseDataset, seed: u64) {
+fn waves_sweep(c: &Ctx) {
     banner("Ablation 10 — tasks per executor (waves) on the heterogeneous cluster");
-    let cluster = ClusterSpec::cluster2(8, seed);
+    let cluster = ClusterSpec::cluster2(8, c.seed);
     let rounds = if quick_mode() { 3 } else { 10 };
-    let mut table = Table::new(&["waves", "total time (fixed rounds)", "final f"]);
-    let mut csv = String::from("waves,total_time_s,final_objective\n");
+    let mut sheet = Sheet::new(
+        "waves | total time (fixed rounds) | final f",
+        "waves,total_time_s,final_objective",
+    );
     for waves in [1usize, 2, 4, 8] {
         let cfg = TrainConfig {
-            lr: LearningRate::Constant(0.2),
-            batch_frac: 1.0,
-            max_rounds: rounds,
-            eval_every: rounds,
             waves,
-            seed,
-            ..TrainConfig::default()
+            ..fixed_rounds(c.reg, c.seed, 0.2, 1.0, rounds)
         };
-        let out = train_mllib_star(ds, &cluster, &cfg);
-        let t = out.gantt.makespan().as_secs_f64();
-        let f = out.trace.final_objective().unwrap_or(f64::NAN);
-        table.row(&[waves.to_string(), format!("{t:.2}s"), format!("{f:.4}")]);
-        csv.push_str(&format!("{waves},{t:.4},{f:.6}\n"));
+        let out = train_mllib_star(&c.ds, &cluster, &cfg);
+        let (t, f) = (out.gantt.makespan().as_secs_f64(), final_f(&out));
+        sheet.row(
+            &[waves.to_string(), format!("{t:.2}s"), format!("{f:.4}")],
+            format!("{waves},{t:.4},{f:.6}"),
+        );
     }
-    table.print();
+    sheet.finish("ablation_waves.csv");
     println!("(extra waves pay extra task overheads; one wave is optimal, as the paper found)");
-    write_artifact("ablation_waves.csv", &csv);
 }
 
 /// Ablation 11 — sparse PS messaging: pulls fetch only the partition's
@@ -511,7 +452,7 @@ fn waves_sweep(ds: &mlstar_data::SparseDataset, seed: u64) {
 /// active feature set.
 fn sparse_messaging(seed: u64) {
     banner("Ablation 11 — dense vs sparse PS messages (kddb-like, Petuum)");
-    let ds = super::scale_for_quick(mlstar_data::catalog::kddb_like()).generate();
+    let ds = super::scale_for_quick(catalog::kddb_like()).generate();
     let cluster = ClusterSpec::cluster1();
     let rounds = if quick_mode() { 20 } else { 400 };
     let cfg = TrainConfig {
@@ -522,69 +463,56 @@ fn sparse_messaging(seed: u64) {
         seed,
         ..TrainConfig::default()
     };
-    let mut table = Table::new(&["messages", "end-to-end sim time", "final f"]);
-    let mut csv = String::from("sparse,end_time_s,final_objective\n");
-    for sparse in [false, true] {
+    let mut sheet = Sheet::new(
+        "messages | end-to-end sim time | final f",
+        "sparse,end_time_s,final_objective",
+    );
+    for (sparse, label) in [(false, "dense"), (true, "sparse")] {
         let ps = PsSystemConfig {
             num_servers: 2,
             staleness: 2,
             sparse_messages: sparse,
         };
         let out = train_petuum(&ds, &cluster, &cfg, &ps);
-        let t = out
-            .trace
-            .points
-            .last()
-            .map_or(f64::NAN, |p| p.time.as_secs_f64());
-        let f = out.trace.final_objective().unwrap_or(f64::NAN);
-        table.row(&[
-            if sparse {
-                "sparse".into()
-            } else {
-                "dense".to_owned()
-            },
-            format!("{t:.2}s"),
-            format!("{f:.4}"),
-        ]);
-        csv.push_str(&format!("{sparse},{t:.4},{f:.6}\n"));
+        let (t, f) = (end_time(&out), final_f(&out));
+        sheet.row(
+            &[label.into(), format!("{t:.2}s"), format!("{f:.4}")],
+            format!("{sparse},{t:.4},{f:.6}"),
+        );
     }
-    table.print();
+    sheet.finish("ablation_sparse_messages.csv");
     println!("(identical math — only the wire volume changes)");
-    write_artifact("ablation_sparse_messages.csv", &csv);
 }
 
 /// Ablation 12 — the simulated cost of Spark's fault tolerance: per-round
 /// task failures recovered via lineage re-execution (the feature the
 /// paper's introduction credits Spark with). Results are bit-identical;
 /// only the clock pays.
-fn failure_overhead(ds: &mlstar_data::SparseDataset, cluster: &ClusterSpec, seed: u64) {
+fn failure_overhead(c: &Ctx) {
     banner("Ablation 12 — lineage-recovery overhead under task failures (MLlib*)");
     let rounds = if quick_mode() { 4 } else { 20 };
-    let mut table = Table::new(&["failure prob/round", "makespan", "overhead"]);
-    let mut csv = String::from("failure_prob,makespan_s,overhead_pct\n");
+    let mut sheet = Sheet::new(
+        "failure prob/round | makespan | overhead",
+        "failure_prob,makespan_s,overhead_pct",
+    );
     let mut base_time = None;
     for prob in [0.0, 0.05, 0.2, 1.0] {
         let cfg = TrainConfig {
-            lr: LearningRate::Constant(0.2),
-            batch_frac: 1.0,
-            max_rounds: rounds,
-            eval_every: rounds,
             failure_prob: prob,
-            seed,
-            ..TrainConfig::default()
+            ..fixed_rounds(c.reg, c.seed, 0.2, 1.0, rounds)
         };
-        let out = train_mllib_star(ds, cluster, &cfg);
+        let out = train_mllib_star(&c.ds, &c.cluster, &cfg);
         let t = out.gantt.makespan().as_secs_f64();
-        let base = *base_time.get_or_insert(t);
-        let overhead = (t / base - 1.0) * 100.0;
-        table.row(&[
-            format!("{prob}"),
-            format!("{t:.2}s"),
-            format!("{overhead:+.0}%"),
-        ]);
-        csv.push_str(&format!("{prob},{t:.4},{overhead:.2}\n"));
+        let overhead = (t / *base_time.get_or_insert(t) - 1.0) * 100.0;
+        sheet.row(
+            &[
+                format!("{prob}"),
+                format!("{t:.2}s"),
+                format!("{overhead:+.0}%"),
+            ],
+            format!("{prob},{t:.4},{overhead:.2}"),
+        );
     }
-    table.print();
+    sheet.finish("ablation_failures.csv");
     println!("(lineage re-runs only the lost task; results are unchanged)");
-    write_artifact("ablation_failures.csv", &csv);
 }

@@ -7,50 +7,27 @@
 
 use mlstar_core::{train_mllib, train_mllib_ma, train_mllib_star, TrainOutput};
 use mlstar_data::catalog;
+use mlstar_glm::Regularizer;
 use mlstar_sim::{ClusterSpec, NodeId, SimDuration, SimTime};
 
-use mlstar_core::TrainConfig;
-use mlstar_glm::LearningRate;
-
+use crate::cli::{Args, Failure};
+use crate::figures::tuning::fixed_rounds;
 use crate::report::{banner, write_artifact};
 
 /// Regenerates the three Gantt charts of Figure 3.
-pub fn run_fig3() {
+pub fn run(_args: &Args) -> Result<(), Failure> {
     banner("Figure 3 — Gantt charts (kdd12-like, SVM, 8 executors, L2=0)");
     let ds = super::scale_for_quick(catalog::kdd12_like()).generate();
     let cluster = ClusterSpec::cluster1();
-    let reg = mlstar_glm::Regularizer::None;
-    let seed = 42;
-
     // Budget each system to roughly the paper's viewing window by capping
     // rounds; the text renderer clips to the shared horizon.
-    let mllib_c = TrainConfig {
-        reg,
-        lr: LearningRate::Constant(4.0),
-        batch_frac: 0.01,
-        max_rounds: 60,
-        eval_every: 60,
-        seed,
-        ..TrainConfig::default()
-    };
-    let ma_c = TrainConfig {
-        reg,
-        lr: LearningRate::Constant(0.2),
-        batch_frac: 1.0,
-        max_rounds: 12,
-        eval_every: 12,
-        seed,
-        ..TrainConfig::default()
-    };
-    let star_c = ma_c.clone();
-
+    let mllib_c = fixed_rounds(Regularizer::None, 42, 4.0, 0.01, 60);
+    let ma_c = fixed_rounds(Regularizer::None, 42, 0.2, 1.0, 12);
+    let ma = train_mllib_ma(&ds, &cluster, &ma_c);
     let runs: Vec<(&str, TrainOutput)> = vec![
         ("MLlib", train_mllib(&ds, &cluster, &mllib_c)),
-        (
-            "MLlib + model averaging",
-            train_mllib_ma(&ds, &cluster, &ma_c),
-        ),
-        ("MLlib*", train_mllib_star(&ds, &cluster, &star_c)),
+        ("MLlib + model averaging", ma),
+        ("MLlib*", train_mllib_star(&ds, &cluster, &ma_c)),
     ];
 
     // Shared horizon: the shortest makespan keeps all three readable.
@@ -80,4 +57,5 @@ pub fn run_fig3() {
     println!("legend: C compute, B broadcast, g send-gradient, m send-model,");
     println!("        T tree-aggregate, U driver-update, R reduce-scatter, A all-gather, . wait");
     println!("\nwrote fig3_gantt_*.csv");
+    Ok(())
 }

@@ -9,96 +9,56 @@
 //! systems are tuned per workload by grid search, following the paper's
 //! protocol.
 
-use mlstar_core::{reference_optimum, System};
-use mlstar_data::catalog;
-use mlstar_glm::{Loss, Regularizer};
-use mlstar_sim::ClusterSpec;
+use mlstar_core::{ConvergenceTrace, RoundStats, System};
+use mlstar_glm::Regularizer;
 
-use crate::figures::tuning::{quick_mode, tune_system};
+use crate::cli::{Args, Failure};
+use crate::figures::tuning::public_grid;
 use crate::report::{
-    ascii_convergence, banner, fmt_opt, fmt_speedup, json_mode, round_stats_json, traces_to_csv,
-    write_artifact, Table,
+    banner, fmt_opt, fmt_speedup, round_stats_json, traces_to_csv, write_artifact, write_json,
+    Table,
 };
 
 /// Regenerates the Figure 4 grid.
-pub fn run_fig4() {
+pub fn run(args: &Args) -> Result<(), Failure> {
     banner("Figure 4 — MLlib vs MLlib* (4 public datasets × {L2=0.1, L2=0})");
-    let cluster = ClusterSpec::cluster1();
-    let seed = 42;
-    let ref_epochs = if quick_mode() { 5 } else { 25 };
-    let mut table = Table::new(&[
-        "dataset",
-        "reg",
-        "target f",
-        "MLlib steps",
-        "MLlib* steps",
-        "step speedup",
-        "MLlib time",
-        "MLlib* time",
-        "time speedup",
-    ]);
-    let mut all_csv = Vec::new();
-    let mut all_stats: Vec<(String, Vec<mlstar_core::RoundStats>)> = Vec::new();
+    let mut table = Table::new("dataset | reg | target f | MLlib steps | MLlib* steps | step speedup | MLlib time | MLlib* time | time speedup");
+    let mut all_csv: Vec<ConvergenceTrace> = Vec::new();
+    let mut all_stats: Vec<(String, Vec<RoundStats>)> = Vec::new();
 
-    for preset in catalog::public_presets() {
-        let ds = super::scale_for_quick(preset.clone()).generate();
-        for reg in [Regularizer::L2 { lambda: 0.1 }, Regularizer::None] {
-            let opt = reference_optimum(&ds, Loss::Hinge, reg, ref_epochs, seed);
-            let mllib = tune_system(System::Mllib, &ds, &cluster, reg, seed);
-            let star = tune_system(System::MllibStar, &ds, &cluster, reg, seed);
-            // The paper's threshold: accuracy loss 0.01 vs the optimum.
-            // Our reference may be looser than what the systems achieve, so
-            // take the min of all observed.
-            let best = [
-                opt,
-                mllib.trace.best_objective().unwrap_or(f64::INFINITY),
-                star.trace.best_objective().unwrap_or(f64::INFINITY),
-            ]
-            .into_iter()
-            .fold(f64::INFINITY, f64::min);
-            let target = best + 0.01;
-
-            table.row(&[
-                preset.name.clone(),
-                reg.label(),
-                format!("{target:.3}"),
-                mllib
-                    .trace
-                    .steps_to_reach(target)
-                    .map_or("—".into(), |s| s.to_string()),
-                star.trace
-                    .steps_to_reach(target)
-                    .map_or("—".into(), |s| s.to_string()),
-                fmt_speedup(star.trace.step_speedup_over(&mllib.trace, target)),
-                fmt_opt(mllib.trace.time_to_reach(target), "s"),
-                fmt_opt(star.trace.time_to_reach(target), "s"),
-                fmt_speedup(star.trace.speedup_over(&mllib.trace, target)),
-            ]);
-
-            println!("({}, {})", preset.name, reg.label());
-            print!(
-                "{}",
-                ascii_convergence(&[&mllib.trace, &star.trace], 72, 12)
-            );
-            println!();
-            for o in [mllib, star] {
-                let label = format!("{} {} {}", o.trace.system, preset.name, reg.label());
-                all_stats.push((label, o.round_stats));
-                all_csv.push(o.trace);
-            }
+    let regs = [Regularizer::L2 { lambda: 0.1 }, Regularizer::None];
+    let systems = [System::Mllib, System::MllibStar];
+    public_grid(regs, &systems, |preset, reg, target, runs| {
+        let (mllib, star) = (&runs[0].trace, &runs[1].trace);
+        let steps = |t: &ConvergenceTrace| {
+            let steps = t.steps_to_reach(target);
+            steps.map_or("—".into(), |s| s.to_string())
+        };
+        table.row(&[
+            preset.to_owned(),
+            reg.label(),
+            format!("{target:.3}"),
+            steps(mllib),
+            steps(star),
+            fmt_speedup(star.step_speedup_over(mllib, target)),
+            fmt_opt(mllib.time_to_reach(target), "s"),
+            fmt_opt(star.time_to_reach(target), "s"),
+            fmt_speedup(star.speedup_over(mllib, target)),
+        ]);
+        for o in runs {
+            let label = format!("{} {preset} {}", o.trace.system, reg.label());
+            all_stats.push((label, o.round_stats));
+            all_csv.push(o.trace);
         }
-    }
+    });
     table.print();
-    let refs: Vec<&mlstar_core::ConvergenceTrace> = all_csv.iter().collect();
+    let refs: Vec<&ConvergenceTrace> = all_csv.iter().collect();
     let path = write_artifact("fig4_mllib_vs_star.csv", &traces_to_csv(&refs));
     println!("\nwrote {}", path.display());
-    if json_mode() {
-        let runs: Vec<(String, &[mlstar_core::RoundStats])> = all_stats
-            .iter()
-            .map(|(label, s)| (label.clone(), s.as_slice()))
-            .collect();
-        let json = round_stats_json("fig4_mllib_vs_star", &runs);
-        let path = write_artifact("fig4_round_stats.json", &json);
+    if args.json {
+        let json = round_stats_json("fig4_mllib_vs_star", &all_stats);
+        let path = write_json("fig4_round_stats.json", &json);
         println!("wrote {}", path.display());
     }
+    Ok(())
 }

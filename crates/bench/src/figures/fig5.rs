@@ -9,74 +9,45 @@
 //!
 //! Every system is tuned per workload by grid search, as in the paper.
 
-use mlstar_core::{reference_optimum, ConvergenceTrace, System, TrainOutput};
-use mlstar_data::catalog;
-use mlstar_glm::{Loss, Regularizer};
-use mlstar_sim::ClusterSpec;
+use mlstar_core::{ConvergenceTrace, System};
+use mlstar_glm::Regularizer;
 
-use crate::figures::tuning::{quick_mode, tune_system};
-use crate::report::{ascii_convergence, banner, fmt_opt, traces_to_csv, write_artifact, Table};
+use crate::cli::{Args, Failure};
+use crate::figures::tuning::public_grid;
+use crate::report::{banner, fmt_opt, traces_to_csv, write_artifact, Table};
 
 /// Regenerates the Figure 5 grid.
-pub fn run_fig5() {
+pub fn run(_args: &Args) -> Result<(), Failure> {
     banner("Figure 5 — MLlib* vs parameter servers (4 datasets × {L2=0, L2=0.1})");
-    let cluster = ClusterSpec::cluster1();
-    let seed = 42;
-    let ref_epochs = if quick_mode() { 5 } else { 25 };
-    let mut table = Table::new(&[
-        "dataset", "reg", "target f", "MLlib", "Angel", "Petuum*", "MLlib*", "winner",
-    ]);
+    let mut table =
+        Table::new("dataset | reg | target f | MLlib | Angel | Petuum* | MLlib* | winner");
     let mut all_traces: Vec<ConvergenceTrace> = Vec::new();
 
-    for preset in catalog::public_presets() {
-        let ds = super::scale_for_quick(preset.clone()).generate();
-        for reg in [Regularizer::None, Regularizer::L2 { lambda: 0.1 }] {
-            let opt = reference_optimum(&ds, Loss::Hinge, reg, ref_epochs, seed);
-            let runs: Vec<TrainOutput> = [
-                System::Mllib,
-                System::Angel,
-                System::PetuumStar,
-                System::MllibStar,
-            ]
-            .into_iter()
-            .map(|s| tune_system(s, &ds, &cluster, reg, seed))
-            .collect();
-            let best = runs
-                .iter()
-                .filter_map(|o| o.trace.best_objective())
-                .fold(opt, f64::min);
-            let target = best + 0.01;
-
-            let times: Vec<Option<f64>> =
-                runs.iter().map(|o| o.trace.time_to_reach(target)).collect();
-            let winner = runs
-                .iter()
-                .zip(times.iter())
-                .filter_map(|(o, t)| t.map(|t| (o.trace.system.clone(), t)))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .map_or("—".to_owned(), |(name, _)| name);
-
-            table.row(&[
-                preset.name.clone(),
-                reg.label(),
-                format!("{target:.3}"),
-                fmt_opt(times[0], "s"),
-                fmt_opt(times[1], "s"),
-                fmt_opt(times[2], "s"),
-                fmt_opt(times[3], "s"),
-                winner,
-            ]);
-
-            println!("({}, {})", preset.name, reg.label());
-            let refs: Vec<&ConvergenceTrace> = runs.iter().map(|o| &o.trace).collect();
-            print!("{}", ascii_convergence(&refs, 72, 12));
-            println!();
-            all_traces.extend(runs.into_iter().map(|o| o.trace));
-        }
-    }
+    let regs = [Regularizer::None, Regularizer::L2 { lambda: 0.1 }];
+    let systems = [
+        System::Mllib,
+        System::Angel,
+        System::PetuumStar,
+        System::MllibStar,
+    ];
+    public_grid(regs, &systems, |preset, reg, target, runs| {
+        let times: Vec<Option<f64>> = runs.iter().map(|o| o.trace.time_to_reach(target)).collect();
+        let winner = runs
+            .iter()
+            .zip(times.iter())
+            .filter_map(|(o, t)| t.map(|t| (o.trace.system.clone(), t)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map_or("—".to_owned(), |(name, _)| name);
+        let mut row = vec![preset.to_owned(), reg.label(), format!("{target:.3}")];
+        row.extend(times.iter().map(|&t| fmt_opt(t, "s")));
+        row.push(winner);
+        table.row(&row);
+        all_traces.extend(runs.into_iter().map(|o| o.trace));
+    });
     println!("time to reach target objective (simulated seconds):");
     table.print();
     let refs: Vec<&ConvergenceTrace> = all_traces.iter().collect();
     let path = write_artifact("fig5_vs_parameter_servers.csv", &traces_to_csv(&refs));
     println!("\nwrote {}", path.display());
+    Ok(())
 }

@@ -15,20 +15,21 @@
 //!   communication grows with k while per-machine compute shrinks, and
 //!   the BSP barrier waits on an ever-worse straggler tail.
 
-use mlstar_core::{reference_optimum, ConvergenceTrace, System, TrainOutput};
+use mlstar_core::{reference_optimum, ConvergenceTrace, System};
 use mlstar_data::catalog;
 use mlstar_glm::{Loss, Regularizer};
 use mlstar_sim::ClusterSpec;
 
-use crate::figures::tuning::{paper_scale_cluster, quick_mode, tune_system_scaled};
-use crate::report::{ascii_convergence, banner, fmt_opt, traces_to_csv, write_artifact, Table};
+use crate::cli::{Args, Failure};
+use crate::figures::tuning::{best_objective, paper_scale_cluster, quick_mode, tune_system};
+use crate::report::{ascii_convergence, banner, fmt_opt, traces_to_csv, write_artifact, Sheet};
 
 /// The WX dataset is scaled down ~2000× from Table I.
 const WX_DATA_SCALE: f64 = 2000.0;
 
 /// Regenerates Figure 6 (a–d). No Petuum, as in the paper ("the
 /// deployment requirement of Petuum is not satisfied on Cluster 2").
-pub fn run_fig6() {
+pub fn run(_args: &Args) -> Result<(), Failure> {
     banner("Figure 6 — WX-like scalability on heterogeneous Cluster 2 (32/64/128 machines)");
     let ds = super::scale_for_quick(catalog::wx_like()).generate();
     let reg = Regularizer::None;
@@ -48,9 +49,8 @@ pub fn run_fig6() {
     };
     let systems = [System::Mllib, System::MllibStar, System::Angel];
 
+    /// One (k, system) run; `results` is k-major in `systems` order.
     struct Cell {
-        system: &'static str,
-        k: usize,
         time_to_target: Option<f64>,
         secs_per_step: f64,
         trace: ConvergenceTrace,
@@ -59,28 +59,19 @@ pub fn run_fig6() {
 
     for &k in machine_counts {
         let cluster = paper_scale_cluster(ClusterSpec::cluster2(k, seed), scale);
-        let runs: Vec<(System, TrainOutput)> = systems
-            .into_iter()
-            .map(|s| (s, tune_system_scaled(s, &ds, &cluster, reg, seed, scale)))
-            .collect();
-        let best = runs
-            .iter()
-            .filter_map(|(_, o)| o.trace.best_objective())
-            .fold(opt, f64::min);
-        let target = best + 0.01;
+        let runs = systems.map(|s| tune_system(s, &ds, &cluster, reg, seed, scale));
+        let target = best_objective(&runs, opt) + 0.01;
 
         println!("-- #machines = {k} (target f = {target:.3}) --");
-        let refs: Vec<&ConvergenceTrace> = runs.iter().map(|(_, o)| &o.trace).collect();
+        let refs: Vec<&ConvergenceTrace> = runs.iter().map(|o| &o.trace).collect();
         print!("{}", ascii_convergence(&refs, 72, 12));
         println!();
-        for (system, mut o) in runs {
+        for mut o in runs {
             let time_to_target = o.trace.time_to_reach(target);
             let end = o.trace.points.last().map_or(0.0, |p| p.time.as_secs_f64());
             let secs_per_step = end / o.rounds_run.max(1) as f64;
             o.trace.workload.push_str(&format!(" k={k}"));
             results.push(Cell {
-                system: system.name(),
-                k,
                 time_to_target,
                 secs_per_step,
                 trace: o.trace,
@@ -92,25 +83,15 @@ pub fn run_fig6() {
     // Time-to-target where the system converges (MLlib*); per-step time
     // otherwise (the paper's own fallback for MLlib: "the time cost per
     // epoch even increases").
-    let mut table = Table::new(&[
-        "system",
-        "k",
-        "s/step",
-        "time to target",
-        "speedup vs smallest k",
-    ]);
-    let mut csv = String::from("system,k,secs_per_step,time_to_target,speedup\n");
-    for system in systems {
-        let base = results
-            .iter()
-            .find(|c| c.system == system.name() && c.k == machine_counts[0])
-            .expect("base cell exists"); // lint:allow(panic_in_lib): the sweep fills every (system, k) cell
+    let mut sheet = Sheet::new(
+        "system | k | s/step | time to target | speedup vs smallest k",
+        "system,k,secs_per_step,time_to_target,speedup",
+    );
+    for (si, system) in systems.into_iter().enumerate() {
+        let base = &results[si];
         let base_metric = base.time_to_target.unwrap_or(base.secs_per_step);
-        for &k in machine_counts {
-            let cell = results
-                .iter()
-                .find(|c| c.system == system.name() && c.k == k)
-                .expect("cell exists"); // lint:allow(panic_in_lib): the sweep fills every (system, k) cell
+        for (ki, &k) in machine_counts.iter().enumerate() {
+            let cell = &results[ki * systems.len() + si];
             let metric = cell.time_to_target.unwrap_or(cell.secs_per_step);
             let comparable = cell.time_to_target.is_some() == base.time_to_target.is_some();
             let speedup = if comparable && metric > 0.0 {
@@ -118,28 +99,27 @@ pub fn run_fig6() {
             } else {
                 "—".to_owned()
             };
-            table.row(&[
-                system.name().to_owned(),
-                k.to_string(),
-                format!("{:.2}s", cell.secs_per_step),
-                fmt_opt(cell.time_to_target, "s"),
-                speedup.clone(),
-            ]);
-            csv.push_str(&format!(
-                "{},{},{:.4},{},{}\n",
-                system.name(),
-                k,
-                cell.secs_per_step,
-                cell.time_to_target.map_or(-1.0, |t| t),
-                speedup
-            ));
+            sheet.row(
+                &[
+                    system.name().to_owned(),
+                    k.to_string(),
+                    format!("{:.2}s", cell.secs_per_step),
+                    fmt_opt(cell.time_to_target, "s"),
+                    speedup.clone(),
+                ],
+                format!(
+                    "{system},{k},{:.4},{},{speedup}",
+                    cell.secs_per_step,
+                    cell.time_to_target.unwrap_or(-1.0),
+                ),
+            );
         }
     }
     println!("speedup with machine count (paper: ≤1.7× from 32→128; MLlib degrades):");
-    table.print();
-    write_artifact("fig6_speedups.csv", &csv);
+    sheet.finish("fig6_speedups.csv");
 
     let refs: Vec<&ConvergenceTrace> = results.iter().map(|c| &c.trace).collect();
     let path = write_artifact("fig6_scalability.csv", &traces_to_csv(&refs));
     println!("\nwrote {}", path.display());
+    Ok(())
 }

@@ -6,7 +6,11 @@
 //! winner: the run that reaches (global best over the grid + 0.01)
 //! fastest in simulated time, falling back to lowest final objective.
 
-use mlstar_core::{AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use mlstar_core::{
+    AngelConfig, ConvergenceTrace, PsSystemConfig, System, TrainConfig, TrainOutput,
+};
 use mlstar_data::SyntheticConfig;
 use mlstar_glm::{LearningRate, Loss, Regularizer};
 use mlstar_sim::ClusterSpec;
@@ -28,10 +32,18 @@ pub fn paper_scale_cluster(mut cluster: ClusterSpec, data_scale: f64) -> Cluster
     cluster
 }
 
-/// True when `MLSTAR_QUICK` is set: figure harnesses shrink datasets and
-/// budgets so CI / smoke runs finish in seconds.
+static QUICK: AtomicBool = AtomicBool::new(false);
+
+/// Records the parsed `--quick` switch; [`crate::cli::run`] calls this
+/// before it starts an exhibit.
+pub fn set_quick_mode(on: bool) {
+    QUICK.store(on, Ordering::Relaxed);
+}
+
+/// True when the exhibit was started with `--quick`: datasets and round
+/// budgets shrink so a CI run finishes in seconds.
 pub fn quick_mode() -> bool {
-    std::env::var("MLSTAR_QUICK").is_ok()
+    QUICK.load(Ordering::Relaxed)
 }
 
 /// Applies quick-mode scaling to a preset.
@@ -90,32 +102,45 @@ pub(crate) fn system_schedule(system: System, k: usize) -> (u64, u64, f64, Vec<f
     }
 }
 
-/// Grid-searches the learning rate for `system` on `(ds, cluster, reg)`
-/// and returns the winning run.
-pub fn tune_system(
-    system: System,
-    ds: &mlstar_data::SparseDataset,
-    cluster: &ClusterSpec,
+/// A constant-rate schedule of `rounds` rounds, evaluated once at the end.
+pub(crate) fn fixed_rounds(
     reg: Regularizer,
     seed: u64,
-) -> TrainOutput {
-    tune_system_scaled(system, ds, cluster, reg, seed, 1.0)
+    eta: f64,
+    batch_frac: f64,
+    rounds: u64,
+) -> TrainConfig {
+    TrainConfig {
+        reg,
+        lr: LearningRate::Constant(eta),
+        batch_frac,
+        max_rounds: rounds,
+        eval_every: rounds,
+        seed,
+        ..TrainConfig::default()
+    }
 }
 
-/// Like [`tune_system`] for a cluster whose compute/network rates have
-/// been divided by `data_scale` (see [`paper_scale_cluster`]): Angel's
-/// allocation bandwidth is scaled the same way, and MLlib's round budget
-/// is capped (it will not converge within the paper's window anyway).
-pub fn tune_system_scaled(
+/// The lowest best-objective over `runs`, starting from `floor` (the
+/// reference optimum, or ∞); the paper's threshold is this plus 0.01.
+pub(crate) fn best_objective(runs: &[TrainOutput], floor: f64) -> f64 {
+    let bests = runs.iter().filter_map(|o| o.trace.best_objective());
+    bests.fold(floor, f64::min)
+}
+
+/// One run of `system` under its [`system_schedule`] at each constant rate
+/// in `etas` — the runs [`tune_system`] chooses from.
+pub(crate) fn train_at_rates(
     system: System,
     ds: &mlstar_data::SparseDataset,
     cluster: &ClusterSpec,
     reg: Regularizer,
     seed: u64,
     data_scale: f64,
-) -> TrainOutput {
-    let k = cluster.num_executors();
-    let (mut max_rounds, eval_every, batch_frac, etas) = system_schedule(system, k);
+    etas: &[f64],
+) -> Vec<TrainOutput> {
+    let (mut max_rounds, eval_every, batch_frac, _) =
+        system_schedule(system, cluster.num_executors());
     if data_scale > 1.0 && system == System::Mllib {
         max_rounds = max_rounds.min(1200);
     }
@@ -131,8 +156,7 @@ pub fn tune_system_scaled(
         ..AngelConfig::default()
     };
 
-    let outputs: Vec<TrainOutput> = etas
-        .iter()
+    etas.iter()
         .map(|&eta| {
             let cfg = TrainConfig {
                 loss: Loss::Hinge,
@@ -148,13 +172,26 @@ pub fn tune_system_scaled(
             };
             system.train(ds, cluster, &cfg, &ps, &angel)
         })
-        .collect();
+        .collect()
+}
 
-    let global_best = outputs
-        .iter()
-        .filter_map(|o| o.trace.best_objective())
-        .fold(f64::INFINITY, f64::min);
-    let target = global_best + 0.01;
+/// Grid-searches the learning rate for `system` on `(ds, cluster, reg)`
+/// and returns the winning run. `data_scale` is 1 except on a cluster
+/// whose compute/network rates have been divided by it (see
+/// [`paper_scale_cluster`]): Angel's allocation bandwidth is then scaled
+/// the same way, and MLlib's round budget is capped (it will not converge
+/// within the paper's window anyway).
+pub fn tune_system(
+    system: System,
+    ds: &mlstar_data::SparseDataset,
+    cluster: &ClusterSpec,
+    reg: Regularizer,
+    seed: u64,
+    data_scale: f64,
+) -> TrainOutput {
+    let (.., etas) = system_schedule(system, cluster.num_executors());
+    let outputs = train_at_rates(system, ds, cluster, reg, seed, data_scale, &etas);
+    let target = best_objective(&outputs, f64::INFINITY) + 0.01;
     outputs
         .into_iter()
         .min_by(|a, b| {
@@ -169,6 +206,38 @@ pub fn tune_system_scaled(
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
         .expect("grid was nonempty") // lint:allow(panic_in_lib): tuning grids are compiled-in and nonempty
+}
+
+/// The Figure 4/5 grid: on each public preset under each of `regs`, tunes
+/// every system of `systems` on Cluster 1, prints the subfigure's
+/// convergence plot, and hands `visit` the preset name, the regularizer,
+/// the target and the tuned runs. The target is the paper's threshold,
+/// accuracy loss 0.01 against the optimum — the best objective observed,
+/// since our reference may be looser than what the systems achieve.
+pub(crate) fn public_grid(
+    regs: [Regularizer; 2],
+    systems: &[System],
+    mut visit: impl FnMut(&str, Regularizer, f64, Vec<TrainOutput>),
+) {
+    let cluster = ClusterSpec::cluster1();
+    let seed = 42;
+    let ref_epochs = if quick_mode() { 5 } else { 25 };
+    for preset in mlstar_data::catalog::public_presets() {
+        let ds = scale_for_quick(preset.clone()).generate();
+        for reg in regs {
+            let opt = mlstar_core::reference_optimum(&ds, Loss::Hinge, reg, ref_epochs, seed);
+            let runs: Vec<TrainOutput> = systems
+                .iter()
+                .map(|&s| tune_system(s, &ds, &cluster, reg, seed, 1.0))
+                .collect();
+            let target = best_objective(&runs, opt) + 0.01;
+            println!("({}, {})", preset.name, reg.label());
+            let traces: Vec<&ConvergenceTrace> = runs.iter().map(|o| &o.trace).collect();
+            print!("{}", crate::report::ascii_convergence(&traces, 72, 12));
+            println!();
+            visit(&preset.name, reg, target, runs);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -216,7 +285,7 @@ mod tests {
             mlstar_sim::NodeSpec::standard(),
             mlstar_sim::NetworkSpec::gbps1(),
         );
-        let out = tune_system(System::MllibStar, &ds, &cluster, Regularizer::None, 7);
+        let out = tune_system(System::MllibStar, &ds, &cluster, Regularizer::None, 7, 1.0);
         let f = out.trace.final_objective().unwrap();
         assert!(f.is_finite() && f < 1.0, "tuned run should converge: {f}");
     }

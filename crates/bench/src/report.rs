@@ -1,43 +1,26 @@
-//! Report formatting and CSV/JSON output shared by the figure harnesses.
+//! Report formatting and the CSV/JSON artefact writers every exhibit uses.
 
-use std::io::Write;
+use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use mlstar_core::{ConvergenceTrace, RoundStats};
 
-/// Whether the exhibit was invoked with `--json` (set by
-/// [`crate::cli::exhibit_args`]): harnesses that have a structured report
-/// additionally write it as a JSON artifact.
-static JSON_MODE: AtomicBool = AtomicBool::new(false);
-
-/// Turns `--json` artifact output on (or off).
-pub fn set_json_mode(on: bool) {
-    JSON_MODE.store(on, Ordering::Relaxed);
-}
-
-/// True when the exhibit should also emit JSON artifacts.
-pub fn json_mode() -> bool {
-    JSON_MODE.load(Ordering::Relaxed)
-}
-
-/// The output directory for CSV artifacts (`bench_results/` by default,
-/// overridable via `MLSTAR_OUT`). Created on first use.
-pub fn out_dir() -> PathBuf {
-    let dir = std::env::var("MLSTAR_OUT").unwrap_or_else(|_| "bench_results".to_owned());
-    let path = PathBuf::from(dir);
-    // lint:allow(panic_in_lib): the bench harness aborts on I/O failure by design
-    std::fs::create_dir_all(&path).expect("create bench output directory");
-    path
-}
-
-/// Writes `content` to `<out_dir>/<name>` and returns the path.
+/// Writes `content` to `<out_dir>/<name>` and returns the path. The
+/// output directory is `bench_results/` unless `MLSTAR_OUT` names
+/// another; it is created on first use.
 pub fn write_artifact(name: &str, content: &str) -> PathBuf {
-    let path = out_dir().join(name);
+    let dir = std::env::var("MLSTAR_OUT").unwrap_or_else(|_| "bench_results".to_owned());
+    let path = PathBuf::from(&dir).join(name);
+    let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, content));
     // lint:allow(panic_in_lib): the bench harness aborts on I/O failure by design
-    let mut f = std::fs::File::create(&path).expect("create artifact file");
-    f.write_all(content.as_bytes()).expect("write artifact"); // lint:allow(panic_in_lib): the bench harness aborts on I/O failure by design
+    written.expect("write artifact file");
     path
+}
+
+/// Writes `json` plus a trailing newline to `<out_dir>/<name>` — the one
+/// way an exhibit emits a JSON artefact.
+pub fn write_json(name: &str, json: &Json) -> PathBuf {
+    write_artifact(name, &format!("{json}\n"))
 }
 
 /// Prints a section banner.
@@ -54,10 +37,11 @@ pub struct Table {
 }
 
 impl Table {
-    /// A table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
+    /// A table with the given column headers, written the way they
+    /// print: one string, columns separated by `|`.
+    pub fn new(headers: &str) -> Self {
         Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: headers.split('|').map(|h| h.trim().to_owned()).collect(),
             rows: Vec::new(),
         }
     }
@@ -105,6 +89,37 @@ impl Table {
     }
 }
 
+/// A printed table and its CSV artefact, filled in lockstep: every row is
+/// given once as display cells and once as a CSV line.
+pub struct Sheet {
+    table: Table,
+    csv: String,
+}
+
+impl Sheet {
+    /// A sheet with the given table headers (as for [`Table::new`]) and
+    /// CSV header line.
+    pub fn new(headers: &str, csv_header: &str) -> Self {
+        Sheet {
+            table: Table::new(headers),
+            csv: format!("{csv_header}\n"),
+        }
+    }
+
+    /// Appends one row to both forms (`csv_line` without its newline).
+    pub fn row(&mut self, cells: &[String], csv_line: String) {
+        self.table.row(cells);
+        self.csv.push_str(&csv_line);
+        self.csv.push('\n');
+    }
+
+    /// Prints the table and writes the CSV to `<out_dir>/<file>`.
+    pub fn finish(self, file: &str) -> PathBuf {
+        self.table.print();
+        write_artifact(file, &self.csv)
+    }
+}
+
 /// Formats an optional value, using `"—"` for `None` (the paper's figures
 /// mark systems that never reach the threshold the same way).
 pub fn fmt_opt(v: Option<f64>, unit: &str) -> String {
@@ -124,282 +139,190 @@ pub fn fmt_speedup(v: Option<f64>) -> String {
     }
 }
 
-/// A run's per-phase sim-time totals, folded over its [`RoundStats`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseSummary {
-    /// Total per-round compute time (averaged over nodes within a round).
-    pub compute_s: f64,
-    /// Total communication time.
-    pub comm_s: f64,
-    /// Total straggler-idle time.
-    pub idle_s: f64,
-    /// Total failure-recovery time.
-    pub recovery_s: f64,
-    /// Total elapsed sim time across the rounds.
-    pub elapsed_s: f64,
-    /// Total bytes moved across all communication patterns.
-    pub bytes: u64,
-    /// Total model updates performed.
-    pub updates: u64,
-}
-
-impl PhaseSummary {
-    /// Renders the compute/comm/idle split as percentages of elapsed time
-    /// (recovery, when present, is folded into the remainder).
-    pub fn fmt_split(&self) -> String {
-        if self.elapsed_s <= 0.0 {
-            return "—".to_owned();
-        }
-        let pct = |x: f64| (x / self.elapsed_s * 100.0).round();
-        format!(
-            "{:.0}/{:.0}/{:.0}%",
-            pct(self.compute_s),
-            pct(self.comm_s),
-            pct(self.idle_s + self.recovery_s)
-        )
-    }
-}
-
-/// Folds a run's [`RoundStats`] into per-phase totals.
-pub fn summarize_rounds(rounds: &[RoundStats]) -> PhaseSummary {
-    let mut s = PhaseSummary::default();
+/// A run's [`RoundStats`] summed into one record: phase times, flops,
+/// updates and bytes per pattern over all rounds; `round` is their count.
+pub fn summarize_rounds(rounds: &[RoundStats]) -> RoundStats {
+    let mut s = RoundStats::default();
     for r in rounds {
+        s.round += 1;
+        s.updates += r.updates;
+        s.flops += r.flops;
         s.compute_s += r.compute_s;
         s.comm_s += r.comm_s;
         s.idle_s += r.idle_s;
         s.recovery_s += r.recovery_s;
         s.elapsed_s += r.elapsed_s;
-        s.bytes += r.bytes.total();
-        s.updates += r.updates;
+        s.bytes.broadcast += r.bytes.broadcast;
+        s.bytes.tree_aggregate += r.bytes.tree_aggregate;
+        s.bytes.reduce_scatter += r.bytes.reduce_scatter;
+        s.bytes.all_gather += r.bytes.all_gather;
+        s.bytes.ps_pull += r.bytes.ps_pull;
+        s.bytes.ps_push += r.bytes.ps_push;
     }
     s
 }
 
-/// Escapes a string for inclusion in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// The compute/comm/idle split of a summed record as percentages of its
+/// elapsed time (recovery, when present, is folded into the remainder).
+pub fn fmt_split(s: &RoundStats) -> String {
+    if s.elapsed_s <= 0.0 {
+        return "—".to_owned();
     }
-    out
-}
-
-/// Formats an `f64` as a JSON number (finite values round-trip; non-finite
-/// values — which our reports never produce — degrade to `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Serializes one round's telemetry as a JSON object.
-fn round_to_json(r: &RoundStats) -> String {
+    let pct = |x: f64| (x / s.elapsed_s * 100.0).round();
     format!(
-        concat!(
-            "{{\"round\":{},\"updates\":{},\"flops\":{},",
-            "\"compute_s\":{},\"comm_s\":{},\"idle_s\":{},\"recovery_s\":{},",
-            "\"elapsed_s\":{},\"bytes\":{{\"broadcast\":{},\"tree_aggregate\":{},",
-            "\"reduce_scatter\":{},\"all_gather\":{},\"ps_pull\":{},\"ps_push\":{},",
-            "\"total\":{}}}}}"
-        ),
-        r.round,
-        r.updates,
-        json_f64(r.flops),
-        json_f64(r.compute_s),
-        json_f64(r.comm_s),
-        json_f64(r.idle_s),
-        json_f64(r.recovery_s),
-        json_f64(r.elapsed_s),
-        r.bytes.broadcast,
-        r.bytes.tree_aggregate,
-        r.bytes.reduce_scatter,
-        r.bytes.all_gather,
-        r.bytes.ps_pull,
-        r.bytes.ps_push,
-        r.bytes.total(),
+        "{:.0}/{:.0}/{:.0}%",
+        pct(s.compute_s),
+        pct(s.comm_s),
+        pct(s.idle_s + s.recovery_s)
     )
 }
 
-/// Serializes per-run round telemetry into a JSON report: one entry per
-/// labeled run, each with its per-round records and folded totals (the
-/// compute/comm/idle breakdown the `--json` mode exists for).
-pub fn round_stats_json(report: &str, runs: &[(String, &[RoundStats])]) -> String {
-    let mut out = format!("{{\"report\":\"{}\",\"runs\":[", json_escape(report));
-    for (i, (label, rounds)) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let s = summarize_rounds(rounds);
-        out.push_str(&format!(
-            concat!(
-                "{{\"label\":\"{}\",\"totals\":{{\"compute_s\":{},\"comm_s\":{},",
-                "\"idle_s\":{},\"recovery_s\":{},\"elapsed_s\":{},\"bytes\":{},",
-                "\"updates\":{}}},\"rounds\":["
-            ),
-            json_escape(label),
-            json_f64(s.compute_s),
-            json_f64(s.comm_s),
-            json_f64(s.idle_s),
-            json_f64(s.recovery_s),
-            json_f64(s.elapsed_s),
-            s.bytes,
-            s.updates,
-        ));
-        for (j, r) in rounds.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
+/// A JSON value. `Display` is the only JSON writer in this crate: strings
+/// are escaped, finite floats print in Rust's shortest round-trip form,
+/// non-finite floats become `null`, object keys keep insertion order.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// An unsigned integer (counts, bytes, indices).
+    U64(u64),
+    /// A float; NaN and ±∞ are written as `null`.
+    F64(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object, written in the order given.
+    Obj(Vec<(&'static str, Json)>),
+}
+
+impl Json {
+    /// An object from `(key, value)` pairs.
+    pub fn obj<const N: usize>(fields: [(&'static str, Json); N]) -> Json {
+        Json::Obj(fields.into())
+    }
+
+    /// An array with one element per item of `items`.
+    pub fn arr<T>(items: impl IntoIterator<Item = T>, f: impl FnMut(T) -> Json) -> Json {
+        Json::Arr(items.into_iter().map(f).collect())
+    }
+}
+
+macro_rules! json_from {
+    ($($ty:ty => |$v:ident| $json:expr),* $(,)?) => {$(
+        impl From<$ty> for Json {
+            fn from($v: $ty) -> Json {
+                $json
             }
-            out.push_str(&round_to_json(r));
         }
-        out.push_str("]}");
+    )*};
+}
+
+json_from! {
+    u64 => |v| Json::U64(v),
+    usize => |v| Json::U64(v as u64),
+    f64 => |v| Json::F64(v),
+    &str => |v| Json::Str(v.to_owned()),
+    String => |v| Json::Str(v),
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write;
+        match self {
+            Json::U64(v) => write!(f, "{v}"),
+            Json::F64(v) if v.is_finite() => write!(f, "{v}"),
+            Json::F64(_) => f.write_str("null"),
+            Json::Str(s) => {
+                f.write_char('"')?;
+                for c in s.chars() {
+                    match c {
+                        '"' => f.write_str("\\\"")?,
+                        '\\' => f.write_str("\\\\")?,
+                        '\n' => f.write_str("\\n")?,
+                        '\r' => f.write_str("\\r")?,
+                        '\t' => f.write_str("\\t")?,
+                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                        c => f.write_char(c)?,
+                    }
+                }
+                f.write_char('"')
+            }
+            Json::Arr(items) => {
+                f.write_char('[')?;
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write!(f, "{item}")?;
+                }
+                f.write_char(']')
+            }
+            Json::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write!(f, "{}:{value}", Json::from(*key))?;
+                }
+                f.write_char('}')
+            }
+        }
     }
-    out.push_str("]}\n");
-    out
 }
 
-/// One serving run's headline numbers, as plain fields so this module
-/// needs no dependency on `mlstar-serve` (the serve bench fills it from
-/// its telemetry).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServeSummary {
-    /// Worker shards the engine scored with.
-    pub shards: usize,
-    /// Requests scored.
-    pub requests: u64,
-    /// Micro-batches formed.
-    pub batches: usize,
-    /// Mean batch fill ratio (size / max batch).
-    pub mean_fill: f64,
-    /// Mean queue depth observed at batch close.
-    pub mean_queue_depth: f64,
-    /// Virtual-time throughput in requests/s.
-    pub throughput_rps: f64,
-    /// Queue-latency percentiles in seconds (p50, p95, p99).
-    pub queue_p: [f64; 3],
-    /// Score-latency percentiles in seconds.
-    pub score_p: [f64; 3],
-    /// Merge-latency percentiles in seconds.
-    pub merge_p: [f64; 3],
-}
-
-/// Serializes one latency percentile triple.
-fn percentiles_json(p: &[f64; 3]) -> String {
-    format!(
-        "{{\"p50\":{},\"p95\":{},\"p99\":{}}}",
-        json_f64(p[0]),
-        json_f64(p[1]),
-        json_f64(p[2])
-    )
-}
-
-/// Serializes labeled serving runs into a JSON report with the same
-/// top-level shape as [`round_stats_json`] (`report` + `runs` array), so
-/// downstream tooling can ingest both.
-pub fn serve_stats_json(report: &str, runs: &[(String, ServeSummary)]) -> String {
-    let mut out = format!("{{\"report\":\"{}\",\"runs\":[", json_escape(report));
-    for (i, (label, s)) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            concat!(
-                "{{\"label\":\"{}\",\"shards\":{},\"requests\":{},",
-                "\"batching\":{{\"batches\":{},\"mean_fill\":{},\"mean_queue_depth\":{}}},",
-                "\"throughput_rps\":{},",
-                "\"latency_s\":{{\"queue\":{},\"score\":{},\"merge\":{}}}}}"
+/// Per-run round telemetry as a JSON report: one entry per labeled run,
+/// each with its folded totals and its per-round records (the
+/// compute/comm/idle breakdown `--json` exists for).
+pub fn round_stats_json<R: AsRef<[RoundStats]>>(report: &str, runs: &[(String, R)]) -> Json {
+    let run_json = |(label, rounds): &(String, R)| {
+        let rounds = rounds.as_ref();
+        let s = summarize_rounds(rounds);
+        Json::obj([
+            ("label", label.as_str().into()),
+            (
+                "totals",
+                Json::obj([
+                    ("compute_s", s.compute_s.into()),
+                    ("comm_s", s.comm_s.into()),
+                    ("idle_s", s.idle_s.into()),
+                    ("recovery_s", s.recovery_s.into()),
+                    ("elapsed_s", s.elapsed_s.into()),
+                    ("bytes", s.bytes.total().into()),
+                    ("updates", s.updates.into()),
+                ]),
             ),
-            json_escape(label),
-            s.shards,
-            s.requests,
-            s.batches,
-            json_f64(s.mean_fill),
-            json_f64(s.mean_queue_depth),
-            json_f64(s.throughput_rps),
-            percentiles_json(&s.queue_p),
-            percentiles_json(&s.score_p),
-            percentiles_json(&s.merge_p),
-        ));
-    }
-    out.push_str("]}\n");
-    out
+            ("rounds", Json::arr(rounds.iter(), round_json)),
+        ])
+    };
+    Json::obj([
+        ("report", report.into()),
+        ("runs", Json::arr(runs, run_json)),
+    ])
 }
 
-/// One cross-validated lambda-path run's headline numbers, as plain
-/// fields so this module needs no dependency on the CV scheduler (the
-/// path bench fills it from [`mlstar_core::CvResult`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PathCvSummary {
-    /// Simulated executors the fold chains were scheduled on.
-    pub executors: usize,
-    /// Folds K.
-    pub folds: usize,
-    /// Grid size L.
-    pub n_lambdas: usize,
-    /// ℓ₁ ratio α of the elastic-net penalty.
-    pub l1_ratio: f64,
-    /// `λ_max` anchoring the grid.
-    pub lambda_max: f64,
-    /// The winning λ.
-    pub best_lambda: f64,
-    /// Index of the winning λ in the (decreasing) grid.
-    pub best_lambda_idx: usize,
-    /// Mean held-out loss at the winning λ.
-    pub best_val_loss: f64,
-    /// Coordinate-descent sweeps summed over all jobs.
-    pub total_sweeps: usize,
-    /// Jobs scheduled (folds × lambdas).
-    pub jobs: usize,
-    /// End of the simulated timeline, seconds.
-    pub makespan_s: f64,
-    /// Wall-clock milliseconds the solve actually took.
-    pub wall_ms: f64,
-}
-
-/// Serializes labeled path-CV runs into a JSON report with the same
-/// top-level shape as [`round_stats_json`] (`report` + `runs` array), so
-/// downstream tooling can ingest both.
-pub fn path_stats_json(report: &str, runs: &[(String, PathCvSummary)]) -> String {
-    let mut out = format!("{{\"report\":\"{}\",\"runs\":[", json_escape(report));
-    for (i, (label, s)) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            concat!(
-                "{{\"label\":\"{}\",\"executors\":{},\"folds\":{},",
-                "\"n_lambdas\":{},\"l1_ratio\":{},",
-                "\"grid\":{{\"lambda_max\":{},\"best_lambda\":{},",
-                "\"best_lambda_idx\":{},\"best_val_loss\":{}}},",
-                "\"work\":{{\"jobs\":{},\"total_sweeps\":{}}},",
-                "\"makespan_s\":{},\"wall_ms\":{}}}"
-            ),
-            json_escape(label),
-            s.executors,
-            s.folds,
-            s.n_lambdas,
-            json_f64(s.l1_ratio),
-            json_f64(s.lambda_max),
-            json_f64(s.best_lambda),
-            s.best_lambda_idx,
-            json_f64(s.best_val_loss),
-            s.jobs,
-            s.total_sweeps,
-            json_f64(s.makespan_s),
-            json_f64(s.wall_ms),
-        ));
-    }
-    out.push_str("]}\n");
-    out
+fn round_json(r: &RoundStats) -> Json {
+    Json::obj([
+        ("round", r.round.into()),
+        ("updates", r.updates.into()),
+        ("flops", r.flops.into()),
+        ("compute_s", r.compute_s.into()),
+        ("comm_s", r.comm_s.into()),
+        ("idle_s", r.idle_s.into()),
+        ("recovery_s", r.recovery_s.into()),
+        ("elapsed_s", r.elapsed_s.into()),
+        (
+            "bytes",
+            Json::obj([
+                ("broadcast", r.bytes.broadcast.into()),
+                ("tree_aggregate", r.bytes.tree_aggregate.into()),
+                ("reduce_scatter", r.bytes.reduce_scatter.into()),
+                ("all_gather", r.bytes.all_gather.into()),
+                ("ps_pull", r.bytes.ps_pull.into()),
+                ("ps_push", r.bytes.ps_push.into()),
+                ("total", r.bytes.total().into()),
+            ]),
+        ),
+    ])
 }
 
 /// Concatenates trace CSVs (single header).
@@ -442,14 +365,18 @@ pub fn ascii_convergence(traces: &[&ConvergenceTrace], width: usize, height: usi
     }
     let (ltmin, ltmax) = (tmin.log10(), tmax.log10().max(tmin.log10() + 1e-9));
     let mut grid = vec![vec![' '; width]; height];
-    for (idx, t) in traces.iter().enumerate() {
-        let code = t.system.chars().next().unwrap_or('?');
-        let code = if idx > 0 && traces[..idx].iter().any(|u| u.system.starts_with(code)) {
-            // Disambiguate systems sharing an initial (MLlib vs MLlib*).
+    // One letter per system; systems sharing an initial (MLlib vs MLlib*)
+    // are told apart by their index digit.
+    let code_of = |idx: usize| {
+        let code = traces[idx].system.chars().next().unwrap_or('?');
+        if traces[..idx].iter().any(|u| u.system.starts_with(code)) {
             char::from_digit(idx as u32 % 10, 10).unwrap_or('?')
         } else {
             code
-        };
+        }
+    };
+    for (idx, t) in traces.iter().enumerate() {
+        let code = code_of(idx);
         for p in &t.points {
             if !p.objective.is_finite() {
                 continue;
@@ -470,16 +397,9 @@ pub fn ascii_convergence(traces: &[&ConvergenceTrace], width: usize, height: usi
         out.extend(row);
         out.push_str("|\n");
     }
-    // Legend.
     out.push_str("legend: ");
     for (idx, t) in traces.iter().enumerate() {
-        let code = t.system.chars().next().unwrap_or('?');
-        let code = if idx > 0 && traces[..idx].iter().any(|u| u.system.starts_with(code)) {
-            char::from_digit(idx as u32 % 10, 10).unwrap_or('?')
-        } else {
-            code
-        };
-        out.push_str(&format!("{code}={} ", t.system));
+        out.push_str(&format!("{}={} ", code_of(idx), t.system));
     }
     out.push('\n');
     out
@@ -506,7 +426,7 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new(&["name", "value"]);
+        let mut t = Table::new("name | value");
         t.row(&["a".into(), "1".into()]);
         t.row(&["longer-name".into(), "2".into()]);
         let s = t.render();
@@ -567,99 +487,43 @@ mod tests {
     }
 
     #[test]
-    fn phase_summary_folds_rounds() {
-        let rounds = [sample_round(0), sample_round(1)];
-        let s = summarize_rounds(&rounds);
-        assert_eq!(s.updates, 6);
-        assert_eq!(s.bytes, 600);
+    fn summary_folds_rounds() {
+        let s = summarize_rounds(&[sample_round(0), sample_round(1)]);
+        assert_eq!((s.round, s.updates, s.bytes.total()), (2, 6, 600));
         assert!((s.elapsed_s - 2.0).abs() < 1e-12);
-        assert_eq!(s.fmt_split(), "60/30/10%");
-        assert_eq!(PhaseSummary::default().fmt_split(), "—");
+        assert_eq!(fmt_split(&s), "60/30/10%");
+        assert_eq!(fmt_split(&RoundStats::default()), "—");
     }
 
     #[test]
-    fn round_stats_json_is_well_formed() {
-        let rounds = [sample_round(0)];
-        let json = round_stats_json("demo \"quoted\"", &[("MLlib*".to_owned(), &rounds[..])]);
-        assert!(json.starts_with("{\"report\":\"demo \\\"quoted\\\"\""));
-        assert!(json.contains("\"label\":\"MLlib*\""));
-        assert!(json.contains("\"compute_s\":0.6"));
-        assert!(json.contains("\"broadcast\":100"));
-        assert!(json.contains("\"total\":300"));
-        // Balanced braces/brackets (cheap well-formedness probe).
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "{json}");
-    }
-
-    #[test]
-    fn serve_stats_json_is_well_formed() {
-        let s = ServeSummary {
-            shards: 4,
-            requests: 1024,
-            batches: 40,
-            mean_fill: 0.8,
-            mean_queue_depth: 2.5,
-            throughput_rps: 18_000.0,
-            queue_p: [1e-4, 2e-4, 4e-4],
-            score_p: [1e-5, 2e-5, 2e-5],
-            merge_p: [5e-6, 5e-6, 5e-6],
-        };
-        let json = serve_stats_json("serve demo", &[("shards=4".to_owned(), s)]);
-        assert!(json.starts_with("{\"report\":\"serve demo\""));
-        assert!(json.contains("\"label\":\"shards=4\""));
-        assert!(json.contains("\"shards\":4"));
-        assert!(json.contains("\"requests\":1024"));
-        assert!(json.contains("\"mean_fill\":0.8"));
-        assert!(json.contains("\"throughput_rps\":18000"));
-        assert!(json.contains("\"queue\":{\"p50\":0.0001"));
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "{json}");
-    }
-
-    #[test]
-    fn path_stats_json_is_well_formed() {
-        let s = PathCvSummary {
-            executors: 4,
-            folds: 5,
-            n_lambdas: 20,
-            l1_ratio: 1.0,
-            lambda_max: 0.25,
-            best_lambda: 0.025,
-            best_lambda_idx: 12,
-            best_val_loss: 0.31,
-            total_sweeps: 840,
-            jobs: 100,
-            makespan_s: 1.75,
-            wall_ms: 12.5,
-        };
-        let json = path_stats_json("path demo", &[("E=4".to_owned(), s)]);
-        assert!(json.starts_with("{\"report\":\"path demo\""));
-        assert!(json.contains("\"label\":\"E=4\""));
-        assert!(json.contains("\"executors\":4"));
-        assert!(json.contains("\"best_lambda\":0.025"));
-        assert!(json.contains("\"total_sweeps\":840"));
-        assert!(json.contains("\"makespan_s\":1.75"));
-        let opens = json.matches(['{', '[']).count();
-        let closes = json.matches(['}', ']']).count();
-        assert_eq!(opens, closes, "{json}");
-    }
-
-    #[test]
-    fn json_mode_toggles() {
-        assert!(!json_mode());
-        set_json_mode(true);
-        assert!(json_mode());
-        set_json_mode(false);
+    fn json_writer_emits_exactly_this() {
+        let v = Json::obj([
+            ("name", "say \"hi\"\nbye\\".into()),
+            ("nan", f64::NAN.into()),
+            ("max", u64::MAX.into()),
+            (
+                "nested",
+                Json::obj([("xs", Json::arr([0.5, -2.0, 1e-7], Json::from))]),
+            ),
+            ("empty", Json::Arr(Vec::new())),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            concat!(
+                r#"{"name":"say \"hi\"\nbye\\","nan":null,"max":18446744073709551615,"#,
+                r#""nested":{"xs":[0.5,-2,0.0000001]},"empty":[]}"#
+            )
+        );
     }
 
     #[test]
     fn artifacts_are_written() {
         std::env::set_var("MLSTAR_OUT", std::env::temp_dir().join("mlstar_bench_test"));
         let p = write_artifact("probe.csv", "a,b\n1,2\n");
-        assert!(p.exists());
         assert_eq!(std::fs::read_to_string(&p).unwrap(), "a,b\n1,2\n");
+        std::fs::remove_file(p).ok();
+        let p = write_json("probe.json", &Json::obj([("n", 1u64.into())]));
+        assert_eq!(std::fs::read_to_string(&p).unwrap(), "{\"n\":1}\n");
         std::fs::remove_file(p).ok();
         std::env::remove_var("MLSTAR_OUT");
     }

@@ -27,7 +27,7 @@ use crate::time::SimDuration;
 pub struct RateSample {
     /// Modeled floating-point operations of the shipped ops.
     pub flops: f64,
-    /// Serialized payload bytes, both directions.
+    /// Encoded payload bytes, both directions.
     pub bytes: f64,
     /// Protocol messages exchanged (request + reply = 2 per batch).
     pub messages: f64,
@@ -44,6 +44,12 @@ pub struct FittedRates {
     pub bandwidth_bps: f64,
     /// Per-message latency, seconds (x₃ directly).
     pub latency_s: f64,
+    /// Which coefficients the fit did **not** identify, in column order
+    /// `[flops, bytes, messages]`: least squares returned a non-positive
+    /// value there and the rate above is the physical floor, kept only so
+    /// [`FittedRates::cluster`] stays usable. Report such a rate as
+    /// clamped, never as a measurement.
+    pub clamped: [bool; 3],
 }
 
 /// Floors keeping a near-singular fit physical: no coefficient may imply
@@ -92,13 +98,13 @@ pub fn fit_rates(samples: &[RateSample]) -> Option<FittedRates> {
         }
     }
     let x = solve3(ata, atb)?;
-    let secs_per_flop = x[0].max(MIN_SECS_PER_FLOP);
-    let secs_per_byte = x[1].max(MIN_SECS_PER_BYTE);
-    let secs_per_msg = x[2].max(MIN_SECS_PER_MSG);
+    let floors = [MIN_SECS_PER_FLOP, MIN_SECS_PER_BYTE, MIN_SECS_PER_MSG];
+    let clamped = [x[0] < floors[0], x[1] < floors[1], x[2] < floors[2]];
     Some(FittedRates {
-        gflops: 1.0 / (secs_per_flop * 1e9),
-        bandwidth_bps: 1.0 / secs_per_byte,
-        latency_s: secs_per_msg,
+        gflops: 1.0 / (x[0].max(floors[0]) * 1e9),
+        bandwidth_bps: 1.0 / x[1].max(floors[1]),
+        latency_s: x[2].max(floors[2]),
+        clamped,
     })
 }
 
@@ -163,6 +169,7 @@ mod tests {
             r.bandwidth_bps
         );
         assert!((r.latency_s - 2e-4).abs() < 1e-10, "lat = {}", r.latency_s);
+        assert_eq!(r.clamped, [false; 3]);
     }
 
     #[test]
@@ -191,8 +198,40 @@ mod tests {
         });
         let r = fit_rates(&samples).expect("still full rank");
         assert!(r.latency_s >= MIN_SECS_PER_MSG);
+        assert!(r.clamped.contains(&true), "{:?}", r.clamped);
         assert!(r.gflops.is_finite() && r.gflops > 0.0);
         assert!(r.bandwidth_bps.is_finite() && r.bandwidth_bps > 0.0);
+    }
+
+    #[test]
+    fn unidentified_bandwidth_is_flagged_not_reported_as_a_rate() {
+        // A balanced run: every worker ships bytes in proportion to its
+        // flops, so the byte column is a multiple of the flop column and
+        // carries no information of its own.
+        let balanced: Vec<RateSample> = (1..30)
+            .map(|i| {
+                let f = 1e6 * i as f64;
+                sample(f, 4e-3 * f, 2.0 + (i % 4) as f64)
+            })
+            .collect();
+        // Exactly collinear: either refused as rank-deficient or flagged,
+        // never two unflagged rates.
+        if let Some(r) = fit_rates(&balanced) {
+            assert!(r.clamped[0] || r.clamped[1], "{r:?}");
+        }
+        // One worker that shipped 1 % more bytes and happened to answer a
+        // microsecond sooner is then all the fit knows about bandwidth:
+        // the byte coefficient comes out negative.
+        let mut jittered = balanced;
+        jittered.push(RateSample {
+            bytes: 1.01 * 4e-3 * 5e6,
+            seconds: sample(5e6, 4e-3 * 5e6, 3.0).seconds - 1e-6,
+            ..sample(5e6, 0.0, 3.0)
+        });
+        let r = fit_rates(&jittered).expect("full rank");
+        assert_eq!(r.clamped, [false, true, false]);
+        assert_eq!(r.bandwidth_bps, 1.0 / MIN_SECS_PER_BYTE);
+        assert!((r.latency_s - 2e-4).abs() < 1e-6, "lat = {}", r.latency_s);
     }
 
     #[test]
@@ -201,6 +240,7 @@ mod tests {
             gflops: 3.5,
             bandwidth_bps: 2e8,
             latency_s: 1e-4,
+            clamped: [false; 3],
         };
         let c = r.cluster(4);
         assert_eq!(c.num_executors(), 4);

@@ -1,12 +1,11 @@
 //! Gantt-chart recording: the instrumentation behind Figure 3.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::time::SimTime;
 
 /// A node in the simulated cluster, for span labeling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// The Spark driver.
     Driver,
@@ -27,7 +26,7 @@ impl fmt::Display for NodeId {
 }
 
 /// The activity occupying a node during a span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activity {
     /// Local gradient/model computation.
     Compute,
@@ -63,7 +62,7 @@ pub enum Activity {
 /// the transfer they model; they are charged to
 /// [`ActivityKind::Communication`] because the transfer dominates and the
 /// span exists only because data moved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivityKind {
     /// Local gradient/model/server computation.
     Compute,
@@ -153,7 +152,7 @@ impl Activity {
 }
 
 /// One recorded activity span.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// The node performing the activity.
     pub node: NodeId,

@@ -39,7 +39,6 @@
 //! assert!(gantt.busy_time(NodeId::Driver) > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod barrier;

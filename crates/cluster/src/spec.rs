@@ -1,13 +1,12 @@
 //! Cluster, node, network and straggler specifications.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::rng::{lognormal, SeedStream};
 use crate::time::SimDuration;
 
 /// Compute characteristics of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     /// Sustained floating-point rate in GFLOP/s applied to training math.
     pub gflops: f64,
@@ -27,7 +26,7 @@ impl NodeSpec {
 }
 
 /// Network characteristics (homogeneous full-duplex links).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkSpec {
     /// Per-link bandwidth in bytes/second.
     pub bandwidth_bps: f64,
@@ -55,7 +54,7 @@ impl NetworkSpec {
 
 /// Per-task slowdown model: the source of the `max`-over-workers barrier
 /// cost that limits BSP scalability (Figure 6's second explanation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StragglerModel {
     /// All tasks run at nominal speed.
     None,
@@ -78,7 +77,7 @@ impl StragglerModel {
 }
 
 /// A complete simulated cluster: one driver plus `k` executors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// The driver node (also the master in Algorithm 2).
     pub driver: NodeSpec,

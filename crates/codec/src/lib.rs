@@ -18,7 +18,6 @@
 //! bad magic, unsupported version, truncation, and checksum mismatch — so
 //! callers can report *why* a file was refused, not merely that it was.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -20,7 +20,7 @@ use crate::wire;
 pub use crate::wire::FrameSwitch;
 
 /// How a vector is sparsified before encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Sparsifier {
     /// Keep every stored (bitwise-nonzero) coordinate — lossless, so the
     /// sparse frame decodes bit-identically to the input.
@@ -40,7 +40,7 @@ pub enum Sparsifier {
 }
 
 /// Compression policy for the collectives' update exchange.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompressionConfig {
     /// Frame-kind policy. [`FrameSwitch::Dense`] (the default) disables
     /// compression entirely and keeps the legacy dense path, which is

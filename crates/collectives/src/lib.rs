@@ -51,7 +51,6 @@
 //! assert!(bytes_moved > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod allgather;

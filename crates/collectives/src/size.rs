@@ -1,25 +1,25 @@
 //! Message-size model.
 
-/// Serialized size of a dense vector of `dim` `f64` coordinates, plus a
+/// Encoded size of a dense vector of `dim` `f64` coordinates, plus a
 /// small frame header.
 pub fn dense_bytes(dim: usize) -> usize {
     dim * 8 + 16
 }
 
-/// Serialized size of a sparse vector with `nnz` stored entries
+/// Encoded size of a sparse vector with `nnz` stored entries
 /// (4-byte index + 8-byte value each), plus a frame header.
 pub fn sparse_bytes(nnz: usize) -> usize {
     nnz * 12 + 16
 }
 
-/// Serialized size of an 8-bit quantized dense vector: one level byte
+/// Encoded size of an 8-bit quantized dense vector: one level byte
 /// per coordinate, plus the frame header and the 16-byte `[lo, hi]`
 /// dequantization range.
 pub fn quantized_dense_bytes(dim: usize) -> usize {
     dim + 32
 }
 
-/// Serialized size of an 8-bit quantized sparse vector with `nnz`
+/// Encoded size of an 8-bit quantized sparse vector with `nnz`
 /// stored entries (4-byte index + 1-byte level each), plus the frame
 /// header and the 16-byte `[lo, hi]` dequantization range.
 pub fn quantized_sparse_bytes(nnz: usize) -> usize {

@@ -424,7 +424,7 @@ pub fn frame_kind(frame: &[u8]) -> Option<u8> {
 
 /// Per-payload dense↔sparse switch for the real wire path
 /// ([`encode_adaptive`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrameSwitch {
     /// Always ship the dense frame (the legacy format; bit-compatible
     /// with every pre-compression decoder).

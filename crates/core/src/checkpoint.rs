@@ -145,7 +145,7 @@ pub(crate) fn config_digest(cfg: &TrainConfig) -> u64 {
     fnv1a(format!("{canon:?}").as_bytes())
 }
 
-/// Serialized engine-side state of a BSP run at a round boundary: the
+/// Encoded engine-side state of a BSP run at a round boundary: the
 /// simulated clock, the global superstep counter, both RNG streams
 /// mid-stride, and every recorded Gantt span. The per-step accumulators
 /// (phases / bytes / flops) are always drained at a round boundary, so

@@ -140,7 +140,7 @@ impl LocalPasses {
         updates
     }
 
-    /// Serializes the epoch streams mid-stride and the update counters.
+    /// Encodes the epoch streams mid-stride and the update counters.
     pub fn save_state(&self, w: &mut Writer) {
         w.put_u64(self.orders.len() as u64);
         for order in &self.orders {

@@ -8,7 +8,6 @@
 
 use mlstar_data::SparseDataset;
 use mlstar_sim::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::{AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput};
 
@@ -28,7 +27,7 @@ struct Entry {
 }
 
 /// One row of a [`ComparisonReport`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComparisonRow {
     /// System display name.
     pub system: String,
@@ -47,7 +46,7 @@ pub struct ComparisonRow {
 }
 
 /// The outcome of [`Comparison::run`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComparisonReport {
     /// The common target: best objective over all runs plus the threshold.
     pub target: f64,

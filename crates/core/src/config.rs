@@ -3,12 +3,11 @@
 use mlstar_collectives::CompressionConfig;
 use mlstar_glm::{GlmModel, LearningRate, Loss, Regularizer};
 use mlstar_sim::GanttRecorder;
-use serde::{Deserialize, Serialize};
 
 use crate::{ConvergenceTrace, RoundStats};
 
 /// How the SendModel systems combine worker models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MaWeighting {
     /// Plain model averaging (the paper's MLlib\* default).
     #[default]
@@ -21,7 +20,7 @@ pub enum MaWeighting {
 }
 
 /// Configuration shared by every distributed trainer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// The loss (the paper trains hinge-loss SVMs).
     pub loss: Loss,
@@ -166,7 +165,7 @@ impl TrainConfig {
 }
 
 /// Extra configuration for the parameter-server systems.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PsSystemConfig {
     /// Number of server shards.
     pub num_servers: usize,
@@ -192,7 +191,7 @@ impl Default for PsSystemConfig {
 }
 
 /// Extra configuration for Angel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AngelConfig {
     /// Number of server shards.
     pub num_servers: usize,
@@ -224,7 +223,7 @@ impl Default for AngelConfig {
 /// downstream consumer (the `mlstar-serve` artifact registry) needs to
 /// identify where a model came from without holding the full
 /// [`TrainOutput`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainProvenance {
     /// Display name of the system that trained the model (round-trips
     /// through [`crate::System`]'s `Display`/`FromStr` pair).

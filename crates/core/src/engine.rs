@@ -29,7 +29,6 @@ use mlstar_sim::{
     Activity, CostModel, GanttRecorder, NodeId, PhaseTotals, RoundBuilder, SeedStream, SimTime,
 };
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use std::path::Path;
 
 use crate::checkpoint::{
@@ -47,7 +46,7 @@ use crate::{ConvergenceTrace, System, TracePoint, TrainConfig, TrainOutput};
 /// Tree-aggregate combine work and the `spark.ml` scalar gathers are
 /// counted under `tree_aggregate` (they serialize at the driver the same
 /// way).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommBytes {
     /// Driver → executors model broadcast.
     pub broadcast: u64,
@@ -83,7 +82,7 @@ impl CommBytes {
 /// workers overlap under SSP) `elapsed_s` is *defined* as the per-worker
 /// average busy + idle time within the clock, so the identity holds by
 /// construction there too.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RoundStats {
     /// 0-based communication step (BSP round / PS global clock).
     pub round: u64,
@@ -371,7 +370,7 @@ pub(crate) trait RoundStrategy {
         round: u64,
     ) -> Option<u64>;
 
-    /// Serializes everything the strategy needs to resume bit-exactly at
+    /// Encodes everything the strategy needs to resume bit-exactly at
     /// a round boundary: model weights, per-worker RNG streams mid-stride,
     /// update counters, optimizer history. Scratch buffers that every
     /// step fully overwrites before reading are deliberately excluded.

@@ -6,12 +6,11 @@
 //! as well as staleness."
 
 use mlstar_glm::LearningRate;
-use serde::{Deserialize, Serialize};
 
 use crate::{TrainConfig, TrainOutput};
 
 /// One hyperparameter combination.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridPoint {
     /// Constant learning rate η.
     pub eta: f64,
@@ -25,7 +24,7 @@ pub struct GridPoint {
 }
 
 /// The search space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSearch {
     /// Candidate learning rates.
     pub etas: Vec<f64>,

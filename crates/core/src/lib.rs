@@ -35,7 +35,6 @@
 //! assert!(out.trace.final_objective().unwrap() < 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod angel;

@@ -23,7 +23,6 @@ use mlstar_data::SparseDataset;
 use mlstar_glm::lbfgs_direction;
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{put_vector, read_vector};
 use crate::common::{eval_objective, BspHarness};
@@ -35,7 +34,7 @@ use crate::exec::{
 use crate::{System, TrainConfig, TrainOutput};
 
 /// Extra configuration for the `spark.ml` L-BFGS trainer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparkMlConfig {
     /// Number of `(s, y)` correction pairs kept (spark.ml default: 10).
     pub history: usize,

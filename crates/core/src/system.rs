@@ -6,7 +6,6 @@ use std::path::Path;
 use mlstar_codec::CodecError;
 use mlstar_data::{DatasetFingerprint, SparseDataset};
 use mlstar_sim::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 use crate::angel::train_angel_ckpt;
 use crate::checkpoint::{config_digest, CheckpointState, PsCkptRun, TrainCheckpoint};
@@ -26,7 +25,7 @@ use crate::{
 type CkptArgs<'a> = (&'a Path, Option<CheckpointState>);
 
 /// The six distributed training systems compared in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum System {
     /// Spark MLlib: SendGradient + driver + treeAggregate.
     Mllib,

@@ -1,10 +1,9 @@
 //! Convergence traces: the data behind every figure in the evaluation.
 
 use mlstar_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One evaluation point along a training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Communication step (MLlib-family round or PS global clock).
     pub step: u64,
@@ -17,7 +16,7 @@ pub struct TracePoint {
 }
 
 /// The convergence curve of one system on one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceTrace {
     /// System name (e.g. `"MLlib*"`).
     pub system: String,

@@ -17,13 +17,11 @@
 //! (kdd12 and WX are scaled 2000× to keep full benchmark sweeps fast;
 //! their determined shape and relative model sizes are preserved.)
 
-use serde::{Deserialize, Serialize};
-
 use crate::SyntheticConfig;
 
 /// Original Table I statistics for a paper dataset, for side-by-side
 /// reporting in the Table I benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaperDatasetStats {
     /// Dataset name as it appears in the paper.
     pub name: &'static str,
@@ -161,6 +159,20 @@ pub fn wx_like() -> SyntheticConfig {
     }
 }
 
+/// The preset a command line names (`avazu`, `url`, `kddb`, `kdd12`,
+/// `wx`), or `None` for anything else. Every binary that takes a preset
+/// name resolves it here, so a typo is an error instead of a default.
+pub fn preset(name: &str) -> Option<SyntheticConfig> {
+    match name {
+        "avazu" => Some(avazu_like()),
+        "url" => Some(url_like()),
+        "kddb" => Some(kddb_like()),
+        "kdd12" => Some(kdd12_like()),
+        "wx" => Some(wx_like()),
+        _ => None,
+    }
+}
+
 /// The four public presets in Figure 4/5 order.
 pub fn public_presets() -> Vec<SyntheticConfig> {
     vec![avazu_like(), url_like(), kddb_like(), kdd12_like()]
@@ -196,6 +208,16 @@ mod tests {
         check(kddb_like(), true);
         check(kdd12_like(), false);
         check(wx_like(), false);
+    }
+
+    #[test]
+    fn preset_names_resolve_and_typos_do_not() {
+        for cfg in all_presets() {
+            let short = cfg.name.trim_end_matches("-like");
+            assert_eq!(preset(short), Some(cfg));
+        }
+        assert_eq!(preset("kdd"), None);
+        assert_eq!(preset("avazu-like"), None);
     }
 
     #[test]

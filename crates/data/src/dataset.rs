@@ -1,13 +1,12 @@
 //! In-memory sparse classification datasets.
 
 use mlstar_linalg::SparseVector;
-use serde::{Deserialize, Serialize};
 
 use crate::DataError;
 
 /// A sparse classification dataset: one [`SparseVector`] row per example
 /// plus a `±1` label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseDataset {
     num_features: usize,
     rows: Vec<SparseVector>,
@@ -15,7 +14,7 @@ pub struct SparseDataset {
 }
 
 /// Summary statistics in the shape of the paper's Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetStats {
     /// Number of examples (`#Instances` in Table I).
     pub instances: usize,

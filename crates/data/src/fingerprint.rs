@@ -1,7 +1,6 @@
 //! Content fingerprints of datasets.
 
 use mlstar_codec::Fnv1a;
-use serde::{Deserialize, Serialize};
 
 use crate::SparseDataset;
 
@@ -12,7 +11,7 @@ use crate::SparseDataset;
 /// Used by both the serve-side artifact codec (a model must score the
 /// feature space it was trained on) and the training checkpoint codec (a
 /// resumed run must see bit-identical data or the replay is meaningless).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetFingerprint {
     /// Feature dimensionality the model expects.
     pub features: usize,

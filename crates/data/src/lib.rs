@@ -35,7 +35,6 @@
 //! assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), ds.len());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod batch;

@@ -121,7 +121,7 @@ pub fn write<W: Write>(dataset: &SparseDataset, mut writer: W) -> Result<(), Dat
     Ok(())
 }
 
-/// Serializes a dataset to a LIBSVM string.
+/// Writes a dataset as a LIBSVM string.
 pub fn write_string(dataset: &SparseDataset) -> String {
     let mut buf = Vec::new();
     write(dataset, &mut buf).expect("writing to a Vec cannot fail"); // lint:allow(panic_in_lib): Vec<u8> io::Write is infallible

@@ -9,13 +9,12 @@
 use mlstar_linalg::SparseVector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::synthetic::{normal, power_law_index};
 use crate::{DataError, SparseDataset};
 
 /// A sparse multiclass dataset with labels in `0..num_classes`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MulticlassDataset {
     num_features: usize,
     num_classes: u32,
@@ -123,7 +122,7 @@ impl MulticlassDataset {
 
 /// Seeded generator of multiclass problems: `C` planted linear scorers,
 /// labels = argmax score (+ Gaussian noise per scorer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MulticlassConfig {
     /// Dataset name.
     pub name: String,

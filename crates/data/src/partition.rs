@@ -3,7 +3,6 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A strategy for assigning dataset rows to `k` workers.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// partitions are i.i.d. samples of the data, so the shuffled strategy is
 /// the default for the systems in `mlstar-core` (matching the paper's
 /// footnote that data "need to be randomly shuffled and distributed").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Partitioner {
     /// Contiguous blocks: worker `r` gets rows `[r·n/k, (r+1)·n/k)`.
     Contiguous,

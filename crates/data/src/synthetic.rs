@@ -16,12 +16,11 @@
 use mlstar_linalg::SparseVector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::SparseDataset;
 
 /// Configuration for the synthetic generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Human-readable name (used in benchmark tables, e.g. `"avazu-like"`).
     pub name: String,

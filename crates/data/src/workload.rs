@@ -10,10 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The ML systems in Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MlSystem {
     /// TensorFlow (51% in the paper's survey).
     TensorFlow,
@@ -46,7 +45,7 @@ impl MlSystem {
 }
 
 /// One ML training job on the platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Job {
     /// Job identifier.
     pub id: u64,
@@ -60,7 +59,7 @@ pub struct Job {
 }
 
 /// Configuration of the trace generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of jobs to generate.
     pub num_jobs: usize,
@@ -85,7 +84,7 @@ impl Default for WorkloadConfig {
 }
 
 /// Share analysis of a trace: the regenerated Figure 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShareReport {
     /// `(system, job share)` rows in [`MlSystem::ALL`] order.
     pub system_shares: Vec<(MlSystem, f64)>,

@@ -9,13 +9,12 @@
 //! `spark.ml`-style driver loop lives in `mlstar-core`.
 
 use mlstar_linalg::{DenseVector, SparseVector};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 use crate::{batch_gradient_into, objective_value, GlmModel, Loss, Regularizer};
 
 /// Configuration for [`Lbfgs`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LbfgsConfig {
     /// The loss function.
     pub loss: Loss,

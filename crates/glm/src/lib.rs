@@ -52,7 +52,6 @@
 //! assert!(result.final_objective < 0.1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cd;

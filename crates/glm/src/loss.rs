@@ -1,7 +1,5 @@
 //! Loss functions for GLM training.
 
-use serde::{Deserialize, Serialize};
-
 /// A GLM loss function `l(m, y)` of the margin `m = w·x` and label `y`.
 ///
 /// Binary labels are encoded as `±1.0` (hinge and logistic); the squared
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Dispatch is by `enum` rather than trait object so that the per-example
 /// hot loops fully inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Loss {
     /// Hinge loss `max(0, 1 - y·m)` — linear SVM, the model trained in the
     /// paper's evaluation.

@@ -1,13 +1,11 @@
 //! Learning-rate schedules for (S)GD.
 
-use serde::{Deserialize, Serialize};
-
 /// A learning-rate schedule `η(t)` where `t` is a 0-based update counter.
 ///
 /// MLlib's `GradientDescent` uses `η₀/√(t+1)` per iteration; constant rates
 /// are common for model-averaging systems. Both are provided, plus two
 /// extras used in the ablation benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LearningRate {
     /// Constant `η₀`.
     Constant(f64),

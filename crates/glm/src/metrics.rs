@@ -8,7 +8,6 @@
 
 use crate::GlmModel;
 use mlstar_linalg::{DenseVector, SparseVector};
-use serde::{Deserialize, Serialize};
 
 /// The margins `w·x` of every row — the single scoring loop all metrics
 /// share.
@@ -98,7 +97,7 @@ pub fn auc_from_scores(scores: &[f64], labels: &[f64]) -> f64 {
 }
 
 /// A binary confusion matrix for `{−1, +1}` labels.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BinaryConfusion {
     /// Positive examples predicted positive.
     pub tp: u64,

@@ -1,7 +1,6 @@
 //! The GLM model: a weight vector with prediction helpers.
 
 use mlstar_linalg::{DenseVector, SparseVector};
-use serde::{Deserialize, Serialize};
 
 /// A linear model `w` for GLMs.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// data, there is no separate intercept term: datasets that need a bias
 /// carry an always-one feature column instead (the synthetic generators in
 /// `mlstar-data` can add one).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlmModel {
     weights: DenseVector,
 }

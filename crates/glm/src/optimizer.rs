@@ -6,12 +6,11 @@ use mlstar_linalg::DenseVector;
 use mlstar_linalg::SparseVector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::{mgd_step, objective_value, GlmModel, LearningRate, Loss, Regularizer};
 
 /// Configuration for [`MiniBatchGd`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MgdConfig {
     /// The loss function.
     pub loss: Loss,
@@ -51,7 +50,7 @@ impl Default for MgdConfig {
 }
 
 /// The result of a sequential optimization run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OptimizerResult {
     /// The final model.
     pub model: GlmModel,

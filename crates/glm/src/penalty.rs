@@ -16,7 +16,6 @@
 //! drift apart between the solvers.
 
 use mlstar_linalg::DenseVector;
-use serde::{Deserialize, Serialize};
 
 use crate::regularizer::SignumOrZero;
 use crate::Regularizer;
@@ -104,7 +103,7 @@ impl Penalty for Regularizer {
 /// glmnet-style lambda paths sweep. Kept separate from [`Regularizer`]
 /// (rather than grown into the enum) so the enum's seven bit-pinned
 /// trainers never see a new variant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElasticNet {
     /// Overall strength λ ≥ 0.
     pub lambda: f64,

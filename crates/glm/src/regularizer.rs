@@ -1,14 +1,13 @@
 //! Regularization terms `Ω(w)` and their update rules.
 
 use mlstar_linalg::DenseVector;
-use serde::{Deserialize, Serialize};
 
 /// The regularization term `Ω(w)` of the objective
 /// `f(w, X) = l(w, X) + Ω(w)`.
 ///
 /// The paper evaluates SVMs with `L2 = 0` and `L2 = 0.1`; L1 is provided as
 /// the natural extension (the paper's Eq. 1 names both).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Regularizer {
     /// No regularization (`Ω = 0`). The "L2 = 0" setting of the paper.
     None,

@@ -8,8 +8,6 @@
 //! `O(nnz(column))`, with per-column squared norms precomputed because the
 //! CD step size for feature `j` is proportional to `‖x_j‖₂²`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::SparseVector;
 
 /// A sparse matrix in compressed-sparse-column form.
@@ -18,7 +16,7 @@ use crate::SparseVector;
 /// indices are stored as `u32` (the same width [`SparseVector`] uses for
 /// feature indices), which caps the number of examples at `u32::MAX` —
 /// far above anything the simulated clusters process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
     n_rows: usize,
     n_cols: usize,

@@ -1,7 +1,5 @@
 //! Dense `f64` vectors used for models and aggregated gradients.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{LinalgError, SparseVector};
 
 /// A dense vector of `f64` values.
@@ -20,7 +18,7 @@ use crate::{LinalgError, SparseVector};
 /// w.axpy(-0.1, &g); // w -= 0.1 * g
 /// assert_eq!(w.as_slice(), &[-0.1, 0.0, 0.2, -0.05]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DenseVector {
     values: Vec<f64>,
 }
@@ -409,18 +407,5 @@ mod tests {
         assert_eq!(v.get(1), 7.0);
         v.set(2, -1.0);
         assert_eq!(v.get(2), -1.0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let v = DenseVector::from_vec(vec![1.5, -2.5]);
-        let json = serde_json_like(&v);
-        assert!(json.contains("1.5"));
-    }
-
-    // serde is exercised through bincode-like roundtrips elsewhere; here we
-    // only check that Serialize is derived and produces output.
-    fn serde_json_like(v: &DenseVector) -> String {
-        format!("{:?}", v)
     }
 }

@@ -18,11 +18,9 @@
 //!   rows, with cached per-column norms. This is the feature-major view the
 //!   coordinate-descent solver in `mlstar-glm` sweeps over.
 //!
-//! All types are deterministic, `serde`-serializable, and carry explicit
-//! invariants that are checked in debug builds and exercised by property
-//! tests.
+//! All types are deterministic and carry explicit invariants that are
+//! checked in debug builds and exercised by property tests.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod csc;

@@ -1,7 +1,5 @@
 //! Lazily-scaled dense vectors: the representation behind sparse L2 updates.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DenseVector, SparseVector};
 
 /// Threshold below which the lazy scale factor is folded back into the
@@ -34,7 +32,7 @@ const RESCALE_THRESHOLD: f64 = 1e-9;
 /// assert_eq!(w.get(1), 1.0);
 /// assert_eq!(w.to_dense().as_slice(), &[0.0, 1.0, 0.0, 0.0]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScaledVector {
     scale: f64,
     v: DenseVector,

@@ -1,7 +1,5 @@
 //! Sorted sparse vectors used for training examples.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{DenseVector, LinalgError};
 
 /// A sparse vector with strictly increasing indices.
@@ -19,7 +17,7 @@ use crate::{DenseVector, LinalgError};
 ///
 /// These are enforced by [`SparseVector::new`] / [`SparseVector::from_pairs`]
 /// and assumed (checked only via `debug_assert!`) by the hot-path kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SparseVector {
     dim: usize,
     indices: Vec<u32>,

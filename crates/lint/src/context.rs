@@ -24,9 +24,6 @@ pub struct FileContext {
     /// top-level `mllib-star` package.
     pub crate_name: String,
     pub role: FileRole,
-    /// Whether this file is the crate root (`src/lib.rs` or `src/main.rs`)
-    /// and therefore must carry `#![forbid(unsafe_code)]`.
-    pub is_crate_root: bool,
     /// Workspace-relative path, forward slashes.
     pub rel_path: String,
 }
@@ -102,12 +99,9 @@ pub fn classify(rel_path: &str) -> Option<FileContext> {
         FileRole::Bin
     };
 
-    let is_crate_root = rest == "src/lib.rs" || rest == "src/main.rs";
-
     Some(FileContext {
         crate_name,
         role,
-        is_crate_root,
         rel_path: rel_path.to_string(),
     })
 }
@@ -121,20 +115,13 @@ mod tests {
         let ctx = classify("crates/glm/src/sgd.rs").unwrap();
         assert_eq!(ctx.crate_name, "glm");
         assert_eq!(ctx.role, FileRole::Lib);
-        assert!(!ctx.is_crate_root);
         assert!(ctx.is_sim_critical());
-    }
-
-    #[test]
-    fn crate_roots_are_flagged() {
-        assert!(classify("crates/data/src/lib.rs").unwrap().is_crate_root);
-        assert!(classify("crates/bench/src/main.rs").is_none_or(|c| c.is_crate_root));
     }
 
     #[test]
     fn bins_tests_examples_benches() {
         assert_eq!(
-            classify("crates/bench/src/bin/calibrate.rs").unwrap().role,
+            classify("crates/bench/src/bin/exhibit.rs").unwrap().role,
             FileRole::Bin
         );
         assert_eq!(
@@ -155,7 +142,6 @@ mod tests {
     fn root_package_files() {
         let ctx = classify("src/lib.rs").unwrap();
         assert_eq!(ctx.crate_name, "root");
-        assert!(ctx.is_crate_root);
         assert!(!ctx.is_sim_critical());
     }
 

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! mlstar-lint: the workspace's own static analyzer.
 //!
 //! The reproduction's headline claim is *bit-reproducible* distributed GLM
@@ -25,7 +24,6 @@
 //! | `lock_order` | functions holding two locks, workspace-wide |
 //! | `hot_loop_alloc` | loop bodies in designated hot-path modules |
 //! | `duplicate_hash_impl` | any crate except mlstar-codec |
-//! | `forbid_unsafe_missing` | every crate root |
 //! | `panic_in_lib` | non-test library code (waivable) |
 //! | `float_eq` | non-test lib/bin code (literal/constant comparisons) |
 //! | `print_in_lib` | library code outside crates/bench |
@@ -154,9 +152,6 @@ pub fn analyze_sources(sources: Vec<(FileContext, String)>) -> ScanReport {
     });
     timed("duplicate_hash_impl", &mut timings, || {
         rules::pass_duplicate_hash_impl(&mut units, &mut violations)
-    });
-    timed("forbid_unsafe_missing", &mut timings, || {
-        rules::pass_forbid_unsafe(&mut units, &mut violations)
     });
     timed("panic_in_lib", &mut timings, || {
         rules::pass_panic_in_lib(&mut units, &mut violations)

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! CLI for mlstar-lint. See `--help`.
 
 use std::path::PathBuf;

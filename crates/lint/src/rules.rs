@@ -44,8 +44,6 @@ pub enum RuleId {
     HotLoopAlloc,
     /// A private FNV-1a implementation outside `mlstar-codec`.
     DuplicateHashImpl,
-    /// Crate root missing `#![forbid(unsafe_code)]`.
-    ForbidUnsafeMissing,
     /// `.unwrap()` / `.expect(` in non-test library code without a waiver.
     PanicInLib,
     /// Bare `==` / `!=` against float literals or float constants in
@@ -78,7 +76,6 @@ impl RuleId {
         RuleId::LockOrder,
         RuleId::HotLoopAlloc,
         RuleId::DuplicateHashImpl,
-        RuleId::ForbidUnsafeMissing,
         RuleId::PanicInLib,
         RuleId::FloatEq,
         RuleId::PrintInLib,
@@ -97,7 +94,6 @@ impl RuleId {
             RuleId::LockOrder => "lock_order",
             RuleId::HotLoopAlloc => "hot_loop_alloc",
             RuleId::DuplicateHashImpl => "duplicate_hash_impl",
-            RuleId::ForbidUnsafeMissing => "forbid_unsafe_missing",
             RuleId::PanicInLib => "panic_in_lib",
             RuleId::FloatEq => "float_eq",
             RuleId::PrintInLib => "print_in_lib",
@@ -125,7 +121,6 @@ impl RuleId {
             RuleId::LockOrder => "two functions acquire the same lock pair in opposite orders",
             RuleId::HotLoopAlloc => "allocation inside a loop body in a hot-path module",
             RuleId::DuplicateHashImpl => "private FNV-1a implementation outside mlstar-codec",
-            RuleId::ForbidUnsafeMissing => "crate root missing #![forbid(unsafe_code)]",
             RuleId::PanicInLib => ".unwrap()/.expect( in non-test library code (waivable)",
             RuleId::FloatEq => "bare ==/!= against float literals/constants outside tests",
             RuleId::PrintInLib => "print!/println! in library code outside crates/bench",
@@ -153,7 +148,6 @@ impl RuleId {
                 "loop bodies in `linalg`, `glm::{cd, gradient, lazy_l1, lbfgs, optimizer, path, sgd}`, `serve::engine`, `core::exec`"
             }
             RuleId::DuplicateHashImpl => "every crate except `codec`",
-            RuleId::ForbidUnsafeMissing => "every crate root",
             RuleId::PanicInLib => "non-test library code",
             RuleId::FloatEq => "non-test lib/bin code",
             RuleId::PrintInLib => "library code except crates/bench",
@@ -299,7 +293,7 @@ fn parse_waiver_tail(tail: &str) -> Result<RuleId, String> {
             known.join(", ")
         ));
     };
-    if rule == RuleId::InvalidWaiver || rule == RuleId::ForbidUnsafeMissing {
+    if rule == RuleId::InvalidWaiver {
         return Err(format!("rule `{name}` cannot be waived"));
     }
     let after = &rest[close + 1..];
@@ -319,27 +313,6 @@ fn parse_waiver_tail(tail: &str) -> Result<RuleId, String> {
 // ---------------------------------------------------------------------------
 // Per-file line-level passes
 // ---------------------------------------------------------------------------
-
-pub(crate) fn pass_forbid_unsafe(units: &mut [FileUnit], out: &mut Vec<Violation>) {
-    for unit in units.iter() {
-        if !unit.ctx.is_crate_root {
-            continue;
-        }
-        let has = unit.lines.iter().any(|l| {
-            let compact: String = l.code.chars().filter(|c| !c.is_whitespace()).collect();
-            compact.contains("#![forbid(unsafe_code)]")
-        });
-        if !has {
-            out.push(Violation {
-                file: unit.ctx.rel_path.clone(),
-                line: 1,
-                rule: RuleId::ForbidUnsafeMissing,
-                message: "crate root must declare #![forbid(unsafe_code)]".to_string(),
-                path: Vec::new(),
-            });
-        }
-    }
-}
 
 pub(crate) fn pass_ambient_rand(units: &mut [FileUnit], out: &mut Vec<Violation>) {
     for unit in units.iter_mut() {
@@ -926,8 +899,6 @@ mod tests {
             .collect()
     }
 
-    const ROOT_OK: &str = "#![forbid(unsafe_code)]\n";
-
     #[test]
     fn hashmap_fires_only_in_sim_critical_crates() {
         let src = "use std::collections::HashMap;\n";
@@ -947,10 +918,7 @@ mod tests {
             rules_fired("crates/bench/src/x.rs", src),
             Vec::<&str>::new()
         );
-        assert_eq!(
-            rules_fired("src/lib.rs", &format!("{ROOT_OK}{src}")),
-            Vec::<&str>::new()
-        );
+        assert_eq!(rules_fired("src/lib.rs", src), Vec::<&str>::new());
     }
 
     #[test]
@@ -1100,25 +1068,6 @@ pub fn kernel(rows: &[Vec<f64>]) -> f64 {\n    let mut scratch = Vec::new();\n  
         let fired = rules_fired("crates/data/src/x.rs", src);
         assert_eq!(fired, vec!["duplicate_hash_impl", "duplicate_hash_impl"]);
         assert!(rules_fired("crates/codec/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn missing_forbid_unsafe_fires_on_crate_roots_only() {
-        assert_eq!(
-            rules_fired("crates/data/src/lib.rs", "pub fn f() {}\n"),
-            vec!["forbid_unsafe_missing"]
-        );
-        assert!(rules_fired("crates/data/src/other.rs", "pub fn f() {}\n").is_empty());
-        assert!(rules_fired("crates/data/src/lib.rs", ROOT_OK).is_empty());
-    }
-
-    #[test]
-    fn forbid_unsafe_in_comment_does_not_count() {
-        let src = "// #![forbid(unsafe_code)]\npub fn f() {}\n";
-        assert_eq!(
-            rules_fired("crates/data/src/lib.rs", src),
-            vec!["forbid_unsafe_missing"]
-        );
     }
 
     #[test]

@@ -275,7 +275,7 @@ fn mark_test_regions(mut lines: Vec<Line>) -> Vec<Line> {
             match c {
                 '#' if chars.get(i + 1) == Some(&'[') || starts_with_inner_attr(&chars, i) => {
                     // `#![…]` inner attributes never gate items; skip them
-                    // so `#![forbid(unsafe_code)]` cannot trip attr logic.
+                    // so `#![warn(missing_docs)]` cannot trip attr logic.
                     if chars.get(i + 1) == Some(&'!') {
                         i += 1;
                         continue;

@@ -59,7 +59,6 @@
 //! assert!(run.wall_s > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

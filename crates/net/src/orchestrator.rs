@@ -29,9 +29,9 @@ pub struct WorkerBatchStats {
     /// Modeled floating-point work of those ops (same formulas the
     /// simulator charges).
     pub flops: f64,
-    /// Serialized bytes orchestrator → worker.
+    /// Encoded bytes orchestrator → worker.
     pub bytes_out: u64,
-    /// Serialized bytes worker → orchestrator.
+    /// Encoded bytes worker → orchestrator.
     pub bytes_in: u64,
     /// Protocol messages exchanged (request + reply).
     pub messages: u64,

@@ -1,7 +1,5 @@
 //! Consistency protocols: BSP, SSP and ASP admission control.
 
-use serde::{Deserialize, Serialize};
-
 /// The consistency controller deciding when a worker may start its next
 /// clock tick, given the slowest worker's progress.
 ///
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// consistency controllers to implement different communication schemes
 /// such as BSP, SSP, and ASP, by enabling or disabling requests from
 /// workers."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Consistency {
     /// Bulk Synchronous Parallel: a worker may start tick `c` only after
     /// every worker has completed tick `c − 1` (equivalent to SSP with

@@ -59,7 +59,6 @@
 //! assert_eq!(model.as_slice(), &[3.0, 3.0]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod consistency;

@@ -1,12 +1,11 @@
 //! The sharded global model and its update schemes.
 
 use mlstar_linalg::DenseVector;
-use serde::{Deserialize, Serialize};
 
 use crate::KeyRouter;
 
 /// How servers fold a worker's push into the global model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregation {
     /// *Model summation* (original Petuum): the push payload is a **delta**
     /// (`w_local − w_pulled`, or `−η·g` accumulated) that servers add to

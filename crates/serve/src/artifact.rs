@@ -29,7 +29,6 @@ use mlstar_core::{TrainConfig, TrainOutput, TrainProvenance};
 use mlstar_data::SparseDataset;
 use mlstar_glm::GlmModel;
 use mlstar_linalg::DenseVector;
-use serde::{Deserialize, Serialize};
 
 use crate::ServeError;
 
@@ -42,7 +41,7 @@ pub const ARTIFACT_MAGIC: u32 = 0x4D4C_5341;
 pub const CODEC_VERSION: u32 = 2;
 
 /// A versioned, self-describing trained-model artifact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelArtifact {
     weights: DenseVector,
     fingerprint: DatasetFingerprint,

@@ -23,7 +23,6 @@
 use mlstar_glm::GlmModel;
 use mlstar_linalg::SparseVector;
 use mlstar_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::{BatchRecord, ModelArtifact, ServeError, ServeTelemetry};
 
@@ -39,7 +38,7 @@ pub struct ScoreRequest {
 }
 
 /// One scored result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prediction {
     /// The request id this result answers.
     pub id: u64,
@@ -53,7 +52,7 @@ pub struct Prediction {
 
 /// Micro-batch formation policy: close a batch at `max_batch` requests or
 /// `max_delay` after its oldest request arrived, whichever is first.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPolicy {
     /// Maximum requests per batch.
     pub max_batch: usize,
@@ -72,7 +71,7 @@ impl Default for BatchPolicy {
 }
 
 /// The deterministic cost model behind the virtual-latency telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoreCostModel {
     /// Modeled shard arithmetic throughput (flops/s); a margin costs
     /// `2·nnz + 1` flops.

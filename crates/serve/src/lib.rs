@@ -75,7 +75,6 @@
 //! assert!(run.telemetry.throughput_rps() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod artifact;

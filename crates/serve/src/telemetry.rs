@@ -8,7 +8,6 @@
 //! only in the bench crate.
 
 use mlstar_sim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Number of finite histogram buckets.
 const NUM_BUCKETS: usize = 48;
@@ -19,7 +18,7 @@ const FIRST_BOUND_S: f64 = 1e-6;
 /// A fixed-bucket latency histogram: 48 geometric buckets doubling from
 /// 1 µs, plus an overflow bucket. Fixed buckets keep percentile reports
 /// comparable across runs and configurations (no adaptive resizing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     overflow: u64,
@@ -121,7 +120,7 @@ impl LatencyHistogram {
 }
 
 /// Telemetry for one scored micro-batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchRecord {
     /// Batch sequence number (0-based, formation order).
     pub index: u64,
@@ -146,7 +145,7 @@ pub struct BatchRecord {
 }
 
 /// Aggregate telemetry for one serving run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServeTelemetry {
     /// Requests scored.
     pub requests: u64,

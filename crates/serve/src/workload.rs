@@ -14,12 +14,11 @@
 use mlstar_data::{RowSampler, SparseDataset};
 use mlstar_sim::{SeedStream, SimDuration, SimTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::ScoreRequest;
 
 /// Configuration of a seeded open-loop query workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryWorkload {
     /// Total requests to generate.
     pub num_requests: usize,

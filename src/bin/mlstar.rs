@@ -150,14 +150,8 @@ fn cmd_generate(opts: &Options) -> Result<(), String> {
     let preset_name = opts.require("preset")?;
     let out = opts.require("out")?;
     let scale: usize = opts.get_parsed("scale", 1)?;
-    let preset = match preset_name {
-        "avazu" => catalog::avazu_like(),
-        "url" => catalog::url_like(),
-        "kddb" => catalog::kddb_like(),
-        "kdd12" => catalog::kdd12_like(),
-        "wx" => catalog::wx_like(),
-        other => return Err(format!("unknown preset {other:?}")),
-    };
+    let preset =
+        catalog::preset(preset_name).ok_or_else(|| format!("unknown preset {preset_name:?}"))?;
     let ds = preset.scaled_down(scale).generate();
     std::fs::write(out, libsvm::write_string(&ds)).map_err(|e| e.to_string())?;
     let stats = ds.stats();

@@ -25,8 +25,6 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory and the per-experiment index.
 
-#![forbid(unsafe_code)]
-
 pub use mlstar_codec as codec;
 pub use mlstar_collectives as collectives;
 pub use mlstar_core as core;

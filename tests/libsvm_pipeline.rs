@@ -10,7 +10,7 @@ use mllib_star::sim::ClusterSpec;
 fn train_on_roundtripped_libsvm_data_matches_direct_training() {
     let ds = SyntheticConfig::small("libsvm-e2e", 300, 40).generate();
 
-    // Serialize to LIBSVM text and parse it back.
+    // Write as LIBSVM text and parse it back.
     let text = libsvm::write_string(&ds);
     let reloaded = libsvm::read_str(&text, ds.num_features()).expect("roundtrip parses");
     assert_eq!(ds, reloaded);

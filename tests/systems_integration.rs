@@ -223,3 +223,52 @@ fn traces_serialize_to_csv() {
     };
     assert_eq!(reparsed.points.len(), out.trace.points.len());
 }
+
+/// The comm contract (`exhibit comm --quick` asserts the same on the same
+/// run): on an L1 run that converges onto a sparse support, the lossless
+/// adaptive dense↔sparse switch changes bytes, never math.
+#[test]
+fn adaptive_frames_match_dense_bit_for_bit_at_a_fifth_of_the_bytes() {
+    use mllib_star::collectives::{CompressionConfig, FrameSwitch};
+    use mllib_star::sim::{NetworkSpec, NodeSpec};
+
+    let mut syn = SyntheticConfig::small("comm-bench", 240, 256);
+    syn.informative_features = 256 / 32;
+    syn.popular_fraction = 0.9;
+    let ds = syn.generate();
+    let cluster = ClusterSpec::uniform(4, NodeSpec::standard(), NetworkSpec::gbps1());
+    let run = |switch: FrameSwitch| {
+        let cfg = TrainConfig {
+            loss: Loss::Hinge,
+            reg: Regularizer::L1 { lambda: 0.2 },
+            lr: LearningRate::InvSqrt(0.1),
+            max_rounds: 6,
+            seed: 42,
+            compression: CompressionConfig {
+                switch,
+                ..CompressionConfig::default()
+            },
+            ..TrainConfig::default()
+        };
+        let out = System::MllibStar.train_default(&ds, &cluster, &cfg);
+        let bits: Vec<u64> = out
+            .model
+            .weights()
+            .as_slice()
+            .iter()
+            .map(|w| w.to_bits())
+            .collect();
+        let bytes: u64 = out.round_stats.iter().map(|rs| rs.bytes.total()).sum();
+        (bits, bytes)
+    };
+    let (dense_bits, dense_bytes) = run(FrameSwitch::Dense);
+    let (adaptive_bits, adaptive_bytes) = run(FrameSwitch::Adaptive);
+    assert_eq!(
+        adaptive_bits, dense_bits,
+        "the lossless switch changed the model"
+    );
+    assert!(
+        adaptive_bytes * 5 <= dense_bytes,
+        "adaptive moved {adaptive_bytes} bytes, dense {dense_bytes}: less than 5× fewer"
+    );
+}
