@@ -13,7 +13,7 @@
 //! The second half pins the failure taxonomy: corrupt files, wrong-system
 //! / wrong-config / wrong-dataset resumes, and diverging PS replays must
 //! each surface their own `CheckpointError` variant, never a silently
-//! different run.
+//! different run. Two known-answer tests pin the MLSC bytes themselves.
 
 use std::path::{Path, PathBuf};
 
@@ -417,6 +417,67 @@ fn checkpoint_keep_change_does_not_invalidate_resume() {
     let resumed = resume_from(System::MllibStar, &ds, &rekept, &dir, 4);
     assert_identical(&reference, &resumed, "resume with rotation enabled");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// KAT: the MLSC layout of a parameter-server anchor, pinned byte for
+/// byte — a Petuum run over a two-feature dataset, anchored at clock 1.
+/// The frame decodes and re-encodes to the same bytes.
+#[test]
+fn ps_anchor_checkpoint_bytes_are_pinned() {
+    let mut gen = SyntheticConfig::small("ckpt-golden", 40, 2);
+    gen.margin_noise = 0.05;
+    gen.flip_prob = 0.0;
+    let ds = gen.generate();
+    let cfg = TrainConfig {
+        max_rounds: 1,
+        checkpoint_every: 1,
+        ..config(42)
+    };
+    let dir = scratch_dir("anchor_golden");
+    train_reference(System::Petuum, &ds, &cfg, &dir);
+    let bytes = std::fs::read(checkpoint_path(&dir, System::Petuum, 1)).unwrap();
+    assert_eq!(
+        hex(&bytes),
+        "43534c4d01000000590000000000000006a7bd02f67657ad\
+        060050657475756d360fbda8bbd6b94502000000000000002800000000000000\
+        12b9562426110883010100000000000000040b3d000000000008000000000000\
+        000200000000000000cdccccccccccacbf9a999999999999bf"
+    );
+    let ckpt = TrainCheckpoint::decode(&bytes).unwrap();
+    assert!(ckpt.is_ps_anchor());
+    assert_eq!((ckpt.system(), ckpt.rounds_done()), ("Petuum", 1));
+    assert_eq!(ckpt.encode(), bytes);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Length and FNV-1a of the first checkpoint file (round 2) each of the
+/// seven systems writes in the seed-42 run above: every BSP strategy
+/// payload and every PS anchor, pinned without spelling out kilobytes.
+#[test]
+fn first_checkpoint_files_are_pinned() {
+    use mllib_star::codec::fnv1a;
+
+    let pinned = [
+        (System::Mllib, 5230, 0x0699_4b2f_d824_0183),
+        (System::MllibMa, 5297, 0xf3be_6389_32f6_c729),
+        (System::MllibStar, 3399, 0xf4a1_3516_d9d0_8819),
+        (System::SparkMl, 10595, 0x7722_d234_f05a_67b3),
+        (System::Petuum, 337, 0x6cb6_e994_c3d1_e900),
+        (System::PetuumStar, 338, 0xbe0b_2093_1fa3_e1cf),
+        (System::Angel, 336, 0xd507_8dd5_2b26_5cba),
+    ];
+    let ds = dataset();
+    for (system, len, hash) in pinned {
+        let dir = scratch_dir(&format!("pinned_{system:?}"));
+        train_reference(system, &ds, &config(42), &dir);
+        let bytes = std::fs::read(checkpoint_path(&dir, system, 2)).unwrap();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (len, hash), "{system}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]

@@ -7,13 +7,17 @@
 //! truncation point is detected, and any single flipped bit is refused
 //! (FNV-1a composes byte-injective steps with bijective mixing, so a
 //! one-byte change always changes the checksum). A final property checks
-//! the artifact layer end to end with adversarial weight bit patterns.
+//! the artifact layer end to end with adversarial weight bit patterns,
+//! and the known-answer tests at the end pin the MLSA artifact and MLSR
+//! registry layouts byte for byte.
 
 use mllib_star::codec::{decode_frame, encode_frame, CodecError, Reader, Writer, HEADER_LEN};
 use mllib_star::core::TrainProvenance;
 use mllib_star::glm::GlmModel;
 use mllib_star::linalg::DenseVector;
-use mllib_star::serve::{DatasetFingerprint, ModelArtifact, ARTIFACT_MAGIC, CODEC_VERSION};
+use mllib_star::serve::{
+    DatasetFingerprint, ModelArtifact, ModelRegistry, SnapshotWrite, ARTIFACT_MAGIC, CODEC_VERSION,
+};
 use proptest::prelude::*;
 
 const MAGIC: u32 = 0x4D4C_5399; // tests-only magic
@@ -200,4 +204,114 @@ proptest! {
             prop_assert!(ModelArtifact::decode(&frame).is_err());
         }
     }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn artifact(weights: Vec<f64>, final_objective: Option<f64>) -> ModelArtifact {
+    let dim = weights.len();
+    ModelArtifact::new(
+        &GlmModel::from_weights(DenseVector::from_vec(weights)),
+        DatasetFingerprint {
+            features: dim,
+            instances: 10,
+            content_hash: 0xABCD,
+        },
+        TrainProvenance {
+            system: "MLlib*".into(),
+            seed: 42,
+            rounds_run: 7,
+            total_updates: 99,
+            converged: final_objective.is_some(),
+            final_objective,
+            host_threads: 2,
+        },
+    )
+    .unwrap()
+}
+
+/// KAT: the MLSA artifact layout, whole frames, once with a final
+/// objective and once without. The absent objective is a zero flag byte
+/// followed by an always-written `f64`, so both frames have one length.
+#[test]
+fn artifact_frames_are_pinned() {
+    let cases = [
+        (
+            Some(0.5),
+            "41534c4d020000006a00000000000000d4eeeb85d3b18273\
+             06004d4c6c69622a2a0000000000000007000000000000006300000000000000\
+             0101000000000000e03f020000000000000003000000000000000a0000000000\
+             0000cdab0000000000000300000000000000000000000000f83f000000000000\
+             0080000000000000d03f",
+        ),
+        (
+            None,
+            "41534c4d020000006a000000000000004b9de43406161618\
+             06004d4c6c69622a2a0000000000000007000000000000006300000000000000\
+             00000000000000000000020000000000000003000000000000000a0000000000\
+             0000cdab0000000000000300000000000000000000000000f83f000000000000\
+             0080000000000000d03f",
+        ),
+    ];
+    for (objective, want) in cases {
+        let a = artifact(vec![1.5, -0.0, 0.25], objective);
+        let bytes = a.encode();
+        assert_eq!(hex(&bytes), want, "final_objective {objective:?}");
+        assert_eq!(ModelArtifact::decode(&bytes).unwrap(), a);
+    }
+}
+
+/// KAT: the MLSR registry snapshot — two model lines, one with a staged
+/// version — then the delta frame `append_file` writes past it after a
+/// promote and a publish. The chain decodes to the live registry.
+#[test]
+fn registry_snapshot_and_delta_frames_are_pinned() {
+    let mut reg = ModelRegistry::new();
+    reg.publish("a", artifact(vec![1.0], None)).unwrap();
+    reg.publish("a", artifact(vec![2.0], None)).unwrap();
+    reg.publish("b", artifact(vec![3.0], Some(0.25))).unwrap();
+    let dir = std::env::temp_dir().join("mlstar_registry_golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("registry.mlsr");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(reg.append_file(&path).unwrap(), SnapshotWrite::Rewritten);
+    let base = std::fs::read(&path).unwrap();
+    assert_eq!(
+        hex(&base),
+        "52534c4d01000000be010000000000003444d3aadcf8075d\
+        0200000000000000010061010000000000000001020000000000000002000000\
+        000000000100000000000000720000000000000041534c4d020000005a000000\
+        00000000ceb6d92c718a4b3e06004d4c6c69622a2a0000000000000007000000\
+        0000000063000000000000000000000000000000000002000000000000000100\
+        0000000000000a00000000000000cdab00000000000001000000000000000000\
+        00000000f03f0200000000000000720000000000000041534c4d020000005a00\
+        0000000000002ff3f12b71353b3d06004d4c6c69622a2a000000000000000700\
+        0000000000006300000000000000000000000000000000000200000000000000\
+        01000000000000000a00000000000000cdab0000000000000100000000000000\
+        0000000000000040010062010000000000000000010000000000000001000000\
+        00000000720000000000000041534c4d020000005a00000000000000d0afc3aa\
+        5c80cf7706004d4c6c69622a2a00000000000000070000000000000063000000\
+        000000000101000000000000d03f020000000000000001000000000000000a00\
+        000000000000cdab00000000000001000000000000000000000000000840"
+    );
+
+    reg.promote("a").unwrap();
+    reg.publish("b", artifact(vec![4.0], None)).unwrap();
+    assert_eq!(reg.append_file(&path).unwrap(), SnapshotWrite::Appended);
+    let chain = std::fs::read(&path).unwrap();
+    assert_eq!(&chain[..base.len()], &base[..]);
+    assert_eq!(
+        hex(&chain[base.len()..]),
+        "52534c4d01000000ba00000000000000045fb25d88a7dd7e\
+        0200000000000000010061020000000000000000000000000000000001006201\
+        0000000000000001020000000000000001000000000000000200000000000000\
+        720000000000000041534c4d020000005a000000000000001f9ac42b7155053d\
+        06004d4c6c69622a2a0000000000000007000000000000006300000000000000\
+        00000000000000000000020000000000000001000000000000000a0000000000\
+        0000cdab00000000000001000000000000000000000000001040"
+    );
+    assert_eq!(ModelRegistry::decode(&chain).unwrap(), reg);
+    std::fs::remove_file(&path).ok();
 }
