@@ -24,7 +24,7 @@ pub fn all_gather(
     assert_eq!(parts.len(), k, "one partition per executor required");
     let dim: usize = parts.iter().map(DenseVector::dim).sum();
     let max_part = parts.iter().map(DenseVector::dim).max().unwrap_or(0);
-    let part_bytes = crate::dense_bytes(max_part);
+    let part_bytes = crate::wire::encoded_dense_len(max_part);
 
     // Data: concatenate partitions in owner order.
     let mut model = DenseVector::zeros(dim);
@@ -75,7 +75,7 @@ mod tests {
         let mut rb = RoundBuilder::new(&mut g, 0, SimTime::ZERO, &nodes);
         let (model, bytes) = all_gather(&mut rb, &cost, &parts);
         assert_eq!(model.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(bytes, crate::dense_bytes(2) * 2 * 3);
+        assert_eq!(bytes, crate::wire::encoded_dense_len(2) * 2 * 3);
     }
 
     #[test]

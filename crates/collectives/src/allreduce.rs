@@ -29,7 +29,7 @@ pub fn reduce_scatter_average(
     assert_eq!(locals.len(), k, "one local model per executor required");
     let dim = locals[0].dim();
     let ranges = partition_ranges(dim, k);
-    let part_bytes = crate::partition_bytes(dim, k);
+    let part_bytes = crate::wire::partition_bytes(dim, k);
     let inv_k = 1.0 / k as f64;
 
     // Data: owner r averages slice ranges[r] over all local models.
@@ -240,8 +240,8 @@ mod tests {
         let (_, bytes) = all_reduce_average(&mut rb, &cost, &vs);
         // Exactly 2·(k−1)·m (each of the two shuffle phases moves k−1
         // partition payloads per executor); the paper rounds this to 2km.
-        let m = crate::dense_bytes(dim) as f64;
-        let expected = 2 * (k - 1) * k * crate::partition_bytes(dim, k);
+        let m = crate::wire::encoded_dense_len(dim) as f64;
+        let expected = 2 * (k - 1) * k * crate::wire::partition_bytes(dim, k);
         assert_eq!(bytes, expected);
         let ratio = bytes as f64 / (2.0 * k as f64 * m);
         assert!(

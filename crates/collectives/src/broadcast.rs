@@ -12,7 +12,7 @@ use mlstar_sim::{Activity, CostModel, NodeId, RoundBuilder};
 /// Returns the number of bytes moved (`k · m`).
 pub fn broadcast_model(rb: &mut RoundBuilder<'_>, cost: &CostModel, dim: usize) -> usize {
     let k = cost.num_executors();
-    let bytes = crate::dense_bytes(dim);
+    let bytes = crate::wire::encoded_dense_len(dim);
     rb.work(
         NodeId::Driver,
         Activity::Broadcast,
@@ -43,7 +43,7 @@ mod tests {
         let (mut g, cost, nodes) = harness(8);
         let mut rb = RoundBuilder::new(&mut g, 0, SimTime::ZERO, &nodes);
         let moved = broadcast_model(&mut rb, &cost, 1000);
-        assert_eq!(moved, 8 * crate::dense_bytes(1000));
+        assert_eq!(moved, 8 * crate::wire::encoded_dense_len(1000));
     }
 
     #[test]

@@ -58,7 +58,6 @@ mod allreduce;
 mod broadcast;
 mod compress;
 mod ring;
-mod size;
 mod tree;
 pub mod wire;
 
@@ -67,8 +66,5 @@ pub use allreduce::{all_reduce_average, compressed_all_reduce_average, reduce_sc
 pub use broadcast::broadcast_model;
 pub use compress::{compress_update, CompressionConfig, EncodedUpdate, Sparsifier};
 pub use ring::ring_all_reduce_average;
-pub use size::{
-    dense_bytes, partition_bytes, quantized_dense_bytes, quantized_sparse_bytes, sparse_bytes,
-};
 pub use tree::tree_aggregate;
 pub use wire::FrameSwitch;

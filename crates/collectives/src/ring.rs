@@ -41,7 +41,7 @@ pub fn ring_all_reduce_average(
     }
 
     let ranges = partition_ranges(dim, k);
-    let part_bytes = crate::partition_bytes(dim, k);
+    let part_bytes = crate::wire::partition_bytes(dim, k);
     let max_part = ranges.iter().map(|r| r.len()).max().unwrap_or(0);
 
     // Time: 2(k−1) ring steps. In each step every node sends one

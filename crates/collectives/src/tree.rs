@@ -42,7 +42,7 @@ pub fn tree_aggregate(
     );
     assert!(fanin >= 2, "fan-in must be at least 2");
     let dim = inputs[0].dim();
-    let bytes = crate::dense_bytes(dim);
+    let bytes = crate::wire::encoded_dense_len(dim);
     let mut total_bytes = 0usize;
 
     // (executor index, partial sum) for every current holder. Borrowed at
@@ -158,7 +158,7 @@ mod tests {
         let (mut g, cost, nodes) = harness(k);
         let mut rb = RoundBuilder::new(&mut g, 0, SimTime::ZERO, &nodes);
         let (_, bytes) = tree_aggregate(&mut rb, &cost, &vs, 16, Activity::SendGradient);
-        assert_eq!(bytes, k * crate::dense_bytes(100));
+        assert_eq!(bytes, k * crate::wire::encoded_dense_len(100));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Wire encoding for vectors crossing the (simulated) network.
 //!
-//! The size model in [`crate::dense_bytes`] / [`crate::sparse_bytes`] /
-//! [`crate::quantized_dense_bytes`] / [`crate::quantized_sparse_bytes`] is
-//! not a guess: it is the exact length of this encoding (16-byte header +
-//! packed little-endian payload). The collectives charge simulated time
-//! from those sizes; this module provides the actual round-trippable
-//! bytes for users persisting models or bridging to real transports.
+//! The collectives charge simulated time from [`encoded_dense_len`] /
+//! [`encoded_sparse_len`] / [`encoded_qdense_len`] / [`encoded_qsparse_len`]
+//! — the exact length of this encoding (16-byte header + packed
+//! little-endian payload), defined once next to the encoders — and this
+//! module provides the actual round-trippable bytes the real transport
+//! ships.
 //!
 //! Layout (all little-endian; `pad` and `reserved` must be zero):
 //!
@@ -132,28 +132,39 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Exact encoded length of a dense vector — equals
-/// [`crate::dense_bytes`]`(dim)`.
+/// Exact encoded length of a dense vector of `dim` coordinates.
 pub fn encoded_dense_len(dim: usize) -> usize {
     HEADER_LEN + dim * 8
 }
 
-/// Exact encoded length of a sparse vector — equals
-/// [`crate::sparse_bytes`]`(nnz)`.
+/// Exact encoded length of a sparse vector with `nnz` stored entries
+/// (4-byte index + 8-byte value each).
 pub fn encoded_sparse_len(nnz: usize) -> usize {
     HEADER_LEN + nnz * 12
 }
 
-/// Exact encoded length of a quantized dense vector — equals
-/// [`crate::quantized_dense_bytes`]`(dim)`.
+/// Exact encoded length of a quantized dense vector: the `[lo, hi]`
+/// range, then one level byte per coordinate.
 pub fn encoded_qdense_len(dim: usize) -> usize {
     HEADER_LEN + 16 + dim
 }
 
-/// Exact encoded length of a quantized sparse vector — equals
-/// [`crate::quantized_sparse_bytes`]`(nnz)`.
+/// Exact encoded length of a quantized sparse vector: the `[lo, hi]`
+/// range, then a 4-byte index and a 1-byte level per stored entry.
 pub fn encoded_qsparse_len(nnz: usize) -> usize {
     HEADER_LEN + 16 + nnz * 5
+}
+
+/// Encoded length of the largest partition's dense frame when a
+/// `dim`-dimensional model is split across `k` owners — what the slowest
+/// link carries.
+///
+/// # Panics
+///
+/// Panics if `k == 0`.
+pub fn partition_bytes(dim: usize, k: usize) -> usize {
+    assert!(k > 0, "cannot partition across zero owners");
+    encoded_dense_len(dim.div_ceil(k))
 }
 
 /// Exact-vs-declared length check shared by every decoder: short frames
@@ -558,16 +569,27 @@ mod tests {
     }
 
     #[test]
-    fn sizes_match_the_cost_model() {
-        // The collectives' size model is the exact wire length.
-        for dim in [0usize, 1, 17, 4096] {
-            assert_eq!(encoded_dense_len(dim), crate::dense_bytes(dim));
-            assert_eq!(encoded_qdense_len(dim), crate::quantized_dense_bytes(dim));
-        }
-        for nnz in [0usize, 1, 23, 999] {
-            assert_eq!(encoded_sparse_len(nnz), crate::sparse_bytes(nnz));
-            assert_eq!(encoded_qsparse_len(nnz), crate::quantized_sparse_bytes(nnz));
-        }
+    fn encoded_lengths_are_pinned() {
+        assert_eq!(encoded_dense_len(0), 16);
+        assert_eq!(encoded_dense_len(1000), 8016);
+        assert_eq!(encoded_sparse_len(2), 40);
+        assert_eq!(encoded_qdense_len(1000), 1032);
+        assert_eq!(encoded_qsparse_len(2), 42);
+        assert!(encoded_qsparse_len(1000) < encoded_sparse_len(1000));
+        assert!(encoded_qdense_len(10_000) < encoded_dense_len(10_000) / 7);
+    }
+
+    #[test]
+    fn partition_is_roughly_dim_over_k() {
+        assert_eq!(partition_bytes(1000, 8), encoded_dense_len(125));
+        assert_eq!(partition_bytes(1001, 8), encoded_dense_len(126));
+        assert_eq!(partition_bytes(10, 16), encoded_dense_len(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero owners")]
+    fn zero_owners_panics() {
+        let _ = partition_bytes(10, 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! same average, and the wire encoding is consistent with the size model.
 
 use mlstar_collectives::{
-    all_reduce_average, broadcast_model, dense_bytes, ring_all_reduce_average, tree_aggregate, wire,
+    all_reduce_average, broadcast_model, ring_all_reduce_average, tree_aggregate, wire,
 };
 use mlstar_linalg::{average, DenseVector};
 use mlstar_sim::{
@@ -84,9 +84,9 @@ proptest! {
         let mut g = GanttRecorder::new();
         let mut rb = RoundBuilder::new(&mut g, 0, SimTime::ZERO, &all);
         let moved = broadcast_model(&mut rb, &cost, dim);
-        prop_assert_eq!(moved, k * dense_bytes(dim));
+        prop_assert_eq!(moved, k * wire::encoded_dense_len(dim));
         let frame = wire::encode_dense(&DenseVector::zeros(dim));
-        prop_assert_eq!(frame.len(), dense_bytes(dim));
+        prop_assert_eq!(frame.len(), wire::encoded_dense_len(dim));
     }
 
     /// Gantt spans recorded by a full round are well-formed: per-node

@@ -1,12 +1,12 @@
 //! Shared harness for the BSP (MLlib-family) trainers.
 
-use mlstar_codec::{CodecError, Reader, Writer};
+use mlstar_codec::{schema, CodecError};
 use mlstar_data::{EpochOrder, SparseDataset};
 use mlstar_glm::{objective_value, Loss, Regularizer};
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{pass_flops, Activity, ClusterSpec, CostModel, NodeId, SeedStream};
 
-use crate::checkpoint::read_rng_state;
+use crate::checkpoint::check_workers;
 use crate::engine::BspRound;
 use crate::exec::{dispatch, expect_model, to_wire_indices, ComputeBackend, WorkerOp};
 use crate::{MaWeighting, TrainConfig};
@@ -140,35 +140,42 @@ impl LocalPasses {
         updates
     }
 
-    /// Encodes the epoch streams mid-stride and the update counters.
-    pub fn save_state(&self, w: &mut Writer) {
-        w.put_u64(self.orders.len() as u64);
-        for order in &self.orders {
-            w.put_bytes(&order.export_state());
-        }
-        for &count in &self.counters {
-            w.put_u64(count);
+    /// The epoch streams mid-stride and the update counters.
+    pub fn state(&self) -> PassState {
+        PassState {
+            orders: self.orders.clone(),
+            counters: self.counters.clone(),
         }
     }
 
-    /// Restores what [`LocalPasses::save_state`] wrote.
-    pub fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
-        let k = r.u64()? as usize;
-        if k != self.orders.len() {
-            return Err(CodecError::Corrupt(format!(
-                "checkpoint has {k} workers, run has {}",
-                self.orders.len()
-            )));
-        }
-        for order in &mut self.orders {
-            let state = read_rng_state(r)?;
-            *order = EpochOrder::restore_state(&state)
-                .ok_or_else(|| CodecError::Corrupt("invalid epoch order state".into()))?;
-        }
-        for count in &mut self.counters {
-            *count = r.u64()?;
-        }
+    /// Resumes from what [`LocalPasses::state`] returned.
+    pub fn restore(&mut self, state: PassState) -> Result<(), CodecError> {
+        check_workers(state.orders.len(), self.orders.len())?;
+        self.orders = state.orders;
+        self.counters = state.counters;
         Ok(())
+    }
+}
+
+/// The part of [`LocalPasses`] a checkpoint carries: every worker's epoch
+/// stream, then every worker's update counter.
+pub(crate) struct PassState {
+    orders: Vec<EpochOrder>,
+    counters: Vec<u64>,
+}
+
+schema! {
+    pub(crate) record pass_state: PassState {
+        orders: list(epoch_order),
+        counters: counted(u64, orders.len()),
+    }
+}
+schema! {
+    map epoch_order: EpochOrder {
+        [u8; 41],
+        |o| o.export_state(),
+        |s| EpochOrder::restore_state(&s)
+            .ok_or_else(|| CodecError::Corrupt("invalid epoch order state".into())),
     }
 }
 

@@ -14,12 +14,12 @@
 //! One update per step is bottleneck **B1**; the driver-serialized
 //! broadcast/aggregate is bottleneck **B2**.
 
-use mlstar_codec::{CodecError, Reader, Writer};
+use mlstar_codec::{schema, CodecError, Reader, Writer};
 use mlstar_data::{BatchSampler, SparseDataset};
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId, SeedStream};
 
-use crate::checkpoint::{put_vector, read_rng_state, read_vector};
+use crate::checkpoint::{check_dim, check_workers, dense};
 use crate::common::BspHarness;
 use crate::engine::{RoundStrategy, StepCtx};
 use crate::exec::{dispatch, expect_grad, to_wire_indices, ComputeBackend, WorkerOp};
@@ -148,28 +148,36 @@ impl RoundStrategy for MllibStrategy<'_> {
         // The gradient buffers are scratch: every round clears or fully
         // overwrites them before reading, so only the model and the
         // per-worker sampler streams carry state across rounds.
-        put_vector(w, &self.w);
-        w.put_u64(self.samplers.len() as u64);
-        for sampler in &self.samplers {
-            w.put_bytes(&sampler.export_state());
-        }
+        let state = MllibState {
+            w: self.w.clone(),
+            samplers: self.samplers.clone(),
+        };
+        mllib_state::put(w, &state, ());
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
-        self.w = read_vector(r, self.w.dim())?;
-        let k = r.u64()? as usize;
-        if k != self.samplers.len() {
-            return Err(CodecError::Corrupt(format!(
-                "checkpoint has {k} workers, run has {}",
-                self.samplers.len()
-            )));
-        }
-        for sampler in &mut self.samplers {
-            let state = read_rng_state(r)?;
-            *sampler = BatchSampler::restore_state(&state)
-                .ok_or_else(|| CodecError::Corrupt("invalid batch sampler state".into()))?;
-        }
+        let state = mllib_state::get(r)?;
+        check_dim(&state.w, self.w.dim())?;
+        check_workers(state.samplers.len(), self.samplers.len())?;
+        (self.w, self.samplers) = (state.w, state.samplers);
         Ok(())
+    }
+}
+
+/// What an MLlib checkpoint carries: the model, then every worker's
+/// sampler stream mid-stride.
+struct MllibState {
+    w: DenseVector,
+    samplers: Vec<BatchSampler>,
+}
+
+schema! { record mllib_state: MllibState { w: dense, samplers: list(batch_sampler) } }
+schema! {
+    map batch_sampler: BatchSampler {
+        [u8; 41],
+        |s| s.export_state(),
+        |s| BatchSampler::restore_state(&s)
+            .ok_or_else(|| CodecError::Corrupt("invalid batch sampler state".into())),
     }
 }
 

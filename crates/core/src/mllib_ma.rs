@@ -13,13 +13,13 @@
 //! Many updates per step → far fewer steps to converge than MLlib; but the
 //! communication pattern still serializes at the driver.
 
-use mlstar_codec::{CodecError, Reader, Writer};
+use mlstar_codec::{schema, CodecError, Reader, Writer};
 use mlstar_data::SparseDataset;
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId};
 
-use crate::checkpoint::{put_vector, read_vector};
-use crate::common::{BspHarness, LocalPasses};
+use crate::checkpoint::{check_dim, dense};
+use crate::common::{pass_state, BspHarness, LocalPasses, PassState};
 use crate::engine::{RoundStrategy, StepCtx};
 use crate::exec::ComputeBackend;
 use crate::{System, TrainConfig, TrainOutput};
@@ -99,15 +99,29 @@ impl RoundStrategy for MllibMaStrategy<'_> {
     }
 
     fn save_state(&self, w: &mut Writer) {
-        put_vector(w, &self.w);
-        self.passes.save_state(w);
+        let state = MaState {
+            w: self.w.clone(),
+            passes: self.passes.state(),
+        };
+        ma_state::put(w, &state, ());
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
-        self.w = read_vector(r, self.w.dim())?;
-        self.passes.restore_state(r)
+        let state = ma_state::get(r)?;
+        check_dim(&state.w, self.w.dim())?;
+        self.w = state.w;
+        self.passes.restore(state.passes)
     }
 }
+
+/// What an MLlib+MA checkpoint carries: the model, then the local-pass
+/// streams and counters.
+struct MaState {
+    w: DenseVector,
+    passes: PassState,
+}
+
+schema! { record ma_state: MaState { w: dense, passes: pass_state } }
 
 /// Trains with MLlib + model averaging (driver-centric SendModel).
 ///

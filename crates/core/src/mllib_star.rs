@@ -14,14 +14,14 @@
 //! No driver on the critical path; same `≈ 2km` traffic as the
 //! driver-centric pattern but without NIC serialization.
 
-use mlstar_codec::{CodecError, Reader, Writer};
+use mlstar_codec::{schema, CodecError, Reader, Writer};
 use mlstar_collectives::CompressionConfig;
 use mlstar_data::SparseDataset;
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{pass_flops, ClusterSpec};
 
-use crate::checkpoint::{put_vector, read_vector};
-use crate::common::{BspHarness, LocalPasses};
+use crate::checkpoint::{check_dim, dense};
+use crate::common::{pass_state, BspHarness, LocalPasses, PassState};
 use crate::engine::{RoundStrategy, StepCtx};
 use crate::exec::ComputeBackend;
 use crate::{System, TrainConfig, TrainOutput};
@@ -112,32 +112,45 @@ impl RoundStrategy for MllibStarStrategy<'_> {
     }
 
     fn save_state(&self, w: &mut Writer) {
-        put_vector(w, &self.w);
-        self.passes.save_state(w);
-        // Error-feedback residuals carry un-shipped gradient mass across
-        // rounds, so a restore without them would change the math.
-        w.put_u64(self.residuals.len() as u64);
-        for res in &self.residuals {
-            put_vector(w, res);
-        }
+        let state = StarState {
+            w: self.w.clone(),
+            passes: self.passes.state(),
+            residuals: self.residuals.clone(),
+        };
+        star_state::put(w, &state, ());
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
-        self.w = read_vector(r, self.w.dim())?;
-        self.passes.restore_state(r)?;
-        let res_count = r.u64()? as usize;
+        let state = star_state::get(r)?;
+        let dim = self.w.dim();
+        check_dim(&state.w, dim)?;
+        let res_count = state.residuals.len();
         if res_count != 0 && res_count != self.h.k() {
             return Err(CodecError::Corrupt(format!(
                 "checkpoint has {res_count} error-feedback residuals, run has {} workers",
                 self.h.k()
             )));
         }
-        self.residuals = (0..res_count)
-            .map(|_| read_vector(r, self.w.dim()))
-            .collect::<Result<_, _>>()?;
-        Ok(())
+        for res in &state.residuals {
+            check_dim(res, dim)?;
+        }
+        self.w = state.w;
+        self.residuals = state.residuals;
+        self.passes.restore(state.passes)
     }
 }
+
+/// What an MLlib\* checkpoint carries: the model, the local-pass streams
+/// and counters, then the error-feedback residuals — they carry un-shipped
+/// gradient mass across rounds, so a restore without them would change
+/// the math.
+struct StarState {
+    w: DenseVector,
+    passes: PassState,
+    residuals: Vec<DenseVector>,
+}
+
+schema! { record star_state: StarState { w: dense, passes: pass_state, residuals: list(dense) } }
 
 /// Trains with MLlib\* (model averaging + AllReduce).
 ///

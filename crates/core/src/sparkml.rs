@@ -18,13 +18,13 @@
 //!   L-BFGS iterations are expensive in Spark;
 //! * convergence typically needs far fewer outer iterations than MGD.
 
-use mlstar_codec::{CodecError, Reader, Writer};
+use mlstar_codec::{schema, CodecError, Reader, Writer};
 use mlstar_data::SparseDataset;
 use mlstar_glm::lbfgs_direction;
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId};
 
-use crate::checkpoint::{put_vector, read_vector};
+use crate::checkpoint::{check_dim, dense};
 use crate::common::{eval_objective, BspHarness};
 use crate::engine::{expect_uncheckpointed, run_rounds, RoundStrategy, StepCtx};
 use crate::exec::{
@@ -291,40 +291,59 @@ impl RoundStrategy for SparkMlStrategy<'_> {
     }
 
     fn save_state(&self, w: &mut Writer) {
-        // L-BFGS holds no RNG of its own (stragglers live in the engine
-        // streams); its resumable state is the model, the warm gradient,
-        // the `(s, y)` correction history, and the cached objective.
-        put_vector(w, &self.w);
-        put_vector(w, &self.grad);
-        w.put_u64(self.pairs.len() as u64);
-        for (s, y) in &self.pairs {
-            put_vector(w, s);
-            put_vector(w, y);
-        }
-        w.put_f64(self.f);
+        let pairs = self.pairs.iter().map(|(s, y)| Pair {
+            s: s.clone(),
+            y: y.clone(),
+        });
+        let state = LbfgsState {
+            w: self.w.clone(),
+            grad: self.grad.clone(),
+            pairs: pairs.collect(),
+            f: self.f,
+        };
+        lbfgs_state::put(w, &state, ());
     }
 
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
-        let dim = self.w.dim();
-        self.w = read_vector(r, dim)?;
-        self.grad = read_vector(r, dim)?;
-        let n_pairs = r.u64()? as usize;
-        if n_pairs > self.ml.history {
+        let state = lbfgs_state::get(r)?;
+        if state.pairs.len() > self.ml.history {
             return Err(CodecError::Corrupt(format!(
-                "checkpoint holds {n_pairs} correction pairs, history is {}",
+                "checkpoint holds {} correction pairs, history is {}",
+                state.pairs.len(),
                 self.ml.history
             )));
         }
-        self.pairs.clear();
-        for _ in 0..n_pairs {
-            let s = read_vector(r, dim)?;
-            let y = read_vector(r, dim)?;
-            self.pairs.push((s, y));
+        let pairs = state.pairs.iter().flat_map(|p| [&p.s, &p.y]);
+        for v in [&state.w, &state.grad].into_iter().chain(pairs) {
+            check_dim(v, self.w.dim())?;
         }
-        self.f = r.f64()?;
+        self.w = state.w;
+        self.grad = state.grad;
+        self.pairs = state.pairs.into_iter().map(|p| (p.s, p.y)).collect();
+        self.f = state.f;
         Ok(())
     }
 }
+
+/// What a `spark.ml` checkpoint carries. L-BFGS holds no RNG of its own
+/// (stragglers live in the engine streams): its resumable state is the
+/// model, the warm gradient, the `(s, y)` correction history, and the
+/// cached objective.
+struct LbfgsState {
+    w: DenseVector,
+    grad: DenseVector,
+    pairs: Vec<Pair>,
+    f: f64,
+}
+
+/// One `(s, y)` correction pair.
+struct Pair {
+    s: DenseVector,
+    y: DenseVector,
+}
+
+schema! { record lbfgs_state: LbfgsState { w: dense, grad: dense, pairs: list(pair), f: f64 } }
+schema! { record pair: Pair { s: dense, y: dense } }
 
 /// Trains with distributed L-BFGS following `spark.ml`'s plan.
 ///

@@ -1,6 +1,6 @@
 //! Content fingerprints of datasets.
 
-use mlstar_codec::Fnv1a;
+use mlstar_codec::{schema, Fnv1a};
 
 use crate::SparseDataset;
 
@@ -41,6 +41,17 @@ impl DatasetFingerprint {
             instances: ds.len(),
             content_hash: h.finish(),
         }
+    }
+}
+
+schema! {
+    /// The fingerprint's payload layout — features, instances, content
+    /// hash as three `u64`s — shared by the artifact and checkpoint
+    /// codecs.
+    pub record fingerprint_codec: DatasetFingerprint {
+        features: usize,
+        instances: usize,
+        content_hash: u64,
     }
 }
 

@@ -51,7 +51,7 @@ pub mod workload;
 pub use batch::{BatchSampler, EpochOrder, RowSampler};
 pub use dataset::{DatasetStats, SparseDataset};
 pub use error::DataError;
-pub use fingerprint::DatasetFingerprint;
+pub use fingerprint::{fingerprint_codec, DatasetFingerprint};
 pub use multiclass::{MulticlassConfig, MulticlassDataset};
 pub use partition::Partitioner;
 pub use synthetic::SyntheticConfig;

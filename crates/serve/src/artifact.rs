@@ -8,25 +8,16 @@
 //! checkpoints — so every durable mlstar file fails loudly in the same
 //! ways.
 //!
-//! Payload layout (all little-endian, inside the standard codec frame):
-//!
-//! ```text
-//! system   : len u16 + UTF-8 bytes
-//! seed u64 | rounds_run u64 | total_updates u64
-//! converged u8 | has_final_objective u8
-//! final_objective f64
-//! host_threads u64
-//! fingerprint: features u64 | instances u64 | content_hash u64
-//! dim u64 | dim × f64 weights
-//! ```
-//!
-//! Version 2 added `host_threads` to the provenance section; version-1
-//! files are refused with [`ServeError::VersionMismatch`] rather than
-//! silently decoded with a guessed thread count.
+//! The payload layout is the `artifact` field list at the bottom of this
+//! file: the provenance (its final objective as a flag byte plus an
+//! always-written `f64`), the fingerprint, then the weights behind their
+//! count. Version 2 added `host_threads` to the provenance section;
+//! version-1 files are refused with [`ServeError::VersionMismatch`]
+//! rather than silently decoded with a guessed thread count.
 
-use mlstar_codec::{decode_frame, Reader, Writer, HEADER_LEN};
+use mlstar_codec::{decode_frame, schema, Reader, Writer, HEADER_LEN};
 use mlstar_core::{TrainConfig, TrainOutput, TrainProvenance};
-use mlstar_data::SparseDataset;
+use mlstar_data::{fingerprint_codec, SparseDataset};
 use mlstar_glm::GlmModel;
 use mlstar_linalg::DenseVector;
 
@@ -110,19 +101,7 @@ impl ModelArtifact {
     /// Encodes the artifact into its binary form.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::with_capacity(HEADER_LEN + 96 + self.weights.dim() * 8);
-        w.put_str16(&self.provenance.system);
-        w.put_u64(self.provenance.seed);
-        w.put_u64(self.provenance.rounds_run);
-        w.put_u64(self.provenance.total_updates);
-        w.put_u8(u8::from(self.provenance.converged));
-        w.put_u8(u8::from(self.provenance.final_objective.is_some()));
-        w.put_f64(self.provenance.final_objective.unwrap_or(0.0));
-        w.put_u64(self.provenance.host_threads as u64);
-        w.put_u64(self.fingerprint.features as u64);
-        w.put_u64(self.fingerprint.instances as u64);
-        w.put_u64(self.fingerprint.content_hash);
-        w.put_u64(self.weights.dim() as u64);
-        w.put_f64s(self.weights.as_slice());
+        artifact::put(&mut w, self, ());
         w.into_frame(ARTIFACT_MAGIC, CODEC_VERSION)
     }
 
@@ -131,40 +110,12 @@ impl ModelArtifact {
     pub fn decode(bytes: &[u8]) -> Result<ModelArtifact, ServeError> {
         let payload = decode_frame(bytes, ARTIFACT_MAGIC, CODEC_VERSION)?;
         let mut r = Reader::new(payload);
-        let system = r.str16()?;
-        let seed = r.u64()?;
-        let rounds_run = r.u64()?;
-        let total_updates = r.u64()?;
-        let converged = r.u8()? != 0;
-        let has_objective = r.u8()? != 0;
-        let objective = r.f64()?;
-        let host_threads = r.u64()? as usize;
-        let features = r.u64()? as usize;
-        let instances = r.u64()? as usize;
-        let content_hash = r.u64()?;
-        let dim = r.u64()? as usize;
-        if dim == 0 {
+        let artifact = artifact::get(&mut r)?;
+        if artifact.dim() == 0 {
             return Err(ServeError::EmptyModel);
         }
-        let weights = r.f64s(dim)?;
         r.finish()?;
-        Ok(ModelArtifact {
-            weights: DenseVector::from_vec(weights),
-            fingerprint: DatasetFingerprint {
-                features,
-                instances,
-                content_hash,
-            },
-            provenance: TrainProvenance {
-                system,
-                seed,
-                rounds_run,
-                total_updates,
-                converged,
-                final_objective: has_objective.then_some(objective),
-                host_threads,
-            },
-        })
+        Ok(artifact)
     }
 
     /// Writes the encoded artifact to a file.
@@ -178,6 +129,26 @@ impl ModelArtifact {
         ModelArtifact::decode(&std::fs::read(path)?)
     }
 }
+
+schema! {
+    record artifact: ModelArtifact {
+        provenance: provenance,
+        fingerprint: fingerprint_codec,
+        weights: weights,
+    }
+}
+schema! {
+    record provenance: TrainProvenance {
+        system: str16,
+        seed: u64,
+        rounds_run: u64,
+        total_updates: u64,
+        converged: bool,
+        final_objective: fixed_option(f64),
+        host_threads: usize,
+    }
+}
+schema! { map weights: DenseVector { f64s, |v| v.as_slice(), |x| Ok(DenseVector::from_vec(x)) } }
 
 #[cfg(test)]
 mod tests {

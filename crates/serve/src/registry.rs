@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use mlstar_codec::{decode_frame, Reader, Writer, HEADER_LEN};
+use mlstar_codec::{decode_frame, schema, Reader, Writer, HEADER_LEN};
 
 use crate::{ModelArtifact, ServeError};
 
@@ -244,35 +244,31 @@ impl ModelRegistry {
     /// persisted. With no base this is a full snapshot. Lines identical
     /// in both are omitted entirely.
     fn encode_delta(&self, base: Option<&ModelRegistry>) -> Vec<u8> {
-        let changed: Vec<(&String, &ModelEntry)> = self
+        let lines = self
             .entries
             .iter()
             .filter(|(name, entry)| base.and_then(|b| b.entries.get(*name)) != Some(entry))
+            .map(|(name, entry)| {
+                let persisted = base.and_then(|b| b.entries.get(name));
+                let versions = entry
+                    .versions
+                    .iter()
+                    .filter(|(v, _)| !persisted.is_some_and(|p| p.versions.contains_key(v)))
+                    .map(|(&version, artifact)| Version {
+                        version,
+                        artifact: artifact.encode(),
+                    })
+                    .collect();
+                Line {
+                    name: name.clone(),
+                    active: entry.active,
+                    staged: entry.staged,
+                    versions,
+                }
+            })
             .collect();
         let mut w = Writer::new();
-        w.put_u64(changed.len() as u64);
-        for (name, entry) in changed {
-            let persisted = base.and_then(|b| b.entries.get(name));
-            w.put_str16(name);
-            w.put_u64(entry.active);
-            match entry.staged {
-                Some(v) => {
-                    w.put_u8(1);
-                    w.put_u64(v);
-                }
-                None => w.put_u8(0),
-            }
-            let fresh: Vec<(&u64, &ModelArtifact)> = entry
-                .versions
-                .iter()
-                .filter(|(v, _)| !persisted.is_some_and(|p| p.versions.contains_key(v)))
-                .collect();
-            w.put_u64(fresh.len() as u64);
-            for (&version, artifact) in fresh {
-                w.put_u64(version);
-                w.put_blob64(&artifact.encode());
-            }
-        }
+        snapshot::put(&mut w, &Snapshot { lines }, ());
         w.into_frame(REGISTRY_MAGIC, REGISTRY_VERSION)
     }
 
@@ -409,6 +405,32 @@ fn frame_span(chunk: &[u8]) -> usize {
         .unwrap_or(chunk.len())
 }
 
+/// One snapshot or delta frame's payload: the model lines it touches.
+struct Snapshot {
+    lines: Vec<Line>,
+}
+
+/// One model line in a frame: its rollout pointers and the versions the
+/// frame adds, each a complete embedded artifact frame.
+struct Line {
+    name: String,
+    active: u64,
+    staged: Option<u64>,
+    versions: Vec<Version>,
+}
+
+/// One published version and its encoded artifact.
+struct Version {
+    version: u64,
+    artifact: Vec<u8>,
+}
+
+schema! { record snapshot: Snapshot { lines: list(line) } }
+schema! {
+    record line: Line { name: str16, active: u64, staged: option(u64), versions: list(version) }
+}
+schema! { record version: Version { version: u64, artifact: blob64 } }
+
 /// Decodes one frame payload and folds it into `entries`. The base frame
 /// must introduce each name once; delta frames may revisit a line to move
 /// its pointers and add versions, but never to re-publish a version the
@@ -419,19 +441,15 @@ fn apply_frame(
     is_base: bool,
 ) -> Result<(), ServeError> {
     let mut r = Reader::new(payload);
-    let n_entries = r.u64()?;
-    for _ in 0..n_entries {
-        let name = r.str16()?;
-        let active = r.u64()?;
-        let staged = match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            tag => {
-                return Err(ServeError::Corrupt(format!(
-                    "staged flag must be 0 or 1, found {tag}"
-                )))
-            }
-        };
+    let frame = snapshot::get(&mut r)?;
+    r.finish()?;
+    for Line {
+        name,
+        active,
+        staged,
+        versions,
+    } in frame.lines
+    {
         if is_base && entries.contains_key(&name) {
             return Err(ServeError::Corrupt(format!(
                 "registry repeats model name {name:?}"
@@ -444,10 +462,8 @@ fn apply_frame(
         });
         entry.active = active;
         entry.staged = staged;
-        let n_versions = r.u64()?;
-        for _ in 0..n_versions {
-            let version = r.u64()?;
-            let artifact = ModelArtifact::decode(r.blob64()?)?;
+        for Version { version, artifact } in versions {
+            let artifact = ModelArtifact::decode(&artifact)?;
             if let Some(first) = entry.versions.values().next() {
                 if artifact.dim() != first.dim() {
                     return Err(ServeError::Corrupt(format!(
@@ -464,7 +480,6 @@ fn apply_frame(
             }
         }
     }
-    r.finish()?;
     Ok(())
 }
 

@@ -1,6 +1,6 @@
 //! Property-based integration tests on distributed-training invariants.
 
-use mllib_star::collectives::{all_reduce_average, dense_bytes, partition_bytes};
+use mllib_star::collectives::{all_reduce_average, wire};
 use mllib_star::core::{train_mllib_ma, train_mllib_star, TrainConfig};
 use mllib_star::data::{Partitioner, SyntheticConfig};
 use mllib_star::glm::{objective_value, LearningRate, Loss, Regularizer};
@@ -41,9 +41,9 @@ proptest! {
         // Traffic invariant: 2·(k−1) partition payloads per executor — the
         // paper's "total amount of data remains 2km" claim (modulo frame
         // headers, which dominate only when dim ≪ k).
-        prop_assert_eq!(bytes, 2 * (k - 1) * k * partition_bytes(dim, k));
+        prop_assert_eq!(bytes, 2 * (k - 1) * k * wire::partition_bytes(dim, k));
         if dim >= 16 * k {
-            prop_assert!(bytes <= 2 * k * dense_bytes(dim) + 32 * k * k);
+            prop_assert!(bytes <= 2 * k * wire::encoded_dense_len(dim) + 32 * k * k);
         }
     }
 

@@ -316,6 +316,29 @@ fn crafted_counts_are_refused_not_allocated() {
     }
 }
 
+/// A checksum-valid `Assign` whose row is wider than the assigned
+/// dimension is refused with a typed error at decode. Accepted, its index
+/// 3 would overrun the worker's 2-dimensional model and panic the worker
+/// thread instead of failing the session.
+#[test]
+fn assign_row_of_the_wrong_dimension_is_refused() {
+    let assign = Msg::Assign {
+        worker: 0,
+        dim: 2,
+        loss: Loss::Logistic,
+        reg: Regularizer::None,
+        lr: LearningRate::Constant(0.5),
+        switch: FrameSwitch::Dense,
+        rows: vec![AssignedRow {
+            global: 0,
+            label: 1.0,
+            row: SparseVector::from_pairs(4, &[(3, 1.0)]).unwrap(),
+        }],
+    };
+    let err = decode_msg(&encode_msg(&assign, FrameSwitch::Dense)).unwrap_err();
+    assert!(matches!(err, NetError::Protocol(_)), "{err}");
+}
+
 /// Published-vector FNV-1a (64-bit), reimplemented independently of
 /// `mlstar-codec` so the KAT does not assume the code under test.
 // lint:allow(duplicate_hash_impl): KAT must not trust mlstar-codec's own hash

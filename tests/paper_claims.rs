@@ -3,9 +3,7 @@
 //! regression suite for "does this repository still reproduce the
 //! paper?".
 
-use mllib_star::collectives::{
-    all_reduce_average, broadcast_model, dense_bytes, partition_bytes, tree_aggregate,
-};
+use mllib_star::collectives::{all_reduce_average, broadcast_model, tree_aggregate, wire};
 use mllib_star::core::{
     train_mllib, train_mllib_ma, train_mllib_star, train_petuum_star, PsSystemConfig, TrainConfig,
 };
@@ -95,8 +93,11 @@ fn b2_traffic_is_unchanged_latency_is_not() {
         let t2 = rb.finish().as_secs_f64();
         (bytes, g1.makespan().as_secs_f64(), t2)
     };
-    assert_eq!(driver_bytes, 2 * k * dense_bytes(dim));
-    assert_eq!(allreduce_bytes, 2 * (k - 1) * k * partition_bytes(dim, k));
+    assert_eq!(driver_bytes, 2 * k * wire::encoded_dense_len(dim));
+    assert_eq!(
+        allreduce_bytes,
+        2 * (k - 1) * k * wire::partition_bytes(dim, k)
+    );
     assert!(
         allreduce_bytes <= driver_bytes,
         "AllReduce never moves more"

@@ -12,9 +12,6 @@
 //! the same values, which corrupts nothing).
 
 use mllib_star::collectives::wire::{self, FrameSwitch, WireError};
-use mllib_star::collectives::{
-    dense_bytes, partition_bytes, quantized_dense_bytes, quantized_sparse_bytes, sparse_bytes,
-};
 use mllib_star::linalg::{DenseVector, SparseVector};
 use proptest::prelude::*;
 
@@ -97,15 +94,12 @@ proptest! {
         let d = dense_from_seed(seed, dim);
         let nnz = 2 + (seed as usize % (dim - 1));
         let s = sparse_from_seed(seed, dim, nnz);
-        prop_assert_eq!(wire::encode_dense(&d).len(), dense_bytes(dim));
         prop_assert_eq!(wire::encode_dense(&d).len(), wire::encoded_dense_len(dim));
-        prop_assert_eq!(wire::encode_sparse(&s).len(), sparse_bytes(nnz));
         prop_assert_eq!(wire::encode_sparse(&s).len(), wire::encoded_sparse_len(nnz));
-        prop_assert_eq!(wire::encode_qdense(&d).len(), quantized_dense_bytes(dim));
         prop_assert_eq!(wire::encode_qdense(&d).len(), wire::encoded_qdense_len(dim));
-        prop_assert_eq!(wire::encode_qsparse(&s).len(), quantized_sparse_bytes(nnz));
         prop_assert_eq!(wire::encode_qsparse(&s).len(), wire::encoded_qsparse_len(nnz));
-        prop_assert_eq!(partition_bytes(dim, k), dense_bytes(dim.div_ceil(k)));
+        let part = DenseVector::zeros(dim.div_ceil(k));
+        prop_assert_eq!(wire::partition_bytes(dim, k), wire::encode_dense(&part).len());
     }
 
     /// Lossless kinds round-trip bit for bit; the adaptive switch is
