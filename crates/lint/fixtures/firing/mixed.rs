@@ -1,5 +1,5 @@
 //@ path: crates/ps/src/demo.rs
-//@ expect: determinism_taint, lock_unwrap, panic_in_lib, float_eq
+//@ expect: determinism_taint, panic_in_lib, float_eq
 
 use std::collections::HashMap;
 use std::sync::Mutex;

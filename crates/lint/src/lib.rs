@@ -20,15 +20,12 @@
 //! | `determinism_taint` | sim-critical crates + anything their public APIs reach (path-carrying) |
 //! | `ambient_rand` | everywhere except crates/bench |
 //! | `thread_spawn` | lib/bin code outside the allowlisted host-parallelism modules |
-//! | `lock_unwrap` | non-test library code |
-//! | `lock_order` | functions holding two locks, workspace-wide |
 //! | `hot_loop_alloc` | loop bodies in designated hot-path modules |
 //! | `duplicate_hash_impl` | any crate except mlstar-codec |
 //! | `panic_in_lib` | non-test library code (waivable) |
 //! | `float_eq` | non-test lib/bin code (literal/constant comparisons) |
 //! | `print_in_lib` | library code outside crates/bench |
 //! | `invalid_waiver` | waiver comments themselves |
-//! | `codec_symmetry` | paired encode/decode fns in codec, serve, core::checkpoint, net::protocol, collectives::wire |
 //! | `rng_placement` | functions reachable from worker-side entry points |
 //!
 //! Waive a finding with `// lint:allow(<rule>): <reason>` on the same
@@ -43,7 +40,6 @@
 
 pub mod callgraph;
 pub mod context;
-pub mod dataflow;
 pub mod parse;
 pub mod report;
 pub mod rules;
@@ -141,12 +137,6 @@ pub fn analyze_sources(sources: Vec<(FileContext, String)>) -> ScanReport {
     timed("thread_spawn", &mut timings, || {
         rules::pass_thread_spawn(&mut units, &mut violations)
     });
-    timed("lock_unwrap", &mut timings, || {
-        rules::pass_lock_unwrap(&mut units, &mut violations)
-    });
-    timed("lock_order", &mut timings, || {
-        rules::pass_lock_order(&mut units, &mut violations)
-    });
     timed("hot_loop_alloc", &mut timings, || {
         rules::pass_hot_loop_alloc(&mut units, &mut violations)
     });
@@ -161,9 +151,6 @@ pub fn analyze_sources(sources: Vec<(FileContext, String)>) -> ScanReport {
     });
     timed("print_in_lib", &mut timings, || {
         rules::pass_print_in_lib(&mut units, &mut violations)
-    });
-    timed("codec_symmetry", &mut timings, || {
-        dataflow::pass_codec_symmetry(&mut units, &mut violations)
     });
     timed("rng_placement", &mut timings, || {
         taint::pass_rng_placement(&mut units, &graph, &mut violations)
@@ -189,7 +176,7 @@ pub fn analyze_sources(sources: Vec<(FileContext, String)>) -> ScanReport {
 
     // Fully deterministic emit order: file → line → rule → message. The
     // message tiebreaker matters when one pass emits several diagnostics
-    // on the same line (e.g. two asymmetric pairs sharing a writer).
+    // on the same line (e.g. two taint paths ending on one line).
     violations.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });

@@ -1,7 +1,7 @@
 //! Item-level parsing: a tokenizer-backed pass over the scanner's code
 //! channel that extracts `fn` items (with their enclosing `mod` / `impl`
-//! context), the calls each function makes, its loop-body line ranges,
-//! and the order in which it acquires locks.
+//! context), the calls each function makes, and its loop-body line
+//! ranges.
 //!
 //! This is deliberately *not* a full Rust parser. It tracks brace depth
 //! and a scope stack (module / impl / fn / loop / plain block) over a
@@ -45,19 +45,6 @@ impl Call {
     }
 }
 
-/// A lock acquisition (`receiver.lock()` / `.read()` / `.write()`) with
-/// the receiver chain it was called on (e.g. `self.inner`, `REGISTRY`).
-#[derive(Debug, Clone)]
-pub struct LockSite {
-    pub line: usize,
-    /// Dotted receiver chain, e.g. `"self.inner"`. Only simple chains of
-    /// identifiers are tracked; anything with intervening calls is
-    /// skipped (unresolvable statically).
-    pub receiver: String,
-    /// `lock`, `read`, or `write`.
-    pub method: String,
-}
-
 /// One parsed function item.
 #[derive(Debug, Clone)]
 pub struct FnItem {
@@ -83,8 +70,6 @@ pub struct FnItem {
     /// Loop-body line ranges (inclusive, including the loop header line —
     /// a header allocation re-runs per iteration of any enclosing loop).
     pub loop_ranges: Vec<(usize, usize)>,
-    /// Lock acquisitions in source order.
-    pub locks: Vec<LockSite>,
 }
 
 impl FnItem {
@@ -246,7 +231,6 @@ pub fn parse_file(ctx: &FileContext, lines: &[Line]) -> Vec<FnItem> {
                             end_line: *lineno,
                             calls: Vec::new(),
                             loop_ranges: Vec::new(),
-                            locks: Vec::new(),
                         });
                         pending = Some(ScopeKind::Fn(items.len() - 1));
                     }
@@ -309,7 +293,7 @@ pub fn parse_file(ctx: &FileContext, lines: &[Line]) -> Vec<FnItem> {
     items
 }
 
-/// Records call / lock facts for an identifier token when inside a fn.
+/// Records a call for an identifier token when inside a fn.
 fn record_body_facts(toks: &[(usize, Tok)], i: usize, items: &mut [FnItem], scopes: &[ScopeKind]) {
     let Some(fn_idx) = scopes.iter().rev().find_map(|s| match s {
         ScopeKind::Fn(idx) => Some(*idx),
@@ -331,15 +315,6 @@ fn record_body_facts(toks: &[(usize, Tok)], i: usize, items: &mut [FnItem], scop
     }
     let is_method = matches!(toks.get(i.wrapping_sub(1)), Some((_, Tok::Sym('.')))) && i > 0;
     if is_method {
-        if matches!(name.as_str(), "lock" | "read" | "write") {
-            if let Some(receiver) = receiver_chain(toks, i - 1) {
-                items[fn_idx].locks.push(LockSite {
-                    line: *lineno,
-                    receiver,
-                    method: name.clone(),
-                });
-            }
-        }
         items[fn_idx].calls.push(Call::Method {
             line: *lineno,
             name: name.clone(),
@@ -362,49 +337,6 @@ fn record_body_facts(toks: &[(usize, Tok)], i: usize, items: &mut [FnItem], scop
         line: *lineno,
         segs,
     });
-}
-
-/// Walks back from the `.` before a method name, collecting a simple
-/// dotted identifier chain (`self.inner`, `REGISTRY`). Returns `None`
-/// when the receiver is an expression (call result, index, …) that a
-/// static pass cannot name.
-fn receiver_chain(toks: &[(usize, Tok)], dot_idx: usize) -> Option<String> {
-    let mut parts: Vec<String> = Vec::new();
-    let mut j = dot_idx; // toks[j] == '.'
-    loop {
-        if j == 0 {
-            break;
-        }
-        match &toks[j - 1].1 {
-            Tok::Ident(id) => {
-                parts.insert(0, id.clone());
-                j -= 1;
-                if j == 0 {
-                    break;
-                }
-                match &toks[j - 1].1 {
-                    Tok::Sym('.') => {
-                        j -= 1;
-                        continue;
-                    }
-                    // `state::LOCK.lock()` — fold path prefixes in too.
-                    Tok::PathSep => {
-                        j -= 1;
-                        continue;
-                    }
-                    _ => break,
-                }
-            }
-            // Anything else (closing paren/bracket) means the receiver is
-            // computed, not named.
-            _ => return None,
-        }
-    }
-    if parts.is_empty() {
-        None
-    } else {
-        Some(parts.join("."))
-    }
 }
 
 /// Extracts the implemented type name from the tokens after `impl`:
@@ -537,26 +469,6 @@ mod tests {
         let items = parse("crates/glm/src/x.rs", src);
         assert_eq!(items[0].name, "S::next");
         assert!(items[0].loop_ranges.is_empty());
-    }
-
-    #[test]
-    fn lock_sequences_record_receivers() {
-        let src = "fn f(&self) {\n    let a = self.alpha.lock();\n    let b = self.beta.lock();\n    let c = GLOBAL.write();\n    let d = make().lock();\n}\n";
-        let items = parse("crates/serve/src/x.rs", src);
-        let locks: Vec<(&str, &str)> = items[0]
-            .locks
-            .iter()
-            .map(|l| (l.receiver.as_str(), l.method.as_str()))
-            .collect();
-        // `make().lock()` has a computed receiver and is not tracked.
-        assert_eq!(
-            locks,
-            vec![
-                ("self.alpha", "lock"),
-                ("self.beta", "lock"),
-                ("GLOBAL", "write")
-            ]
-        );
     }
 
     #[test]

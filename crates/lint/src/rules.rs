@@ -2,7 +2,7 @@
 //!
 //! Every rule operates on the scanner's blanked code channel, so tokens
 //! inside strings, chars, and comments never fire. Item-aware rules
-//! (taint, lock ordering, hot-loop allocation) additionally consult the
+//! (taint, hot-loop allocation, RNG placement) additionally consult the
 //! parsed function items and the workspace call graph. Waivers are
 //! ordinary comments of the form:
 //!
@@ -34,10 +34,6 @@ pub enum RuleId {
     /// Raw `thread::spawn` / `thread::scope` outside the allowlisted
     /// host-parallelism modules.
     ThreadSpawn,
-    /// `.lock().unwrap()` / `.lock().expect(` on a mutex in library code.
-    LockUnwrap,
-    /// Two functions acquire the same pair of locks in opposite orders.
-    LockOrder,
     /// Allocation (`Vec::new`, `vec!`, `.to_vec(`, `.clone(`, `.collect(`,
     /// `format!`) inside a `for`/`while`/`loop` body in a designated
     /// hot-path module.
@@ -55,11 +51,6 @@ pub enum RuleId {
     /// A waiver comment that is malformed, names an unknown rule, or
     /// suppresses nothing.
     InvalidWaiver,
-    /// A writer/reader pair of one of the four wire formats whose
-    /// normalized field-effect sequences diverge (order, width, loop
-    /// guard, or missing field). Diagnostics carry both sequences
-    /// side by side.
-    CodecSymmetry,
     /// A `SeedStream`/`ChaCha`/`StdRng` sampling site reachable from a
     /// worker-side entry point (`net::worker` public fns or a
     /// `ComputeBackend::run_ops` impl) — all RNG must stay on the
@@ -72,15 +63,12 @@ impl RuleId {
         RuleId::DeterminismTaint,
         RuleId::AmbientRand,
         RuleId::ThreadSpawn,
-        RuleId::LockUnwrap,
-        RuleId::LockOrder,
         RuleId::HotLoopAlloc,
         RuleId::DuplicateHashImpl,
         RuleId::PanicInLib,
         RuleId::FloatEq,
         RuleId::PrintInLib,
         RuleId::InvalidWaiver,
-        RuleId::CodecSymmetry,
         RuleId::RngPlacement,
     ];
 
@@ -90,15 +78,12 @@ impl RuleId {
             RuleId::DeterminismTaint => "determinism_taint",
             RuleId::AmbientRand => "ambient_rand",
             RuleId::ThreadSpawn => "thread_spawn",
-            RuleId::LockUnwrap => "lock_unwrap",
-            RuleId::LockOrder => "lock_order",
             RuleId::HotLoopAlloc => "hot_loop_alloc",
             RuleId::DuplicateHashImpl => "duplicate_hash_impl",
             RuleId::PanicInLib => "panic_in_lib",
             RuleId::FloatEq => "float_eq",
             RuleId::PrintInLib => "print_in_lib",
             RuleId::InvalidWaiver => "invalid_waiver",
-            RuleId::CodecSymmetry => "codec_symmetry",
             RuleId::RngPlacement => "rng_placement",
         }
     }
@@ -117,17 +102,12 @@ impl RuleId {
             }
             RuleId::AmbientRand => "thread_rng/rand::random/from_entropy outside crates/bench",
             RuleId::ThreadSpawn => "thread::spawn/scope outside allowlisted host-parallelism modules",
-            RuleId::LockUnwrap => ".lock().unwrap()/.expect( on a mutex in library code",
-            RuleId::LockOrder => "two functions acquire the same lock pair in opposite orders",
             RuleId::HotLoopAlloc => "allocation inside a loop body in a hot-path module",
             RuleId::DuplicateHashImpl => "private FNV-1a implementation outside mlstar-codec",
             RuleId::PanicInLib => ".unwrap()/.expect( in non-test library code (waivable)",
             RuleId::FloatEq => "bare ==/!= against float literals/constants outside tests",
             RuleId::PrintInLib => "print!/println! in library code outside crates/bench",
             RuleId::InvalidWaiver => "malformed, unknown, or stale lint:allow waiver",
-            RuleId::CodecSymmetry => {
-                "writer/reader effect sequences of a paired codec diverge (order/width/loop-guard/missing field)"
-            }
             RuleId::RngPlacement => {
                 "SeedStream/ChaCha/StdRng sampling reachable from worker-side code, with call chain"
             }
@@ -142,8 +122,6 @@ impl RuleId {
             }
             RuleId::AmbientRand => "everywhere except crates/bench",
             RuleId::ThreadSpawn => "lib/bin code outside `core::exec`, `serve::engine`, `net::pool`",
-            RuleId::LockUnwrap => "non-test library code",
-            RuleId::LockOrder => "per-function first-acquisition sequences, workspace-wide",
             RuleId::HotLoopAlloc => {
                 "loop bodies in `linalg`, `glm::{cd, gradient, lazy_l1, lbfgs, optimizer, path, sgd}`, `serve::engine`, `core::exec`"
             }
@@ -152,9 +130,6 @@ impl RuleId {
             RuleId::FloatEq => "non-test lib/bin code",
             RuleId::PrintInLib => "library code except crates/bench",
             RuleId::InvalidWaiver => "waiver comments",
-            RuleId::CodecSymmetry => {
-                "paired encode/decode fns in `codec`, `serve`, `core::checkpoint`, `net::protocol`, `collectives::wire`"
-            }
             RuleId::RngPlacement => {
                 "functions reachable from `net::worker` pub fns or `run_ops` impls"
             }
@@ -397,132 +372,6 @@ pub(crate) fn pass_thread_spawn(units: &mut [FileUnit], out: &mut Vec<Violation>
     }
 }
 
-pub(crate) fn pass_lock_unwrap(units: &mut [FileUnit], out: &mut Vec<Violation>) {
-    for unit in units.iter_mut() {
-        if unit.ctx.role != FileRole::Lib {
-            continue;
-        }
-        for idx in 0..unit.lines.len() {
-            let lineno = idx + 1;
-            if unit.lines[idx].in_test {
-                continue;
-            }
-            let compact: String = unit.lines[idx]
-                .code
-                .chars()
-                .filter(|c| !c.is_whitespace())
-                .collect();
-            for pat in [".lock().unwrap()", ".lock().expect("] {
-                if compact.contains(pat) {
-                    push(
-                        unit,
-                        out,
-                        lineno,
-                        RuleId::LockUnwrap,
-                        format!(
-                            "`{pat}` in library code: a poisoned mutex is recoverable state, not a crash; match on the result or use `unwrap_or_else(|e| e.into_inner())`"
-                        ),
-                        Vec::new(),
-                    );
-                }
-            }
-        }
-    }
-}
-
-pub(crate) fn pass_lock_order(units: &mut [FileUnit], out: &mut Vec<Violation>) {
-    use std::collections::BTreeMap;
-    // Acquisition sites of an ordered lock pair: (unit index, anchor line
-    // of the second acquisition, function display name).
-    type Sites = Vec<(usize, usize, String)>;
-    let mut pairs: BTreeMap<(String, String), Sites> = BTreeMap::new();
-    for (ui, unit) in units.iter().enumerate() {
-        if unit.ctx.is_timing_crate() {
-            continue;
-        }
-        for item in &unit.items {
-            if item.in_test || item.locks.len() < 2 {
-                continue;
-            }
-            // First-acquisition order of distinct locks.
-            let mut seq: Vec<(String, usize)> = Vec::new();
-            for l in &item.locks {
-                let key = lock_key(&unit.ctx.crate_name, item, &l.receiver);
-                if !seq.iter().any(|(k, _)| k == &key) {
-                    seq.push((key, l.line));
-                }
-            }
-            for i in 0..seq.len() {
-                for j in (i + 1)..seq.len() {
-                    pairs
-                        .entry((seq[i].0.clone(), seq[j].0.clone()))
-                        .or_default()
-                        .push((ui, seq[j].1, item.display()));
-                }
-            }
-        }
-    }
-    // A conflict exists when both (a, b) and (b, a) were observed.
-    let mut planned: Vec<(usize, usize, String)> = Vec::new();
-    for ((a, b), sites) in &pairs {
-        if a >= b {
-            continue;
-        }
-        let Some(rev_sites) = pairs.get(&(b.clone(), a.clone())) else {
-            continue;
-        };
-        let fwd_fns: Vec<&str> = sites.iter().map(|(_, _, f)| f.as_str()).collect();
-        let rev_fns: Vec<&str> = rev_sites.iter().map(|(_, _, f)| f.as_str()).collect();
-        for (ui, line, f) in sites {
-            planned.push((*ui, *line, format!(
-                "inconsistent lock order: `{f}` acquires `{a}` then `{b}`, but {} the opposite way — pick one global order",
-                join_fns(&rev_fns)
-            )));
-        }
-        for (ui, line, f) in rev_sites {
-            planned.push((*ui, *line, format!(
-                "inconsistent lock order: `{f}` acquires `{b}` then `{a}`, but {} the opposite way — pick one global order",
-                join_fns(&fwd_fns)
-            )));
-        }
-    }
-    for (ui, line, message) in planned {
-        push(
-            &mut units[ui],
-            out,
-            line,
-            RuleId::LockOrder,
-            message,
-            Vec::new(),
-        );
-    }
-}
-
-fn join_fns(fns: &[&str]) -> String {
-    let names: Vec<String> = fns.iter().map(|f| format!("`{f}`")).collect();
-    format!(
-        "{} acquire{} them",
-        names.join(", "),
-        if names.len() == 1 { "s" } else { "" }
-    )
-}
-
-/// Canonical name for a lock receiver: `self`-rooted chains are qualified
-/// by the impl type so distinct types' fields do not collide; everything
-/// is crate-qualified because receivers are matched by name only.
-fn lock_key(crate_name: &str, item: &crate::parse::FnItem, receiver: &str) -> String {
-    if receiver == "self" || receiver.starts_with("self.") {
-        let ty = if item.is_method() {
-            item.name.split("::").next().unwrap_or("_")
-        } else {
-            "_"
-        };
-        format!("{crate_name}::{ty}{}", &receiver["self".len()..])
-    } else {
-        format!("{crate_name}::{receiver}")
-    }
-}
-
 /// Hot-path modules policed for per-iteration allocation. An empty module
 /// list means the whole crate.
 pub const HOT_PATH_MODULES: &[(&str, &[&str])] = &[
@@ -675,16 +524,11 @@ pub(crate) fn pass_panic_in_lib(units: &mut [FileUnit], out: &mut Vec<Violation>
             if unit.lines[idx].in_test {
                 continue;
             }
-            // `.lock().unwrap()` / `.lock().expect(` belong to the
-            // `lock_unwrap` rule with poison-specific guidance; strip them
-            // so one line does not fire both rules.
             let compact: String = unit.lines[idx]
                 .code
                 .chars()
                 .filter(|c| !c.is_whitespace())
-                .collect::<String>()
-                .replace(".lock().unwrap()", ".lock()")
-                .replace(".lock().expect(", ".lock()(");
+                .collect();
             if compact.contains(".unwrap()") {
                 push(
                     unit,
@@ -998,39 +842,6 @@ fn leaf(n: u64) -> u64 {\n    let m = std::collections::HashMap::new();\n    m.l
         assert!(rules_fired("crates/bench/src/x.rs", src).is_empty());
         // Test code may spawn threads.
         assert!(rules_fired("crates/glm/tests/t.rs", src).is_empty());
-    }
-
-    #[test]
-    fn lock_unwrap_fires_instead_of_panic_in_lib() {
-        let src = "fn f(m: &std::sync::Mutex<u32>) { let g = m.lock().unwrap(); }\n";
-        assert_eq!(
-            rules_fired("crates/serve/src/x.rs", src),
-            vec!["lock_unwrap"]
-        );
-        let src2 = "fn f(m: &std::sync::Mutex<u32>) { let g = m.lock().expect(\"poisoned\"); }\n";
-        assert_eq!(
-            rules_fired("crates/serve/src/x.rs", src2),
-            vec!["lock_unwrap"]
-        );
-    }
-
-    #[test]
-    fn lock_order_conflicts_fire_on_both_functions() {
-        let src = "\
-fn ab(s: &S) {\n    let a = s.alpha.lock();\n    let b = s.beta.lock();\n}\n\
-fn ba(s: &S) {\n    let b = s.beta.lock();\n    let a = s.alpha.lock();\n}\n";
-        let v = check("crates/serve/src/x.rs", src);
-        let fired: Vec<_> = v.iter().map(|v| (v.rule.name(), v.line)).collect();
-        assert_eq!(fired, vec![("lock_order", 3), ("lock_order", 7)]);
-        assert!(v[0].message.contains("`serve::ba`"));
-    }
-
-    #[test]
-    fn consistent_lock_order_is_fine() {
-        let src = "\
-fn ab(s: &S) {\n    let a = s.alpha.lock();\n    let b = s.beta.lock();\n}\n\
-fn ab2(s: &S) {\n    let a = s.alpha.lock();\n    let b = s.beta.lock();\n}\n";
-        assert!(rules_fired("crates/serve/src/x.rs", src).is_empty());
     }
 
     #[test]

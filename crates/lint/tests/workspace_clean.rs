@@ -28,7 +28,7 @@ fn workspace_has_zero_violations() {
     );
 }
 
-/// The perf budget: the dataflow pass (and everything else) must keep
+/// The perf budget: the call-graph passes (and everything else) must keep
 /// `cargo lint` interactive. Counters go to stderr so a budget failure
 /// comes with context.
 #[test]
