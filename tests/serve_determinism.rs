@@ -4,7 +4,8 @@
 //!    produces bit-identical predictions and identical batch-formation
 //!    telemetry (fill, queue depth) whether it runs on 1, 2, or 8 worker
 //!    shards. Batching is a pure function of arrivals and policy; shards
-//!    only split the dot-product work.
+//!    only split the dot-product work. The complete `ServeRun` of each
+//!    shard count × batch size is pinned by digest as well.
 //! 2. **Artifact fidelity** — for every one of the seven training
 //!    systems, a model encoded to the binary artifact format and decoded
 //!    back scores identically (to the bit) to the in-memory model, and
@@ -12,12 +13,14 @@
 
 use std::str::FromStr;
 
+use mllib_star::codec::fnv1a;
 use mllib_star::core::{System, TrainConfig, TrainProvenance};
 use mllib_star::data::SyntheticConfig;
 use mllib_star::glm::{fit_path, GlmModel, Loss, PathConfig, PathPoint};
 use mllib_star::linalg::CscMatrix;
 use mllib_star::serve::{
-    BatchPolicy, DatasetFingerprint, ModelArtifact, ModelRegistry, QueryWorkload, ScoringEngine,
+    BatchPolicy, DatasetFingerprint, ModelArtifact, ModelRegistry, QueryWorkload, ScoreRequest,
+    ScoringEngine,
 };
 use mllib_star::sim::ClusterSpec;
 
@@ -29,19 +32,25 @@ fn train_cfg(rounds: u64) -> TrainConfig {
     }
 }
 
-#[test]
-fn shard_sweep_yields_identical_predictions_and_batching() {
+/// A 5-round MLlib\* model and a fixed 700-request stream drawn from its
+/// training set.
+fn sweep_fixture() -> (ModelArtifact, Vec<ScoreRequest>) {
     let ds = SyntheticConfig::small("serve-det", 900, 64).generate();
     let cluster = ClusterSpec::cluster1();
     let out = System::MllibStar.train_default(&ds, &cluster, &train_cfg(5));
     let artifact =
         ModelArtifact::from_run(System::MllibStar, &train_cfg(5), &out, &ds).expect("artifact");
-
     let requests = QueryWorkload {
         num_requests: 700,
         ..QueryWorkload::default()
     }
     .generate(&ds);
+    (artifact, requests)
+}
+
+#[test]
+fn shard_sweep_yields_identical_predictions_and_batching() {
+    let (artifact, requests) = sweep_fixture();
 
     let runs: Vec<_> = [1usize, 2, 8]
         .iter()
@@ -97,6 +106,42 @@ fn shard_sweep_yields_identical_predictions_and_batching() {
     let engine = ScoringEngine::for_artifact(&artifact, BatchPolicy::default(), 8);
     let again = engine.run(&requests).expect("second run");
     assert_eq!(baseline.predictions, again.predictions);
+}
+
+/// The whole `ServeRun` is pinned, not just its shard-invariant part:
+/// every prediction and every `BatchRecord` field (`score_s`, `merge_s`,
+/// `done`, ...) plus the three histograms, as the FNV-1a of its `Debug`
+/// form. The sweep covers more shards than a batch holds (`max_batch` 1,
+/// and the short deadline-closed batches), so some shards get no rows.
+#[test]
+fn whole_serve_runs_are_pinned() {
+    let (artifact, requests) = sweep_fixture();
+    let expected: [(usize, usize, u64); 12] = [
+        (1, 1, 0xaeebd685c98a6a57),
+        (1, 32, 0x55b5fcb21bcf24a8),
+        (1, 256, 0x503b2a874c3c5fb3),
+        (2, 1, 0xaeebd685c98a6a57),
+        (2, 32, 0x055d11b55a3bf8c1),
+        (2, 256, 0x80b6d8ccca0355d2),
+        (3, 1, 0xaeebd685c98a6a57),
+        (3, 32, 0x71e2da67a5eee8be),
+        (3, 256, 0xcfb88cdd430f7946),
+        (8, 1, 0xaeebd685c98a6a57),
+        (8, 32, 0x3456ba4a84522559),
+        (8, 256, 0x1f63f931223370a4),
+    ];
+    let got = expected.map(|(shards, max_batch, _)| {
+        let policy = BatchPolicy {
+            max_batch,
+            ..BatchPolicy::default()
+        };
+        let run = ScoringEngine::for_artifact(&artifact, policy, shards)
+            .run(&requests)
+            .expect("serve run");
+        assert_eq!(run.predictions.len(), requests.len());
+        (shards, max_batch, fnv1a(format!("{run:?}").as_bytes()))
+    });
+    assert_eq!(got, expected);
 }
 
 #[test]
