@@ -80,7 +80,7 @@ pub use lr_schedule::LearningRate;
 pub use metrics::{
     accuracy, auc, auc_from_scores, margins, model_accuracy, model_auc, BinaryConfusion,
 };
-pub use model::{sparse_delta, GlmModel};
+pub use model::{logistic, sparse_delta, GlmModel};
 pub use objective::{objective_value, objective_value_subset, training_loss};
 pub use optimizer::{MgdConfig, MiniBatchGd, OptimizerResult};
 pub use path::{

@@ -63,13 +63,20 @@ impl GlmModel {
 
     /// The logistic probability `P(y = +1 | x) = σ(w·x)`.
     pub fn predict_probability(&self, x: &SparseVector) -> f64 {
-        let m = self.margin(x);
-        if m >= 0.0 {
-            1.0 / (1.0 + (-m).exp())
-        } else {
-            let e = m.exp();
-            e / (1.0 + e)
-        }
+        logistic(self.margin(x))
+    }
+}
+
+/// The logistic function `σ(m) = 1 / (1 + e^{−m})`, evaluated on the side
+/// of zero where `exp` cannot overflow. Callers that already hold a margin
+/// use this instead of [`GlmModel::predict_probability`], which would
+/// compute the dot product again.
+pub fn logistic(m: f64) -> f64 {
+    if m >= 0.0 {
+        1.0 / (1.0 + (-m).exp())
+    } else {
+        let e = m.exp();
+        e / (1.0 + e)
     }
 }
 
@@ -137,6 +144,31 @@ mod tests {
         let m = GlmModel::from_weights(DenseVector::from_vec(vec![-1000.0]));
         let p = m.predict_probability(&x);
         assert!(p.is_finite() && p < 1e-6);
+    }
+
+    #[test]
+    fn logistic_of_the_margin_is_predict_probability_to_the_bit() {
+        // A one-hot row makes the margin the weight itself (−0.0 comes
+        // back as +0.0 from the dot product, which σ maps to the same 0.5).
+        let x = SparseVector::from_pairs(1, &[(0, 1.0)]).unwrap();
+        for m in [
+            0.0,
+            -0.0,
+            1e-300,
+            -1e-300,
+            40.0,
+            -40.0,
+            800.0,
+            -800.0,
+            f64::NAN,
+        ] {
+            let model = GlmModel::from_weights(DenseVector::from_vec(vec![m]));
+            assert_eq!(
+                logistic(m).to_bits(),
+                model.predict_probability(&x).to_bits(),
+                "{m}"
+            );
+        }
     }
 
     #[test]
