@@ -18,7 +18,7 @@
 //!    ([`ModelRegistry::write_file`] / [`ModelRegistry::read_file`]).
 //! 3. **Engine** ([`ScoringEngine`]) — micro-batched scoring under a
 //!    fixed batch-size + batch-deadline policy ([`BatchPolicy`]), scored
-//!    by a sharded `std::thread` worker pool.
+//!    by `std::thread` shard workers that live for the whole run.
 //! 4. **Workload** ([`QueryWorkload`]) — seeded open-loop request streams
 //!    with burst and hot-key-skew knobs.
 //! 5. **Telemetry** ([`ServeTelemetry`]) — queue/score/merge latency
