@@ -205,7 +205,7 @@ pub fn tune_system(
                 .partial_cmp(&score(b))
                 .unwrap_or(std::cmp::Ordering::Equal)
         })
-        .expect("grid was nonempty") // lint:allow(panic_in_lib): tuning grids are compiled-in and nonempty
+        .expect("grid was nonempty")
 }
 
 /// The Figure 4/5 grid: on each public preset under each of `regs`, tunes

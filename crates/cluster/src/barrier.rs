@@ -91,8 +91,11 @@ impl<'a> RoundBuilder<'a> {
     /// # Panics
     ///
     /// Panics if `node` is not part of this round.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic: membership is the API contract"
+    )]
     pub fn clock(&self, node: NodeId) -> SimTime {
-        // lint:allow(panic_in_lib): documented panic — membership is the API contract
         *self.clocks.get(&node).expect("node participates in round")
     }
 
@@ -103,10 +106,13 @@ impl<'a> RoundBuilder<'a> {
     ///
     /// Panics if `node` is not part of this round.
     pub fn work(&mut self, node: NodeId, activity: Activity, duration: SimDuration) {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: membership is the API contract"
+        )]
         let clock = self
             .clocks
             .get_mut(&node)
-            // lint:allow(panic_in_lib): documented panic — membership is the API contract
             .expect("node participates in round");
         if duration > SimDuration::ZERO {
             self.gantt
@@ -120,7 +126,11 @@ impl<'a> RoundBuilder<'a> {
     /// Aligns every node to the latest clock, recording `Wait` spans for
     /// the nodes that arrive early. Returns the barrier time.
     pub fn barrier(&mut self) -> SimTime {
-        let latest = self.clocks.values().copied().max().expect("nonempty"); // lint:allow(panic_in_lib): rounds are built from a nonempty node set
+        #[expect(
+            clippy::expect_used,
+            reason = "rounds are built from a nonempty node set"
+        )]
+        let latest = self.clocks.values().copied().max().expect("nonempty");
         for (&node, clock) in self.clocks.iter_mut() {
             if *clock < latest {
                 self.gantt

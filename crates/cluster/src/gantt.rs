@@ -243,7 +243,7 @@ impl GanttRecorder {
     /// Utilization of a node in `[0, 1]` relative to the makespan.
     pub fn utilization(&self, node: NodeId) -> f64 {
         let total = self.makespan().as_secs_f64();
-        // lint:allow(float_eq): exact-zero guard against dividing by an empty makespan
+        // exact-zero guard against dividing by an empty makespan
         if total == 0.0 {
             0.0
         } else {

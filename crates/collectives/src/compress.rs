@@ -176,8 +176,12 @@ pub fn compress_update(v: &DenseVector, cfg: &CompressionConfig) -> EncodedUpdat
         if cfg.quantize {
             let frame = wire::encode_qsparse(s);
             if frame.len() < best_len {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the encoder/decoder pair is exercised by property tests; a failure here is a codec bug, not bad input"
+                )]
                 let decoded = wire::decode_qsparse(&frame)
-                    .expect("freshly encoded qsparse frame must decode") // lint:allow(panic_in_lib): encoder/decoder pair is exercised by property tests; a failure here is a codec bug, not bad input
+                    .expect("freshly encoded qsparse frame must decode")
                     .to_dense();
                 best_len = frame.len();
                 best = Some(EncodedUpdate { frame, decoded });
@@ -187,8 +191,12 @@ pub fn compress_update(v: &DenseVector, cfg: &CompressionConfig) -> EncodedUpdat
     if cfg.quantize && v.is_finite() {
         let frame = wire::encode_qdense(v);
         if frame.len() < best_len {
+            #[expect(
+                clippy::expect_used,
+                reason = "the encoder/decoder pair is exercised by property tests; a failure here is a codec bug, not bad input"
+            )]
             let decoded =
-                wire::decode_qdense(&frame).expect("freshly encoded qdense frame must decode"); // lint:allow(panic_in_lib): encoder/decoder pair is exercised by property tests; a failure here is a codec bug, not bad input
+                wire::decode_qdense(&frame).expect("freshly encoded qdense frame must decode");
             best = Some(EncodedUpdate { frame, decoded });
         }
     }

@@ -15,6 +15,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use mlstar_data::{EpochOrder, SparseDataset};
+use mlstar_exec::WorkerOp;
 use mlstar_glm::Regularizer;
 use mlstar_linalg::DenseVector;
 use mlstar_ps::{Aggregation, Consistency, PsConfig, PsEngine, WorkerLogic, WorkerStep};
@@ -23,7 +24,7 @@ use mlstar_sim::{dense_op_flops, pass_flops, ClusterSpec, CostModel, SeedStream,
 use crate::checkpoint::{CheckpointError, PsCkptHook, PsCkptRun};
 use crate::common::{partition_active_coords, partition_nnz};
 use crate::engine::{assemble_output, ps_round_stats, ClockTracer};
-use crate::exec::{dispatch_one, expect_model, to_wire_indices, ComputeBackend, WorkerOp};
+use crate::exec::{dispatch_one, expect_model, to_wire_indices, ComputeBackend};
 use crate::{AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput};
 
 /// The Angel worker-local computation: one epoch of per-batch GD.

@@ -2,13 +2,14 @@
 
 use mlstar_codec::{schema, CodecError};
 use mlstar_data::{EpochOrder, SparseDataset};
+use mlstar_exec::WorkerOp;
 use mlstar_glm::{objective_value, Loss, Regularizer};
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{pass_flops, Activity, ClusterSpec, CostModel, NodeId, SeedStream};
 
 use crate::checkpoint::check_workers;
 use crate::engine::BspRound;
-use crate::exec::{dispatch, expect_model, to_wire_indices, ComputeBackend, WorkerOp};
+use crate::exec::{dispatch, expect_model, to_wire_indices, ComputeBackend};
 use crate::{MaWeighting, TrainConfig};
 
 /// Partitioned dataset + cost model + node lists for one BSP run.
@@ -184,7 +185,10 @@ schema! {
 /// straggler draw, full task overhead). Returns the victim, if any.
 /// Deterministic given the failure RNG stream; affects simulated time
 /// only.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the round, the harness, the failure model and both RNG streams it draws from"
+)]
 pub(crate) fn maybe_inject_failure<R: rand::Rng>(
     rb: &mut mlstar_sim::RoundBuilder<'_>,
     h: &BspHarness<'_>,

@@ -535,7 +535,10 @@ pub(crate) fn expect_uncheckpointed(run: Result<TrainOutput, CheckpointError>) -
 
 /// The one place a [`TrainOutput`] is built — BSP and PS paths both end
 /// here.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "every field of TrainOutput the BSP and PS paths compute separately"
+)]
 pub(crate) fn assemble_output(
     trace: ConvergenceTrace,
     gantt: GanttRecorder,

@@ -110,7 +110,8 @@ impl GridSearch {
                 best = Some((point, output, score));
             }
         }
-        let (point, output, _) = best.expect("grid was nonempty"); // lint:allow(panic_in_lib): asserted nonempty at the top of run()
+        #[expect(clippy::expect_used, reason = "asserted nonempty at the top of run()")]
+        let (point, output, _) = best.expect("grid was nonempty");
         GridResult {
             best_point: point,
             best_output: output,

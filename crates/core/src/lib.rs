@@ -36,6 +36,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 mod angel;
 mod checkpoint;
@@ -67,15 +70,13 @@ pub use config::{
 };
 pub use cv::{cross_validate_path, CvConfig, CvError, CvFoldResult, CvJobStats, CvResult};
 pub use engine::{CommBytes, RoundStats};
-pub use exec::{
-    system_partitions, ComputeBackend, ExecAbort, ExecError, InProcessBackend, OpExecutor,
-    OpResult, Shard, WorkerOp,
-};
+pub use exec::{system_partitions, ComputeBackend, ExecAbort, InProcessBackend};
 pub use grid::{GridPoint, GridResult, GridSearch};
 pub use mllib::train_mllib;
 pub use mllib_ma::train_mllib_ma;
 pub use mllib_star::train_mllib_star;
 pub use mlstar_collectives::{CompressionConfig, FrameSwitch, Sparsifier};
+pub use mlstar_exec::{ExecError, OpExecutor, OpResult, Shard, WorkerOp};
 pub use ovr::{OneVsRest, OvrModel, OvrOutput};
 pub use petuum::{train_petuum, train_petuum_star};
 pub use sequential::reference_optimum;

@@ -16,13 +16,14 @@
 
 use mlstar_codec::{schema, CodecError, Reader, Writer};
 use mlstar_data::{BatchSampler, SparseDataset};
+use mlstar_exec::WorkerOp;
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId, SeedStream};
 
 use crate::checkpoint::{check_dim, check_workers, dense};
 use crate::common::BspHarness;
 use crate::engine::{RoundStrategy, StepCtx};
-use crate::exec::{dispatch, expect_grad, to_wire_indices, ComputeBackend, WorkerOp};
+use crate::exec::{dispatch, expect_grad, to_wire_indices, ComputeBackend};
 use crate::{System, TrainConfig, TrainOutput};
 
 /// The MLlib round: broadcast, batch gradients, treeAggregate, one

@@ -33,13 +33,17 @@ impl OvrModel {
     }
 
     /// Predicts the class with the largest margin.
+    #[expect(
+        clippy::expect_used,
+        reason = "OvrModel construction requires ≥1 class model"
+    )]
     pub fn predict(&self, x: &SparseVector) -> u32 {
         self.class_models
             .iter()
             .enumerate()
             .map(|(c, m)| (c as u32, m.margin(x)))
             .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("at least one class") // lint:allow(panic_in_lib): OvrModel construction requires ≥1 class model
+            .expect("at least one class")
             .0
     }
 

@@ -19,6 +19,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use mlstar_data::{BatchSampler, SparseDataset};
+use mlstar_exec::WorkerOp;
 use mlstar_glm::{LearningRate, Regularizer};
 use mlstar_linalg::DenseVector;
 use mlstar_ps::{Aggregation, Consistency, PsConfig, PsEngine, WorkerLogic, WorkerStep};
@@ -27,7 +28,7 @@ use mlstar_sim::{dense_op_flops, pass_flops, ClusterSpec, CostModel, SeedStream,
 use crate::checkpoint::{CheckpointError, PsCkptHook, PsCkptRun};
 use crate::common::partition_active_coords;
 use crate::engine::{assemble_output, ps_round_stats, ClockTracer};
-use crate::exec::{dispatch_one, expect_model, to_wire_indices, ComputeBackend, WorkerOp};
+use crate::exec::{dispatch_one, expect_model, to_wire_indices, ComputeBackend};
 use crate::{AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput};
 
 /// The Petuum worker-local computation.
@@ -168,7 +169,10 @@ pub fn train_petuum_star(
 /// The Petuum (`star = false`, summation) / Petuum\* (`star = true`,
 /// averaging) run over `parts`, with optional anchor checkpointing and
 /// replay verification (see [`PsCkptHook`](crate::checkpoint::PsCkptHook)).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "System::run's inputs plus the PS variant and its checkpoint hook"
+)]
 pub(crate) fn train_petuum_ckpt(
     ds: &SparseDataset,
     cluster: &ClusterSpec,

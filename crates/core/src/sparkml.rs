@@ -20,6 +20,7 @@
 
 use mlstar_codec::{schema, CodecError, Reader, Writer};
 use mlstar_data::SparseDataset;
+use mlstar_exec::WorkerOp;
 use mlstar_glm::lbfgs_direction;
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId};
@@ -29,7 +30,6 @@ use crate::common::{eval_objective, BspHarness};
 use crate::engine::{expect_uncheckpointed, run_rounds, RoundStrategy, StepCtx};
 use crate::exec::{
     dispatch, expect_grad, expect_value, system_partitions, ComputeBackend, InProcessBackend,
-    WorkerOp,
 };
 use crate::{System, TrainConfig, TrainOutput};
 

@@ -180,7 +180,10 @@ impl System {
     /// The contract (enforced by the crash-and-restore tests): the
     /// resumed [`TrainOutput`] is bit-identical — trace, round stats,
     /// Gantt spans, and final model — to the run that never stopped.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "System::train's inputs plus the checkpoint to resume from"
+    )]
     pub fn resume(
         &self,
         ds: &SparseDataset,
@@ -228,7 +231,10 @@ impl System {
 
     /// The one dispatch over the seven trainers: plain, checkpointed and
     /// resumed runs on any backend all end here.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the one dispatch takes every input of every entry point"
+    )]
     fn run(
         &self,
         ds: &SparseDataset,

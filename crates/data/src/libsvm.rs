@@ -122,10 +122,14 @@ pub fn write<W: Write>(dataset: &SparseDataset, mut writer: W) -> Result<(), Dat
 }
 
 /// Writes a dataset as a LIBSVM string.
+#[expect(
+    clippy::expect_used,
+    reason = "Vec<u8> io::Write is infallible and the writer emits ASCII only"
+)]
 pub fn write_string(dataset: &SparseDataset) -> String {
     let mut buf = Vec::new();
-    write(dataset, &mut buf).expect("writing to a Vec cannot fail"); // lint:allow(panic_in_lib): Vec<u8> io::Write is infallible
-    String::from_utf8(buf).expect("LIBSVM output is ASCII") // lint:allow(panic_in_lib): the writer emits ASCII only
+    write(dataset, &mut buf).expect("writing to a Vec cannot fail");
+    String::from_utf8(buf).expect("LIBSVM output is ASCII")
 }
 
 /// A streaming LIBSVM reader that yields fixed-size chunks of examples —
@@ -266,11 +270,13 @@ fn parse_line(
 
 /// Maps raw file labels to the `±1` convention: `+1`/`1` → `+1`,
 /// `-1`/`0` → `−1`. Other values are rejected.
+#[expect(
+    clippy::float_cmp,
+    reason = "labels are exact sentinels, not measurements"
+)]
 fn normalize_label(raw: f64) -> Option<f64> {
-    // lint:allow(float_eq): labels are exact sentinels, not measurements
     if raw == 1.0 {
         Some(1.0)
-    // lint:allow(float_eq): labels are exact sentinels, not measurements
     } else if raw == -1.0 || raw == 0.0 {
         Some(-1.0)
     } else {

@@ -99,6 +99,10 @@ impl MulticlassDataset {
     /// # Panics
     ///
     /// Panics if `class >= num_classes`.
+    #[expect(
+        clippy::expect_used,
+        reason = "rows were validated when self was constructed"
+    )]
     pub fn binarized(&self, class: u32) -> SparseDataset {
         assert!(class < self.num_classes, "class out of range");
         let labels = self
@@ -107,7 +111,7 @@ impl MulticlassDataset {
             .map(|&y| if y == class { 1.0 } else { -1.0 })
             .collect();
         SparseDataset::new(self.num_features, self.rows.clone(), labels)
-            .expect("binarization preserves validity") // lint:allow(panic_in_lib): rows were validated when self was constructed
+            .expect("binarization preserves validity")
     }
 
     /// Per-class example counts.
@@ -163,6 +167,10 @@ impl MulticlassConfig {
     ///
     /// Panics on degenerate configurations (zero sizes, < 2 classes,
     /// skew < 1).
+    #[expect(
+        clippy::expect_used,
+        reason = "labels come from 0..num_classes by construction"
+    )]
     pub fn generate(&self) -> MulticlassDataset {
         assert!(self.num_instances > 0, "num_instances must be positive");
         assert!(self.num_features > 0, "num_features must be positive");
@@ -192,7 +200,12 @@ impl MulticlassConfig {
                 let idx = power_law_index(&mut rng, self.num_features, self.feature_skew);
                 pairs.push((idx as u32, 1.0));
             }
-            let row = SparseVector::from_pairs(self.num_features, &pairs).expect("in bounds"); // lint:allow(panic_in_lib): indices are drawn modulo num_features
+            #[expect(clippy::expect_used, reason = "indices are drawn modulo num_features")]
+            let row = SparseVector::from_pairs(self.num_features, &pairs).expect("in bounds");
+            #[expect(
+                clippy::expect_used,
+                reason = "config validation guarantees num_classes ≥ 2"
+            )]
             let label = scorers
                 .iter()
                 .enumerate()
@@ -202,13 +215,13 @@ impl MulticlassConfig {
                     (c as u32, score)
                 })
                 .max_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("at least two classes") // lint:allow(panic_in_lib): config validation guarantees num_classes ≥ 2
+                .expect("at least two classes")
                 .0;
             rows.push(row);
             labels.push(label);
         }
         MulticlassDataset::new(self.num_features, self.num_classes, rows, labels)
-            .expect("generator output is valid") // lint:allow(panic_in_lib): labels come from 0..num_classes by construction
+            .expect("generator output is valid")
     }
 }
 

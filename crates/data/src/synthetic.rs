@@ -159,8 +159,9 @@ impl SyntheticConfig {
             }
             // from_pairs merges duplicate indices by summation, which for
             // binary features models repeated categorical hits.
+            #[expect(clippy::expect_used, reason = "indices are drawn modulo num_features")]
             let row = SparseVector::from_pairs(self.num_features, &pairs)
-                .expect("generated pairs are in bounds"); // lint:allow(panic_in_lib): indices are drawn modulo num_features
+                .expect("generated pairs are in bounds");
             let mut margin: f64 = row.iter().map(|(i, v)| truth[i] * v).sum();
             margin += self.margin_noise * normal(&mut rng);
             let mut label = if margin >= 0.0 { 1.0 } else { -1.0 };

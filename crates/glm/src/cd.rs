@@ -98,7 +98,7 @@ pub fn recompute_margins(cols: &CscMatrix, w: &DenseVector, margins: &mut Vec<f6
     margins.resize(cols.n_rows(), 0.0);
     for j in 0..cols.n_cols() {
         let wj = w.get(j);
-        // lint:allow(float_eq): exactly-zero weights contribute nothing — a sparsity fast path
+        // exactly-zero weights contribute nothing — a sparsity fast path
         if wj != 0.0 {
             for (i, x) in cols.col(j).iter() {
                 margins[i] += wj * x;
@@ -161,7 +161,7 @@ pub fn cd_fit<D: Datafit, P: Penalty>(
         let mut max_delta = 0.0f64;
         for j in 0..cols.n_cols() {
             let norm_sq = cols.col_norm2_sq(j);
-            // lint:allow(float_eq): an absent feature has an exactly-zero column norm
+            // an absent feature has an exactly-zero column norm
             if norm_sq == 0.0 {
                 continue;
             }
@@ -177,7 +177,7 @@ pub fn cd_fit<D: Datafit, P: Penalty>(
             let delta = new - wj;
             stats.coord_updates += 1;
             stats.nnz_visited += col.nnz() as u64;
-            // lint:allow(float_eq): an exactly-unchanged coordinate needs no margin pass
+            // an exactly-unchanged coordinate needs no margin pass
             if delta != 0.0 {
                 w.set(j, new);
                 for (i, x) in col.iter() {

@@ -55,7 +55,7 @@ pub fn batch_gradient_into(
     for &i in batch {
         let x = &rows[i];
         let d = loss.dloss(w.dot_sparse(x), labels[i]);
-        // lint:allow(float_eq): exact-zero subgradient means no update — a sparsity fast path
+        // exact-zero subgradient means no update — a sparsity fast path
         if d != 0.0 {
             grad.axpy_sparse(d * inv, x);
         }

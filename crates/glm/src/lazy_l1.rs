@@ -48,7 +48,7 @@ impl LazyL1 {
     #[inline]
     pub fn apply_at(&mut self, w: &mut DenseVector, i: usize) {
         let z = w.get(i);
-        // lint:allow(float_eq): exactly-zero coordinates owe nothing — a sparsity fast path
+        // exactly-zero coordinates owe nothing — a sparsity fast path
         let applied = if z != 0.0 {
             let nw = soft_threshold(z, self.u - self.q[i]);
             w.set(i, nw);
@@ -60,7 +60,7 @@ impl LazyL1 {
         self.q[i] += applied;
         // A zero coordinate owes nothing further until it becomes nonzero,
         // so mark its debt as settled.
-        // lint:allow(float_eq): truncation clamps to exactly 0.0, so the check is exact
+        // truncation clamps to exactly 0.0, so the check is exact
         if w.get(i) == 0.0 {
             self.q[i] = self.u;
         }

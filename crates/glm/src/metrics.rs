@@ -78,6 +78,10 @@ pub fn auc_from_scores(scores: &[f64], labels: &[f64]) -> f64 {
     // Midranks over ties.
     let mut rank_sum_pos = 0.0;
     let mut i = 0;
+    #[expect(
+        clippy::float_cmp,
+        reason = "ties are exactly equal scores; an epsilon would merge distinct ranks"
+    )]
     while i < scored.len() {
         let mut j = i;
         while j + 1 < scored.len() && scored[j + 1].0 == scored[i].0 {
@@ -190,7 +194,7 @@ impl BinaryConfusion {
     pub fn f1(&self) -> f64 {
         let p = self.precision();
         let r = self.recall();
-        // lint:allow(float_eq): exact-zero guard against 0/0; both terms are ≥ 0
+        // exact-zero guard against 0/0; both terms are ≥ 0
         if p + r == 0.0 {
             0.0
         } else {

@@ -27,7 +27,7 @@ impl Regularizer {
     /// Convenience constructor matching the paper's "L2 = λ" notation:
     /// `l2(0.0)` yields [`Regularizer::None`].
     pub fn l2(lambda: f64) -> Self {
-        // lint:allow(float_eq): λ = 0.0 is an exact sentinel for "unregularized"
+        // λ = 0.0 is an exact sentinel for "unregularized"
         if lambda == 0.0 {
             Regularizer::None
         } else {
@@ -77,7 +77,7 @@ impl Regularizer {
     /// flavor). This is the hook the grid search's regularization-strength
     /// axis threads through.
     pub fn with_lambda(&self, lambda: f64) -> Regularizer {
-        // lint:allow(float_eq): λ = 0.0 is an exact sentinel for "unregularized"
+        // λ = 0.0 is an exact sentinel for "unregularized"
         if lambda == 0.0 {
             return Regularizer::None;
         }
@@ -129,7 +129,7 @@ pub(crate) trait SignumOrZero {
 impl SignumOrZero for f64 {
     #[inline]
     fn signum_or_zero(self) -> f64 {
-        // lint:allow(float_eq): signum_or_zero is defined exactly at 0.0
+        // signum_or_zero is defined exactly at 0.0
         if self == 0.0 {
             0.0
         } else {

@@ -32,7 +32,10 @@ use crate::{soft_threshold, LazyL1, LearningRate, Loss, Regularizer};
 ///
 /// Panics if `order` contains out-of-bounds indices or `rows`/`labels`
 /// lengths differ.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a worker kernel takes the objective, the model, the rows and the visit order as separate borrows"
+)]
 pub fn sgd_epoch_lazy(
     loss: Loss,
     reg: Regularizer,
@@ -50,7 +53,7 @@ pub fn sgd_epoch_lazy(
             for &i in order {
                 let eta = lr.eta(t);
                 let d = loss.dloss(w.dot_sparse(&rows[i]), labels[i]);
-                // lint:allow(float_eq): exact-zero subgradient means no update — a sparsity fast path
+                // exact-zero subgradient means no update — a sparsity fast path
                 if d != 0.0 {
                     w.axpy_sparse(-eta * d, &rows[i]);
                 }
@@ -64,7 +67,7 @@ pub fn sgd_epoch_lazy(
                 // Shrink first (acts on w_{t-1}), then take the loss step,
                 // matching w ← (1-ηλ)·w − η·d·x.
                 w.scale_by((1.0 - eta * lambda).max(0.0));
-                // lint:allow(float_eq): exact-zero subgradient means no update — a sparsity fast path
+                // exact-zero subgradient means no update — a sparsity fast path
                 if d != 0.0 {
                     w.axpy_sparse(-eta * d, &rows[i]);
                 }
@@ -81,7 +84,7 @@ pub fn sgd_epoch_lazy(
                     l1.apply_at(dense, j);
                 }
                 let d = loss.dloss(dense.dot_sparse(&rows[i]), labels[i]);
-                // lint:allow(float_eq): exact-zero subgradient means no update — a sparsity fast path
+                // exact-zero subgradient means no update — a sparsity fast path
                 if d != 0.0 {
                     dense.axpy_sparse(-eta * d, &rows[i]);
                 }
@@ -98,7 +101,10 @@ pub fn sgd_epoch_lazy(
 /// updates. Semantically equivalent to [`sgd_epoch_lazy`] but `O(d)` per
 /// step under L2/L1; kept as the correctness oracle and for the
 /// lazy-vs-eager ablation benchmark.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a worker kernel takes the objective, the model, the rows and the visit order as separate borrows"
+)]
 pub fn sgd_epoch_eager(
     loss: Loss,
     reg: Regularizer,
@@ -126,7 +132,7 @@ pub fn sgd_epoch_eager(
                 }
             }
         }
-        // lint:allow(float_eq): exact-zero subgradient means no update — a sparsity fast path
+        // exact-zero subgradient means no update — a sparsity fast path
         if d != 0.0 {
             w.axpy_sparse(-eta * d, &rows[i]);
         }
@@ -147,7 +153,10 @@ pub fn sgd_epoch_eager(
 /// # Panics
 ///
 /// Panics if `batch` is empty.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a worker kernel takes the objective, the model, the rows and the visit order as separate borrows"
+)]
 pub fn mgd_step(
     loss: Loss,
     reg: Regularizer,
@@ -165,7 +174,7 @@ pub fn mgd_step(
         Regularizer::L1 { lambda } => {
             for j in 0..w.dim() {
                 let z = w.get(j);
-                // lint:allow(float_eq): the L1 subgradient is exactly zero at exactly-zero weights
+                // the L1 subgradient is exactly zero at exactly-zero weights
                 if z != 0.0 {
                     grad_buf[j] += lambda * z.signum();
                 }

@@ -185,7 +185,7 @@ impl DenseVector {
 
     /// Number of coordinates with nonzero value.
     pub fn count_nonzero(&self) -> usize {
-        self.values.iter().filter(|v| **v != 0.0).count() // lint:allow(float_eq): nnz counts exact zeros by definition
+        self.values.iter().filter(|v| **v != 0.0).count() // nnz counts exact zeros by definition
     }
 
     /// Returns `true` if every coordinate is finite.

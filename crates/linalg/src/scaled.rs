@@ -86,9 +86,9 @@ impl ScaledVector {
 
     /// `self += alpha · x` on the *represented* vector, in `O(nnz(x))`.
     pub fn axpy_sparse(&mut self, alpha: f64, x: &SparseVector) {
-        // lint:allow(float_eq): scale = 0.0 is an exact state set by scale_by, not a computed value
+        // scale = 0.0 is an exact state set by scale_by, not a computed value
         debug_assert!(self.scale != 0.0 || alpha == 0.0 || x.is_empty());
-        // lint:allow(float_eq): scale = 0.0 is an exact state set by scale_by
+        // scale = 0.0 is an exact state set by scale_by
         if self.scale == 0.0 {
             // Represented vector is exactly zero; reset scale to 1 first.
             self.v.clear();
@@ -99,7 +99,7 @@ impl ScaledVector {
 
     /// `self += alpha · d` on the represented vector, in `O(dim)`.
     pub fn axpy_dense(&mut self, alpha: f64, d: &DenseVector) {
-        // lint:allow(float_eq): scale = 0.0 is an exact state set by scale_by
+        // scale = 0.0 is an exact state set by scale_by
         if self.scale == 0.0 {
             self.v.clear();
             self.scale = 1.0;
@@ -113,8 +113,11 @@ impl ScaledVector {
     }
 
     /// Folds the scale factor into the storage so that `scale == 1`.
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact no-op check; 1.0 is the exact post-rescale state"
+    )]
     pub fn rescale(&mut self) {
-        // lint:allow(float_eq): exact no-op check; 1.0 is the exact post-rescale state
         if self.scale != 1.0 {
             self.v.scale(self.scale);
             self.scale = 1.0;
@@ -126,10 +129,13 @@ impl ScaledVector {
     /// # Panics
     ///
     /// Panics if dimensions differ.
+    #[expect(
+        clippy::float_cmp,
+        reason = "exact no-op check; 1.0 is the exact post-rescale state"
+    )]
     pub fn copy_into(&self, out: &mut DenseVector) {
         assert_eq!(self.dim(), out.dim(), "copy_into: dimension mismatch");
         out.as_mut_slice().copy_from_slice(self.v.as_slice());
-        // lint:allow(float_eq): exact no-op check; 1.0 is the exact post-rescale state
         if self.scale != 1.0 {
             out.scale(self.scale);
         }

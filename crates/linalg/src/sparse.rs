@@ -72,9 +72,12 @@ impl SparseVector {
         let mut values = Vec::with_capacity(sorted.len());
         for (i, v) in sorted {
             if indices.last() == Some(&i) {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "indices and values grow in lockstep in this loop"
+                )]
                 let last = values
                     .last_mut()
-                    // lint:allow(panic_in_lib): indices and values grow in lockstep in this loop
                     .expect("values nonempty when indices nonempty");
                 *last += v;
             } else {

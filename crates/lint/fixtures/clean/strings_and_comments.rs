@@ -1,26 +1,21 @@
-//@ path: crates/cluster/src/demo.rs
+//@ path: crates/linalg/src/demo.rs
 //@ expect:
 
-//! Forbidden tokens in comments: HashMap, Instant::now(), thread_rng().
+//! Allocation tokens inside a loop, but only in comments and literals.
 
-/// Doc example with a panic:
-/// ```
-/// let v: u32 = "7".parse().unwrap();
-/// ```
-pub fn doc_example() {}
-
-pub const HELP: &str = "never use HashMap, Instant::now, or .unwrap() here";
-
-pub const RAW: &str = r#"thread_rng() and "rand::random" in a raw string"#;
-
-pub const MULTI: &str = "line one .expect(
-line two SystemTime::now continues the string";
-
-/* block comment: x == 1.0 and println!("x") are fine here
-   /* nested: HashSet::new() */
-   still commented */
-pub fn quoted_quote() -> char {
-    '"' // a char literal holding a quote must not open a string
+pub fn tokens_only_in_text(n: usize) -> usize {
+    let mut total = 0;
+    for i in 0..n {
+        // Vec::new() and xs.to_vec() in a comment
+        let s = "vec![1] .clone() format!(\"x\")";
+        let raw = r#".collect() in a "raw" string"#;
+        /* block: Vec::new()
+           /* nested: .to_vec( */
+           still a comment */
+        let quote = '"';
+        total += i + s.len() + raw.len() + usize::from(quote == '"');
+    }
+    total
 }
 
 pub fn lifetimes<'a>(s: &'a str) -> &'a str {

@@ -1,77 +1,89 @@
-//! mlstar-lint: the workspace's own static analyzer.
+//! mlstar-lint: the one workspace rule that no compiler lint expresses.
 //!
-//! The reproduction's headline claim is *bit-reproducible* distributed GLM
-//! training on a simulated cluster. That property is easy to break with a
-//! single `HashMap` iteration or stray `Instant::now()`, and no rustc or
-//! clippy lint polices it. This crate does, with zero dependencies beyond
-//! std (the build environment has no registry access).
+//! `hot_loop_alloc` flags an allocation (`Vec::new`, `vec!`, `.to_vec(`,
+//! `.clone(`, `.collect(`, `format!`) inside a `for`/`while`/`loop` body
+//! of a non-test function in a hot-path module ([`HOT_PATH_MODULES`]).
+//! It needs loop context, which no configurable clippy lint has. Every
+//! other workspace invariant is held by rustc, by clippy (the root
+//! `clippy.toml` and the `#![deny]` block at each library crate root) or
+//! by the crate graph; DESIGN.md §9 lists which holds what.
 //!
-//! v2 grew the line scanner into a lightweight item-level analyzer: a
-//! tokenizer-backed parser ([`parse`]) extracts `fn`/`impl`/`mod` items
-//! per file, [`callgraph`] resolves intra-workspace calls by name
-//! (module-path heuristic, no type inference), and [`taint`] walks the
-//! graph so a nondeterminism sink two calls deep from a public API is
-//! reported with its full call path.
+//! Waive a finding with `// lint:allow(hot_loop_alloc): <reason>` at the
+//! end of the line, or alone on the line above it. A waiver that is
+//! malformed, names another rule or suppresses nothing is a violation
+//! itself, so stale waivers cannot accumulate.
 //!
-//! Rules (see [`rules::RuleId`]):
-//!
-//! | rule | enforced where |
-//! |------|----------------|
-//! | `determinism_taint` | sim-critical crates + anything their public APIs reach (path-carrying) |
-//! | `ambient_rand` | everywhere except crates/bench |
-//! | `thread_spawn` | lib/bin code outside the allowlisted host-parallelism modules |
-//! | `hot_loop_alloc` | loop bodies in designated hot-path modules |
-//! | `duplicate_hash_impl` | any crate except mlstar-codec |
-//! | `panic_in_lib` | non-test library code (waivable) |
-//! | `float_eq` | non-test lib/bin code (literal/constant comparisons) |
-//! | `print_in_lib` | library code outside crates/bench |
-//! | `invalid_waiver` | waiver comments themselves |
-//! | `rng_placement` | functions reachable from worker-side entry points |
-//!
-//! Waive a finding with `// lint:allow(<rule>): <reason>` on the same
-//! line or the line above. Stale or malformed waivers are violations, so
-//! the waiver inventory stays honest.
-//!
-//! Run it as `cargo lint` (alias for `cargo run -p mlstar-lint --`; add
-//! `--json` for machine-readable output with per-rule timings); the
-//! integration test in `tests/workspace_clean.rs` runs the same scan on
-//! every `cargo test`, which is what wires the analyzer into the tier-1
-//! gate.
+//! Run it as `cargo lint`; `tests/lint_gate.rs` at the workspace root runs
+//! the same scan on every `cargo test`.
 
-pub mod callgraph;
-pub mod context;
-pub mod parse;
-pub mod report;
-pub mod rules;
-pub mod scanner;
-pub mod taint;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
+mod loops;
+mod scanner;
 pub mod walk;
 
+use std::collections::BTreeMap;
+use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-pub use callgraph::CallGraph;
-pub use context::{classify, FileContext, FileRole};
-pub use parse::FnItem;
-pub use rules::{RuleId, Violation};
+use scanner::is_ident_char;
 
-/// One analyzed source file: classification, scanned lines, parsed
-/// function items, and its waiver table.
-#[derive(Debug)]
-pub struct FileUnit {
-    pub ctx: FileContext,
-    pub lines: Vec<scanner::Line>,
-    pub items: Vec<parse::FnItem>,
-    pub(crate) waivers: Vec<rules::Waiver>,
+/// The rule's name, in diagnostics and in waivers.
+pub const RULE: &str = "hot_loop_alloc";
+
+/// Hot-path modules, as `(crate directory, top-level modules)`. An empty
+/// module list means the whole crate.
+pub const HOT_PATH_MODULES: &[(&str, &[&str])] = &[
+    ("linalg", &[]),
+    (
+        "glm",
+        &[
+            "cd",
+            "gradient",
+            "lazy_l1",
+            "lbfgs",
+            "optimizer",
+            "path",
+            "sgd",
+        ],
+    ),
+    ("serve", &["engine"]),
+    ("exec", &[]),
+];
+
+const ALLOC_TOKENS: &[&str] = &[
+    "Vec::new",
+    "vec!",
+    ".to_vec(",
+    ".clone(",
+    ".collect(",
+    "format!",
+];
+
+/// One diagnostic. `rule` is [`RULE`] for an allocation and `"waiver"`
+/// for a bad waiver comment.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Violation {
+    /// Workspace-relative path, forward slashes.
+    pub file: String,
+    /// 1-based line.
+    pub line: usize,
+    pub rule: &'static str,
+    pub message: String,
 }
 
-/// Wall-time spent in one analysis phase or rule pass (reporting only —
-/// timings never influence diagnostics).
-#[derive(Debug, Clone)]
-pub struct PassTiming {
-    pub name: &'static str,
-    pub micros: u128,
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.rule, self.message
+        )
+    }
 }
 
 /// Result of scanning a whole workspace.
@@ -79,134 +91,249 @@ pub struct PassTiming {
 pub struct ScanReport {
     pub violations: Vec<Violation>,
     pub files_scanned: usize,
-    /// Functions extracted by the item parser.
-    pub functions: usize,
-    /// Resolved call-graph edges.
-    pub edges: usize,
-    /// Per-phase / per-rule wall time.
-    pub timings: Vec<PassTiming>,
 }
 
-fn timed<T>(name: &'static str, timings: &mut Vec<PassTiming>, f: impl FnOnce() -> T) -> T {
-    // lint:allow(determinism_taint): reporting-only pass timings, never part of any diagnostic
-    let t0 = std::time::Instant::now();
-    let out = f();
-    timings.push(PassTiming {
-        name,
-        micros: t0.elapsed().as_micros(),
-    });
-    out
+/// The crate directory of `rel_path` when the file is library code of a
+/// hot-path module.
+fn hot_crate(rel_path: &str) -> Option<&str> {
+    let (krate, rest) = rel_path.strip_prefix("crates/")?.split_once("/src/")?;
+    let module = rest.split('/').next()?.trim_end_matches(".rs");
+    let hot = HOT_PATH_MODULES
+        .iter()
+        .any(|(c, mods)| *c == krate && (mods.is_empty() || mods.contains(&module)));
+    (hot && module != "main" && module != "bin").then_some(krate)
 }
 
-/// Runs the full analysis (scan → parse → call graph → rule passes) over
-/// an in-memory file set. This is the core the single-file [`check_file`]
-/// helper and the workspace scan both share.
-pub fn analyze_sources(sources: Vec<(FileContext, String)>) -> ScanReport {
-    let mut timings: Vec<PassTiming> = Vec::new();
-    let mut violations: Vec<Violation> = Vec::new();
+/// Whether `code` contains `token` with a word boundary before it, so
+/// `SparseVec::new` does not match `Vec::new`.
+fn contains_alloc_token(code: &str, token: &str) -> bool {
+    code.match_indices(token).any(|(pos, _)| {
+        !token.starts_with(is_ident_char)
+            || code[..pos]
+                .chars()
+                .next_back()
+                .is_none_or(|c| !is_ident_char(c) && c != ':')
+    })
+}
 
-    let mut units: Vec<FileUnit> = timed("parse", &mut timings, || {
-        sources
-            .into_iter()
-            .map(|(ctx, source)| {
-                let lines = scanner::scan(&source);
-                let (waivers, mut malformed) = rules::collect_waivers(&ctx, &lines);
-                violations.append(&mut malformed);
-                let items = parse::parse_file(&ctx, &lines);
-                FileUnit {
-                    ctx,
-                    lines,
-                    items,
-                    waivers,
-                }
-            })
-            .collect()
-    });
-    let files_scanned = units.len();
-    let functions = units.iter().map(|u| u.items.len()).sum();
+/// Checks the `(rule): reason` tail of a `lint:allow` comment.
+fn parse_waiver(tail: &str) -> Result<(), String> {
+    let Some((name, after)) = tail
+        .trim_start()
+        .strip_prefix('(')
+        .and_then(|rest| rest.split_once(')'))
+    else {
+        return Err(format!(
+            "malformed waiver: expected `lint:allow({RULE}): <reason>`"
+        ));
+    };
+    let name = name.trim();
+    if name != RULE {
+        return Err(format!(
+            "`{name}` cannot be waived here: `{RULE}` is this analyzer's only rule; \
+             a clippy finding takes `#[expect(clippy::…, reason = \"…\")]`"
+        ));
+    }
+    let reason = after.trim_start().strip_prefix(':').map_or("", str::trim);
+    if reason.is_empty() {
+        return Err(format!(
+            "waiver has no reason: write `lint:allow({RULE}): <why this is safe>`"
+        ));
+    }
+    Ok(())
+}
 
-    let graph = timed("callgraph", &mut timings, || CallGraph::build(&units));
-    let edges = graph.edge_count;
+/// Runs the rule and the waiver check over one file. `rel_path` decides
+/// whether the file is a hot-path module; waivers are checked everywhere.
+pub fn check_file(rel_path: &str, source: &str) -> Vec<Violation> {
+    let lines = scanner::scan(source);
+    let violation = |line, rule, message| Violation {
+        file: rel_path.to_string(),
+        line,
+        rule,
+        message,
+    };
+    let mut out = Vec::new();
 
-    timed("determinism_taint", &mut timings, || {
-        taint::pass_determinism_taint(&mut units, &graph, &mut violations)
-    });
-    timed("ambient_rand", &mut timings, || {
-        rules::pass_ambient_rand(&mut units, &mut violations)
-    });
-    timed("thread_spawn", &mut timings, || {
-        rules::pass_thread_spawn(&mut units, &mut violations)
-    });
-    timed("hot_loop_alloc", &mut timings, || {
-        rules::pass_hot_loop_alloc(&mut units, &mut violations)
-    });
-    timed("duplicate_hash_impl", &mut timings, || {
-        rules::pass_duplicate_hash_impl(&mut units, &mut violations)
-    });
-    timed("panic_in_lib", &mut timings, || {
-        rules::pass_panic_in_lib(&mut units, &mut violations)
-    });
-    timed("float_eq", &mut timings, || {
-        rules::pass_float_eq(&mut units, &mut violations)
-    });
-    timed("print_in_lib", &mut timings, || {
-        rules::pass_print_in_lib(&mut units, &mut violations)
-    });
-    timed("rng_placement", &mut timings, || {
-        taint::pass_rng_placement(&mut units, &graph, &mut violations)
-    });
-
-    // Every waiver must have suppressed something.
-    for unit in &units {
-        for w in &unit.waivers {
-            if !w.used {
-                violations.push(Violation {
-                    file: unit.ctx.rel_path.clone(),
-                    line: w.comment_line,
-                    rule: RuleId::InvalidWaiver,
-                    message: format!(
-                        "waiver for `{}` suppresses nothing; remove the stale comment",
-                        w.rule.name()
-                    ),
-                    path: Vec::new(),
-                });
+    // (comment line, target line, used)
+    let mut waivers: Vec<(usize, usize, bool)> = Vec::new();
+    for (idx, line) in lines.iter().enumerate() {
+        let Some(tail) = line.comment.trim_start().strip_prefix("lint:allow") else {
+            continue;
+        };
+        match parse_waiver(tail) {
+            Err(message) => out.push(violation(idx + 1, "waiver", message)),
+            Ok(()) => {
+                // A trailing waiver covers its own line; a waiver alone on
+                // its line covers the next line with code.
+                let target = lines
+                    .iter()
+                    .enumerate()
+                    .skip(idx)
+                    .find(|(_, l)| !l.code.trim().is_empty())
+                    .map_or(idx, |(j, _)| j);
+                waivers.push((idx + 1, target + 1, false));
             }
         }
     }
 
-    // Fully deterministic emit order: file → line → rule → message. The
-    // message tiebreaker matters when one pass emits several diagnostics
-    // on the same line (e.g. two taint paths ending on one line).
-    violations.sort_by(|a, b| {
-        (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
-    });
-    ScanReport {
-        violations,
-        files_scanned,
-        functions,
-        edges,
-        timings,
+    if let Some(krate) = hot_crate(rel_path) {
+        // One finding per line, however many loops nest around it.
+        let mut found: BTreeMap<usize, String> = BTreeMap::new();
+        for body in loops::find_loops(&lines) {
+            for (idx, line) in lines.iter().enumerate().take(body.end).skip(body.start - 1) {
+                if let Some(token) = ALLOC_TOKENS
+                    .iter()
+                    .find(|t| contains_alloc_token(&line.code, t))
+                {
+                    found.entry(idx + 1).or_insert_with(|| {
+                        format!(
+                            "`{token}` allocates inside a loop in hot-path fn `{krate}::{}`: hoist the buffer out of the loop or reuse scratch space",
+                            body.fn_name
+                        )
+                    });
+                }
+            }
+        }
+        for (line, message) in found {
+            match waivers.iter_mut().find(|w| w.1 == line) {
+                Some(w) => w.2 = true,
+                None => out.push(violation(line, RULE, message)),
+            }
+        }
     }
+
+    for (line, _, used) in waivers {
+        if !used {
+            let message = "waiver suppresses nothing; remove the stale comment".to_string();
+            out.push(violation(line, "waiver", message));
+        }
+    }
+    out.sort();
+    out
 }
 
-/// Runs every applicable rule over one file's source text. Call paths are
-/// resolved within the file only — the workspace scan sees cross-file
-/// chains too.
-pub fn check_file(ctx: &FileContext, source: &str) -> Vec<Violation> {
-    analyze_sources(vec![(ctx.clone(), source.to_string())]).violations
-}
-
-/// Scans every policed `.rs` file under `root` and returns all violations,
-/// sorted by file then line.
+/// Scans every policed `.rs` file under `root`; violations come sorted by
+/// file, then line.
 pub fn scan_workspace(root: &Path) -> io::Result<ScanReport> {
     let files = walk::rust_sources(root)?;
-    let mut sources = Vec::new();
+    let mut violations = Vec::new();
     for rel in &files {
-        let Some(ctx) = classify(rel) else {
-            continue;
-        };
-        let source = fs::read_to_string(root.join(rel))?;
-        sources.push((ctx, source));
+        violations.extend(check_file(rel, &fs::read_to_string(root.join(rel))?));
     }
-    Ok(analyze_sources(sources))
+    Ok(ScanReport {
+        violations,
+        files_scanned: files.len(),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rules(path: &str, src: &str) -> Vec<&'static str> {
+        check_file(path, src).into_iter().map(|v| v.rule).collect()
+    }
+
+    const KERNEL: &str = "pub fn kernel(rows: &[Vec<f64>]) -> f64 {\n    let mut acc = 0.0;\n    for r in rows {\n        let copy = r.to_vec();\n        acc += copy.len() as f64;\n    }\n    acc\n}\n";
+
+    #[test]
+    fn fires_in_hot_modules_only() {
+        for hot in [
+            "crates/linalg/src/ops.rs",
+            "crates/glm/src/sgd.rs",
+            "crates/exec/src/lib.rs",
+            "crates/serve/src/engine.rs",
+        ] {
+            assert_eq!(rules(hot, KERNEL), vec![RULE], "{hot}");
+        }
+        for cold in [
+            "crates/glm/src/metrics.rs",
+            "crates/core/src/exec.rs",
+            "crates/data/src/x.rs",
+            "crates/linalg/tests/t.rs",
+            "crates/linalg/src/bin/b.rs",
+            "src/lib.rs",
+        ] {
+            assert!(rules(cold, KERNEL).is_empty(), "{cold}");
+        }
+    }
+
+    #[test]
+    fn diagnostics_carry_line_and_function() {
+        let v = check_file("crates/linalg/src/ops.rs", KERNEL);
+        assert_eq!(v[0].line, 4);
+        assert_eq!(
+            v[0].to_string(),
+            "crates/linalg/src/ops.rs:4: [hot_loop_alloc] `.to_vec(` allocates inside a loop in hot-path fn `linalg::kernel`: hoist the buffer out of the loop or reuse scratch space"
+        );
+    }
+
+    #[test]
+    fn every_alloc_token_fires_and_lookalikes_do_not() {
+        for stmt in [
+            "let v: Vec<u8> = Vec::new();",
+            "let v = vec![0u8; 4];",
+            "let v = s.to_vec();",
+            "let v = s.clone();",
+            "let v: Vec<u8> = s.iter().copied().collect();",
+            "let v = format!(\"{x}\");",
+        ] {
+            let src = format!("fn f() {{\n    loop {{\n        {stmt}\n    }}\n}}\n");
+            assert_eq!(rules("crates/linalg/src/x.rs", &src), vec![RULE], "{stmt}");
+        }
+        for stmt in [
+            "let v = SparseVec::new();",
+            "let v = myvec![1];",
+            "s.clone_from(&t);",
+        ] {
+            let src = format!("fn f() {{\n    loop {{\n        {stmt}\n    }}\n}}\n");
+            assert!(rules("crates/linalg/src/x.rs", &src).is_empty(), "{stmt}");
+        }
+    }
+
+    #[test]
+    fn hoisted_allocation_and_test_code_are_fine() {
+        let hoisted = "pub fn kernel(rows: &[Vec<f64>]) -> f64 {\n    let mut scratch = Vec::new();\n    for r in rows {\n        scratch.extend_from_slice(r);\n    }\n    scratch.len() as f64\n}\n";
+        assert!(rules("crates/linalg/src/ops.rs", hoisted).is_empty());
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{KERNEL}}}\n");
+        assert!(rules("crates/linalg/src/ops.rs", &in_tests).is_empty());
+    }
+
+    #[test]
+    fn waivers_suppress_own_line_or_next_code_line() {
+        let trailing = KERNEL.replace(
+            "r.to_vec();",
+            "r.to_vec(); // lint:allow(hot_loop_alloc): the copy is the output",
+        );
+        assert!(rules("crates/linalg/src/ops.rs", &trailing).is_empty());
+        let above = KERNEL.replace(
+            "        let copy",
+            "        // lint:allow(hot_loop_alloc): the copy is the output\n\n        let copy",
+        );
+        assert!(rules("crates/linalg/src/ops.rs", &above).is_empty());
+    }
+
+    #[test]
+    fn bad_waivers_are_violations() {
+        let stale = "// lint:allow(hot_loop_alloc): nothing allocates here\npub fn f() {}\n";
+        let unknown = "// lint:allow(panic_in_lib): a deleted rule\npub fn f() {}\n";
+        let no_reason = "// lint:allow(hot_loop_alloc):\npub fn f() {}\n";
+        let malformed = "// lint:allow hot_loop_alloc\npub fn f() {}\n";
+        for src in [stale, unknown, no_reason, malformed] {
+            assert_eq!(rules("crates/data/src/x.rs", src), vec!["waiver"], "{src}");
+        }
+        // A malformed waiver does not suppress the finding it sits on.
+        let bad = KERNEL.replace("r.to_vec();", "r.to_vec(); // lint:allow(hot_loop_alloc):");
+        assert_eq!(
+            rules("crates/linalg/src/ops.rs", &bad),
+            vec![RULE, "waiver"]
+        );
+    }
+
+    #[test]
+    fn prose_mentioning_waiver_syntax_is_not_a_waiver() {
+        let src = "/// Waive with `// lint:allow(panic_in_lib): reason`.\npub fn f() {}\n";
+        assert!(rules("crates/data/src/x.rs", src).is_empty());
+    }
 }

@@ -6,13 +6,15 @@ use std::path::{Path, PathBuf};
 
 /// Directory names never descended into: build output, VCS metadata,
 /// vendored dependency stubs, lint fixtures (which violate on purpose),
-/// and benchmark result dumps.
+/// benchmark result dumps, and `benchmarks/`, a cargo workspace of its
+/// own that this workspace's policy does not cover.
 const SKIP_DIRS: &[&str] = &[
     "target",
     ".git",
     "vendor",
     "fixtures",
     "bench_results",
+    "benchmarks",
     ".github",
     "node_modules",
 ];
@@ -82,6 +84,8 @@ mod tests {
         let files = rust_sources(&root).expect("workspace is readable");
         assert!(files.iter().any(|f| f == "crates/lint/src/walk.rs"));
         assert!(files.iter().all(|f| !f.starts_with("vendor/")));
+        assert!(root.join("benchmarks/src").is_dir(), "the skip is live");
+        assert!(files.iter().all(|f| !f.starts_with("benchmarks/")));
         assert!(files.iter().all(|f| !f.contains("/fixtures/")));
         let mut sorted = files.clone();
         sorted.sort();

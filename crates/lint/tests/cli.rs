@@ -1,4 +1,4 @@
-//! End-to-end CLI tests: exit codes, --json output, --help, --list-rules.
+//! End-to-end CLI tests: exit codes, diagnostics, --help.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -22,12 +22,12 @@ impl TempWorkspace {
     fn violating(tag: &str) -> Self {
         let root =
             std::env::temp_dir().join(format!("mlstar-lint-cli-{}-{tag}", std::process::id()));
-        let src_dir = root.join("crates/cluster/src");
+        let src_dir = root.join("crates/linalg/src");
         fs::create_dir_all(&src_dir).expect("mkdir temp workspace");
         fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n").expect("write manifest");
         fs::write(
             src_dir.join("demo.rs"),
-            "use std::collections::HashMap;\npub fn f() -> HashMap<u32, u32> { HashMap::new() }\n",
+            "pub fn f(rows: &[Vec<u8>]) -> usize {\n    let mut n = 0;\n    for r in rows {\n        n += r.to_vec().len();\n    }\n    n\n}\n",
         )
         .expect("write violating source");
         TempWorkspace { root }
@@ -67,53 +67,20 @@ fn violations_exit_nonzero_with_file_line_diagnostics() {
     assert_eq!(out.status.code(), Some(1), "violations must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("crates/cluster/src/demo.rs:1: [determinism_taint]"),
+        stdout.contains("crates/linalg/src/demo.rs:4: [hot_loop_alloc]"),
         "stdout was: {stdout}"
     );
 }
 
 #[test]
-fn json_mode_emits_machine_readable_report() {
-    let tmp = TempWorkspace::violating("json");
+fn help_exits_zero() {
     let out = Command::new(lint_bin())
-        .arg("--json")
-        .arg("--root")
-        .arg(&tmp.root)
+        .arg("--help")
         .output()
         .expect("run mlstar-lint");
-    assert_eq!(out.status.code(), Some(1));
+    assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.trim_start().starts_with('{'), "stdout was: {stdout}");
-    assert!(
-        stdout.contains("\"rule\": \"determinism_taint\""),
-        "stdout was: {stdout}"
-    );
-    assert!(
-        stdout.contains("\"file\": \"crates/cluster/src/demo.rs\""),
-        "stdout was: {stdout}"
-    );
-    assert!(
-        stdout.contains("\"files_scanned\": 1"),
-        "stdout was: {stdout}"
-    );
-}
-
-#[test]
-fn help_and_list_rules_exit_zero() {
-    for flag in ["--help", "--list-rules"] {
-        let out = Command::new(lint_bin())
-            .arg(flag)
-            .output()
-            .expect("run mlstar-lint");
-        assert!(out.status.success(), "{flag} must exit 0");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let needle = if flag == "--help" {
-            "USAGE"
-        } else {
-            "determinism_taint"
-        };
-        assert!(stdout.contains(needle), "{flag} stdout was: {stdout}");
-    }
+    assert!(stdout.contains("USAGE"), "stdout was: {stdout}");
 }
 
 #[test]
@@ -123,25 +90,4 @@ fn unknown_flag_exits_two() {
         .output()
         .expect("run mlstar-lint");
     assert_eq!(out.status.code(), Some(2));
-}
-
-/// `--list-rules` is generated from the registry, so every registered
-/// rule id must appear — a new RuleId variant cannot ship half-wired.
-#[test]
-fn list_rules_covers_every_registered_rule() {
-    let out = Command::new(lint_bin())
-        .arg("--list-rules")
-        .output()
-        .expect("run mlstar-lint");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for rule in mlstar_lint::RuleId::ALL {
-        assert!(
-            stdout
-                .lines()
-                .any(|l| l.split_whitespace().next() == Some(rule.name())),
-            "rule `{}` missing from --list-rules output:\n{stdout}",
-            rule.name()
-        );
-    }
 }

@@ -3,7 +3,7 @@
 //! Every trainer in `mlstar-core` describes its per-worker math as
 //! `WorkerOp`s for a `ComputeBackend`; a simulated run executes them in
 //! process. This crate is the other backend: it runs the same ops (via
-//! the same `mlstar_core::OpExecutor`) on real OS threads behind an
+//! the same `mlstar_exec::OpExecutor`) on real OS threads behind an
 //! orchestrator/worker command protocol (framed on `mlstar-codec`, vector
 //! payloads via `collectives::wire`), over either in-process channels or
 //! loopback TCP — while leaving the trainer itself, its RNG streams, and
@@ -18,7 +18,7 @@
 //! * All randomness stays on the orchestrating thread; workers receive
 //!   explicit row-index lists.
 //! * Workers execute ops with the one executor every backend shares (see
-//!   `core::WorkerOp`), over the same rows in the same order.
+//!   `mlstar_exec`), over the same rows in the same order.
 //! * `f64` survives the wire exactly (little-endian byte round-trip).
 //! * Wall-clock is measured but never consulted: no timeout, retry, or
 //!   scheduling decision depends on it.
@@ -60,6 +60,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 mod error;
 mod measure;
@@ -156,7 +159,10 @@ impl NetTrainOutput {
 /// Returns a typed [`NetError`] if a worker dies mid-run, the handshake
 /// fails, or a peer violates the protocol. No partial output escapes: the
 /// error path shuts down surviving workers before returning.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "mirrors System::train's inputs plus the net config"
+)]
 pub fn train_net(
     system: System,
     ds: &SparseDataset,
@@ -254,10 +260,12 @@ pub fn train_net(
             }
             slots[w] = Some(link);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the duplicate/range checks above guarantee k distinct in-range ids fill every slot"
+        )]
         let mut links: Vec<Box<dyn Transport>> = slots
             .into_iter()
-            // lint:allow(panic_in_lib): the duplicate/range checks above
-            // guarantee k distinct in-range ids fill every slot.
             .map(|s| s.expect("k links with k distinct in-range ids fill every slot"))
             .collect();
 
@@ -266,21 +274,25 @@ pub fn train_net(
         // settings and is announced to every worker here.
         let switch = cfg.compression.switch;
         for (w, link) in links.iter_mut().enumerate() {
+            #[expect(
+                clippy::expect_used,
+                reason = "dataset row counts are bounded far below u32::MAX by construction"
+            )]
             let rows = parts[w]
                 .iter()
                 .map(|&i| AssignedRow {
-                    // lint:allow(panic_in_lib): dataset row counts are
-                    // bounded far below u32::MAX by construction.
                     global: u32::try_from(i).expect("row index exceeds wire width"),
                     label: ds.labels()[i],
                     row: ds.rows()[i].clone(),
                 })
                 .collect();
+            #[expect(
+                clippy::expect_used,
+                reason = "feature dimensions are bounded far below u32::MAX by construction"
+            )]
             link.send(&encode_msg(
                 &Msg::Assign {
                     worker: w as u32,
-                    // lint:allow(panic_in_lib): feature dimensions are
-                    // bounded far below u32::MAX by construction.
                     dim: u32::try_from(dim).expect("dimension exceeds wire width"),
                     loss: cfg.loss,
                     reg: cfg.reg,

@@ -1,10 +1,15 @@
 //! The one clock in the crate.
 //!
 //! Everything `mlstar-net` reports about *time* flows through this
-//! module, so the determinism linter can allowlist exactly one file: wall
+//! module, so exactly one file waives the workspace's wall-clock ban: wall
 //! clocks here feed measurement records only — never control flow, RNG
 //! seeding, or model math — which is what keeps net-backed training
 //! bit-identical to the simulated path.
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the crate's one host clock; readings feed measurement records only"
+)]
 
 use std::time::Instant;
 

@@ -11,7 +11,8 @@
 use std::collections::BTreeMap;
 
 use mlstar_collectives::FrameSwitch;
-use mlstar_core::{ComputeBackend, OpResult, WorkerOp};
+use mlstar_core::ComputeBackend;
+use mlstar_exec::{OpResult, WorkerOp};
 use mlstar_sim::{dense_op_flops, pass_flops};
 
 use crate::error::NetError;
@@ -149,6 +150,10 @@ impl Orchestrator {
 }
 
 impl ComputeBackend for Orchestrator {
+    #[expect(
+        clippy::expect_used,
+        reason = "the reply loop returns an error unless every dispatched op produced a result"
+    )]
     fn run_ops(&mut self, ops: Vec<(usize, WorkerOp)>) -> Result<Vec<OpResult>, String> {
         let batch = self.next_batch;
         self.next_batch += 1;
@@ -246,8 +251,6 @@ impl ComputeBackend for Orchestrator {
 
         Ok(slots
             .into_iter()
-            // lint:allow(panic_in_lib): the reply loop above returns an
-            // error unless every dispatched op produced a result.
             .map(|s| s.expect("every op slot filled by its worker's reply"))
             .collect())
     }

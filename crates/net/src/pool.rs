@@ -4,8 +4,8 @@
 //! `std::thread::scope`: the orchestrator body runs on the calling
 //! thread, and the scope cannot be exited until every worker has
 //! returned. That makes worker lifetime a *structural* guarantee — no
-//! detached threads, no join handles to forget — which is why the
-//! determinism linter allowlists exactly this module for `thread::scope`.
+//! detached threads, no join handles to forget — which is why this is the
+//! crate's one `thread::scope` site.
 
 /// Runs `body` on the current thread while `workers` run on scoped
 /// threads; returns `body`'s result after every worker has exited.
@@ -13,6 +13,10 @@
 /// Workers are expected to exit when their transport disconnects or a
 /// shutdown message arrives — `body` is responsible for triggering one of
 /// the two before returning, otherwise the scope (correctly) blocks.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "workers only execute ops; every result is consumed in rank order on the calling thread"
+)]
 pub(crate) fn run_scoped<'env, T>(
     workers: Vec<Box<dyn FnOnce() + Send + 'env>>,
     body: impl FnOnce() -> T,

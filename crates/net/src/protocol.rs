@@ -32,7 +32,7 @@
 
 use mlstar_codec::{decode_frame, schema, Reader, Writer};
 use mlstar_collectives::{wire, FrameSwitch};
-use mlstar_core::{OpResult, WorkerOp};
+use mlstar_exec::{OpResult, WorkerOp};
 use mlstar_glm::{LearningRate, Loss, Regularizer};
 use mlstar_linalg::{DenseVector, SparseVector};
 

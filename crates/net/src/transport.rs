@@ -101,11 +101,13 @@ impl Transport for TcpTransport {
         // The codec envelope is `magic u32 | version u32 | payload_len
         // u64 | checksum u64`, little-endian; the length lives at bytes
         // 8..16.
+        #[expect(
+            clippy::expect_used,
+            reason = "an 8-byte slice always converts to [u8; 8]"
+        )]
         let payload_len = u64::from_le_bytes(
             frame[8..16]
                 .try_into()
-                // lint:allow(panic_in_lib): an 8-byte slice always
-                // converts to [u8; 8].
                 .expect("8-byte slice converts to [u8; 8]"),
         );
         if payload_len > MAX_PAYLOAD {

@@ -2,14 +2,14 @@
 //!
 //! A worker holds only its own rows. Ops address rows by *global* dataset
 //! index; the worker maps them to local storage and hands the op to
-//! `mlstar_core::OpExecutor` — the same executor a simulated run uses
+//! `mlstar_exec::OpExecutor` — the same executor a simulated run uses
 //! over the whole dataset — so the returned floats are bit-identical to
 //! what the orchestrator would have computed itself.
 
 use std::collections::BTreeMap;
 
 use mlstar_collectives::FrameSwitch;
-use mlstar_core::{OpExecutor, OpResult, Shard, WorkerOp};
+use mlstar_exec::{OpExecutor, OpResult, Shard, WorkerOp};
 use mlstar_linalg::SparseVector;
 
 use crate::error::NetError;

@@ -280,7 +280,8 @@ impl<'a> PsEngine<'a> {
                     }
 
                     completed[worker] += 1;
-                    let new_min = *completed.iter().min().expect("nonempty"); // lint:allow(panic_in_lib): one slot per worker, k ≥ 1
+                    #[expect(clippy::expect_used, reason = "one slot per worker, k ≥ 1")]
+                    let new_min = *completed.iter().min().expect("nonempty");
                     if new_min > min_clock {
                         for c in min_clock..new_min {
                             stats.clock_times.push(now);

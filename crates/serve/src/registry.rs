@@ -391,11 +391,13 @@ fn frame_span(chunk: &[u8]) -> usize {
     if chunk.len() < HEADER_LEN {
         return chunk.len();
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "an 8-byte slice always converts to [u8; 8]"
+    )]
     let payload_len = u64::from_le_bytes(
         chunk[8..16]
             .try_into()
-            // lint:allow(panic_in_lib): an 8-byte slice always converts
-            // to [u8; 8].
             .expect("an 8-byte slice of a bounds-checked header"),
     );
     usize::try_from(payload_len)

@@ -25,6 +25,10 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory and the per-experiment index.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
+
 pub use mlstar_codec as codec;
 pub use mlstar_collectives as collectives;
 pub use mlstar_core as core;

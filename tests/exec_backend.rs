@@ -144,6 +144,10 @@ fn explicit_backend_reproduces_train_and_every_op_kind_is_live() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "checks the default only when the host has not set the knob"
+)]
 fn default_run_is_serial() {
     // `cargo test` runs without MLSTAR_HOST_THREADS; provenance says so.
     if std::env::var_os("MLSTAR_HOST_THREADS").is_none() {

@@ -1,10 +1,10 @@
-//! Tier-1 gate: `cargo test` at the workspace root must fail if any
-//! source file violates the workspace's determinism / panic-policy rules.
-//! The same scan is available interactively as `cargo run -p mlstar-lint`.
+//! Tier-1 gate: `cargo test` at the workspace root must fail if a hot-path
+//! module allocates inside a loop, or if a `lint:allow` waiver is stale or
+//! malformed. The same scan is available interactively as `cargo lint`.
 
 use std::path::Path;
 
-use mlstar_lint::{report, scan_workspace, walk};
+use mlstar_lint::{scan_workspace, walk};
 
 #[test]
 fn workspace_passes_mlstar_lint() {
@@ -16,10 +16,11 @@ fn workspace_passes_mlstar_lint() {
         "suspiciously few files scanned ({}) — did the walker break?",
         scan.files_scanned
     );
-    let rendered: Vec<String> = scan.violations.iter().map(report::human_line).collect();
+    let rendered: Vec<String> = scan.violations.iter().map(ToString::to_string).collect();
     assert!(
         rendered.is_empty(),
-        "mlstar-lint violations (fix or waive with `// lint:allow(<rule>): <reason>`):\n{}",
+        "mlstar-lint violations (hoist the allocation, or waive with \
+         `// lint:allow(hot_loop_alloc): <reason>`):\n{}",
         rendered.join("\n")
     );
 }

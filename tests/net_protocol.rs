@@ -341,9 +341,8 @@ fn assign_row_of_the_wrong_dimension_is_refused() {
 
 /// Published-vector FNV-1a (64-bit), reimplemented independently of
 /// `mlstar-codec` so the KAT does not assume the code under test.
-// lint:allow(duplicate_hash_impl): KAT must not trust mlstar-codec's own hash
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // lint:allow(duplicate_hash_impl): KAT must not trust mlstar-codec's own hash
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -227,7 +227,6 @@ fn path_trained_l1_model_roundtrips_through_registry_and_scoring() {
         .iter()
         .find(|p| p.nnz > 0 && p.nnz < ds.num_features())
         .expect("a genuinely sparse path point");
-    #[allow(clippy::float_cmp)]
     let zeros = |a: &ModelArtifact| a.weights().as_slice().iter().filter(|&&w| w == 0.0).count();
     let dense_point = path.points.last().expect("path is nonempty");
     let v1_artifact = artifact_for_point(sparse_point, &ds);
