@@ -50,8 +50,9 @@ use crate::{CommBytes, System, TracePoint, TrainConfig};
 /// File magic of a training checkpoint: `"MLSC"`.
 pub const CHECKPOINT_MAGIC: u32 = 0x4D4C_5343;
 
-/// Version of the checkpoint payload layout.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Version of the checkpoint frame. Version 2 checksums the payload with
+/// XXH64 (version 1 used FNV-1a); the payload layout is unchanged.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be written, read, or resumed.
 #[derive(Debug)]

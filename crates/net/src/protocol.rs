@@ -40,8 +40,9 @@ use crate::error::NetError;
 
 /// `"MLSN"` — the protocol frame magic.
 pub const NET_MAGIC: u32 = 0x4D4C_534E;
-/// Protocol version this build speaks.
-pub const NET_VERSION: u32 = 1;
+/// Protocol version this build speaks. Version 2 checksums frames with
+/// XXH64 (version 1 used FNV-1a).
+pub const NET_VERSION: u32 = 2;
 
 /// One row shipped to a worker at assignment time.
 #[derive(Debug, Clone, PartialEq)]

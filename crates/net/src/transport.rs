@@ -94,29 +94,22 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        let mut frame = vec![0u8; HEADER_LEN];
+        let mut header = [0u8; HEADER_LEN];
         self.stream
-            .read_exact(&mut frame)
+            .read_exact(&mut header)
             .map_err(|e| NetError::Io(format!("tcp read header: {e}")))?;
         // The codec envelope is `magic u32 | version u32 | payload_len
         // u64 | checksum u64`, little-endian; the length lives at bytes
         // 8..16.
-        #[expect(
-            clippy::expect_used,
-            reason = "an 8-byte slice always converts to [u8; 8]"
-        )]
-        let payload_len = u64::from_le_bytes(
-            frame[8..16]
-                .try_into()
-                .expect("8-byte slice converts to [u8; 8]"),
-        );
+        let payload_len = u64::from_le_bytes(std::array::from_fn(|i| header[8 + i]));
         if payload_len > MAX_PAYLOAD {
             return Err(NetError::Protocol(format!(
                 "frame declares {payload_len} payload bytes (cap {MAX_PAYLOAD})"
             )));
         }
-        let total = HEADER_LEN + payload_len as usize;
-        frame.resize(total, 0);
+        // One allocation at the frame's final size, header copied in.
+        let mut frame = vec![0u8; HEADER_LEN + payload_len as usize];
+        frame[..HEADER_LEN].copy_from_slice(&header);
         self.stream
             .read_exact(&mut frame[HEADER_LEN..])
             .map_err(|e| NetError::Io(format!("tcp read payload: {e}")))?;
@@ -145,5 +138,28 @@ mod tests {
         drop(worker);
         assert!(orch.send(b"x").is_err());
         assert!(orch.recv().is_err());
+    }
+
+    #[test]
+    fn tcp_reads_whole_frames_and_types_bad_ones() {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut rx = TcpTransport::new(listener.accept().unwrap().0).unwrap();
+        let frame = encode_frame(0x1234_5678, 1, &[7; 1000]);
+        tx.write_all(&frame).unwrap();
+        tx.write_all(&frame).unwrap();
+        assert_eq!(rx.recv().unwrap(), frame);
+        assert_eq!(rx.recv().unwrap(), frame);
+        // A header declaring more than the cap is refused, not allocated.
+        let mut huge = frame[..HEADER_LEN].to_vec();
+        huge[8..16].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+        tx.write_all(&huge).unwrap();
+        assert!(matches!(rx.recv(), Err(NetError::Protocol(_))));
+        // A frame cut short by a closed peer, then a missing header, are
+        // I/O errors.
+        tx.write_all(&frame[..frame.len() - 1]).unwrap();
+        drop(tx);
+        assert!(matches!(rx.recv(), Err(NetError::Io(_))));
+        assert!(matches!(rx.recv(), Err(NetError::Io(_))));
     }
 }

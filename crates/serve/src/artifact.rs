@@ -3,7 +3,7 @@
 //! A [`ModelArtifact`] is the unit the registry stores and the scoring
 //! engine loads: the trained weights plus a fingerprint of the dataset the
 //! model was trained against and the run's [`TrainProvenance`]. The frame
-//! envelope (magic, version, length, FNV-1a checksum) and the payload
+//! envelope (magic, version, length, XXH64 checksum) and the payload
 //! reader/writer come from `mlstar-codec` — the same codec behind training
 //! checkpoints — so every durable mlstar file fails loudly in the same
 //! ways.
@@ -12,8 +12,10 @@
 //! file: the provenance (its final objective as a flag byte plus an
 //! always-written `f64`), the fingerprint, then the weights behind their
 //! count. Version 2 added `host_threads` to the provenance section;
-//! version-1 files are refused with [`ServeError::VersionMismatch`]
-//! rather than silently decoded with a guessed thread count.
+//! version 3 keeps that payload and checksums it with XXH64 instead of
+//! FNV-1a. Files of an older version are refused with
+//! [`ServeError::VersionMismatch`] rather than decoded with a guessed
+//! thread count or reported as corrupt.
 
 use mlstar_codec::{decode_frame, schema, Reader, Writer, HEADER_LEN};
 use mlstar_core::{TrainConfig, TrainOutput, TrainProvenance};
@@ -29,7 +31,7 @@ pub use mlstar_data::DatasetFingerprint;
 pub const ARTIFACT_MAGIC: u32 = 0x4D4C_5341;
 
 /// The codec version this module writes and reads.
-pub const CODEC_VERSION: u32 = 2;
+pub const CODEC_VERSION: u32 = 3;
 
 /// A versioned, self-describing trained-model artifact.
 #[derive(Debug, Clone, PartialEq)]

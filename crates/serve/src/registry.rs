@@ -39,7 +39,8 @@ use crate::{ModelArtifact, ServeError};
 pub const REGISTRY_MAGIC: u32 = 0x4D4C_5352;
 
 /// The registry snapshot codec version this module writes and reads.
-pub const REGISTRY_VERSION: u32 = 1;
+/// Version 2 checksums frames with XXH64 (version 1 used FNV-1a).
+pub const REGISTRY_VERSION: u32 = 2;
 
 /// One named model line: every retained version plus rollout state.
 #[derive(Debug, Clone, PartialEq)]
