@@ -1,7 +1,9 @@
 //! Calibrates the simulator's cost model against a *real* training run
 //! (`DESIGN.md` §15.4): trains one system on the `mlstar-net` thread
 //! backend, fits GFLOP/s, bytes/s and per-message latency from the
-//! measured per-worker round timings by least squares, re-simulates the
+//! measured per-worker round timings of the linked workers (the last
+//! worker runs on the orchestrating thread, with no transport to time)
+//! by least squares, re-simulates the
 //! same training under the fitted cluster, and reports measured vs.
 //! simulated makespan. A rate the run did not identify (non-positive
 //! coefficient, floored) is reported as clamped, not as a number.
@@ -20,7 +22,11 @@ use crate::report::{banner, write_json, Json, Table};
 pub(super) const FLAGS: &[Flag] = &[
     super::SYSTEM_FLAG,
     ("--transport", "<channel|tcp>", "default channel"),
-    ("--workers", "<k>", "worker threads (default 4)"),
+    (
+        "--workers",
+        "<k>",
+        "workers (default 4): k − 1 threads plus the calling thread",
+    ),
     ("--rounds", "<n>", "rounds (default 8; 4 with --quick)"),
 ];
 
@@ -85,9 +91,12 @@ pub fn run(args: &Args) -> Result<(), Failure> {
     );
 
     // Fit the cost model from the per-worker round timings of all runs.
+    // The last worker runs on the orchestrating thread, so its turnaround
+    // holds no transport: only the linked workers' samples are fitted.
     let samples: Vec<RateSample> = runs
         .iter()
         .flat_map(|run| run.batches.iter().flat_map(|b| b.workers.iter()))
+        .filter(|w| !w.local)
         .map(|w| RateSample {
             flops: w.flops,
             bytes: (w.bytes_out + w.bytes_in) as f64,
@@ -97,10 +106,18 @@ pub fn run(args: &Args) -> Result<(), Failure> {
         .collect();
     let rates = fit_rates(&samples).ok_or_else(|| {
         Failure::contract(format!(
-            "rate fit is rank-deficient ({} samples) — need more workers or rounds",
+            "rate fit is rank-deficient ({} samples from linked workers) — need more \
+             workers (at least 2) or rounds",
             samples.len()
         ))
     })?;
+    println!(
+        "fitted from {} samples of the {} linked workers; worker {} ran on the orchestrating \
+         thread",
+        samples.len(),
+        workers.saturating_sub(1),
+        workers.saturating_sub(1),
+    );
 
     // Re-simulate the identical training under the fitted cluster and
     // compare makespans. Only the simulated clock may differ: the weights
@@ -162,6 +179,7 @@ pub fn run(args: &Args) -> Result<(), Failure> {
             ("workers", workers.into()),
             ("rounds", run.output.rounds_run.into()),
             ("dispatch_batches", run.batches.len().into()),
+            ("fit_samples", samples.len().into()),
             (
                 "rates",
                 Json::obj([

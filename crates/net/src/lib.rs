@@ -13,6 +13,13 @@
 //! weights, telemetry), plus real measured wall-clock per worker per
 //! round that `mlstar_sim`'s cost model can be calibrated against.
 //!
+//! `k` workers take `k` threads: workers `0..k − 1` run on spawned
+//! threads, one link each, and the last worker runs on the orchestrating
+//! thread itself. The orchestrator sends it its ops after every other
+//! worker has theirs and runs them inside that send, so it computes
+//! while they do instead of blocking until they answer. Its link carries
+//! the same frames, so every byte count and decode check is the same.
+//!
 //! # Determinism contract
 //!
 //! * All randomness stays on the orchestrating thread; workers receive
@@ -87,6 +94,7 @@ pub use transport::{channel_pair, ChannelTransport, TcpTransport, Transport};
 
 use measure::Stopwatch;
 use orchestrator::Orchestrator;
+use worker::LocalLink;
 
 /// Which transport carries the command protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,7 +156,8 @@ impl NetTrainOutput {
     }
 }
 
-/// Trains `system` on real worker threads, returning the bit-identical
+/// Trains `system` on real worker threads — `k − 1` spawned, plus the
+/// calling thread for the last worker — returning the bit-identical
 /// trainer output plus per-round wall-clock measurements.
 ///
 /// `ps` and `angel` configure the parameter-server trainers exactly as in
@@ -183,27 +192,26 @@ pub fn train_net(
 
     let sw = Stopwatch::start();
 
-    // Build worker bodies and a way for the orchestrator to reach them.
-    // For channels the links exist up front; for TCP the orchestrator
-    // accepts connections once the workers are running.
-    enum Endpoints {
-        Ready(Vec<Box<dyn Transport>>),
-        Accept(TcpListener, usize),
-    }
+    // The last worker runs on this thread, behind a `LocalLink`; the
+    // others run on spawned threads. For channels their links exist up
+    // front; for TCP the orchestrator accepts connections once the
+    // workers are running.
     let kill_for = |w: usize| net.kill.filter(|ks| ks.worker == w).map(|ks| ks.batch);
-    let mut bodies: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(k);
-    let endpoints = match net.transport {
+    let spawned = k.saturating_sub(1);
+    let mut raw_links: Vec<Box<dyn Transport>> = Vec::with_capacity(k);
+    raw_links.push(Box::new(LocalLink::new(spawned, kill_for(spawned))));
+    let mut bodies: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(spawned);
+    let listener = match net.transport {
         TransportKind::Channel => {
-            let mut links: Vec<Box<dyn Transport>> = Vec::with_capacity(k);
-            for w in 0..k {
+            for w in 0..spawned {
                 let (orch_end, worker_end) = channel_pair();
-                links.push(Box::new(orch_end));
+                raw_links.push(Box::new(orch_end));
                 let kill = kill_for(w);
                 bodies.push(Box::new(move || {
                     worker::run_worker(Box::new(worker_end), w, kill)
                 }));
             }
-            Endpoints::Ready(links)
+            None
         }
         TransportKind::Tcp => {
             let listener = TcpListener::bind(("127.0.0.1", 0))
@@ -211,7 +219,7 @@ pub fn train_net(
             let addr = listener
                 .local_addr()
                 .map_err(|e| NetError::Io(format!("tcp local_addr: {e}")))?;
-            for w in 0..k {
+            for w in 0..spawned {
                 let kill = kill_for(w);
                 bodies.push(Box::new(move || {
                     let Ok(stream) = TcpStream::connect(addr) else {
@@ -223,27 +231,23 @@ pub fn train_net(
                     worker::run_worker(Box::new(link), w, kill)
                 }));
             }
-            Endpoints::Accept(listener, k)
+            Some(listener)
         }
     };
 
     let result = pool::run_scoped(bodies, move || {
-        let raw_links: Vec<Box<dyn Transport>> = match endpoints {
-            Endpoints::Ready(links) => links,
-            Endpoints::Accept(listener, n) => {
-                let mut links: Vec<Box<dyn Transport>> = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let (stream, _peer) = listener
-                        .accept()
-                        .map_err(|e| NetError::Io(format!("tcp accept: {e}")))?;
-                    links.push(Box::new(TcpTransport::new(stream)?));
-                }
-                links
+        if let Some(listener) = listener {
+            for _ in 0..spawned {
+                let (stream, _peer) = listener
+                    .accept()
+                    .map_err(|e| NetError::Io(format!("tcp accept: {e}")))?;
+                raw_links.push(Box::new(TcpTransport::new(stream)?));
             }
-        };
+        }
 
         // Handshake: every link leads with Hello; order the links by the
-        // announced worker id (TCP connections arrive in any order).
+        // announced worker id (TCP connections arrive in any order), which
+        // puts the local link last.
         let mut slots: Vec<Option<Box<dyn Transport>>> = (0..k).map(|_| None).collect();
         for mut link in raw_links {
             let Msg::Hello { worker } = decode_msg(&link.recv()?)? else {
@@ -271,9 +275,14 @@ pub fn train_net(
 
         // Partition assignment. The frame switch for all model payloads
         // of the session comes from the training config's compression
-        // settings and is announced to every worker here.
+        // settings and is announced to every worker here. Each message
+        // holds a copy of its partition's rows, so it is dropped once
+        // encoded. The local worker decodes its copy inside `send`, so it
+        // is assigned first: decoding it while a linked worker decodes its
+        // own would hold four partition copies at once, and that is the
+        // run's peak heap.
         let switch = cfg.compression.switch;
-        for (w, link) in links.iter_mut().enumerate() {
+        for (w, link) in links.iter_mut().enumerate().rev() {
             #[expect(
                 clippy::expect_used,
                 reason = "dataset row counts are bounded far below u32::MAX by construction"
@@ -290,7 +299,7 @@ pub fn train_net(
                 clippy::expect_used,
                 reason = "feature dimensions are bounded far below u32::MAX by construction"
             )]
-            link.send(&encode_msg(
+            let frame = encode_msg(
                 &Msg::Assign {
                     worker: w as u32,
                     dim: u32::try_from(dim).expect("dimension exceeds wire width"),
@@ -301,7 +310,8 @@ pub fn train_net(
                     rows,
                 },
                 switch,
-            ))?;
+            );
+            link.send(&frame)?;
         }
 
         // Train with the orchestrator as the compute backend. A failed
@@ -375,6 +385,43 @@ mod tests {
         assert_eq!(sim.trace, net.output.trace);
         assert!(!net.batches.is_empty());
         assert!(net.batches_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn last_worker_runs_locally_and_its_reply_is_taken_first() {
+        let (ds, cluster, cfg) = small_setup();
+        for transport in [TransportKind::Channel, TransportKind::Tcp] {
+            let net = train_net(
+                System::Mllib,
+                &ds,
+                &cluster,
+                &cfg,
+                &PsSystemConfig::default(),
+                &AngelConfig::default(),
+                &NetConfig {
+                    transport,
+                    ..NetConfig::default()
+                },
+            )
+            .unwrap();
+            for b in &net.batches {
+                let locals: Vec<usize> = b
+                    .workers
+                    .iter()
+                    .filter(|w| w.local)
+                    .map(|w| w.worker)
+                    .collect();
+                assert_eq!(locals, [2], "batch {}", b.batch);
+                let local = &b.workers[2];
+                // The local link counts its frames like any other.
+                assert!(local.bytes_out > 0 && local.bytes_in > 0);
+                assert_eq!(local.messages, 2);
+                for w in &b.workers {
+                    assert!(w.turnaround_s >= local.turnaround_s, "{b:?}");
+                    assert!(w.turnaround_s <= b.wall_s, "{b:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The orchestrator side: a [`ComputeBackend`] that ships op batches to
-//! real workers and measures each phase of the exchange.
+//! real workers and measures each phase of the exchange. The last worker
+//! runs on the orchestrating thread, inside its link's `send`
+//! (`worker::LocalLink`).
 //!
 //! Per dispatch batch, the orchestrator records for every participating
 //! worker the serialized bytes in each direction, the worker-reported
@@ -38,9 +40,16 @@ pub struct WorkerBatchStats {
     pub messages: u64,
     /// Worker-reported pure compute seconds.
     pub compute_s: f64,
-    /// Orchestrator-observed seconds from batch start to this worker's
-    /// reply being fully received.
+    /// Orchestrator-observed seconds from batch start to the orchestrator
+    /// taking this worker's reply. The orchestrating thread runs the local
+    /// worker's ops before it takes any linked worker's reply, so a linked
+    /// worker's turnaround is never less than the local worker's, however
+    /// early its reply arrived.
     pub turnaround_s: f64,
+    /// Whether this worker ran on the orchestrating thread (the last
+    /// worker does). Its frames never leave that thread, so its turnaround
+    /// is its ops plus the frame codec, with no transport in it.
+    pub local: bool,
 }
 
 impl WorkerBatchStats {
@@ -76,7 +85,8 @@ impl NetBatchStats {
 /// lends it to the trainer for the duration of the run and reads the
 /// links, measurements and any parked failure back afterwards.
 pub(crate) struct Orchestrator {
-    /// One link per worker, in worker order.
+    /// One link per worker, in worker order; the last is the local
+    /// worker's (`worker::LocalLink`).
     pub links: Vec<Box<dyn Transport>>,
     /// Per-dispatch-batch measurements, in dispatch order.
     pub stats: Vec<NetBatchStats>,
@@ -170,38 +180,43 @@ impl ComputeBackend for Orchestrator {
         }
 
         let sw = Stopwatch::start();
+        // Per participating worker, in worker order: its stats and its ops'
+        // submission slots.
         let mut worker_stats: Vec<WorkerBatchStats> = Vec::with_capacity(per_worker.len());
-        let mut positions: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut positions: Vec<Vec<usize>> = Vec::with_capacity(per_worker.len());
 
         // Send phase: every worker gets its ops before any reply is
-        // awaited, so workers genuinely compute concurrently.
-        for (&worker, (pos, ops, flops)) in per_worker.iter_mut() {
-            let frame = encode_msg(
-                &Msg::Ops {
-                    batch,
-                    ops: std::mem::take(ops),
-                },
-                self.switch,
-            );
+        // awaited, so workers genuinely compute concurrently. The local
+        // worker, last in worker order, computes inside its `send`, while
+        // the linked workers compute on their threads.
+        let local = self.links.len().saturating_sub(1);
+        for (worker, (pos, ops, flops)) in per_worker {
+            let frame = encode_msg(&Msg::Ops { batch, ops }, self.switch);
             if self.links[worker].send(&frame).is_err() {
                 return Err(self.fail(NetError::WorkerLost { worker }));
             }
             worker_stats.push(WorkerBatchStats {
                 worker,
                 ops: pos.len(),
-                flops: *flops,
+                flops,
                 bytes_out: frame.len() as u64,
                 bytes_in: 0,
                 messages: 2,
                 compute_s: 0.0,
                 turnaround_s: 0.0,
+                local: worker == local,
             });
-            positions.insert(worker, std::mem::take(pos));
+            positions.push(pos);
         }
 
-        // Receive phase, in worker order (the barrier).
+        // Receive phase (the barrier): the local worker's reply is already
+        // waiting, so it is taken first; then the linked workers', in
+        // worker order.
         let mut slots: Vec<Option<OpResult>> = (0..n_ops).map(|_| None).collect();
-        for ws in worker_stats.iter_mut() {
+        let n = worker_stats.len();
+        let linked = n - usize::from(worker_stats.last().is_some_and(|ws| ws.local));
+        for i in (linked..n).chain(0..linked) {
+            let ws = &mut worker_stats[i];
             let worker = ws.worker;
             let frame = match self.links[worker].recv() {
                 Ok(f) => f,
@@ -228,7 +243,7 @@ impl ComputeBackend for Orchestrator {
                     "worker {worker} answered batch {echoed}, expected {batch}"
                 ))));
             }
-            let pos = &positions[&worker];
+            let pos = &positions[i];
             if results.len() != pos.len() {
                 return Err(self.fail(NetError::Protocol(format!(
                     "worker {worker} returned {} results for {} ops",

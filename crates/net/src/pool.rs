@@ -1,11 +1,11 @@
 //! The crate's only thread-spawning module.
 //!
-//! Workers are real OS threads, but they live inside one
-//! `std::thread::scope`: the orchestrator body runs on the calling
-//! thread, and the scope cannot be exited until every worker has
-//! returned. That makes worker lifetime a *structural* guarantee — no
-//! detached threads, no join handles to forget — which is why this is the
-//! crate's one `thread::scope` site.
+//! Linked workers are real OS threads, but they live inside one
+//! `std::thread::scope`: the orchestrator body (which also runs the last
+//! worker) runs on the calling thread, and the scope cannot be exited
+//! until every worker has returned. That makes worker lifetime a
+//! *structural* guarantee — no detached threads, no join handles to
+//! forget — which is why this is the crate's one `thread::scope` site.
 
 /// Runs `body` on the current thread while `workers` run on scoped
 /// threads; returns `body`'s result after every worker has exited.

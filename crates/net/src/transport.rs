@@ -10,6 +10,9 @@
 //!   because the codec header carries the payload length at a fixed
 //!   offset, so the receiver reads the header, then exactly the declared
 //!   payload.
+//!
+//! The last worker of a run needs neither: its link is a crate-private
+//! `worker::LocalLink`, which runs the worker on the orchestrating thread.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

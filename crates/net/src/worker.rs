@@ -1,12 +1,20 @@
-//! The worker loop: execute compute ops against the assigned partition.
+//! The worker side: execute compute ops against the assigned partition.
 //!
 //! A worker holds only its own rows. Ops address rows by *global* dataset
 //! index; the worker maps them to local storage and hands the op to
 //! `mlstar_exec::OpExecutor` — the same executor a simulated run uses
 //! over the whole dataset — so the returned floats are bit-identical to
 //! what the orchestrator would have computed itself.
+//!
+//! [`Worker`] is the protocol state machine, advanced one received frame
+//! at a time. It runs in one of two places: on a spawned thread behind a
+//! real transport ([`run_worker`]), or on the orchestrating thread behind
+//! a [`LocalLink`], which handles each frame inside `send`. `train_net`
+//! gives the last worker a `LocalLink`, so `k` workers need `k − 1`
+//! spawned threads.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::ControlFlow;
 
 use mlstar_collectives::FrameSwitch;
 use mlstar_exec::{OpExecutor, OpResult, Shard, WorkerOp};
@@ -21,47 +29,67 @@ use crate::transport::Transport;
 /// orchestrator) ends the loop and drops the transport — the orchestrator
 /// observes the disconnect and surfaces [`NetError::WorkerLost`].
 pub(crate) fn run_worker(mut link: Box<dyn Transport>, worker: usize, kill_at_batch: Option<u64>) {
-    let _ = worker_loop(&mut *link, worker, kill_at_batch);
+    let _ = serve(&mut *link, Worker::new(worker, kill_at_batch));
 }
 
-fn worker_loop(
-    link: &mut dyn Transport,
-    worker: usize,
-    kill_at_batch: Option<u64>,
-) -> Result<(), NetError> {
-    // Hello precedes the assignment, so it is always encoded dense (it
-    // carries no model payloads either way).
-    link.send(&encode_msg(
-        &Msg::Hello {
-            worker: worker as u32,
-        },
-        FrameSwitch::Dense,
-    ))?;
-    let Msg::Assign {
-        worker: echoed,
-        dim,
-        loss,
-        reg,
-        lr,
-        switch,
-        rows,
-    } = decode_msg(&link.recv()?)?
-    else {
-        return Err(NetError::Protocol("expected Assign after Hello".into()));
-    };
-    if echoed as usize != worker {
-        return Err(NetError::Protocol(format!(
-            "assignment for worker {echoed} delivered to worker {worker}"
-        )));
-    }
-    let mut rt = Runtime::new(OpExecutor::new(dim as usize, loss, reg, lr), rows);
+fn serve(link: &mut dyn Transport, mut worker: Worker) -> Result<(), NetError> {
+    link.send(&worker.hello())?;
     loop {
-        match decode_msg(&link.recv()?)? {
+        match worker.handle(&link.recv()?)? {
+            ControlFlow::Continue(Some(reply)) => link.send(&reply)?,
+            ControlFlow::Continue(None) => {}
+            ControlFlow::Break(()) => return Ok(()),
+        }
+    }
+}
+
+/// What a worker does after one received frame: send a reply, wait for
+/// the next frame, or exit.
+type Step = ControlFlow<(), Option<Vec<u8>>>;
+
+/// One worker's side of the protocol: `Hello` out, then `Assign` in, then
+/// `Ops` answered by `OpDone` until `Shutdown`.
+struct Worker {
+    id: usize,
+    /// Fault injection: exit without answering this batch.
+    kill_at_batch: Option<u64>,
+    /// The standing state `Assign` delivered; `None` until it arrives.
+    runtime: Option<Runtime>,
+}
+
+impl Worker {
+    fn new(id: usize, kill_at_batch: Option<u64>) -> Self {
+        Worker {
+            id,
+            kill_at_batch,
+            runtime: None,
+        }
+    }
+
+    /// The frame that opens the link. Hello precedes the assignment, so it
+    /// is always encoded dense (it carries no model payloads either way).
+    fn hello(&self) -> Vec<u8> {
+        encode_msg(
+            &Msg::Hello {
+                worker: self.id as u32,
+            },
+            FrameSwitch::Dense,
+        )
+    }
+
+    /// Handles one frame from the orchestrator. An error is a protocol
+    /// violation; the worker exits on it as it does on `Shutdown`.
+    fn handle(&mut self, frame: &[u8]) -> Result<Step, NetError> {
+        let msg = decode_msg(frame)?;
+        let Some(rt) = self.runtime.as_mut() else {
+            return self.assign(msg);
+        };
+        match msg {
             Msg::Ops { batch, ops } => {
-                if kill_at_batch == Some(batch) {
+                if self.kill_at_batch == Some(batch) {
                     // Fault injection: die without answering. The dropped
                     // transport is the crash signal.
-                    return Ok(());
+                    return Ok(ControlFlow::Break(()));
                 }
                 let sw = Stopwatch::start();
                 let mut results = Vec::with_capacity(ops.len());
@@ -71,28 +99,106 @@ fn worker_loop(
                 let compute_nanos = sw.elapsed_nanos();
                 // Replies use the switch announced in Assign, so both
                 // directions of the link move the same frame kinds.
-                link.send(&encode_msg(
+                let reply = encode_msg(
                     &Msg::OpDone {
                         batch,
                         compute_nanos,
                         results,
                     },
-                    switch,
-                ))?;
+                    rt.switch,
+                );
+                Ok(ControlFlow::Continue(Some(reply)))
             }
-            Msg::Shutdown => return Ok(()),
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "unexpected message in op loop: {other:?}"
-                )))
-            }
+            Msg::Shutdown => Ok(ControlFlow::Break(())),
+            other => Err(NetError::Protocol(format!(
+                "unexpected message in op loop: {other:?}"
+            ))),
         }
     }
+
+    /// Takes the first frame after `Hello`, which must be this worker's
+    /// `Assign`.
+    fn assign(&mut self, msg: Msg) -> Result<Step, NetError> {
+        let Msg::Assign {
+            worker: echoed,
+            dim,
+            loss,
+            reg,
+            lr,
+            switch,
+            rows,
+        } = msg
+        else {
+            return Err(NetError::Protocol("expected Assign after Hello".into()));
+        };
+        if echoed as usize != self.id {
+            return Err(NetError::Protocol(format!(
+                "assignment for worker {echoed} delivered to worker {}",
+                self.id
+            )));
+        }
+        let exec = OpExecutor::new(dim as usize, loss, reg, lr);
+        self.runtime = Some(Runtime::new(exec, switch, rows));
+        Ok(ControlFlow::Continue(None))
+    }
+}
+
+/// The link to a worker that runs on the orchestrating thread. A frame
+/// sent on it is handled at once, inside `send`, and any reply waits here
+/// for `recv`. The orchestrator sends this worker its ops after every
+/// linked worker has its own, so they compute meanwhile.
+///
+/// The frames are the ones a thread's link would carry, so byte and
+/// message counts, and every decode check, are the same for every worker.
+pub(crate) struct LocalLink {
+    /// `None` once the worker has exited, as a thread drops its link end.
+    worker: Option<Worker>,
+    replies: VecDeque<Vec<u8>>,
+}
+
+impl LocalLink {
+    /// A link whose worker has already sent its `Hello`.
+    pub(crate) fn new(worker: usize, kill_at_batch: Option<u64>) -> Self {
+        let worker = Worker::new(worker, kill_at_batch);
+        LocalLink {
+            replies: VecDeque::from([worker.hello()]),
+            worker: Some(worker),
+        }
+    }
+}
+
+impl Transport for LocalLink {
+    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        let worker = self.worker.as_mut().ok_or_else(local_exited)?;
+        match worker.handle(frame) {
+            Ok(ControlFlow::Continue(reply)) => self.replies.extend(reply),
+            Ok(ControlFlow::Break(())) | Err(_) => self.worker = None,
+        }
+        Ok(())
+    }
+
+    /// Replies the worker made before it exited are still delivered, as a
+    /// channel delivers what a dead thread sent.
+    fn recv(&mut self) -> Result<Vec<u8>, NetError> {
+        match (self.replies.pop_front(), &self.worker) {
+            (Some(reply), _) => Ok(reply),
+            (None, None) => Err(local_exited()),
+            (None, Some(_)) => Err(NetError::Protocol(
+                "recv on the local link with no reply pending".into(),
+            )),
+        }
+    }
+}
+
+fn local_exited() -> NetError {
+    NetError::Io("local worker exited".into())
 }
 
 /// A worker's standing state between op batches.
 struct Runtime {
     exec: OpExecutor,
+    /// The session's model-payload encoding, announced in `Assign`.
+    switch: FrameSwitch,
     /// Partition rows, in assignment (= partition) order.
     rows: Vec<SparseVector>,
     labels: Vec<f64>,
@@ -103,7 +209,7 @@ struct Runtime {
 }
 
 impl Runtime {
-    fn new(exec: OpExecutor, assigned: Vec<AssignedRow>) -> Self {
+    fn new(exec: OpExecutor, switch: FrameSwitch, assigned: Vec<AssignedRow>) -> Self {
         let mut rows = Vec::with_capacity(assigned.len());
         let mut labels = Vec::with_capacity(assigned.len());
         let mut index = BTreeMap::new();
@@ -115,6 +221,7 @@ impl Runtime {
         let all = (0..rows.len()).collect();
         Runtime {
             exec,
+            switch,
             rows,
             labels,
             index,
@@ -135,5 +242,125 @@ impl Runtime {
         self.exec
             .execute(&shard, |g| index.get(&g).copied(), op)
             .map_err(|e| NetError::Protocol(e.to_string()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::channel_pair;
+    use mlstar_glm::{LearningRate, Loss, Regularizer};
+    use mlstar_linalg::DenseVector;
+
+    fn assign(worker: u32) -> Vec<u8> {
+        let row = |global: u32, label: f64, pairs: &[(u32, f64)]| AssignedRow {
+            global,
+            label,
+            row: SparseVector::from_pairs(3, pairs).unwrap(),
+        };
+        encode_msg(
+            &Msg::Assign {
+                worker,
+                dim: 3,
+                loss: Loss::Hinge,
+                reg: Regularizer::L2 { lambda: 0.1 },
+                lr: LearningRate::InvSqrt(0.5),
+                switch: FrameSwitch::Adaptive,
+                rows: vec![
+                    row(4, 1.0, &[(0, 1.0), (2, -0.5)]),
+                    row(9, -1.0, &[(1, 2.0)]),
+                    row(11, 1.0, &[(0, -1.0), (1, 0.25), (2, 3.0)]),
+                ],
+            },
+            FrameSwitch::Adaptive,
+        )
+    }
+
+    fn ops(batch: u64) -> Vec<u8> {
+        let w = DenseVector::from_vec(vec![0.5, -0.25, batch as f64]);
+        encode_msg(
+            &Msg::Ops {
+                batch,
+                ops: vec![
+                    WorkerOp::SgdPass {
+                        w: w.clone(),
+                        order: vec![11, 4, 9],
+                        t0: batch,
+                    },
+                    WorkerOp::BatchGrad {
+                        w: w.clone(),
+                        batch: vec![9, 11],
+                    },
+                    WorkerOp::PartitionObjective { w },
+                ],
+            },
+            FrameSwitch::Adaptive,
+        )
+    }
+
+    /// The reply without its measured compute time.
+    fn results(frame: &[u8]) -> (u64, Vec<OpResult>) {
+        match decode_msg(frame).unwrap() {
+            Msg::OpDone { batch, results, .. } => (batch, results),
+            other => panic!("expected OpDone, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn local_link_answers_as_a_worker_thread_does() {
+        // Hello, then the replies to two op batches, over any link.
+        let session = |link: &mut dyn Transport| {
+            let hello = link.recv().unwrap();
+            link.send(&assign(2)).unwrap();
+            let mut replies = Vec::new();
+            for batch in 0..2 {
+                link.send(&ops(batch)).unwrap();
+                replies.push(results(&link.recv().unwrap()));
+            }
+            link.send(&encode_msg(&Msg::Shutdown, FrameSwitch::Dense))
+                .unwrap();
+            (hello, replies)
+        };
+        let (mut orch, worker_end) = channel_pair();
+        let thread: Box<dyn FnOnce() + Send> =
+            Box::new(move || run_worker(Box::new(worker_end), 2, None));
+        let threaded = crate::pool::run_scoped(vec![thread], || session(&mut orch));
+
+        let mut local = LocalLink::new(2, None);
+        let inline = session(&mut local);
+        assert_eq!(inline, threaded);
+        assert_eq!(inline.1[1].0, 1);
+        assert_eq!(inline.1[1].1.len(), 3);
+        // After Shutdown the worker is gone, as a thread's would be.
+        assert!(matches!(local.recv(), Err(NetError::Io(_))));
+        assert!(matches!(local.send(&ops(2)), Err(NetError::Io(_))));
+    }
+
+    #[test]
+    fn local_worker_exits_as_a_thread_would() {
+        // An injected kill: batch 0 is answered, batch 1 is not, and the
+        // link is dead from then on.
+        let mut link = LocalLink::new(0, Some(1));
+        link.recv().unwrap();
+        link.send(&assign(0)).unwrap();
+        assert!(
+            matches!(link.recv(), Err(NetError::Protocol(_))),
+            "no reply to Assign"
+        );
+        link.send(&ops(0)).unwrap();
+        assert_eq!(results(&link.recv().unwrap()).0, 0);
+        link.send(&ops(1)).unwrap();
+        assert!(matches!(link.recv(), Err(NetError::Io(_))));
+        assert!(link.send(&ops(2)).is_err());
+
+        // A protocol violation ends the worker too: ops before Assign, and
+        // an assignment meant for another worker.
+        for first in [ops(0), assign(1)] {
+            let mut link = LocalLink::new(0, None);
+            link.recv().unwrap();
+            link.send(&first).unwrap();
+            assert!(matches!(link.recv(), Err(NetError::Io(_))));
+            assert!(link.send(&assign(0)).is_err());
+        }
     }
 }

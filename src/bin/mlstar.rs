@@ -237,9 +237,10 @@ fn cmd_train(opts: &Options) -> Result<(), String> {
     let out = if backend == "net" {
         println!(
             "training {system} on {} examples × {} features over {executors} real \
-             worker threads ({})…",
+             workers: {} spawned threads plus this one ({})…",
             ds.len(),
             ds.num_features(),
+            executors.saturating_sub(1),
             match net_transport {
                 TransportKind::Channel => "in-process channels",
                 TransportKind::Tcp => "loopback TCP",

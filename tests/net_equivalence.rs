@@ -85,6 +85,23 @@ fn all_systems_bit_identical_on_loopback_tcp() {
 }
 
 #[test]
+fn one_executor_runs_on_the_orchestrating_thread_alone() {
+    // With k = 1 the only worker is the local one: no thread is spawned
+    // and no connection accepted, on either transport.
+    let ds = dataset();
+    let cluster = ClusterSpec::uniform(1, NodeSpec::standard(), NetworkSpec::gbps1());
+    for transport in [TransportKind::Channel, TransportKind::Tcp] {
+        let net_cfg = NetConfig {
+            transport,
+            ..NetConfig::default()
+        };
+        for system in System::ALL {
+            assert_sim_net_identical(system, &ds, &cluster, &cfg(42), &net_cfg);
+        }
+    }
+}
+
+#[test]
 fn l2_regularized_runs_bit_identical() {
     // L2 exercises the lazy-scaled SGD path and flips Petuum/Petuum* to
     // the per-step MGD op with orchestrator-evaluated step sizes.
