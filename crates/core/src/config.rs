@@ -125,6 +125,12 @@ impl TrainConfig {
     /// wrong convergence curve.
     pub fn validate(&self) -> Result<(), String> {
         self.lr.validate()?;
+        let lambda = self.reg.lambda();
+        if !(lambda.is_finite() && lambda >= 0.0) {
+            return Err(format!(
+                "regularization strength must be finite and ≥ 0, got {lambda}"
+            ));
+        }
         if !self.batch_frac.is_finite() || self.batch_frac <= 0.0 {
             return Err(format!(
                 "batch_frac must be finite and > 0, got {}",
@@ -380,5 +386,17 @@ mod tests {
             ..TrainConfig::default()
         };
         assert!(bad_fail.validate().is_err());
+        for lambda in [-1.0, f64::NAN] {
+            for reg in [Regularizer::L2 { lambda }, Regularizer::L1 { lambda }] {
+                let bad_reg = TrainConfig {
+                    reg,
+                    ..TrainConfig::default()
+                };
+                assert!(
+                    bad_reg.validate().unwrap_err().contains("regularization"),
+                    "{reg:?}"
+                );
+            }
+        }
     }
 }

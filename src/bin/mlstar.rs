@@ -211,6 +211,7 @@ fn cmd_train(opts: &Options) -> Result<(), String> {
         checkpoint_keep,
         ..TrainConfig::default()
     };
+    cfg.validate()?;
     let ps = PsSystemConfig::default();
     let angel = AngelConfig::default();
 
@@ -386,6 +387,12 @@ fn cmd_path(opts: &Options) -> Result<(), String> {
     if !(0.0..=1.0).contains(&l1_ratio) {
         return Err("--l1-ratio must be in [0, 1]".into());
     }
+    if n_lambdas == 0 {
+        return Err("--lambdas must be positive".into());
+    }
+    if !(eps > 0.0 && eps <= 1.0) {
+        return Err("--eps must be in (0, 1]".into());
+    }
 
     let cluster = ClusterSpec::uniform(executors, NodeSpec::standard(), NetworkSpec::gbps1());
     let cfg = CvConfig {
@@ -521,6 +528,11 @@ mod tests {
         ]))
         .expect("train");
         run(&args(&["predict", "--data", &data, "--model", &model])).expect("predict");
+        for bad in [["--reg-l2", "-1"], ["--reg-l2", "nan"], ["--eta", "-1"]] {
+            let mut argv = vec!["train", "--data", &data, "--system", "star"];
+            argv.extend(bad);
+            assert!(run(&args(&argv)).is_err(), "{bad:?}");
+        }
 
         std::fs::remove_file(&data).ok();
         std::fs::remove_file(&model).ok();
@@ -673,6 +685,10 @@ mod tests {
         assert!(run(&args(&["path", "--data", &data, "--loss", "hinge"])).is_err());
         assert!(run(&args(&["path", "--data", &data, "--loss", "huber"])).is_err());
         assert!(run(&args(&["path", "--data", &data, "--l1-ratio", "1.5"])).is_err());
+        assert!(run(&args(&["path", "--data", &data, "--lambdas", "0"])).is_err());
+        for eps in ["0", "1.5", "nan"] {
+            assert!(run(&args(&["path", "--data", &data, "--eps", eps])).is_err());
+        }
 
         std::fs::remove_file(&data).ok();
         std::fs::remove_file(&model).ok();
