@@ -19,9 +19,7 @@
 //! simulated timeline changes. `tests/path_cv.rs` pins exactly that.
 
 use mlstar_data::SparseDataset;
-use mlstar_glm::{
-    fit_path_on_grid, lambda_grid, lambda_max, CdError, Datafit, Loss, PathConfig, PathPoint,
-};
+use mlstar_glm::{fit_path_on_grid, lambda_grid, lambda_max, CdError, Loss, PathConfig, PathPoint};
 use mlstar_linalg::CscMatrix;
 use mlstar_sim::{
     dense_op_flops, pass_flops, Activity, ClusterSpec, CostModel, GanttRecorder, NodeId,
@@ -223,7 +221,7 @@ pub fn cross_validate_path(
             let mut total = 0.0;
             for &i in &val_idx {
                 let m = p.weights.dot_sparse(&ds.rows()[i]);
-                total += Datafit::value(&cfg.loss, m, ds.labels()[i]);
+                total += cfg.loss.value(m, ds.labels()[i]);
             }
             losses.push(total / val_idx.len() as f64);
         }

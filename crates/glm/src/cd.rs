@@ -2,11 +2,11 @@
 //!
 //! The SGD/MGD kernels in this crate iterate *examples*; coordinate
 //! descent iterates *features*. For each coordinate `j` it takes one
-//! Newton-bounded gradient step on the smooth datafit and applies the
-//! penalty's scaled proximal operator:
+//! Newton-bounded gradient step on the smooth loss and applies the
+//! elastic net's scaled proximal operator:
 //!
 //! ```text
-//! L_j  = L · ‖x_j‖₂² / n          (L = datafit curvature bound)
+//! L_j  = L · ‖x_j‖₂² / n          (L = Loss::curvature_bound)
 //! g_j  = (1/n) Σ_i x_ij · l'(m_i, y_i)
 //! w_j ← prox_{ω/L_j}(w_j − g_j / L_j)
 //! ```
@@ -19,7 +19,7 @@
 
 use mlstar_linalg::{CscMatrix, DenseVector};
 
-use crate::{Datafit, Penalty};
+use crate::{ElasticNet, Loss};
 
 /// Configuration of the cyclic coordinate-descent solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,7 +58,7 @@ pub struct CdStats {
 /// Why coordinate descent refused to run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CdError {
-    /// The datafit has no global curvature bound (e.g. hinge), so the
+    /// The loss has no global curvature bound (hinge), so the
     /// per-coordinate step size is undefined.
     NonsmoothDatafit(&'static str),
     /// `labels` length does not match the number of matrix rows.
@@ -115,28 +115,28 @@ pub fn recompute_margins(cols: &CscMatrix, w: &DenseVector, margins: &mut Vec<f6
 /// bookkeeping from the caller) and left consistent with the returned `w`.
 ///
 /// Deterministic: coordinates are visited in index order, so results
-/// depend only on `(datafit, penalty, cols, labels, w₀, cfg)`.
+/// depend only on `(loss, penalty, cols, labels, w₀, cfg)`.
 ///
 /// # Errors
 ///
-/// [`CdError::NonsmoothDatafit`] if the datafit lacks a curvature bound;
+/// [`CdError::NonsmoothDatafit`] if the loss lacks a curvature bound;
 /// [`CdError::ShapeMismatch`] if `labels` and the matrix disagree.
 ///
 /// # Panics
 ///
 /// Panics if `w.dim() != cols.n_cols()`.
-pub fn cd_fit<D: Datafit, P: Penalty>(
-    datafit: &D,
-    penalty: &P,
+pub fn cd_fit(
+    loss: &Loss,
+    penalty: &ElasticNet,
     cols: &CscMatrix,
     labels: &[f64],
     w: &mut DenseVector,
     margins: &mut Vec<f64>,
     cfg: &CdConfig,
 ) -> Result<CdStats, CdError> {
-    let curvature = datafit
+    let curvature = loss
         .curvature_bound()
-        .ok_or(CdError::NonsmoothDatafit(datafit.name()))?;
+        .ok_or(CdError::NonsmoothDatafit(loss.name()))?;
     if labels.len() != cols.n_rows() {
         return Err(CdError::ShapeMismatch {
             rows: cols.n_rows(),
@@ -169,7 +169,7 @@ pub fn cd_fit<D: Datafit, P: Penalty>(
             let col = cols.col(j);
             let mut g = 0.0;
             for (i, x) in col.iter() {
-                g += x * datafit.dloss(margins[i], labels[i]);
+                g += x * loss.dloss(margins[i], labels[i]);
             }
             g /= n;
             let wj = w.get(j);
@@ -201,9 +201,9 @@ pub fn cd_fit<D: Datafit, P: Penalty>(
 /// # Panics
 ///
 /// Panics if `margins` and `labels` lengths differ.
-pub fn cd_objective<D: Datafit, P: Penalty>(
-    datafit: &D,
-    penalty: &P,
+pub fn cd_objective(
+    loss: &Loss,
+    penalty: &ElasticNet,
     margins: &[f64],
     labels: &[f64],
     w: &DenseVector,
@@ -214,7 +214,7 @@ pub fn cd_objective<D: Datafit, P: Penalty>(
     }
     let mut total = 0.0;
     for (m, y) in margins.iter().zip(labels) {
-        total += datafit.value(*m, *y);
+        total += loss.value(*m, *y);
     }
     total / margins.len() as f64 + penalty.value(w)
 }
@@ -222,7 +222,7 @@ pub fn cd_objective<D: Datafit, P: Penalty>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{objective_value, ElasticNet, Loss, Regularizer};
+    use crate::{objective_value, Regularizer};
     use mlstar_linalg::SparseVector;
 
     fn toy() -> (Vec<SparseVector>, Vec<f64>) {
@@ -243,7 +243,7 @@ mod tests {
         let mut margins = Vec::new();
         let err = cd_fit(
             &Loss::Hinge,
-            &Regularizer::None,
+            &ElasticNet::new(0.0, 0.0),
             &cols,
             &labels,
             &mut w,
@@ -263,7 +263,7 @@ mod tests {
         let mut margins = Vec::new();
         let err = cd_fit(
             &Loss::Squared,
-            &Regularizer::None,
+            &ElasticNet::new(0.0, 0.0),
             &cols,
             &[1.0],
             &mut w,
@@ -288,7 +288,7 @@ mod tests {
         let mut margins = Vec::new();
         let stats = cd_fit(
             &Loss::Squared,
-            &Regularizer::None,
+            &ElasticNet::new(0.0, 0.0),
             &cols,
             &labels,
             &mut w,
@@ -307,6 +307,7 @@ mod tests {
     fn logistic_l2_objective_decreases_monotonically_per_budget() {
         let (rows, labels) = toy();
         let cols = CscMatrix::from_rows(&rows, 3);
+        let pen = ElasticNet::new(0.1, 0.0);
         let reg = Regularizer::L2 { lambda: 0.1 };
         let mut prev = f64::INFINITY;
         for sweeps in [1usize, 3, 10, 50] {
@@ -318,7 +319,7 @@ mod tests {
             };
             cd_fit(
                 &Loss::Logistic,
-                &reg,
+                &pen,
                 &cols,
                 &labels,
                 &mut w,
@@ -428,7 +429,7 @@ mod tests {
         let mut margins = vec![99.0];
         let stats = cd_fit(
             &Loss::Squared,
-            &Regularizer::None,
+            &ElasticNet::new(0.0, 0.0),
             &cols,
             &[],
             &mut w,
@@ -449,7 +450,8 @@ mod tests {
         let mut margins = Vec::new();
         recompute_margins(&cols, &w, &mut margins);
         let reg = Regularizer::L2 { lambda: 0.1 };
-        let via_margins = cd_objective(&Loss::Logistic, &reg, &margins, &labels, &w);
+        let pen = ElasticNet::new(0.1, 0.0);
+        let via_margins = cd_objective(&Loss::Logistic, &pen, &margins, &labels, &w);
         let via_rows = objective_value(Loss::Logistic, reg, &w, &rows, &labels);
         assert!((via_margins - via_rows).abs() < 1e-12);
     }

@@ -5,7 +5,8 @@ use mlstar_linalg::{DenseVector, SparseVector};
 use crate::Loss;
 
 /// Computes the average loss gradient over the examples selected by
-/// `batch`, *excluding* the regularization gradient:
+/// `batch`, *excluding* the regularization gradient, into a
+/// caller-provided buffer (cleared first, so hot loops reuse it):
 ///
 /// ```text
 /// g = (1/|B|) · Σ_{i∈B} ∂l(w·xᵢ, yᵢ)/∂m · xᵢ
@@ -14,24 +15,6 @@ use crate::Loss;
 /// This is exactly what an MLlib executor sends to the driver per
 /// communication step; the driver adds `∇Ω(w)` when it applies the update
 /// (see Algorithm 2, *SendGradient* branch in the paper).
-///
-/// # Panics
-///
-/// Panics if `batch` is empty or contains an out-of-bounds index.
-pub fn batch_gradient(
-    loss: Loss,
-    w: &DenseVector,
-    rows: &[SparseVector],
-    labels: &[f64],
-    batch: &[usize],
-) -> DenseVector {
-    let mut grad = DenseVector::zeros(w.dim());
-    batch_gradient_into(loss, w, rows, labels, batch, &mut grad);
-    grad
-}
-
-/// Like [`batch_gradient`], but accumulates into a caller-provided buffer
-/// (cleared first) to avoid per-step allocations in hot loops.
 ///
 /// # Panics
 ///
@@ -65,6 +48,18 @@ pub fn batch_gradient_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn batch_gradient(
+        loss: Loss,
+        w: &DenseVector,
+        rows: &[SparseVector],
+        labels: &[f64],
+        batch: &[usize],
+    ) -> DenseVector {
+        let mut grad = DenseVector::zeros(w.dim());
+        batch_gradient_into(loss, w, rows, labels, batch, &mut grad);
+        grad
+    }
 
     fn rows_labels() -> (Vec<SparseVector>, Vec<f64>) {
         (

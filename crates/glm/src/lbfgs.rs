@@ -266,7 +266,7 @@ fn two_loop(g: &DenseVector, history: &VecDeque<Correction>) -> DenseVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LearningRate, MgdConfig, MiniBatchGd};
+    use crate::mgd_step;
 
     fn problem(n: usize) -> (Vec<SparseVector>, Vec<f64>) {
         let mut rows = Vec::new();
@@ -308,19 +308,26 @@ mod tests {
             ..LbfgsConfig::default()
         })
         .run(6, &rows, &labels);
-        let sgd = MiniBatchGd::new(MgdConfig {
-            loss: Loss::Logistic,
-            lr: LearningRate::Constant(0.5),
-            batch_size: usize::MAX,
-            max_iters: 15,
-            ..MgdConfig::default()
-        })
-        .run(6, &rows, &labels);
+        let all: Vec<usize> = (0..rows.len()).collect();
+        let mut w = DenseVector::zeros(6);
+        let mut buf = DenseVector::zeros(6);
+        for _ in 0..15 {
+            mgd_step(
+                Loss::Logistic,
+                Regularizer::None,
+                &mut w,
+                &rows,
+                &labels,
+                &all,
+                0.5,
+                &mut buf,
+            );
+        }
+        let gd = objective_value(Loss::Logistic, Regularizer::None, &w, &rows, &labels);
         assert!(
-            lbfgs.final_objective < sgd.final_objective,
-            "L-BFGS {} vs GD {} after 15 iterations",
-            lbfgs.final_objective,
-            sgd.final_objective
+            lbfgs.final_objective < gd,
+            "L-BFGS {} vs GD {gd} after 15 iterations",
+            lbfgs.final_objective
         );
     }
 

@@ -1,5 +1,5 @@
-//! Generalized linear models: losses, regularizers, objectives and
-//! sequential optimizers.
+//! Generalized linear models: losses, regularizers, objectives, the
+//! worker-side update kernels, and coordinate-descent lambda paths.
 //!
 //! This crate contains the *math* of the reproduction — everything a single
 //! worker computes locally. The distributed systems in `mlstar-core` are
@@ -13,43 +13,38 @@
 //!   when L2 ≠ 0.
 //! * [`objective_value`] — the regularized objective `f(w, X)` plotted on
 //!   every figure of the paper.
-//! * [`batch_gradient`] — the worker-side kernel of the *SendGradient*
+//! * [`batch_gradient_into`] — the worker-side kernel of the *SendGradient*
 //!   paradigm (MLlib).
 //! * [`sgd_epoch_lazy`] / [`mgd_step`] — the worker-side kernels of the
 //!   *SendModel* paradigm (MLlib\*, Petuum, Angel).
-//! * [`MiniBatchGd`] — a sequential MGD optimizer (Algorithm 1 of the
-//!   paper) used both standalone and as the reference solver that defines
-//!   the "optimum" for speedup-at-0.01-loss measurements.
-//!
-//! Layered on top is the composable [`Datafit`] × [`Penalty`] trait
-//! architecture: the enums above are the canonical implementations (the
-//! trainers keep dispatching on them, bit-identically), while
-//! [`ElasticNet`], the cyclic coordinate-descent solver [`cd_fit`], and
-//! the warm-started lambda paths of [`fit_path`] compose against the
-//! traits.
+//! * [`ElasticNet`], [`cd_fit`] and [`fit_path`] — the elastic-net penalty,
+//!   cyclic proximal coordinate descent over CSC columns, and warm-started
+//!   glmnet-style lambda paths. They take the concrete [`Loss`] and
+//!   [`ElasticNet`] types directly.
 //!
 //! # Example
 //!
 //! ```
-//! use mlstar_glm::{MgdConfig, MiniBatchGd, LearningRate, Loss, Regularizer};
-//! use mlstar_linalg::SparseVector;
+//! use mlstar_glm::{fit_path, Loss, PathConfig};
+//! use mlstar_linalg::{CscMatrix, SparseVector};
 //!
-//! // Two separable points: y = sign of which feature fires.
+//! // y = +1 when feature 0 fires, −1 when feature 1 does; feature 2 fires
+//! // for both classes and carries no signal.
 //! let rows = vec![
-//!     SparseVector::from_pairs(2, &[(0, 1.0)]).unwrap(),
-//!     SparseVector::from_pairs(2, &[(1, 1.0)]).unwrap(),
+//!     SparseVector::from_pairs(3, &[(0, 2.0), (2, 1.0)]).unwrap(),
+//!     SparseVector::from_pairs(3, &[(1, 2.0), (2, 1.0)]).unwrap(),
+//!     SparseVector::from_pairs(3, &[(0, 1.5)]).unwrap(),
+//!     SparseVector::from_pairs(3, &[(1, 1.5)]).unwrap(),
 //! ];
-//! let labels = vec![1.0, -1.0];
-//! let cfg = MgdConfig {
-//!     loss: Loss::Hinge,
-//!     reg: Regularizer::None,
-//!     lr: LearningRate::Constant(0.5),
-//!     batch_size: 2,
-//!     max_iters: 50,
-//!     ..MgdConfig::default()
-//! };
-//! let result = MiniBatchGd::new(cfg).run(2, &rows, &labels);
-//! assert!(result.final_objective < 0.1);
+//! let labels = [1.0, -1.0, 1.0, -1.0];
+//! let cols = CscMatrix::from_rows(&rows, 3);
+//! let path = fit_path(&Loss::Logistic, &cols, &labels, &PathConfig::default()).unwrap();
+//!
+//! // The path starts at the zero model and ends sparse but fitted.
+//! assert_eq!(path.points[0].nnz, 0);
+//! let last = path.points.last().unwrap();
+//! assert!(last.weights.get(0) > 0.0 && last.weights.get(1) < 0.0);
+//! assert_eq!(last.weights.get(2), 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -58,7 +53,6 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 mod cd;
-mod datafit;
 mod gradient;
 mod lazy_l1;
 mod lbfgs;
@@ -67,15 +61,13 @@ mod lr_schedule;
 mod metrics;
 mod model;
 mod objective;
-mod optimizer;
 mod path;
 mod penalty;
 mod regularizer;
 mod sgd;
 
 pub use cd::{cd_fit, cd_objective, recompute_margins, CdConfig, CdError, CdStats};
-pub use datafit::Datafit;
-pub use gradient::{batch_gradient, batch_gradient_into};
+pub use gradient::batch_gradient_into;
 pub use lazy_l1::LazyL1;
 pub use lbfgs::{lbfgs_direction, Lbfgs, LbfgsConfig, LbfgsResult};
 pub use loss::Loss;
@@ -85,11 +77,10 @@ pub use metrics::{
 };
 pub use model::{logistic, sparse_delta, GlmModel};
 pub use objective::{objective_value, objective_value_subset, training_loss};
-pub use optimizer::{MgdConfig, MiniBatchGd, OptimizerResult};
 pub use path::{
     fit_path, fit_path_on_grid, lambda_grid, lambda_max, PathConfig, PathPoint, PathResult,
     MIN_L1_RATIO_FOR_LAMBDA_MAX,
 };
-pub use penalty::{soft_threshold, ElasticNet, Penalty};
+pub use penalty::{soft_threshold, ElasticNet};
 pub use regularizer::Regularizer;
 pub use sgd::{mgd_step, sgd_epoch_eager, sgd_epoch_lazy};

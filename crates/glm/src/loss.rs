@@ -68,9 +68,19 @@ impl Loss {
         }
     }
 
-    /// True if the loss models binary classification with `±1` labels.
-    pub fn is_classification(self) -> bool {
-        matches!(self, Loss::Hinge | Loss::Logistic)
+    /// A global upper bound `L` on `∂²l/∂m²`, or `None` if the loss is not
+    /// smooth in the margin (hinge). Proximal coordinate descent sizes its
+    /// per-feature steps with it (`L_j = L·‖x_j‖₂²/n`), so a loss without
+    /// one is not eligible for [`crate::cd_fit`].
+    pub fn curvature_bound(self) -> Option<f64> {
+        match self {
+            // ∂²/∂m² of ½(m − y)² is exactly 1.
+            Loss::Squared => Some(1.0),
+            // σ'(z) = σ(z)(1 − σ(z)) ≤ ¼.
+            Loss::Logistic => Some(0.25),
+            // Piecewise linear with a kink at y·m = 1: not smooth.
+            Loss::Hinge => None,
+        }
     }
 
     /// Human-readable name used in benchmark output.
@@ -144,10 +154,32 @@ mod tests {
     }
 
     #[test]
-    fn classification_flags() {
-        assert!(Loss::Hinge.is_classification());
-        assert!(Loss::Logistic.is_classification());
-        assert!(!Loss::Squared.is_classification());
+    fn names() {
         assert_eq!(Loss::Hinge.name(), "hinge(SVM)");
+    }
+
+    #[test]
+    fn curvature_bounds() {
+        assert_eq!(Loss::Squared.curvature_bound(), Some(1.0));
+        assert_eq!(Loss::Logistic.curvature_bound(), Some(0.25));
+        assert_eq!(Loss::Hinge.curvature_bound(), None);
+    }
+
+    /// The declared curvature bound really bounds the second derivative,
+    /// checked by finite differences of `dloss`.
+    #[test]
+    fn curvature_bound_holds_numerically() {
+        for loss in [Loss::Squared, Loss::Logistic] {
+            let bound = loss.curvature_bound().unwrap();
+            let h = 1e-5;
+            let mut m = -6.0;
+            while m <= 6.0 {
+                for y in [1.0, -1.0] {
+                    let dd = (loss.dloss(m + h, y) - loss.dloss(m - h, y)) / (2.0 * h);
+                    assert!(dd <= bound + 1e-6, "{loss:?} m={m} y={y}: {dd} > {bound}");
+                }
+                m += 0.25;
+            }
+        }
     }
 }

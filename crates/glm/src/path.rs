@@ -19,7 +19,7 @@
 use mlstar_linalg::{CscMatrix, DenseVector};
 
 use crate::cd::{cd_fit, cd_objective, CdConfig, CdError, CdStats};
-use crate::{Datafit, ElasticNet};
+use crate::{ElasticNet, Loss};
 
 /// ℓ₁ ratios below this are clamped when computing `λ_max`: as `α → 0`
 /// the lasso zero-threshold `λ_max = max_j |g_j(0)| / α` diverges, so pure
@@ -88,7 +88,7 @@ impl PathResult {
 ///
 /// Returns `0.0` for an empty matrix (every λ then yields the zero
 /// model).
-pub fn lambda_max<D: Datafit>(datafit: &D, cols: &CscMatrix, labels: &[f64], l1_ratio: f64) -> f64 {
+pub fn lambda_max(loss: &Loss, cols: &CscMatrix, labels: &[f64], l1_ratio: f64) -> f64 {
     if cols.n_rows() == 0 {
         return 0.0;
     }
@@ -97,7 +97,7 @@ pub fn lambda_max<D: Datafit>(datafit: &D, cols: &CscMatrix, labels: &[f64], l1_
     for j in 0..cols.n_cols() {
         let mut g = 0.0;
         for (i, x) in cols.col(j).iter() {
-            g += x * datafit.dloss(0.0, labels[i]);
+            g += x * loss.dloss(0.0, labels[i]);
         }
         best = best.max((g / n).abs());
     }
@@ -137,8 +137,8 @@ pub fn lambda_grid(lambda_max: f64, n_lambdas: usize, eps: f64) -> Vec<f64> {
 /// # Errors
 ///
 /// Propagates [`CdError`] from the underlying solver.
-pub fn fit_path_on_grid<D: Datafit>(
-    datafit: &D,
+pub fn fit_path_on_grid(
+    loss: &Loss,
     cols: &CscMatrix,
     labels: &[f64],
     lambdas: &[f64],
@@ -150,8 +150,8 @@ pub fn fit_path_on_grid<D: Datafit>(
     let mut margins = Vec::with_capacity(cols.n_rows());
     for &lambda in lambdas {
         let pen = ElasticNet::new(lambda, l1_ratio);
-        let stats = cd_fit(datafit, &pen, cols, labels, &mut w, &mut margins, cd)?;
-        let objective = cd_objective(datafit, &pen, &margins, labels, &w);
+        let stats = cd_fit(loss, &pen, cols, labels, &mut w, &mut margins, cd)?;
+        let objective = cd_objective(loss, &pen, &margins, labels, &w);
         points.push(PathPoint {
             lambda,
             // lint:allow(hot_loop_alloc): the per-λ snapshot is the path's output, not a loop temporary
@@ -175,15 +175,15 @@ pub fn fit_path_on_grid<D: Datafit>(
 ///
 /// Panics if `cfg.n_lambdas == 0`, `cfg.eps ∉ (0, 1]`, or
 /// `cfg.l1_ratio ∉ [0, 1]`.
-pub fn fit_path<D: Datafit>(
-    datafit: &D,
+pub fn fit_path(
+    loss: &Loss,
     cols: &CscMatrix,
     labels: &[f64],
     cfg: &PathConfig,
 ) -> Result<PathResult, CdError> {
-    let lmax = lambda_max(datafit, cols, labels, cfg.l1_ratio);
+    let lmax = lambda_max(loss, cols, labels, cfg.l1_ratio);
     let lambdas = lambda_grid(lmax, cfg.n_lambdas, cfg.eps);
-    let points = fit_path_on_grid(datafit, cols, labels, &lambdas, cfg.l1_ratio, &cfg.cd)?;
+    let points = fit_path_on_grid(loss, cols, labels, &lambdas, cfg.l1_ratio, &cfg.cd)?;
     Ok(PathResult {
         lambda_max: lmax,
         points,
@@ -194,7 +194,6 @@ pub fn fit_path<D: Datafit>(
 mod tests {
     use super::*;
     use crate::cd::recompute_margins;
-    use crate::Loss;
     use mlstar_linalg::SparseVector;
 
     fn toy() -> (Vec<SparseVector>, Vec<f64>) {

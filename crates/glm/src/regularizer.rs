@@ -51,23 +51,9 @@ impl Regularizer {
             Regularizer::L2 { lambda } => grad.axpy(*lambda, w),
             Regularizer::L1 { lambda } => {
                 for i in 0..w.dim() {
-                    grad[i] += lambda * w.get(i).signum_or_zero();
+                    grad[i] += lambda * signum_or_zero(w.get(i));
                 }
             }
-        }
-    }
-
-    /// The multiplicative shrink factor `(1 - η·λ)` applied by one SGD step
-    /// under L2 regularization; `1.0` for `None` and `L1` (L1 is handled by
-    /// soft-thresholding instead).
-    ///
-    /// This is the quantity folded into
-    /// [`mlstar_linalg::ScaledVector::scale_by`] by the lazy update.
-    #[inline]
-    pub fn l2_shrink(&self, eta: f64) -> f64 {
-        match self {
-            Regularizer::L2 { lambda } => (1.0 - eta * lambda).max(0.0),
-            _ => 1.0,
         }
     }
 
@@ -84,14 +70,6 @@ impl Regularizer {
         match self {
             Regularizer::None | Regularizer::L2 { .. } => Regularizer::L2 { lambda },
             Regularizer::L1 { .. } => Regularizer::L1 { lambda },
-        }
-    }
-
-    /// The λ of an L1 penalty, if any.
-    pub fn l1_lambda(&self) -> Option<f64> {
-        match self {
-            Regularizer::L1 { lambda } => Some(*lambda),
-            _ => None,
         }
     }
 
@@ -122,19 +100,13 @@ impl Regularizer {
 
 /// `signum` that maps exact zero to zero (the standard L1 sub-gradient
 /// convention); `f64::signum(0.0)` would return `1.0`.
-pub(crate) trait SignumOrZero {
-    fn signum_or_zero(self) -> f64;
-}
-
-impl SignumOrZero for f64 {
-    #[inline]
-    fn signum_or_zero(self) -> f64 {
-        // signum_or_zero is defined exactly at 0.0
-        if self == 0.0 {
-            0.0
-        } else {
-            self.signum()
-        }
+#[inline]
+fn signum_or_zero(x: f64) -> f64 {
+    // signum_or_zero is defined exactly at 0.0
+    if x == 0.0 {
+        0.0
+    } else {
+        x.signum()
     }
 }
 
@@ -177,16 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn l2_shrink_factor() {
-        assert_eq!(Regularizer::None.l2_shrink(0.1), 1.0);
-        assert_eq!(Regularizer::L1 { lambda: 1.0 }.l2_shrink(0.1), 1.0);
-        let r = Regularizer::L2 { lambda: 0.5 };
-        assert!((r.l2_shrink(0.1) - 0.95).abs() < 1e-12);
-        // Shrink never goes negative even for absurd steps.
-        assert_eq!(r.l2_shrink(100.0), 0.0);
-    }
-
-    #[test]
     fn with_lambda_keeps_flavor_and_collapses_zero() {
         assert_eq!(
             Regularizer::L2 { lambda: 0.1 }.with_lambda(0.5),
@@ -215,8 +177,6 @@ mod tests {
         assert!(!Regularizer::L2 { lambda: 0.1 }.is_none());
         assert_eq!(Regularizer::None.label(), "L2=0");
         assert_eq!(Regularizer::L2 { lambda: 0.1 }.label(), "L2=0.1");
-        assert_eq!(Regularizer::L1 { lambda: 0.1 }.l1_lambda(), Some(0.1));
-        assert_eq!(Regularizer::None.l1_lambda(), None);
         assert_eq!(Regularizer::L1 { lambda: 0.3 }.lambda(), 0.3);
         assert_eq!(Regularizer::None.lambda(), 0.0);
     }

@@ -6,7 +6,7 @@
 //!
 //! | System | Local computation per communication step |
 //! |---|---|
-//! | MLlib | [`crate::batch_gradient`] only (driver applies the update) |
+//! | MLlib | [`crate::batch_gradient_into`] only (driver applies the update) |
 //! | MLlib+MA / MLlib\* | [`sgd_epoch_lazy`] over the local partition |
 //! | Petuum (reg = 0) | [`sgd_epoch_lazy`] over one batch |
 //! | Petuum (reg ≠ 0) | [`mgd_step`] on one batch |
@@ -99,8 +99,8 @@ pub fn sgd_epoch_lazy(
 
 /// Runs one pass of per-example SGD with *eager* (dense) regularization
 /// updates. Semantically equivalent to [`sgd_epoch_lazy`] but `O(d)` per
-/// step under L2/L1; kept as the correctness oracle and for the
-/// lazy-vs-eager ablation benchmark.
+/// step under L2/L1; kept as the correctness oracle the lazy kernel is
+/// tested against.
 #[allow(
     clippy::too_many_arguments,
     reason = "a worker kernel takes the objective, the model, the rows and the visit order as separate borrows"

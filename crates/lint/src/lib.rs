@@ -41,15 +41,7 @@ pub const HOT_PATH_MODULES: &[(&str, &[&str])] = &[
     ("linalg", &[]),
     (
         "glm",
-        &[
-            "cd",
-            "gradient",
-            "lazy_l1",
-            "lbfgs",
-            "optimizer",
-            "path",
-            "sgd",
-        ],
+        &["cd", "gradient", "lazy_l1", "lbfgs", "path", "sgd"],
     ),
     ("serve", &["engine"]),
     ("exec", &[]),
