@@ -67,7 +67,9 @@ pub fn run(args: &Args) -> Result<(), Failure> {
     };
     let executor_sweep: &[usize] = if args.quick { &[2, 4] } else { &[2, 4, 8] };
 
-    let mut table = Table::new("executors | jobs | rounds | sweeps | best λ | val loss | makespan");
+    let mut table = Table::new(
+        "executors | jobs | rounds | sweeps | nnz visited | best λ | val loss | makespan",
+    );
     let mut runs: Vec<Json> = Vec::new();
     let mut baseline: Option<(ModelFingerprint, CvResult)> = None;
     for &executors in executor_sweep {
@@ -76,12 +78,20 @@ pub fn run(args: &Args) -> Result<(), Failure> {
             .map_err(|e| Failure::contract(format!("cross-validated path: {e}")))?;
         let fp = model_fingerprint(&cv);
         let total_sweeps: usize = cv.jobs.iter().map(|j| j.sweeps).sum();
+        // The solver's work count: what the CV scheduler prices as flops.
+        let nnz_visited: u64 = cv
+            .folds
+            .iter()
+            .flat_map(|f| f.points.iter())
+            .map(|p| p.stats.nnz_visited)
+            .sum();
         let best_val_loss = cv.mean_val_loss[cv.best_lambda_idx];
         table.row(&[
             executors.to_string(),
             cv.jobs.len().to_string(),
             cv.round_phases.len().to_string(),
             total_sweeps.to_string(),
+            nnz_visited.to_string(),
             format!("{:.5}", cv.best_lambda),
             format!("{best_val_loss:.5}"),
             format!("{:.3}s", cv.makespan_s),
@@ -106,6 +116,7 @@ pub fn run(args: &Args) -> Result<(), Failure> {
                 Json::obj([
                     ("jobs", cv.jobs.len().into()),
                     ("total_sweeps", total_sweeps.into()),
+                    ("nnz_visited", nnz_visited.into()),
                 ]),
             ),
             ("makespan_s", cv.makespan_s.into()),
