@@ -66,7 +66,7 @@ pub enum CvError {
         folds: usize,
     },
     /// The underlying coordinate-descent solver refused (nonsmooth loss,
-    /// shape mismatch).
+    /// shape mismatch, non-finite label).
     Solver(CdError),
 }
 

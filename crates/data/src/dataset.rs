@@ -35,7 +35,7 @@ pub struct DatasetStats {
 
 impl SparseDataset {
     /// Creates a dataset, validating that every row has dimension
-    /// `num_features` and that there is one label per row.
+    /// `num_features` and that there is one finite label per row.
     pub fn new(
         num_features: usize,
         rows: Vec<SparseVector>,
@@ -48,11 +48,16 @@ impl SparseDataset {
                 labels.len()
             )));
         }
-        for (i, r) in rows.iter().enumerate() {
+        for (i, (r, y)) in rows.iter().zip(&labels).enumerate() {
             if r.dim() != num_features {
                 return Err(DataError::Inconsistent(format!(
                     "row {i} has dimension {} but dataset declares {num_features}",
                     r.dim()
+                )));
+            }
+            if !y.is_finite() {
+                return Err(DataError::Inconsistent(format!(
+                    "row {i} has the non-finite label {y}"
                 )));
             }
         }
@@ -76,9 +81,11 @@ impl SparseDataset {
     ///
     /// # Panics
     ///
-    /// Panics if the row dimension disagrees with the dataset.
+    /// Panics if the row dimension disagrees with the dataset or the label
+    /// is NaN or infinite.
     pub fn push(&mut self, row: SparseVector, label: f64) {
         assert_eq!(row.dim(), self.num_features, "row dimension mismatch");
+        assert!(label.is_finite(), "non-finite label {label}");
         self.rows.push(row);
         self.labels.push(label);
     }
@@ -216,6 +223,20 @@ mod tests {
     fn push_rejects_wrong_dim() {
         let mut ds = SparseDataset::empty(4);
         ds.push(row(3, &[]), 1.0);
+    }
+
+    #[test]
+    fn non_finite_labels_are_refused() {
+        for y in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let rows = vec![row(3, &[(0, 1.0)]), row(3, &[(1, 1.0)]), row(3, &[])];
+            let err = SparseDataset::new(3, rows, vec![1.0, y, -1.0]).unwrap_err();
+            assert!(err.to_string().contains("row 1"), "{err}");
+            let pushed = std::panic::catch_unwind(|| {
+                let mut ds = SparseDataset::empty(3);
+                ds.push(row(3, &[(0, 1.0)]), y);
+            });
+            assert!(pushed.is_err(), "push accepted the label {y}");
+        }
     }
 
     #[test]

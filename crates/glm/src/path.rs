@@ -136,7 +136,8 @@ pub fn lambda_grid(lambda_max: f64, n_lambdas: usize, eps: f64) -> Vec<f64> {
 ///
 /// # Errors
 ///
-/// Propagates [`CdError`] from the underlying solver.
+/// Propagates [`CdError`] from the underlying solver, a NaN or infinite
+/// label ([`CdError::NonFiniteLabel`]) included.
 pub fn fit_path_on_grid(
     loss: &Loss,
     cols: &CscMatrix,
@@ -169,7 +170,8 @@ pub fn fit_path_on_grid(
 ///
 /// # Errors
 ///
-/// Propagates [`CdError`] from the underlying solver.
+/// Propagates [`CdError`] from the underlying solver, a NaN or infinite
+/// label ([`CdError::NonFiniteLabel`]) included.
 ///
 /// # Panics
 ///
