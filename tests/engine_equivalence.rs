@@ -20,7 +20,8 @@
 //! times (compute + comm + idle + recovery) sum to the round's elapsed sim
 //! time.
 
-use mllib_star::core::{System, TrainConfig, TrainOutput};
+use mllib_star::codec::fnv1a;
+use mllib_star::core::{AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput};
 use mllib_star::data::{SparseDataset, SyntheticConfig};
 use mllib_star::glm::{LearningRate, Loss, Regularizer};
 use mllib_star::sim::ClusterSpec;
@@ -229,4 +230,81 @@ fn round_stats_attribute_bytes_to_the_right_patterns() {
         petuum.broadcast + petuum.reduce_scatter + petuum.all_gather,
         0
     );
+}
+
+/// Whole parameter-server runs, pinned as the FNV-1a of `format!("{out:?}")`
+/// (trace, Gantt spans, `round_stats`, model bits and counters). The
+/// goldens above are unregularized, dense and at default staleness; this
+/// sweep adds Petuum's per-batch GD branch (`Ω ≠ 0`), sparse push/pull
+/// sizing and BSP (staleness 0) for all three PS systems, plus one run
+/// per system that stops early on its target objective (at clock 4).
+#[test]
+fn ps_runs_are_pinned() {
+    let ds = golden_dataset();
+    let cluster = ClusterSpec::cluster1();
+    let l2_reg = Regularizer::L2 { lambda: 0.1 };
+    let run = |system: System, reg: Regularizer, sparse: bool, staleness: u64, target| {
+        let cfg = TrainConfig {
+            reg,
+            target_objective: target,
+            ..golden_config(42)
+        };
+        let ps = PsSystemConfig {
+            staleness,
+            sparse_messages: sparse,
+            ..PsSystemConfig::default()
+        };
+        let angel = AngelConfig {
+            staleness,
+            sparse_messages: sparse,
+            ..AngelConfig::default()
+        };
+        let out = system.train(&ds, &cluster, &cfg, &ps, &angel);
+        fnv1a(format!("{out:?}").as_bytes())
+    };
+
+    // (system, L2 0.1, sparse messages, staleness, digest)
+    let expected: [(System, bool, bool, u64, u64); 24] = [
+        (System::Petuum, false, false, 0, 0x6bb788837cb9e630),
+        (System::Petuum, false, false, 2, 0xc9b764d4e97f309b),
+        (System::Petuum, false, true, 0, 0x3d5b2c2c8017fab7),
+        (System::Petuum, false, true, 2, 0x58c2042e9a31ca46),
+        (System::Petuum, true, false, 0, 0x9774bd9c5654c718),
+        (System::Petuum, true, false, 2, 0x719500a1159bd484),
+        (System::Petuum, true, true, 0, 0x9774bd9c5654c718),
+        (System::Petuum, true, true, 2, 0x719500a1159bd484),
+        (System::PetuumStar, false, false, 0, 0xc8e78e88f2ee7318),
+        (System::PetuumStar, false, false, 2, 0x49aecfd29d397be7),
+        (System::PetuumStar, false, true, 0, 0xc8e78e88f2ee7318),
+        (System::PetuumStar, false, true, 2, 0x49aecfd29d397be7),
+        (System::PetuumStar, true, false, 0, 0x2c68b0b195c5ebc6),
+        (System::PetuumStar, true, false, 2, 0x6c89233293c09696),
+        (System::PetuumStar, true, true, 0, 0x2c68b0b195c5ebc6),
+        (System::PetuumStar, true, true, 2, 0x6c89233293c09696),
+        (System::Angel, false, false, 0, 0xdb544a327f3de465),
+        (System::Angel, false, false, 2, 0xd560035c2c9f47ca),
+        (System::Angel, false, true, 0, 0x5c058a16b859c5e2),
+        (System::Angel, false, true, 2, 0x7ecf1517e6da1ffa),
+        (System::Angel, true, false, 0, 0x7937a742b6f8c527),
+        (System::Angel, true, false, 2, 0x7d7bc352c2934508),
+        (System::Angel, true, true, 0, 0x7937a742b6f8c527),
+        (System::Angel, true, true, 2, 0x7d7bc352c2934508),
+    ];
+    let got = expected.map(|(system, l2, sparse, staleness, _)| {
+        let reg = if l2 { l2_reg } else { Regularizer::None };
+        let digest = run(system, reg, sparse, staleness, None);
+        (system, l2, sparse, staleness, digest)
+    });
+    assert_eq!(got, expected);
+
+    let expected = [
+        (System::Petuum, 0.45, 0x1f50a1846f5c6468),
+        (System::PetuumStar, 0.93, 0x6fe8ed958c813392),
+        (System::Angel, 0.45, 0xc3115fcef4aea053),
+    ];
+    let got = expected.map(|(system, target, _)| {
+        let digest = run(system, Regularizer::None, false, 2, Some(target));
+        (system, target, digest)
+    });
+    assert_eq!(got, expected);
 }
