@@ -40,7 +40,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use mlstar_codec::{decode_frame, fnv1a, schema, CodecError, Reader, Writer};
-use mlstar_data::{fingerprint_codec, DatasetFingerprint, SparseDataset};
+use mlstar_data::{fingerprint_codec, DatasetFingerprint};
 use mlstar_linalg::DenseVector;
 use mlstar_sim::{Activity, NodeId, SimTime, Span};
 
@@ -342,140 +342,6 @@ pub fn prune_checkpoints(dir: &Path, system: System, keep: u64) -> Result<usize,
         std::fs::remove_file(path)?;
     }
     Ok(excess)
-}
-
-/// Checkpointing instructions for one parameter-server run: where to
-/// write anchors (cadence from [`TrainConfig::checkpoint_every`]), which
-/// system to stamp, and optionally an anchor the deterministic replay
-/// must pass through bit-exactly.
-pub(crate) struct PsCkptRun<'a> {
-    pub dir: &'a Path,
-    pub system: System,
-    pub verify: Option<PsAnchor>,
-}
-
-/// The PS-path checkpoint hook, wrapped around [`ClockTracer::on_clock`]
-/// by the PS trainers.
-///
-/// The event-driven PS engine's heap of in-flight messages is not
-/// serialized; instead, anchors record the observable state at global
-/// clock boundaries, and resume is a deterministic replay from clock 0 —
-/// the simulated analogue of Spark recomputing a lost partition from
-/// lineage. The hook (a) verifies the replay passes through the anchor
-/// bit-exactly, and (b) writes new anchors at the configured cadence.
-///
-/// [`ClockTracer::on_clock`]: crate::engine::ClockTracer::on_clock
-pub(crate) struct PsCkptHook<'a> {
-    /// `(dir, system, fingerprint, digest, cadence, keep)` when writing.
-    meta: Option<(&'a Path, System, DatasetFingerprint, u64, u64, u64)>,
-    verify: Option<PsAnchor>,
-    diverged: Option<u64>,
-    error: Option<CheckpointError>,
-}
-
-impl<'a> PsCkptHook<'a> {
-    pub fn new(ds: &SparseDataset, cfg: &TrainConfig, ckpt: Option<PsCkptRun<'a>>) -> Self {
-        let (meta, verify) = match ckpt {
-            Some(PsCkptRun {
-                dir,
-                system,
-                verify,
-            }) => {
-                let meta = (cfg.checkpoint_every > 0).then(|| {
-                    (
-                        dir,
-                        system,
-                        DatasetFingerprint::of(ds),
-                        config_digest(cfg),
-                        cfg.checkpoint_every,
-                        cfg.checkpoint_keep,
-                    )
-                });
-                (meta, verify)
-            }
-            None => (None, None),
-        };
-        PsCkptHook {
-            meta,
-            verify,
-            diverged: None,
-            error: None,
-        }
-    }
-
-    /// The wrapped clock callback: verify the anchor (if due), delegate
-    /// to the tracer, then write an anchor (if due). Returns `true` to
-    /// stop the engine.
-    pub fn on_clock(
-        &mut self,
-        tracer: &mut crate::engine::ClockTracer<'_>,
-        clock: u64,
-        time: SimTime,
-        model: &DenseVector,
-        updates: u64,
-    ) -> bool {
-        if let Some(anchor) = &self.verify {
-            if clock == anchor.clock {
-                let identical = time.as_nanos() == anchor.time_nanos
-                    && updates == anchor.updates
-                    && model.dim() == anchor.model.len()
-                    && model
-                        .as_slice()
-                        .iter()
-                        .zip(&anchor.model)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                if !identical {
-                    self.diverged = Some(clock);
-                    return true;
-                }
-                self.verify = None;
-            }
-        }
-        if tracer.on_clock(clock, time, model) {
-            return true;
-        }
-        if let Some((dir, system, fingerprint, digest, cadence, keep)) = &self.meta {
-            if clock > 0 && clock.is_multiple_of(*cadence) {
-                let ck = TrainCheckpoint {
-                    system: system.name().to_string(),
-                    config_digest: *digest,
-                    fingerprint: *fingerprint,
-                    state: CheckpointState::PsAnchor(PsAnchor {
-                        clock,
-                        time_nanos: time.as_nanos(),
-                        updates,
-                        model: model.as_slice().to_vec(),
-                    }),
-                };
-                if let Err(e) = ck.write_file(&checkpoint_path(dir, *system, clock)) {
-                    self.error = Some(e.into());
-                    return true;
-                }
-                if let Err(e) = prune_checkpoints(dir, *system, *keep) {
-                    self.error = Some(e.into());
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    /// Resolves the hook after the engine returns. A replay that stopped
-    /// without passing its anchor did not reproduce the checkpointed run.
-    pub fn finish(self) -> Result<(), CheckpointError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        if let Some(clock) = self.diverged {
-            return Err(CheckpointError::ReplayDiverged { clock });
-        }
-        if let Some(anchor) = self.verify {
-            return Err(CheckpointError::ReplayDiverged {
-                clock: anchor.clock,
-            });
-        }
-        Ok(())
-    }
 }
 
 schema! {

@@ -10,9 +10,8 @@
 //! assembly.
 //!
 //! The parameter-server systems (Petuum, Petuum\*, Angel) keep their
-//! event-driven engine but route through the same shared trace
-//! ([`ClockTracer`]), telemetry ([`ps_round_stats`]) and output
-//! ([`assemble_output`]) components.
+//! event-driven engine (`crate::ps`) and share only the output
+//! assembly ([`assemble_output`]).
 //!
 //! Per round, the engine threads structured telemetry into
 //! [`TrainOutput::round_stats`]: bytes moved per communication pattern
@@ -24,7 +23,6 @@ use mlstar_codec::{CodecError, Reader, Writer};
 use mlstar_data::{DatasetFingerprint, SparseDataset};
 use mlstar_glm::GlmModel;
 use mlstar_linalg::DenseVector;
-use mlstar_ps::PsRunStats;
 use mlstar_sim::{
     Activity, CostModel, GanttRecorder, NodeId, PhaseTotals, RoundBuilder, SeedStream, SimTime,
 };
@@ -559,103 +557,6 @@ pub(crate) fn assemble_output(
         round_stats,
         host_threads,
     }
-}
-
-/// The shared PS-path trace/stop component: replicates the `on_clock`
-/// cadence the PS trainers used to duplicate (trace point every
-/// `eval_every` clocks and at the final clock; stop on
-/// [`TrainConfig::should_stop`]).
-pub(crate) struct ClockTracer<'a> {
-    ds: &'a SparseDataset,
-    cfg: &'a TrainConfig,
-    updates: std::rc::Rc<std::cell::Cell<u64>>,
-    pub trace: ConvergenceTrace,
-    pub converged: bool,
-}
-
-impl<'a> ClockTracer<'a> {
-    /// Starts a trace for `name` with the step-0 point at the zero model.
-    pub fn new(
-        ds: &'a SparseDataset,
-        cfg: &'a TrainConfig,
-        name: &str,
-        updates: std::rc::Rc<std::cell::Cell<u64>>,
-    ) -> Self {
-        let mut trace = ConvergenceTrace::new(name, workload_label(ds, cfg.reg));
-        trace.push(TracePoint {
-            step: 0,
-            time: SimTime::ZERO,
-            objective: eval_objective(
-                ds,
-                cfg.loss,
-                cfg.reg,
-                &DenseVector::zeros(ds.num_features()),
-            ),
-            total_updates: 0,
-        });
-        ClockTracer {
-            ds,
-            cfg,
-            updates,
-            trace,
-            converged: false,
-        }
-    }
-
-    /// The PS engine's `on_clock` callback; returns `true` to stop.
-    pub fn on_clock(&mut self, clock: u64, time: SimTime, model: &DenseVector) -> bool {
-        let eval_every = self.cfg.eval_every.max(1);
-        if clock.is_multiple_of(eval_every) || clock == self.cfg.max_rounds {
-            let f = eval_objective(self.ds, self.cfg.loss, self.cfg.reg, model);
-            self.trace.push(TracePoint {
-                step: clock,
-                time,
-                objective: f,
-                total_updates: self.updates.get(),
-            });
-            if self.cfg.should_stop(f) {
-                self.converged = self.cfg.target_objective.is_some_and(|t| f <= t);
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Converts the PS engine's per-clock telemetry into [`RoundStats`],
-/// truncated to the globally completed clocks and averaged over the
-/// `workers` so the phase identity holds (see [`RoundStats`] — PS clocks
-/// overlap under SSP, so `elapsed_s` is the per-worker average time in
-/// the clock). Server-side apply time runs in parallel with the workers
-/// and is not part of the breakdown; failure recovery does not exist in
-/// the PS model, so `recovery_s` is always zero here.
-pub(crate) fn ps_round_stats(stats: &PsRunStats, workers: usize) -> Vec<RoundStats> {
-    let inv = 1.0 / workers as f64;
-    stats
-        .clock_times
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let pc = stats.per_clock.get(i).copied().unwrap_or_default();
-            let (compute_s, comm_s, idle_s) =
-                (pc.compute_s * inv, pc.comm_s * inv, pc.idle_s * inv);
-            RoundStats {
-                round: i as u64,
-                updates: pc.updates,
-                flops: pc.flops,
-                bytes: CommBytes {
-                    ps_pull: pc.pull_bytes,
-                    ps_push: pc.push_bytes,
-                    ..CommBytes::default()
-                },
-                compute_s,
-                comm_s,
-                idle_s,
-                recovery_s: 0.0,
-                elapsed_s: compute_s + comm_s + idle_s,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! The distributed GLM training systems of the MLlib\* paper.
 //!
-//! Six systems, all training the same objective on the same simulated
+//! Seven systems, all training the same objective on the same simulated
 //! cluster so their convergence curves are directly comparable:
 //!
 //! | System | Paradigm | Communication | Paper role |
@@ -11,6 +11,7 @@
 //! | [`Petuum`](System::Petuum) | SendModel (model **summation**) | parameter servers, per-batch, SSP | specialized baseline |
 //! | [`PetuumStar`](System::PetuumStar) | SendModel (model averaging) | parameter servers, per-batch, SSP | the paper's fixed Petuum |
 //! | [`Angel`](System::Angel) | SendModel | parameter servers, per-epoch | specialized baseline |
+//! | [`SparkMl`](System::SparkMl) | SendGradient (L-BFGS) | broadcast + treeAggregate via driver | the paper's future-work second-order comparator |
 //!
 //! Each run produces a [`ConvergenceTrace`] (objective vs. communication
 //! step and simulated time — the two x-axes of Figures 4–6) and a Gantt
@@ -40,7 +41,6 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
-mod angel;
 mod checkpoint;
 mod common;
 mod comparison;
@@ -53,13 +53,12 @@ mod mllib;
 mod mllib_ma;
 mod mllib_star;
 mod ovr;
-mod petuum;
+mod ps;
 mod sequential;
 mod sparkml;
 mod system;
 mod trace;
 
-pub use angel::train_angel;
 pub use checkpoint::{
     checkpoint_path, prune_checkpoints, CheckpointError, TrainCheckpoint, CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -78,7 +77,7 @@ pub use mllib_star::train_mllib_star;
 pub use mlstar_collectives::{CompressionConfig, FrameSwitch, Sparsifier};
 pub use mlstar_exec::{ExecError, OpExecutor, OpResult, Shard, WorkerOp};
 pub use ovr::{OneVsRest, OvrModel, OvrOutput};
-pub use petuum::{train_petuum, train_petuum_star};
+pub use ps::{train_angel, train_petuum, train_petuum_star};
 pub use sequential::reference_optimum;
 pub use sparkml::{train_sparkml_lbfgs, SparkMlConfig};
 pub use system::System;

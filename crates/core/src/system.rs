@@ -1,4 +1,4 @@
-//! Unified dispatch over the six systems.
+//! Unified dispatch over the seven systems.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -7,14 +7,13 @@ use mlstar_codec::CodecError;
 use mlstar_data::{DatasetFingerprint, SparseDataset};
 use mlstar_sim::ClusterSpec;
 
-use crate::angel::train_angel_ckpt;
-use crate::checkpoint::{config_digest, CheckpointState, PsCkptRun, TrainCheckpoint};
+use crate::checkpoint::{config_digest, CheckpointState, TrainCheckpoint};
 use crate::engine::{expect_uncheckpointed, run_rounds, CheckpointRun};
 use crate::exec::{system_partitions, ComputeBackend, ExecAbort, InProcessBackend};
 use crate::mllib::MllibStrategy;
 use crate::mllib_ma::MllibMaStrategy;
 use crate::mllib_star::MllibStarStrategy;
-use crate::petuum::train_petuum_ckpt;
+use crate::ps::{train_ps, PsPlan};
 use crate::sparkml::SparkMlStrategy;
 use crate::{
     AngelConfig, CheckpointError, PsSystemConfig, SparkMlConfig, TrainConfig, TrainOutput,
@@ -24,7 +23,8 @@ use crate::{
 /// (if any).
 type CkptArgs<'a> = (&'a Path, Option<CheckpointState>);
 
-/// The six distributed training systems compared in the paper.
+/// The seven distributed training systems: the six the paper compares,
+/// plus the `spark.ml` L-BFGS comparator of its future work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum System {
     /// Spark MLlib: SendGradient + driver + treeAggregate.
@@ -259,19 +259,16 @@ impl System {
                 }
                 None => None,
             };
-            let run = dir.map(|dir| PsCkptRun {
-                dir,
-                system: *self,
-                verify,
-            });
-            return match self {
-                System::Petuum | System::PetuumStar => {
-                    let star = *self == System::PetuumStar;
-                    train_petuum_ckpt(ds, cluster, cfg, ps, star, run, parts, backend)
-                }
-                System::Angel => train_angel_ckpt(ds, cluster, cfg, angel, run, parts, backend),
-                _ => unreachable!("is_parameter_server covers exactly these variants"),
-            };
+            let plan = PsPlan::resolve(
+                *self,
+                cfg,
+                ps,
+                angel,
+                ds.num_features(),
+                cluster.num_executors(),
+            );
+            let ckpt = dir.map(|dir| (dir, verify));
+            return train_ps(ds, cluster, cfg, plan, ckpt, parts, backend);
         }
 
         let resume = match state {

@@ -7,7 +7,38 @@ use mlstar_sim::{
 };
 use rand::rngs::StdRng;
 
-use crate::{Aggregation, Consistency, ServerGroup};
+/// How servers fold a worker's push into the global model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Aggregation {
+    /// *Model summation* (original Petuum): the push payload is a **delta**
+    /// (`w_local − w_pulled`, or `−η·g` accumulated) that servers add to
+    /// the global model. The paper notes this "can lead to potential
+    /// divergence".
+    Sum,
+    /// *Model averaging* (Petuum\*): the push payload is the worker's
+    /// **local model**; servers move the global model toward it by `1/k`
+    /// (the online form of averaging k workers' models, well-defined under
+    /// asynchrony).
+    Average {
+        /// Number of workers `k`.
+        num_workers: usize,
+    },
+}
+
+impl Aggregation {
+    /// Folds one worker's push into `model`.
+    pub fn apply(self, model: &mut DenseVector, payload: &DenseVector) {
+        match self {
+            Aggregation::Sum => model.axpy(1.0, payload),
+            Aggregation::Average { num_workers } => {
+                let alpha = 1.0 / num_workers as f64;
+                // model ← (1 − 1/k)·model + (1/k)·payload
+                model.scale(1.0 - alpha);
+                model.axpy(alpha, payload);
+            }
+        }
+    }
+}
 
 /// The result of one worker-local computation tick.
 pub struct WorkerStep {
@@ -49,10 +80,16 @@ pub trait WorkerLogic {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct PsConfig {
-    /// Number of server shards.
+    /// Number of server shards. Shards own contiguous coordinate ranges
+    /// and apply a push in parallel, so a push costs the largest shard's
+    /// apply time.
     pub num_servers: usize,
-    /// Consistency protocol gating worker progress.
-    pub consistency: Consistency,
+    /// How many ticks a worker may run ahead of the slowest one before it
+    /// must wait: the paper's consistency controller (Section III-B).
+    /// `0` is Bulk Synchronous Parallel, a positive bound is Stale
+    /// Synchronous Parallel (Petuum's protocol), and `u64::MAX` never
+    /// binds, which is fully asynchronous (ASP).
+    pub staleness: u64,
     /// Server-side aggregation scheme.
     pub aggregation: Aggregation,
     /// Ticks each worker executes (unless stopped early).
@@ -135,11 +172,7 @@ enum Ev {
     /// Worker begins its pull for tick `clock`.
     PullStart { worker: usize },
     /// Worker's push (for the tick it just computed) arrives at servers.
-    PushArrive {
-        worker: usize,
-        payload: DenseVector,
-        updates: u64,
-    },
+    PushArrive { worker: usize, payload: DenseVector },
 }
 
 impl<'a> PsEngine<'a> {
@@ -147,7 +180,6 @@ impl<'a> PsEngine<'a> {
     /// workers equals the number of executors in the cluster.
     pub fn new(cost: &'a CostModel, cfg: PsConfig) -> Self {
         assert!(cfg.num_servers > 0, "need at least one server shard");
-        assert!(cfg.max_clocks > 0, "need at least one clock tick");
         PsEngine {
             cost,
             cfg,
@@ -160,10 +192,12 @@ impl<'a> PsEngine<'a> {
         &self.gantt
     }
 
-    /// Runs the engine from initial model `w0`.
+    /// Runs the engine from initial model `w0`. With `max_clocks == 0` no
+    /// worker starts and `w0` comes back unchanged.
     ///
-    /// `on_clock(clock, time, model)` is invoked each time the *global*
-    /// clock (the minimum over workers' completed ticks) advances;
+    /// `on_clock(clock, time, model, total_updates)` is invoked each time
+    /// the *global* clock (the minimum over workers' completed ticks)
+    /// advances, with the local updates of every tick computed so far;
     /// returning `true` stops the run after the current event.
     pub fn run<L, F>(
         &mut self,
@@ -173,13 +207,13 @@ impl<'a> PsEngine<'a> {
     ) -> (DenseVector, PsRunStats)
     where
         L: WorkerLogic,
-        F: FnMut(u64, SimTime, &DenseVector) -> bool,
+        F: FnMut(u64, SimTime, &DenseVector, u64) -> bool,
     {
         let k = self.cost.num_executors();
         let dim = w0.dim();
         let model_bytes = mlstar_collectives::wire::encoded_dense_len(dim);
-        let mut servers = ServerGroup::new(dim, self.cfg.num_servers, self.cfg.aggregation);
-        servers.initialize(w0);
+        let shard_len = dim.div_ceil(self.cfg.num_servers);
+        let mut model = w0;
 
         let mut rng: StdRng = SeedStream::new(self.cfg.seed).child("ps-straggler").rng();
         let mut queue: EventQueue<Ev> = EventQueue::new();
@@ -195,8 +229,10 @@ impl<'a> PsEngine<'a> {
             stopped_early: false,
         };
 
-        for w in 0..k {
-            queue.push(SimTime::ZERO, Ev::PullStart { worker: w });
+        if self.cfg.max_clocks > 0 {
+            for w in 0..k {
+                queue.push(SimTime::ZERO, Ev::PullStart { worker: w });
+            }
         }
 
         'sim: while let Some((now, ev)) = queue.pop() {
@@ -215,7 +251,7 @@ impl<'a> PsEngine<'a> {
                     // No later event mutates the servers while this event
                     // is being processed, so the worker can read the model
                     // in place — semantically the pull's snapshot.
-                    let step = logic.compute(worker, clock, servers.model());
+                    let step = logic.compute(worker, clock, &model);
                     assert_eq!(step.payload.dim(), dim, "payload dimension mismatch");
                     let compute_dur = self.cost.executor_compute_with_overhead(
                         worker,
@@ -253,21 +289,14 @@ impl<'a> PsEngine<'a> {
                         Ev::PushArrive {
                             worker,
                             payload: step.payload,
-                            updates: step.local_updates,
                         },
                     );
                     stats.total_updates += step.local_updates;
                 }
-                Ev::PushArrive {
-                    worker,
-                    payload,
-                    updates,
-                } => {
-                    let _ = updates;
+                Ev::PushArrive { worker, payload } => {
                     // Servers fold the push in; each shard applies its range.
-                    servers.push(&payload);
+                    self.cfg.aggregation.apply(&mut model, &payload);
                     stats.total_pushes += 1;
-                    let shard_len = servers.router().max_shard_len();
                     let apply = self.cost.driver_compute(dense_op_flops(shard_len));
                     for s in 0..self.cfg.num_servers {
                         self.gantt.record(
@@ -283,12 +312,9 @@ impl<'a> PsEngine<'a> {
                     #[expect(clippy::expect_used, reason = "one slot per worker, k ≥ 1")]
                     let new_min = *completed.iter().min().expect("nonempty");
                     if new_min > min_clock {
-                        for c in min_clock..new_min {
-                            stats.clock_times.push(now);
-                            let _ = c;
-                        }
+                        stats.clock_times.resize(new_min as usize, now);
                         min_clock = new_min;
-                        if on_clock(min_clock, now, servers.model()) {
+                        if on_clock(min_clock, now, &model, stats.total_updates) {
                             stats.stopped_early = true;
                             break 'sim;
                         }
@@ -296,7 +322,7 @@ impl<'a> PsEngine<'a> {
                         for w in 0..k {
                             if let Some(wait_start) = parked[w] {
                                 if completed[w] < self.cfg.max_clocks
-                                    && self.cfg.consistency.may_proceed(completed[w], min_clock)
+                                    && completed[w] - min_clock <= self.cfg.staleness
                                 {
                                     if now > wait_start {
                                         self.gantt.record(
@@ -318,11 +344,7 @@ impl<'a> PsEngine<'a> {
 
                     // Schedule this worker's next tick.
                     if completed[worker] < self.cfg.max_clocks {
-                        if self
-                            .cfg
-                            .consistency
-                            .may_proceed(completed[worker], min_clock)
-                        {
+                        if completed[worker] - min_clock <= self.cfg.staleness {
                             queue.push(now, Ev::PullStart { worker });
                         } else {
                             parked[worker] = Some(now);
@@ -332,7 +354,7 @@ impl<'a> PsEngine<'a> {
             }
         }
 
-        (servers.pull(), stats)
+        (model, stats)
     }
 }
 
@@ -370,10 +392,10 @@ mod tests {
         ))
     }
 
-    fn cfg(consistency: Consistency, max_clocks: u64) -> PsConfig {
+    fn cfg(staleness: u64, max_clocks: u64) -> PsConfig {
         PsConfig {
             num_servers: 2,
-            consistency,
+            staleness,
             aggregation: Aggregation::Sum,
             max_clocks,
             tick_overhead: SimDuration::from_millis(2),
@@ -384,12 +406,12 @@ mod tests {
     #[test]
     fn bsp_run_applies_all_pushes() {
         let cost = cost(4);
-        let mut engine = PsEngine::new(&cost, cfg(Consistency::Bsp, 3));
+        let mut engine = PsEngine::new(&cost, cfg(0, 3));
         let mut logic = ConstDelta {
             dim: 8,
             calls: Vec::new(),
         };
-        let (model, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _| false);
+        let (model, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _, _| false);
         // 4 workers × 3 clocks, each adding 1.0 at coordinate 0.
         assert_eq!(stats.total_pushes, 12);
         assert_eq!(stats.total_updates, 12);
@@ -402,7 +424,7 @@ mod tests {
     #[test]
     fn bsp_workers_never_lead_by_more_than_one() {
         let cost = cost(4);
-        let mut engine = PsEngine::new(&cost, cfg(Consistency::Bsp, 5));
+        let mut engine = PsEngine::new(&cost, cfg(0, 5));
         struct TrackLead {
             dim: usize,
             clocks_seen: Vec<u64>,
@@ -423,7 +445,7 @@ mod tests {
             dim: 4,
             clocks_seen: Vec::new(),
         };
-        engine.run(DenseVector::zeros(4), &mut logic, |_, _, _| false);
+        engine.run(DenseVector::zeros(4), &mut logic, |_, _, _, _| false);
         // Under BSP, tick c+1 computations never start before every tick-c
         // compute has happened: the sequence of observed clocks is sorted.
         let mut sorted = logic.clocks_seen.clone();
@@ -439,29 +461,31 @@ mod tests {
         spec.straggler = StragglerModel::LogNormal { sigma: 0.8 };
         let cost = CostModel::new(spec);
 
-        let run = |consistency| {
-            let mut engine = PsEngine::new(&cost, cfg(consistency, 10));
+        let run = |staleness| {
+            let mut engine = PsEngine::new(&cost, cfg(staleness, 10));
             let mut logic = ConstDelta {
                 dim: 8,
                 calls: Vec::new(),
             };
-            let (_, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _| false);
+            let (_, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _, _| false);
             stats.end_time.as_secs_f64()
         };
-        let bsp = run(Consistency::Bsp);
-        let ssp = run(Consistency::Ssp { staleness: 3 });
+        let bsp = run(0);
+        let ssp = run(3);
         assert!(ssp <= bsp * 1.01, "SSP {ssp}s should not exceed BSP {bsp}s");
     }
 
     #[test]
     fn early_stop_halts_run() {
         let cost = cost(2);
-        let mut engine = PsEngine::new(&cost, cfg(Consistency::Bsp, 100));
+        let mut engine = PsEngine::new(&cost, cfg(0, 100));
         let mut logic = ConstDelta {
             dim: 4,
             calls: Vec::new(),
         };
-        let (_, stats) = engine.run(DenseVector::zeros(4), &mut logic, |clock, _, _| clock >= 3);
+        let (_, stats) = engine.run(DenseVector::zeros(4), &mut logic, |clock, _, _, _| {
+            clock >= 3
+        });
         assert!(stats.stopped_early);
         assert!(stats.total_pushes < 200, "stopped long before 100 clocks");
     }
@@ -471,7 +495,7 @@ mod tests {
         let cost = cost(2);
         let cfg = PsConfig {
             num_servers: 1,
-            consistency: Consistency::Bsp,
+            staleness: 0,
             aggregation: Aggregation::Average { num_workers: 2 },
             max_clocks: 1,
             tick_overhead: SimDuration::from_millis(2),
@@ -490,7 +514,7 @@ mod tests {
             }
         }
         let mut engine = PsEngine::new(&cost, cfg);
-        let (model, _) = engine.run(DenseVector::zeros(3), &mut PushOnes, |_, _, _| false);
+        let (model, _) = engine.run(DenseVector::zeros(3), &mut PushOnes, |_, _, _, _| false);
         // Two averaging pushes of all-ones from w=0: 1 − (1/2)² = 0.75.
         assert!((model.get(0) - 0.75).abs() < 1e-12);
     }
@@ -498,12 +522,12 @@ mod tests {
     #[test]
     fn gantt_records_pull_compute_push() {
         let cost = cost(2);
-        let mut engine = PsEngine::new(&cost, cfg(Consistency::Bsp, 2));
+        let mut engine = PsEngine::new(&cost, cfg(0, 2));
         let mut logic = ConstDelta {
             dim: 4,
             calls: Vec::new(),
         };
-        engine.run(DenseVector::zeros(4), &mut logic, |_, _, _| false);
+        engine.run(DenseVector::zeros(4), &mut logic, |_, _, _, _| false);
         let g = engine.gantt();
         for a in [
             Activity::PsPull,
@@ -522,12 +546,12 @@ mod tests {
     fn deterministic_given_seed() {
         let cost = cost(3);
         let run = || {
-            let mut engine = PsEngine::new(&cost, cfg(Consistency::Ssp { staleness: 1 }, 4));
+            let mut engine = PsEngine::new(&cost, cfg(1, 4));
             let mut logic = ConstDelta {
                 dim: 4,
                 calls: Vec::new(),
             };
-            let (m, s) = engine.run(DenseVector::zeros(4), &mut logic, |_, _, _| false);
+            let (m, s) = engine.run(DenseVector::zeros(4), &mut logic, |_, _, _, _| false);
             (m, s.end_time, logic.calls)
         };
         let (m1, t1, c1) = run();
@@ -540,12 +564,12 @@ mod tests {
     #[test]
     fn per_clock_stats_cover_every_tick() {
         let cost = cost(4);
-        let mut engine = PsEngine::new(&cost, cfg(Consistency::Bsp, 3));
+        let mut engine = PsEngine::new(&cost, cfg(0, 3));
         let mut logic = ConstDelta {
             dim: 8,
             calls: Vec::new(),
         };
-        let (_, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _| false);
+        let (_, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _, _| false);
         assert_eq!(stats.per_clock.len(), 3);
         for (c, s) in stats.per_clock.iter().enumerate() {
             assert_eq!(s.updates, 4, "clock {c}: one update per worker");
@@ -564,12 +588,12 @@ mod tests {
         let mut spec = ClusterSpec::uniform(4, NodeSpec::standard(), NetworkSpec::gbps1());
         spec.straggler = StragglerModel::LogNormal { sigma: 0.8 };
         let cost = CostModel::new(spec);
-        let mut engine = PsEngine::new(&cost, cfg(Consistency::Bsp, 4));
+        let mut engine = PsEngine::new(&cost, cfg(0, 4));
         let mut logic = ConstDelta {
             dim: 8,
             calls: Vec::new(),
         };
-        let (_, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _| false);
+        let (_, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _, _| false);
         let wait_total: f64 = engine
             .gantt()
             .spans()
@@ -586,12 +610,75 @@ mod tests {
     }
 
     #[test]
+    fn on_clock_sees_the_run_total_of_updates() {
+        let cost = cost(3);
+        let mut engine = PsEngine::new(&cost, cfg(1, 4));
+        let mut logic = ConstDelta {
+            dim: 4,
+            calls: Vec::new(),
+        };
+        let mut seen = Vec::new();
+        let (_, stats) = engine.run(DenseVector::zeros(4), &mut logic, |clock, _, _, updates| {
+            seen.push((clock, updates));
+            false
+        });
+        assert_eq!(seen.len(), 4);
+        // Every tick computed so far, including those of workers ahead.
+        for w in seen.windows(2) {
+            assert!(w[1].1 >= w[0].1 && w[1].1 >= 3 * w[1].0);
+        }
+        assert!(seen[3].1 <= stats.total_updates);
+    }
+
+    #[test]
+    fn zero_clocks_return_the_initial_model() {
+        let cost = cost(2);
+        let mut engine = PsEngine::new(&cost, cfg(0, 0));
+        let mut logic = ConstDelta {
+            dim: 3,
+            calls: Vec::new(),
+        };
+        let w0 = DenseVector::filled(3, 0.5);
+        let (model, stats) = engine.run(w0.clone(), &mut logic, |_, _, _, _| true);
+        assert_eq!(model, w0);
+        assert!(logic.calls.is_empty());
+        assert_eq!((stats.total_pushes, stats.total_updates), (0, 0));
+        assert!(stats.clock_times.is_empty() && stats.per_clock.is_empty());
+        assert!(engine.gantt().spans().is_empty());
+    }
+
+    fn dv(v: &[f64]) -> DenseVector {
+        DenseVector::from_vec(v.to_vec())
+    }
+
+    #[test]
+    fn sum_applies_deltas() {
+        let mut m = dv(&[0.0, 0.0, 0.0]);
+        Aggregation::Sum.apply(&mut m, &dv(&[1.0, 0.0, -1.0]));
+        Aggregation::Sum.apply(&mut m, &dv(&[1.0, 2.0, 0.0]));
+        assert_eq!(m.as_slice(), &[2.0, 2.0, -1.0]);
+    }
+
+    #[test]
+    fn average_moves_toward_pushed_model() {
+        let mut m = dv(&[4.0, 0.0]);
+        Aggregation::Average { num_workers: 4 }.apply(&mut m, &dv(&[0.0, 4.0]));
+        // (1 − 1/4)·[4,0] + 1/4·[0,4] = [3, 1]
+        assert_eq!(m.as_slice(), &[3.0, 1.0]);
+        let mut m = dv(&[0.0]);
+        for _ in 0..20 {
+            Aggregation::Average { num_workers: 2 }.apply(&mut m, &dv(&[1.0]));
+        }
+        assert!((m.get(0) - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one server")]
     fn zero_servers_rejected() {
         let cost = cost(1);
         let bad = PsConfig {
             num_servers: 0,
-            ..cfg(Consistency::Bsp, 1)
+            ..cfg(0, 1)
         };
         let _ = PsEngine::new(&cost, bad);
     }

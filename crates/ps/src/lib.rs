@@ -6,17 +6,15 @@
 //! pull it, compute local updates, and push them back under a consistency
 //! protocol (BSP, SSP or ASP).
 //!
-//! This crate provides that architecture over the simulated cluster:
-//!
-//! * [`KeyRouter`] — range-partitions model coordinates across shards.
-//! * [`ServerGroup`] — the sharded global model with pluggable update
-//!   [`Aggregation`] (summation as in Petuum, or incremental averaging as
-//!   in the paper's Petuum\* variant).
-//! * [`Consistency`] — BSP / SSP(staleness) / ASP admission control.
-//! * [`PsEngine`] — a deterministic event-driven execution engine: workers
-//!   progress through pull → compute → push state machines on the
-//!   discrete-event queue, so staleness has *real* semantics (a pull
-//!   observes exactly the pushes applied before it in simulated time).
+//! This crate provides that architecture over the simulated cluster as one
+//! deterministic event-driven engine, [`PsEngine`]: workers progress
+//! through pull → compute → push state machines on the discrete-event
+//! queue, so staleness has *real* semantics (a pull observes exactly the
+//! pushes applied before it in simulated time). Its [`PsConfig`] holds
+//! the consistency protocol as one staleness bound (`0` = BSP, `u64::MAX`
+//! = ASP) and the servers' update rule as an [`Aggregation`] (summation
+//! as in Petuum, or incremental averaging as in the paper's Petuum\*
+//! variant).
 //!
 //! The worker-local computation is supplied by the caller through
 //! [`WorkerLogic`], which is how `mlstar-core` expresses the difference
@@ -27,7 +25,7 @@
 //!
 //! ```
 //! use mlstar_linalg::DenseVector;
-//! use mlstar_ps::{Aggregation, Consistency, PsConfig, PsEngine, WorkerLogic, WorkerStep};
+//! use mlstar_ps::{Aggregation, PsConfig, PsEngine, WorkerLogic, WorkerStep};
 //! use mlstar_sim::{ClusterSpec, CostModel, NetworkSpec, NodeSpec, SimDuration};
 //!
 //! struct AddOne;
@@ -48,13 +46,13 @@
 //! let cost = CostModel::new(ClusterSpec::uniform(2, NodeSpec::standard(), NetworkSpec::gbps1()));
 //! let mut engine = PsEngine::new(&cost, PsConfig {
 //!     num_servers: 1,
-//!     consistency: Consistency::Ssp { staleness: 1 },
+//!     staleness: 1,
 //!     aggregation: Aggregation::Sum,
 //!     max_clocks: 3,
 //!     tick_overhead: SimDuration::from_millis(2),
 //!     seed: 1,
 //! });
-//! let (model, stats) = engine.run(DenseVector::zeros(2), &mut AddOne, |_, _, _| false);
+//! let (model, stats) = engine.run(DenseVector::zeros(2), &mut AddOne, |_, _, _, _| false);
 //! assert_eq!(stats.total_pushes, 6);
 //! assert_eq!(model.as_slice(), &[3.0, 3.0]);
 //! ```
@@ -64,12 +62,8 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
-mod consistency;
 mod engine;
-mod router;
-mod server;
 
-pub use consistency::Consistency;
-pub use engine::{PsClockStats, PsConfig, PsEngine, PsRunStats, WorkerLogic, WorkerStep};
-pub use router::KeyRouter;
-pub use server::{Aggregation, ServerGroup};
+pub use engine::{
+    Aggregation, PsClockStats, PsConfig, PsEngine, PsRunStats, WorkerLogic, WorkerStep,
+};

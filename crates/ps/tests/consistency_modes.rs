@@ -2,7 +2,7 @@
 //! including fully asynchronous (ASP) execution.
 
 use mlstar_linalg::DenseVector;
-use mlstar_ps::{Aggregation, Consistency, PsConfig, PsEngine, WorkerLogic, WorkerStep};
+use mlstar_ps::{Aggregation, PsConfig, PsEngine, WorkerLogic, WorkerStep};
 use mlstar_sim::{ClusterSpec, CostModel, NetworkSpec, NodeSpec, SimDuration, StragglerModel};
 
 /// Logic that pushes +1 on coordinate `worker` and records the model
@@ -34,13 +34,18 @@ fn heterogeneous_cost(k: usize) -> CostModel {
     CostModel::new(spec)
 }
 
-fn run(consistency: Consistency, clocks: u64, k: usize) -> (DenseVector, f64, u64) {
+/// Bulk Synchronous Parallel: no worker may lead.
+const BSP: u64 = 0;
+/// Fully asynchronous: the bound never binds.
+const ASP: u64 = u64::MAX;
+
+fn run(staleness: u64, clocks: u64, k: usize) -> (DenseVector, f64, u64) {
     let cost = heterogeneous_cost(k);
     let mut engine = PsEngine::new(
         &cost,
         PsConfig {
             num_servers: 2,
-            consistency,
+            staleness,
             aggregation: Aggregation::Sum,
             max_clocks: clocks,
             tick_overhead: SimDuration::from_millis(1),
@@ -51,29 +56,28 @@ fn run(consistency: Consistency, clocks: u64, k: usize) -> (DenseVector, f64, u6
         dim: 8,
         observed_sums: Vec::new(),
     };
-    let (model, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _| false);
+    let (model, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _, _| false);
     (model, stats.end_time.as_secs_f64(), stats.total_pushes)
 }
 
 #[test]
 fn all_modes_apply_every_push() {
-    for consistency in [
-        Consistency::Bsp,
-        Consistency::Ssp { staleness: 2 },
-        Consistency::Asp,
-    ] {
-        let (model, _, pushes) = run(consistency, 6, 4);
-        assert_eq!(pushes, 24, "{consistency:?}");
+    for staleness in [BSP, 2, ASP] {
+        let (model, _, pushes) = run(staleness, 6, 4);
+        assert_eq!(pushes, 24, "staleness {staleness}");
         let total: f64 = (0..8).map(|i| model.get(i)).sum();
-        assert!((total - 24.0).abs() < 1e-9, "{consistency:?}: mass {total}");
+        assert!(
+            (total - 24.0).abs() < 1e-9,
+            "staleness {staleness}: mass {total}"
+        );
     }
 }
 
 #[test]
 fn asp_is_no_slower_than_ssp_is_no_slower_than_bsp() {
-    let (_, t_bsp, _) = run(Consistency::Bsp, 12, 6);
-    let (_, t_ssp, _) = run(Consistency::Ssp { staleness: 2 }, 12, 6);
-    let (_, t_asp, _) = run(Consistency::Asp, 12, 6);
+    let (_, t_bsp, _) = run(BSP, 12, 6);
+    let (_, t_ssp, _) = run(2, 12, 6);
+    let (_, t_asp, _) = run(ASP, 12, 6);
     assert!(t_ssp <= t_bsp * 1.01, "SSP {t_ssp}s vs BSP {t_bsp}s");
     assert!(t_asp <= t_ssp * 1.01, "ASP {t_asp}s vs SSP {t_ssp}s");
     // Under heavy stragglers ASP should be strictly faster than BSP.
@@ -90,7 +94,7 @@ fn asp_observes_fresher_models_on_average_than_its_clock_suggests() {
         &cost,
         PsConfig {
             num_servers: 1,
-            consistency: Consistency::Asp,
+            staleness: ASP,
             aggregation: Aggregation::Sum,
             max_clocks: 10,
             tick_overhead: SimDuration::from_millis(1),
@@ -101,7 +105,7 @@ fn asp_observes_fresher_models_on_average_than_its_clock_suggests() {
         dim: 8,
         observed_sums: Vec::new(),
     };
-    let (model, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _| false);
+    let (model, stats) = engine.run(DenseVector::zeros(8), &mut logic, |_, _, _, _| false);
     // Every observation is between 0 and the final total mass.
     let final_mass: f64 = (0..8).map(|i| model.get(i)).sum();
     assert_eq!(final_mass as u64, stats.total_pushes);
@@ -143,7 +147,7 @@ fn ssp_bounds_worker_lead() {
         &cost,
         PsConfig {
             num_servers: 2,
-            consistency: Consistency::Ssp { staleness },
+            staleness,
             aggregation: Aggregation::Sum,
             max_clocks: 15,
             tick_overhead: SimDuration::from_millis(1),
@@ -155,7 +159,7 @@ fn ssp_bounds_worker_lead() {
         completed: vec![0; 5],
         max_gap: 0,
     };
-    engine.run(DenseVector::zeros(4), &mut logic, |_, _, _| false);
+    engine.run(DenseVector::zeros(4), &mut logic, |_, _, _, _| false);
     // The observed gap may exceed the staleness bound by at most the
     // in-flight tick (a worker admitted at gap ≤ s can finish at gap s+1).
     assert!(

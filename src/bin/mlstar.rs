@@ -539,6 +539,37 @@ mod tests {
     }
 
     #[test]
+    fn zero_round_train_succeeds_on_every_system() {
+        let dir = std::env::temp_dir().join("mlstar_cli_zero_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let data = dir.join("tiny.libsvm").to_string_lossy().into_owned();
+        let model = dir.join("model.bin").to_string_lossy().into_owned();
+
+        run(&args(&[
+            "generate", "--preset", "avazu", "--out", &data, "--scale", "256",
+        ]))
+        .expect("generate");
+        for system in System::ALL {
+            let slug = system.to_string();
+            run(&args(&[
+                "train",
+                "--data",
+                &data,
+                "--system",
+                &slug,
+                "--rounds",
+                "0",
+                "--model-out",
+                &model,
+            ]))
+            .unwrap_or_else(|e| panic!("{slug}: {e}"));
+            run(&args(&["predict", "--data", &data, "--model", &model])).expect("predict");
+        }
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn checkpoint_and_resume_via_cli() {
         let dir = std::env::temp_dir().join("mlstar_cli_ckpt_test");
         std::fs::remove_dir_all(&dir).ok();

@@ -11,9 +11,11 @@
 //! * [`sim`] — the deterministic simulated-cluster substrate,
 //! * [`collectives`] — broadcast / treeAggregate / Reduce-Scatter /
 //!   AllGather / AllReduce over the simulated cluster,
-//! * [`ps`] — the parameter-server substrate (BSP/SSP/ASP),
-//! * [`core`] — the six distributed training systems (MLlib, MLlib+MA,
-//!   MLlib\*, Petuum, Petuum\*, Angel), traces, grid search and runners,
+//! * [`ps`] — the parameter-server engine (BSP/SSP/ASP as one staleness
+//!   bound),
+//! * [`core`] — the seven distributed training systems (MLlib, MLlib+MA,
+//!   MLlib\*, Petuum, Petuum\*, Angel and `spark.ml`'s L-BFGS), traces,
+//!   grid search and runners,
 //! * [`serve`] — deterministic model serving: versioned artifacts, a
 //!   registry with staged rollout, micro-batched sharded scoring, and
 //!   latency telemetry,

@@ -1,4 +1,4 @@
-//! Cross-crate integration tests: the six systems end to end on planted
+//! Cross-crate integration tests: the seven systems end to end on planted
 //! problems, exercising data generation, partitioning, the simulated
 //! cluster, collectives, the PS engine, and the trainers together.
 
@@ -60,6 +60,35 @@ fn all_six_systems_reduce_the_objective() {
             "{system}: objective {first} → {best} did not improve enough"
         );
         assert!(out.trace.points.iter().all(|p| p.objective.is_finite()));
+    }
+}
+
+/// A zero-round run trains nothing on every system, parameter servers
+/// included: the step-0 trace point at the zero model, no rounds and no
+/// per-round telemetry.
+#[test]
+fn zero_round_runs_return_the_zero_model_on_every_system() {
+    let ds = dataset();
+    let cluster = ClusterSpec::cluster1();
+    let cfg = TrainConfig {
+        max_rounds: 0,
+        ..base_cfg()
+    };
+    let reference = System::Mllib.train_default(&ds, &cluster, &cfg);
+    assert_eq!(reference.trace.points.len(), 1);
+    assert_eq!(reference.trace.points[0].step, 0);
+    for system in System::ALL {
+        let out = system.train_default(&ds, &cluster, &cfg);
+        assert_eq!(out.trace.points, reference.trace.points, "{system}");
+        assert_eq!(
+            (out.rounds_run, out.total_updates, out.converged),
+            (0, 0, false),
+            "{system}"
+        );
+        assert!(out.round_stats.is_empty(), "{system}");
+        let weights = out.model.weights().as_slice();
+        assert_eq!(weights.len(), ds.num_features(), "{system}");
+        assert!(weights.iter().all(|w| w.to_bits() == 0), "{system}");
     }
 }
 
