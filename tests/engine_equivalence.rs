@@ -235,9 +235,10 @@ fn round_stats_attribute_bytes_to_the_right_patterns() {
 /// Whole parameter-server runs, pinned as the FNV-1a of `format!("{out:?}")`
 /// (trace, Gantt spans, `round_stats`, model bits and counters). The
 /// goldens above are unregularized, dense and at default staleness; this
-/// sweep adds Petuum's per-batch GD branch (`Ω ≠ 0`), sparse push/pull
-/// sizing and BSP (staleness 0) for all three PS systems, plus one run
-/// per system that stops early on its target objective (at clock 4).
+/// sweep adds Petuum's per-batch GD branch (`Ω ≠ 0`, both its L2 and L1
+/// arms), sparse push/pull sizing and BSP (staleness 0) for all three PS
+/// systems, plus one run per system that stops early on its target
+/// objective (at clock 4).
 #[test]
 fn ps_runs_are_pinned() {
     let ds = golden_dataset();
@@ -294,6 +295,22 @@ fn ps_runs_are_pinned() {
         let reg = if l2 { l2_reg } else { Regularizer::None };
         let digest = run(system, reg, sparse, staleness, None);
         (system, l2, sparse, staleness, digest)
+    });
+    assert_eq!(got, expected);
+
+    // L1 0.05, dense messages: pins the L1 arm of the per-batch GD step.
+    let l1_reg = Regularizer::L1 { lambda: 0.05 };
+    let expected: [(System, u64, u64); 6] = [
+        (System::Petuum, 0, 0x56ebb559d140fff4),
+        (System::Petuum, 2, 0x8b4ad607c50bb587),
+        (System::PetuumStar, 0, 0x1d927261b9531ba2),
+        (System::PetuumStar, 2, 0xf82d0772157e5303),
+        (System::Angel, 0, 0x629b9f8c26354cb6),
+        (System::Angel, 2, 0xf9fd22e4cdc6cacc),
+    ];
+    let got = expected.map(|(system, staleness, _)| {
+        let digest = run(system, l1_reg, false, staleness, None);
+        (system, staleness, digest)
     });
     assert_eq!(got, expected);
 
