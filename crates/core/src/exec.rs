@@ -493,6 +493,59 @@ mod tests {
     }
 
     #[test]
+    fn executor_refuses_ops_over_no_rows() {
+        let (ds, parts, cfg) = setup(2);
+        let mut exec = OpExecutor::new(ds.num_features(), cfg.loss, cfg.reg, cfg.lr);
+        let w = DenseVector::filled(ds.num_features(), 0.25);
+        let rows_of = |partition| Shard {
+            rows: ds.rows(),
+            labels: ds.labels(),
+            partition,
+        };
+        let (full, empty) = (rows_of(&parts[0]), rows_of(&[]));
+        let resolve = |g: u32| Some(g as usize);
+        let refused = [
+            (
+                full,
+                WorkerOp::BatchGrad {
+                    w: w.clone(),
+                    batch: vec![],
+                },
+            ),
+            (
+                full,
+                WorkerOp::MgdStep {
+                    w: w.clone(),
+                    batch: vec![],
+                    eta: 0.1,
+                },
+            ),
+            (empty, WorkerOp::PartitionGrad { w: w.clone() }),
+            (empty, WorkerOp::PartitionObjective { w: w.clone() }),
+        ];
+        for (shard, op) in refused {
+            let kind = format!("{op:?}");
+            assert_eq!(
+                exec.execute(&shard, resolve, op),
+                Err(ExecError::EmptyBatch),
+                "{kind}"
+            );
+        }
+
+        // An epoch over no rows takes no step and is not an error.
+        let epoch = WorkerOp::MgdEpoch {
+            w: w.clone(),
+            order: vec![],
+            batch_size: 4,
+            t0: 9,
+        };
+        assert_eq!(
+            exec.execute(&empty, resolve, epoch),
+            Ok(OpResult::Model { w, t: 9 })
+        );
+    }
+
+    #[test]
     fn host_threads_parses_positive_integers_else_serial() {
         assert_eq!(host_threads_from(None), 1);
         assert_eq!(host_threads_from(Some("0")), 1);

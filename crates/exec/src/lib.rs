@@ -147,6 +147,10 @@ pub enum ExecError {
     RowNotInPartition(u32),
     /// A [`WorkerOp::MgdEpoch`] with `batch_size == 0`.
     ZeroBatchSize,
+    /// A gradient, GD-step or objective op over no rows: a
+    /// [`WorkerOp::BatchGrad`] or [`WorkerOp::MgdStep`] with an empty
+    /// `batch`, or a `Partition*` op on a shard with an empty partition.
+    EmptyBatch,
 }
 
 impl fmt::Display for ExecError {
@@ -157,6 +161,7 @@ impl fmt::Display for ExecError {
             }
             ExecError::RowNotInPartition(g) => write!(f, "row {g} not in this partition"),
             ExecError::ZeroBatchSize => write!(f, "MgdEpoch batch_size is zero"),
+            ExecError::EmptyBatch => write!(f, "op over an empty batch"),
         }
     }
 }
@@ -268,17 +273,20 @@ impl OpExecutor {
                 })
             }
             WorkerOp::PartitionGrad { mut w } => {
+                nonempty(partition)?;
                 batch_gradient_into(self.loss, &w, rows, labels, partition, &mut self.grad_buf);
                 std::mem::swap(&mut w, &mut self.grad_buf);
                 Ok(OpResult::Grad(w))
             }
             WorkerOp::BatchGrad { mut w, batch } => {
+                nonempty(&batch)?;
                 self.resolve(&batch, resolve)?;
                 batch_gradient_into(self.loss, &w, rows, labels, &self.idx, &mut self.grad_buf);
                 std::mem::swap(&mut w, &mut self.grad_buf);
                 Ok(OpResult::Grad(w))
             }
             WorkerOp::MgdStep { mut w, batch, eta } => {
+                nonempty(&batch)?;
                 self.resolve(&batch, resolve)?;
                 mgd_step(
                     self.loss,
@@ -318,14 +326,27 @@ impl OpExecutor {
                 }
                 Ok(OpResult::Model { w, t })
             }
-            WorkerOp::PartitionObjective { w } => Ok(OpResult::Value(objective_value_subset(
-                self.loss,
-                Regularizer::None,
-                &w,
-                rows,
-                labels,
-                partition,
-            ))),
+            WorkerOp::PartitionObjective { w } => {
+                nonempty(partition)?;
+                Ok(OpResult::Value(objective_value_subset(
+                    self.loss,
+                    Regularizer::None,
+                    &w,
+                    rows,
+                    labels,
+                    partition,
+                )))
+            }
         }
+    }
+}
+
+/// The average-over-rows ops are undefined on no rows; refuse them before
+/// the math asserts.
+fn nonempty<T>(rows: &[T]) -> Result<(), ExecError> {
+    if rows.is_empty() {
+        Err(ExecError::EmptyBatch)
+    } else {
+        Ok(())
     }
 }

@@ -11,6 +11,11 @@
 //! | Petuum (reg = 0) | [`sgd_epoch_lazy`] over one batch |
 //! | Petuum (reg ≠ 0) | [`mgd_step`] on one batch |
 //! | Angel | [`mgd_step`] per batch, communicated per epoch |
+//!
+//! The SGD epochs cost `O(nnz)` per example. [`mgd_step`] is the one dense
+//! kernel: after the sparse batch gradient it makes a single `O(d)` pass
+//! that adds the penalty gradient and takes the step together, and it
+//! returns nothing, leaving the batch loss gradient in the caller's buffer.
 
 use mlstar_linalg::{DenseVector, ScaledVector, SparseVector};
 
@@ -144,11 +149,19 @@ pub fn sgd_epoch_eager(
 /// One mini-batch gradient-descent step (the body of Algorithm 1):
 ///
 /// ```text
-/// w ← w − η·g_B − η·∇Ω(w)
+/// w ← w − η·(g_B + ∇Ω(w))
 /// ```
 ///
-/// where `g_B` is the average loss gradient over `batch`. Returns the batch
-/// gradient's squared norm (used by convergence diagnostics).
+/// where `g_B` is the average loss gradient over `batch`, computed into
+/// `grad_buf` by [`crate::batch_gradient_into`]. The penalty and the step
+/// then go in one pass over `(w, grad_buf)`: per coordinate,
+/// `t = g_j + ∇Ω(w)_j` and `w_j += −η·t`, where the L1 subgradient is
+/// `λ·sign(w_j)` and exactly zero at `w_j = ±0.0`. These are the float
+/// operations, in the order, of adding `∇Ω(w)` into `grad_buf` and then
+/// taking `w += −η·grad_buf`, so the two forms agree bit for bit.
+///
+/// On return `grad_buf` holds the batch *loss* gradient `g_B`, without
+/// the penalty.
 ///
 /// # Panics
 ///
@@ -166,23 +179,33 @@ pub fn mgd_step(
     batch: &[usize],
     eta: f64,
     grad_buf: &mut DenseVector,
-) -> f64 {
+) {
     crate::batch_gradient_into(loss, w, rows, labels, batch, grad_buf);
+    let coords = w.as_mut_slice().iter_mut().zip(grad_buf.as_slice());
     match reg {
-        Regularizer::None => {}
-        Regularizer::L2 { lambda } => grad_buf.axpy(lambda, w),
+        Regularizer::None => {
+            for (w, &g) in coords {
+                *w += -eta * g;
+            }
+        }
+        Regularizer::L2 { lambda } => {
+            for (w, &g) in coords {
+                let t = g + lambda * *w;
+                *w += -eta * t;
+            }
+        }
         Regularizer::L1 { lambda } => {
-            for j in 0..w.dim() {
-                let z = w.get(j);
+            for (w, &g) in coords {
                 // the L1 subgradient is exactly zero at exactly-zero weights
-                if z != 0.0 {
-                    grad_buf[j] += lambda * z.signum();
-                }
+                let t = if *w != 0.0 {
+                    g + lambda * w.signum()
+                } else {
+                    g
+                };
+                *w += -eta * t;
             }
         }
     }
-    w.axpy(-eta, grad_buf);
-    grad_buf.norm2_sq()
 }
 
 #[cfg(test)]
@@ -341,7 +364,7 @@ mod tests {
         let mut w = DenseVector::zeros(3);
         let mut buf = DenseVector::zeros(3);
         let before = objective_value(Loss::Hinge, Regularizer::None, &w, &rows, &labels);
-        let gnorm = mgd_step(
+        mgd_step(
             Loss::Hinge,
             Regularizer::None,
             &mut w,
@@ -352,7 +375,7 @@ mod tests {
             &mut buf,
         );
         let after = objective_value(Loss::Hinge, Regularizer::None, &w, &rows, &labels);
-        assert!(gnorm > 0.0);
+        assert!(buf.norm2_sq() > 0.0);
         assert!(after < before);
     }
 

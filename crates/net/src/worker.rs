@@ -230,8 +230,8 @@ impl Runtime {
     }
 
     /// Runs one op over this worker's rows; an op that does not fit the
-    /// assignment (wrong dimension, foreign row, zero batch size) is a
-    /// protocol violation.
+    /// assignment (wrong dimension, foreign row, zero batch size, no rows)
+    /// is a protocol violation.
     fn execute(&mut self, op: WorkerOp) -> Result<OpResult, NetError> {
         let shard = Shard {
             rows: &self.rows,
@@ -362,5 +362,32 @@ mod tests {
             assert!(matches!(link.recv(), Err(NetError::Io(_))));
             assert!(link.send(&assign(0)).is_err());
         }
+    }
+
+    #[test]
+    fn an_op_over_no_rows_ends_the_worker_with_a_protocol_error() {
+        let empty_step = encode_msg(
+            &Msg::Ops {
+                batch: 0,
+                ops: vec![WorkerOp::MgdStep {
+                    w: DenseVector::zeros(3),
+                    batch: vec![],
+                    eta: 0.1,
+                }],
+            },
+            FrameSwitch::Adaptive,
+        );
+        let (mut orch, mut worker_end) = channel_pair();
+        orch.send(&assign(0)).unwrap();
+        orch.send(&empty_step).unwrap();
+        let ended = serve(&mut worker_end, Worker::new(0, None));
+        assert!(
+            matches!(&ended, Err(NetError::Protocol(m)) if m.contains("empty batch")),
+            "{ended:?}"
+        );
+        // Hello went out; no reply to the refused batch did.
+        drop(worker_end);
+        orch.recv().unwrap();
+        assert!(matches!(orch.recv(), Err(NetError::Io(_))));
     }
 }
