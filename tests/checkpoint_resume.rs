@@ -13,16 +13,17 @@
 //! The second half pins the failure taxonomy: corrupt files, wrong-system
 //! / wrong-config / wrong-dataset resumes, and diverging PS replays must
 //! each surface their own `CheckpointError` variant, never a silently
-//! different run. Two known-answer tests pin the MLSC bytes themselves,
-//! and a third checks that a frame of the previous version is refused by
-//! its version.
+//! different run. Known-answer tests pin the MLSC bytes themselves (one
+//! of them with an error-feedback residual per worker), and another
+//! checks that a frame of the previous version is refused by its version.
 
 use std::path::{Path, PathBuf};
 
-use mllib_star::codec::{CodecError, HEADER_LEN};
+use mllib_star::codec::{decode_frame, encode_frame, fnv1a, CodecError, HEADER_LEN};
 use mllib_star::core::{
-    checkpoint_path, AngelConfig, CheckpointError, PsSystemConfig, System, TrainCheckpoint,
-    TrainConfig, TrainOutput,
+    checkpoint_path, AngelConfig, CheckpointError, CompressionConfig, FrameSwitch, PsSystemConfig,
+    Sparsifier, System, TrainCheckpoint, TrainConfig, TrainOutput, CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
 };
 use mllib_star::data::{SparseDataset, SyntheticConfig};
 use mllib_star::glm::LearningRate;
@@ -497,8 +498,6 @@ fn version_1_checkpoints_are_refused_by_version() {
 /// the FNV-1a of its payload, and apart from them the envelope header.
 #[test]
 fn first_checkpoint_files_are_pinned() {
-    use mllib_star::codec::fnv1a;
-
     let pinned = [
         (
             System::Mllib,
@@ -556,6 +555,140 @@ fn first_checkpoint_files_are_pinned() {
         assert_eq!(hex(&bytes[..HEADER_LEN]), header, "{system}: header");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// `config(42)` for MLlib\* with lossy compression (top-8 sparsifier,
+/// quantized frames) and error feedback, so its checkpoints carry one
+/// residual per worker.
+fn error_feedback_config() -> TrainConfig {
+    TrainConfig {
+        compression: CompressionConfig {
+            switch: FrameSwitch::Adaptive,
+            sparsifier: Sparsifier::TopK { k: 8 },
+            quantize: true,
+            error_feedback: true,
+        },
+        ..config(42)
+    }
+}
+
+/// The round-2 checkpoint file of the error-feedback run.
+fn error_feedback_checkpoint(ds: &SparseDataset, dir: &Path) -> Vec<u8> {
+    train_reference(System::MllibStar, ds, &error_feedback_config(), dir);
+    std::fs::read(checkpoint_path(dir, System::MllibStar, 2)).unwrap()
+}
+
+/// Where the strategy state's `u64` length and its error-feedback residual
+/// list start in a checkpoint payload of the MLlib\* run above. The state
+/// is the payload's last field: the model, the epoch streams and
+/// counters, then the residual list.
+fn residual_list_offsets(payload: &[u8], dim: usize, workers: usize) -> (usize, usize) {
+    let model = 8 + 8 * dim;
+    let passes = 8 + workers * (41 + 8);
+    let residuals = 8 + workers * model;
+    let state = model + passes + residuals;
+    let len_at = payload.len() - state - 8;
+    let len = u64::from_le_bytes(payload[len_at..len_at + 8].try_into().unwrap());
+    assert_eq!(len as usize, state, "strategy state length");
+    (len_at, len_at + 8 + model + passes)
+}
+
+/// The first checkpoint of an MLlib\* run with lossy compression and
+/// error feedback, pinned like the files above: the only pin whose
+/// residual list is not empty.
+#[test]
+fn error_feedback_checkpoint_is_pinned() {
+    let ds = dataset();
+    let dir = scratch_dir("pinned_error_feedback");
+    let bytes = error_feedback_checkpoint(&ds, &dir);
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes[HEADER_LEN..])),
+        (4703, 0x8975bf3cf8c36f23),
+        "payload"
+    );
+    assert_eq!(
+        hex(&bytes[..HEADER_LEN]),
+        "43534c4d02000000471200000000000018926040783093a7"
+    );
+    let payload = decode_frame(&bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
+    let (_, at) = residual_list_offsets(payload, ds.num_features(), 8);
+    assert_eq!(
+        payload[at..at + 8],
+        8u64.to_le_bytes(),
+        "one residual per worker"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint whose error-feedback residuals do not fit the run — a
+/// count that is neither 0 nor the worker count, or a residual of the
+/// wrong dimension — is refused as corrupt, never resumed.
+#[test]
+fn misfit_error_feedback_residuals_are_refused() {
+    let ds = dataset();
+    let cfg = error_feedback_config();
+    let dir = scratch_dir("residual_refusals");
+    let bytes = error_feedback_checkpoint(&ds, &dir);
+    let payload = decode_frame(&bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        .unwrap()
+        .to_vec();
+    let dim = ds.num_features();
+    let (state_len_at, at) = residual_list_offsets(&payload, dim, 8);
+    // Rewrites the residual list and the strategy length before it.
+    let with_residuals = |list: &[u8]| {
+        let mut out = payload[..at].to_vec();
+        out.extend_from_slice(list);
+        let state_len = (out.len() - state_len_at - 8) as u64;
+        out[state_len_at..state_len_at + 8].copy_from_slice(&state_len.to_le_bytes());
+        TrainCheckpoint::decode(&encode_frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &out)).unwrap()
+    };
+    let residual = 8 + 8 * dim;
+    let list = &payload[at..];
+
+    // Seven residuals for eight workers.
+    let mut seven = 7u64.to_le_bytes().to_vec();
+    seven.extend_from_slice(&list[8..8 + 7 * residual]);
+    // Eight residuals, the first one coordinate short.
+    let mut short = list[..8].to_vec();
+    short.extend_from_slice(&(dim as u64 - 1).to_le_bytes());
+    short.extend_from_slice(&list[16..8 + residual - 8]);
+    short.extend_from_slice(&list[8 + residual..]);
+
+    for (what, list, why) in [
+        ("count", seven, "7 error-feedback residuals"),
+        ("dimension", short, "dimension 29"),
+    ] {
+        let err = System::MllibStar
+            .resume(
+                &ds,
+                &ClusterSpec::cluster1(),
+                &cfg,
+                &PsSystemConfig::default(),
+                &AngelConfig::default(),
+                &dir,
+                with_residuals(&list),
+            )
+            .unwrap_err();
+        match err {
+            CheckpointError::Codec(CodecError::Corrupt(msg)) => {
+                assert!(msg.contains(why), "{what}: {msg}")
+            }
+            other => panic!("{what}: expected a corrupt-state refusal, got {other:?}"),
+        }
+    }
+    // The untouched list resumes.
+    System::MllibStar
+        .resume(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &cfg,
+            &PsSystemConfig::default(),
+            &AngelConfig::default(),
+            &dir,
+            with_residuals(list),
+        )
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -21,7 +21,10 @@
 //! time.
 
 use mllib_star::codec::fnv1a;
-use mllib_star::core::{AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput};
+use mllib_star::core::{
+    AngelConfig, CompressionConfig, FrameSwitch, MaWeighting, PsSystemConfig, Sparsifier, System,
+    TrainConfig, TrainOutput,
+};
 use mllib_star::data::{SparseDataset, SyntheticConfig};
 use mllib_star::glm::{LearningRate, Loss, Regularizer};
 use mllib_star::sim::ClusterSpec;
@@ -323,5 +326,95 @@ fn ps_runs_are_pinned() {
         let digest = run(system, Regularizer::None, false, 2, Some(target));
         (system, target, digest)
     });
+    assert_eq!(got, expected);
+}
+
+/// The FNV-1a of `format!("{out:?}")` — every trace point, round stat,
+/// Gantt span and weight — for the BSP cells the golden fixture leaves
+/// out: penalties, partition-size weighting on skewed partitions, a
+/// narrow tree, executor waves, compressed AllReduce with and without
+/// error feedback, and a stop on the target objective.
+#[test]
+fn bsp_runs_are_pinned() {
+    let ds = golden_dataset();
+    let cluster = ClusterSpec::cluster1();
+    let base = golden_config(42);
+    let (mllib, ma, star) = (System::Mllib, System::MllibMa, System::MllibStar);
+    let with_reg = |reg| TrainConfig {
+        reg,
+        ..base.clone()
+    };
+    let none = Regularizer::None;
+    let l2 = Regularizer::L2 { lambda: 0.1 };
+    let l1 = Regularizer::L1 { lambda: 0.05 };
+    let weighted = TrainConfig {
+        ma_weighting: MaWeighting::PartitionSize,
+        partition_skew: Some(0.6),
+        ..base.clone()
+    };
+    let fanin2 = TrainConfig {
+        tree_fanin: 2,
+        ..base.clone()
+    };
+    let waves2 = TrainConfig {
+        waves: 2,
+        ..base.clone()
+    };
+    let with_comm = |compression| TrainConfig {
+        compression,
+        ..base.clone()
+    };
+    let lossless = CompressionConfig {
+        switch: FrameSwitch::Adaptive,
+        ..CompressionConfig::default()
+    };
+    let lossy = CompressionConfig {
+        switch: FrameSwitch::Adaptive,
+        sparsifier: Sparsifier::TopK { k: 8 },
+        quantize: true,
+        error_feedback: true,
+    };
+    let target = |t| TrainConfig {
+        target_objective: Some(t),
+        ..base.clone()
+    };
+
+    let cases: [(&str, System, TrainConfig, u64); 21] = [
+        ("none", mllib, with_reg(none), 0x4ea7fa4a02643b04),
+        ("none", ma, with_reg(none), 0x8881cf7f0784611c),
+        ("none", star, with_reg(none), 0xb37630058f799ddb),
+        ("l2", mllib, with_reg(l2), 0x410b422955e88368),
+        ("l2", ma, with_reg(l2), 0xb8820cd32110e2c8),
+        ("l2", star, with_reg(l2), 0x5483d40728743665),
+        ("l1", mllib, with_reg(l1), 0xab16ecb70c5309fe),
+        ("l1", ma, with_reg(l1), 0x84570b8d880d87f4),
+        ("l1", star, with_reg(l1), 0x685b85e1d0b867ee),
+        ("weighted", ma, weighted.clone(), 0x34e5a4db33c81675),
+        ("weighted", star, weighted, 0x2689c660c487d453),
+        ("fanin2", mllib, fanin2.clone(), 0x90c4f9ee45ab52c6),
+        ("fanin2", ma, fanin2, 0xd90ac93cca43b1e2),
+        ("waves2", mllib, waves2.clone(), 0x381a1dd55f2a104c),
+        ("waves2", ma, waves2.clone(), 0xcdf27db00b292ffa),
+        ("waves2", star, waves2, 0x535c1001346b57b8),
+        ("lossless", star, with_comm(lossless), 0xe67c36c673e12cc2),
+        ("lossy-ef", star, with_comm(lossy), 0x25029eb0973920da),
+        ("target", mllib, target(0.975), 0xff7e193c1be38250),
+        ("target", ma, target(0.5), 0xb0fa5372f9f3cc59),
+        ("target", star, target(0.66), 0x624531c33a84c5f5),
+    ];
+    let got = cases.each_ref().map(|(label, system, cfg, _)| {
+        let out = system.train_default(&ds, &cluster, cfg);
+        if cfg.target_objective.is_some() {
+            assert!(
+                out.converged && out.rounds_run < cfg.max_rounds,
+                "{label} {system}: must stop early ({} rounds)",
+                out.rounds_run
+            );
+        }
+        (*label, *system, fnv1a(format!("{out:?}").as_bytes()))
+    });
+    let expected = cases
+        .each_ref()
+        .map(|(label, system, _, digest)| (*label, *system, *digest));
     assert_eq!(got, expected);
 }
