@@ -528,11 +528,14 @@ macro_rules! schema {
     };
 
     (@map [$($m:tt)*] $vis:vis $name:ident $ty:ident [$cx:ident : $cxty:ty] {
-        $k:tt, $to:expr, $from:expr $(,)?
+        $k:tt $(($($ka:tt)*))?, $to:expr, $from:expr $(,)?
     }) => {
-        $crate::schema!(@module [$($m)*] $vis $name $ty [$cx: $cxty] min = $crate::schema!(@min $k);
-            put(w, v) { $crate::schema!(@put w, &$crate::__private::apply(v, $to), $cx; $k) }
-            get(r) { $crate::__private::apply($crate::schema!(@get r; $k), $from) });
+        $crate::schema!(@module [$($m)*] $vis $name $ty [$cx: $cxty]
+            min = $crate::schema!(@min $k $(($($ka)*))?);
+            put(w, v) {
+                $crate::schema!(@put w, &$crate::__private::apply(v, $to), $cx; $k $(($($ka)*))?)
+            }
+            get(r) { $crate::__private::apply($crate::schema!(@get r; $k $(($($ka)*))?), $from) });
     };
     (@frame [$($m:tt)*] $vis:vis $name:ident $ty:ident [$cx:ident : $cxty:ty] {
         $put:expr, $get:expr $(,)?

@@ -180,39 +180,6 @@ schema! {
     }
 }
 
-/// Spark-style failure injection: with probability `prob`, one executor's
-/// task fails this round and lineage re-runs it (same flops, fresh
-/// straggler draw, full task overhead). Returns the victim, if any.
-/// Deterministic given the failure RNG stream; affects simulated time
-/// only.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "the round, the harness, the failure model and both RNG streams it draws from"
-)]
-pub(crate) fn maybe_inject_failure<R: rand::Rng>(
-    rb: &mut mlstar_sim::RoundBuilder<'_>,
-    h: &BspHarness<'_>,
-    prob: f64,
-    waves: usize,
-    flops_of: impl Fn(usize) -> f64,
-    failure_rng: &mut R,
-    straggler_rng: &mut R,
-) -> Option<usize> {
-    if prob <= 0.0 || !failure_rng.gen_bool(prob.min(1.0)) {
-        return None;
-    }
-    let k = h.k();
-    let victim = failure_rng.gen_range(0..k);
-    rb.work(
-        mlstar_sim::NodeId::Executor(victim),
-        mlstar_sim::Activity::Compute,
-        h.cost
-            .executor_waves(victim, flops_of(victim), waves, straggler_rng),
-    );
-    rb.barrier();
-    Some(victim)
-}
-
 /// Human-readable workload label for traces, e.g. `"n=74820 d=27343 L2=0.1"`
 /// (comma-free so CSV rows stay parseable).
 pub(crate) fn workload_label(ds: &SparseDataset, reg: Regularizer) -> String {

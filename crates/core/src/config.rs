@@ -55,7 +55,8 @@ pub struct TrainConfig {
     pub ma_weighting: MaWeighting,
     /// If set, rows are partitioned with
     /// [`mlstar_data::Partitioner::SkewedShuffled`]: worker 0 owns this
-    /// fraction of the data. `None` = balanced shuffle (the default).
+    /// fraction of the data, clamped to `[1/k, 0.95]`; it must be finite.
+    /// `None` = balanced shuffle (the default).
     pub partition_skew: Option<f64>,
     /// Write a training checkpoint every this many communication steps
     /// (BSP rounds / PS global clocks) when a checkpoint directory is
@@ -151,6 +152,9 @@ impl TrainConfig {
                 "failure_prob must be in [0, 1], got {}",
                 self.failure_prob
             ));
+        }
+        if let Some(skew) = self.partition_skew.filter(|s| !s.is_finite()) {
+            return Err(format!("partition_skew must be finite, got {skew}"));
         }
         self.compression.validate()?;
         Ok(())
@@ -386,6 +390,14 @@ mod tests {
             ..TrainConfig::default()
         };
         assert!(bad_fail.validate().is_err());
+        let nan_skew = TrainConfig {
+            partition_skew: Some(f64::NAN),
+            ..TrainConfig::default()
+        };
+        assert!(nan_skew
+            .validate()
+            .unwrap_err()
+            .contains("partition_skew must be finite"));
         for lambda in [-1.0, f64::NAN] {
             for reg in [Regularizer::L2 { lambda }, Regularizer::L1 { lambda }] {
                 let bad_reg = TrainConfig {

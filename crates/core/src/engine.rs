@@ -1,9 +1,12 @@
 //! The unified round engine shared by all seven trainers.
 //!
-//! Every BSP system (MLlib, MLlib+MA, MLlib\*, `spark.ml`) is expressed as
-//! a [`RoundStrategy`]: a per-round hook that performs the local work and
-//! communication of one communication step against a [`mlstar_sim::RoundBuilder`]
-//! and reports the updates it performed. The single [`run_rounds`] driver
+//! The BSP systems run as two [`RoundStrategy`] impls — per-round hooks
+//! that perform the local work and communication of one communication
+//! step against a [`mlstar_sim::RoundBuilder`] and report the updates they
+//! performed: `crate::bsp::BspStrategy`, which serves MLlib, MLlib+MA and
+//! MLlib\* from the paper's two choices (SendGradient or SendModel; a
+//! driver tree or AllReduce), and `crate::sparkml::SparkMlStrategy` for
+//! `spark.ml`'s L-BFGS. The single [`run_rounds`] driver
 //! owns everything the trainers used to duplicate — straggler/failure RNG
 //! streams, the `eval_every` trace cadence, convergence/divergence
 //! handling via [`TrainConfig::should_stop`], and [`TrainOutput`]
@@ -20,6 +23,9 @@
 //! that sums to the round's elapsed simulated time.
 
 use mlstar_codec::{CodecError, Reader, Writer};
+use mlstar_collectives::{
+    all_gather, compressed_all_reduce_average, reduce_scatter_average, CompressionConfig,
+};
 use mlstar_data::{DatasetFingerprint, SparseDataset};
 use mlstar_glm::GlmModel;
 use mlstar_linalg::DenseVector;
@@ -27,13 +33,14 @@ use mlstar_sim::{
     Activity, CostModel, GanttRecorder, NodeId, PhaseTotals, RoundBuilder, SeedStream, SimTime,
 };
 use rand::rngs::StdRng;
+use rand::Rng;
 use std::path::Path;
 
 use crate::checkpoint::{
     checkpoint_path, config_digest, BspState, CheckpointError, CheckpointState, EngineState,
     TrainCheckpoint,
 };
-use crate::common::{eval_objective, maybe_inject_failure, workload_label, BspHarness};
+use crate::common::{eval_objective, workload_label, BspHarness};
 use crate::exec::ComputeBackend;
 use crate::{ConvergenceTrace, System, TracePoint, TrainConfig, TrainOutput};
 
@@ -147,66 +154,62 @@ impl BspRound<'_, '_> {
         sum
     }
 
-    /// AllReduce as Reduce-Scatter + AllGather, charging each half to its
-    /// own pattern counter. Identical composition (and therefore
-    /// bit-identical timing and result) to
-    /// `mlstar_collectives::all_reduce_average`.
-    pub fn all_reduce_average(&mut self, cost: &CostModel, locals: &[DenseVector]) -> DenseVector {
-        let (parts, b1) = mlstar_collectives::reduce_scatter_average(&mut self.rb, cost, locals);
+    /// AllReduce of the workers' vectors into their average. Dense, it is
+    /// Reduce-Scatter + AllGather, each half charged to its own counter
+    /// (the composition of `mlstar_collectives::all_reduce_average`). With
+    /// `comm` enabled, it is one all-to-all exchange of sparse/quantized
+    /// frames with per-worker error feedback in `residuals`; the actual
+    /// encoded bytes are booked against `all_gather` — the exchange is one
+    /// AllGather-shaped phase, and [`CommBytes`] is checkpoint-serialized,
+    /// so no new field.
+    pub fn all_reduce_average(
+        &mut self,
+        cost: &CostModel,
+        locals: &[DenseVector],
+        comm: &CompressionConfig,
+        residuals: &mut Vec<DenseVector>,
+    ) -> DenseVector {
+        let rb = &mut self.rb;
+        if comm.enabled() {
+            let (model, b) = compressed_all_reduce_average(rb, cost, locals, comm, residuals);
+            self.bytes.all_gather += b as u64;
+            return model;
+        }
+        let (parts, b1) = reduce_scatter_average(rb, cost, locals);
         self.bytes.reduce_scatter += b1 as u64;
-        let (model, b2) = mlstar_collectives::all_gather(&mut self.rb, cost, &parts);
+        let (model, b2) = all_gather(rb, cost, &parts);
         self.bytes.all_gather += b2 as u64;
         model
     }
 
-    /// Compressed AllReduce: a single all-to-all exchange of
-    /// sparse/quantized frames with per-worker error feedback (see
-    /// `mlstar_collectives::compressed_all_reduce_average`). The bytes
-    /// charged are the *actual* encoded frame lengths, booked against the
-    /// `all_gather` counter — the exchange is one AllGather-shaped phase,
-    /// and [`CommBytes`] is checkpoint-serialized, so no new field.
-    pub fn compressed_all_reduce_average(
-        &mut self,
-        cost: &CostModel,
-        locals: &[DenseVector],
-        comm: &mlstar_collectives::CompressionConfig,
-        residuals: &mut Vec<DenseVector>,
-    ) -> DenseVector {
-        let (model, b) = mlstar_collectives::compressed_all_reduce_average(
-            &mut self.rb,
-            cost,
-            locals,
-            comm,
-            residuals,
-        );
-        self.bytes.all_gather += b as u64;
-        model
-    }
-
-    /// Spark-style lineage failure injection; the recovery work and the
-    /// barrier wait it causes are charged to [`RoundStats::recovery_s`],
-    /// and the recomputed flops to the step's flop counter.
+    /// Spark-style lineage failure injection: with probability
+    /// `cfg.failure_prob` one executor's task fails this round and lineage
+    /// re-runs it (its flops, a fresh straggler draw, the full task
+    /// overhead). Deterministic given the failure RNG stream. The recovery
+    /// work and the barrier wait it causes are charged to
+    /// [`RoundStats::recovery_s`], and the recomputed flops to the step's
+    /// flop counter.
     pub fn inject_failure(
         &mut self,
         h: &BspHarness<'_>,
         cfg: &TrainConfig,
         flops_of: impl Fn(usize) -> f64,
-    ) -> Option<usize> {
-        self.rb.set_recovery(true);
-        let victim = maybe_inject_failure(
-            &mut self.rb,
-            h,
-            cfg.failure_prob,
-            cfg.waves,
-            &flops_of,
-            self.failure_rng,
-            self.straggler_rng,
-        );
-        self.rb.set_recovery(false);
-        if let Some(v) = victim {
-            *self.flops += flops_of(v);
+    ) {
+        let prob = cfg.failure_prob;
+        if prob <= 0.0 || !self.failure_rng.gen_bool(prob.min(1.0)) {
+            return;
         }
-        victim
+        let victim = self.failure_rng.gen_range(0..h.k());
+        let flops = flops_of(victim);
+        let rerun = h
+            .cost
+            .executor_waves(victim, flops, cfg.waves, self.straggler_rng);
+        self.rb.set_recovery(true);
+        self.rb
+            .work(NodeId::Executor(victim), Activity::Compute, rerun);
+        self.rb.barrier();
+        self.rb.set_recovery(false);
+        *self.flops += flops;
     }
 }
 

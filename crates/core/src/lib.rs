@@ -41,6 +41,7 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
+mod bsp;
 mod checkpoint;
 mod common;
 mod comparison;
@@ -49,9 +50,6 @@ mod cv;
 mod engine;
 mod exec;
 mod grid;
-mod mllib;
-mod mllib_ma;
-mod mllib_star;
 mod ovr;
 mod ps;
 mod sequential;
@@ -59,6 +57,7 @@ mod sparkml;
 mod system;
 mod trace;
 
+pub use bsp::{train_mllib, train_mllib_ma, train_mllib_star};
 pub use checkpoint::{
     checkpoint_path, prune_checkpoints, CheckpointError, TrainCheckpoint, CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -71,9 +70,6 @@ pub use cv::{cross_validate_path, CvConfig, CvError, CvFoldResult, CvJobStats, C
 pub use engine::{CommBytes, RoundStats};
 pub use exec::{system_partitions, ComputeBackend, ExecAbort, InProcessBackend};
 pub use grid::{GridPoint, GridResult, GridSearch};
-pub use mllib::train_mllib;
-pub use mllib_ma::train_mllib_ma;
-pub use mllib_star::train_mllib_star;
 pub use mlstar_collectives::{CompressionConfig, FrameSwitch, Sparsifier};
 pub use mlstar_exec::{ExecError, OpExecutor, OpResult, Shard, WorkerOp};
 pub use ovr::{OneVsRest, OvrModel, OvrOutput};

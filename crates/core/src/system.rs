@@ -7,12 +7,10 @@ use mlstar_codec::CodecError;
 use mlstar_data::{DatasetFingerprint, SparseDataset};
 use mlstar_sim::ClusterSpec;
 
+use crate::bsp::BspStrategy;
 use crate::checkpoint::{config_digest, CheckpointState, TrainCheckpoint};
 use crate::engine::{expect_uncheckpointed, run_rounds, CheckpointRun};
 use crate::exec::{system_partitions, ComputeBackend, ExecAbort, InProcessBackend};
-use crate::mllib::MllibStrategy;
-use crate::mllib_ma::MllibMaStrategy;
-use crate::mllib_star::MllibStarStrategy;
 use crate::ps::{train_ps, PsPlan};
 use crate::sparkml::SparkMlStrategy;
 use crate::{
@@ -285,26 +283,12 @@ impl System {
             system: *self,
             resume,
         });
-        match self {
-            System::Mllib => {
-                let strategy = MllibStrategy::new(ds, cluster, cfg, parts);
-                run_rounds(ds, cfg, strategy, run, backend)
-            }
-            System::MllibMa => {
-                let strategy = MllibMaStrategy::new(ds, cluster, cfg, parts);
-                run_rounds(ds, cfg, strategy, run, backend)
-            }
-            System::MllibStar => {
-                let strategy = MllibStarStrategy::new(ds, cluster, cfg, parts);
-                run_rounds(ds, cfg, strategy, run, backend)
-            }
-            System::SparkMl => {
-                let strategy =
-                    SparkMlStrategy::new(ds, cluster, cfg, &SparkMlConfig::default(), parts);
-                run_rounds(ds, cfg, strategy, run, backend)
-            }
-            _ => unreachable!("BSP branch covers exactly these variants"),
+        if *self == System::SparkMl {
+            let strategy = SparkMlStrategy::new(ds, cluster, cfg, &SparkMlConfig::default(), parts);
+            return run_rounds(ds, cfg, strategy, run, backend);
         }
+        let strategy = BspStrategy::resolve(*self, ds, cluster, cfg, parts);
+        run_rounds(ds, cfg, strategy, run, backend)
     }
 }
 
