@@ -4,7 +4,7 @@
 //! every truncation point is detected, and any single flipped bit is
 //! refused by the XXH64 frame check.
 
-use mllib_star::codec::{encode_frame, CodecError, HEADER_LEN};
+use mllib_star::codec::{encode_frame, fnv1a, CodecError, HEADER_LEN};
 use mllib_star::collectives::FrameSwitch;
 use mllib_star::core::{OpResult, WorkerOp};
 use mllib_star::glm::{LearningRate, Loss, Regularizer};
@@ -294,6 +294,67 @@ fn ops_and_op_done_frames_are_pinned_under_both_switches() {
         for msg in [&ops, &done] {
             assert_eq!(&decode_msg(&encode_msg(msg, switch)).expect("decodes"), msg);
         }
+    }
+}
+
+/// KAT: an `Assign` frame under both switch values, pinned as its
+/// envelope header and the length and FNV-1a of its payload. The rows
+/// cover an empty row, a `-0.0` and a subnormal value, a large value and
+/// the largest global index, so the row layout (global, label, sparse
+/// frame blob) is pinned however the encoder reads its rows.
+#[test]
+fn assign_frame_bytes_are_pinned() {
+    let row = |global: u32, label: f64, pairs: &[(u32, f64)]| AssignedRow {
+        global,
+        label,
+        row: SparseVector::from_pairs(64, pairs).expect("valid sparse row"),
+    };
+    let rows = vec![
+        row(0, 1.0, &[(0, 1.5), (3, -0.0), (63, f64::MIN_POSITIVE)]),
+        row(65_536, -1.0, &[]),
+        row(7, 0.5, &[(1, -2.25), (2, 1e300), (40, 3.0)]),
+        row(u32::MAX, -1.0, &[(5, 4.0)]),
+    ];
+    let cases = [
+        (
+            FrameSwitch::Dense,
+            "4e534c4d0200000011010000000000000dcb44fbb648c0ea",
+            273,
+            0x831a797c74e37fdd,
+        ),
+        (
+            FrameSwitch::Adaptive,
+            "4e534c4d020000001101000000000000c3a695a293c7f8d4",
+            273,
+            0x43bb4a26672afe72,
+        ),
+    ];
+    for (switch, header, len, digest) in cases {
+        let assign = Msg::Assign {
+            worker: 1,
+            dim: 64,
+            loss: Loss::Logistic,
+            reg: Regularizer::L1 { lambda: 0.05 },
+            lr: LearningRate::InvT {
+                eta0: 0.5,
+                decay: 0.01,
+            },
+            switch,
+            rows: rows.clone(),
+        };
+        let frame = encode_msg(&assign, switch);
+        let payload = &frame[HEADER_LEN..];
+        assert_eq!(
+            hex(&frame[..HEADER_LEN]),
+            header,
+            "{switch:?} envelope header"
+        );
+        assert_eq!(
+            (payload.len(), fnv1a(payload)),
+            (len, digest),
+            "{switch:?} payload length and FNV-1a"
+        );
+        assert_eq!(decode_msg(&frame).expect("pinned frame decodes"), assign);
     }
 }
 
