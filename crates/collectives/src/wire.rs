@@ -447,14 +447,17 @@ pub enum FrameSwitch {
 }
 
 /// The exact sparse form of `v`, iff the switch allows it, it is strictly
-/// smaller on the wire, and `v` is representable (finite).
+/// smaller on the wire, and `v` is representable (finite). The entries
+/// [`DenseVector::to_sparse`] would keep (every bit pattern but `+0.0`)
+/// are counted first, so a vector whose dense frame wins is never
+/// materialised.
 fn sparse_candidate(v: &DenseVector, switch: FrameSwitch) -> Option<SparseVector> {
     if switch != FrameSwitch::Adaptive {
         return None;
     }
-    let s = v.to_sparse().ok()?;
-    if encoded_sparse_len(s.nnz()) < encoded_dense_len(v.dim()) {
-        Some(s)
+    let nnz = v.as_slice().iter().filter(|x| x.to_bits() != 0).count();
+    if encoded_sparse_len(nnz) < encoded_dense_len(v.dim()) {
+        v.to_sparse().ok()
     } else {
         None
     }
@@ -643,6 +646,38 @@ mod tests {
         assert_eq!(frame_kind(&frame), Some(KIND_DENSE));
         let back = decode_adaptive(&frame).unwrap();
         assert!(back.get(0).is_infinite());
+    }
+
+    #[test]
+    fn sparse_candidate_counts_entries_before_it_materialises() {
+        // 30 coordinates: the sparse frame is smaller below 20 entries.
+        // A -0.0 is an entry, a +0.0 is not.
+        let mut v = DenseVector::zeros(30);
+        for i in 0..20 {
+            v.set(i, if i % 2 == 0 { -0.0 } else { i as f64 });
+        }
+        assert!(sparse_candidate(&v, FrameSwitch::Adaptive).is_none());
+        assert_eq!(encode_adaptive(&v, FrameSwitch::Adaptive), encode_dense(&v));
+        v.set(0, 0.0);
+        let s = sparse_candidate(&v, FrameSwitch::Adaptive).expect("19 entries: sparse wins");
+        let exact = v.to_sparse().unwrap();
+        assert_eq!(s.indices(), exact.indices());
+        let bits = |s: &SparseVector| s.values().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&s), bits(&exact));
+        assert!(sparse_candidate(&v, FrameSwitch::Dense).is_none());
+
+        // One NaN in zeros would be far smaller sparse, but no sparse
+        // frame holds it: the dense frame carries its bits.
+        let mut nan = DenseVector::zeros(30);
+        let quiet = f64::from_bits(0x7ff8_0000_0000_0001);
+        nan.set(7, quiet);
+        assert!(sparse_candidate(&nan, FrameSwitch::Adaptive).is_none());
+        let frame = encode_adaptive(&nan, FrameSwitch::Adaptive);
+        assert_eq!(frame, encode_dense(&nan));
+        assert_eq!(
+            decode_adaptive(&frame).unwrap().get(7).to_bits(),
+            quiet.to_bits()
+        );
     }
 
     #[test]

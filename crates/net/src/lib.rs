@@ -276,11 +276,13 @@ pub fn train_net(
         // Partition assignment. The frame switch for all model payloads
         // of the session comes from the training config's compression
         // settings and is announced to every worker here. Each message
-        // holds a copy of its partition's rows, so it is dropped once
-        // encoded. The local worker decodes its copy inside `send`, so it
-        // is assigned first: decoding it while a linked worker decodes its
-        // own would hold four partition copies at once, and that is the
-        // run's peak heap.
+        // borrows its rows from the dataset, so the frame is the only new
+        // copy of a partition on this side. A partition then exists at
+        // most as the frame, the transport's copy of it and the worker's
+        // decoded rows. The local worker decodes inside `send` and its
+        // frame is dropped right after, so it is assigned first: assigning
+        // it last would decode it while a linked worker still decodes its
+        // own, and that overlap sets the run's peak heap.
         let switch = cfg.compression.switch;
         for (w, link) in links.iter_mut().enumerate().rev() {
             #[expect(
@@ -292,14 +294,14 @@ pub fn train_net(
                 .map(|&i| AssignedRow {
                     global: u32::try_from(i).expect("row index exceeds wire width"),
                     label: ds.labels()[i],
-                    row: ds.rows()[i].clone(),
+                    row: &ds.rows()[i],
                 })
                 .collect();
             #[expect(
                 clippy::expect_used,
                 reason = "feature dimensions are bounded far below u32::MAX by construction"
             )]
-            let frame = encode_msg(
+            let frame = protocol::encode(
                 &Msg::Assign {
                     worker: w as u32,
                     dim: u32::try_from(dim).expect("dimension exceeds wire width"),

@@ -1,7 +1,8 @@
 //! The worker side: execute compute ops against the assigned partition.
 //!
 //! A worker holds only its own rows. Ops address rows by *global* dataset
-//! index; the worker maps them to local storage and hands the op to
+//! index; the worker maps them to local positions through a sorted
+//! `(global, position)` table and hands the op to
 //! `mlstar_exec::OpExecutor` — the same executor a simulated run uses
 //! over the whole dataset — so the returned floats are bit-identical to
 //! what the orchestrator would have computed itself.
@@ -13,7 +14,7 @@
 //! gives the last worker a `LocalLink`, so `k` workers need `k − 1`
 //! spawned threads.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 use mlstar_collectives::FrameSwitch;
@@ -138,7 +139,7 @@ impl Worker {
             )));
         }
         let exec = OpExecutor::new(dim as usize, loss, reg, lr);
-        self.runtime = Some(Runtime::new(exec, switch, rows));
+        self.runtime = Some(Runtime::new(exec, switch, rows)?);
         Ok(ControlFlow::Continue(None))
     }
 }
@@ -194,7 +195,9 @@ fn local_exited() -> NetError {
     NetError::Io("local worker exited".into())
 }
 
-/// A worker's standing state between op batches.
+/// A worker's standing state between op batches: its partition, as
+/// `Assign` delivered it, and the table that resolves the global row
+/// indices ops name.
 struct Runtime {
     exec: OpExecutor,
     /// The session's model-payload encoding, announced in `Assign`.
@@ -202,31 +205,50 @@ struct Runtime {
     /// Partition rows, in assignment (= partition) order.
     rows: Vec<SparseVector>,
     labels: Vec<f64>,
-    /// Global row index → position in `rows`.
-    index: BTreeMap<u32, usize>,
+    /// `(global row index, position in rows)`, sorted by global index and
+    /// searched by bisection. One entry per assigned row, so its size is
+    /// set by the rows the frame carried, never by an index value.
+    index: Vec<(u32, u32)>,
     /// `0..rows.len()` — the whole partition, in partition order.
     all: Vec<usize>,
 }
 
 impl Runtime {
-    fn new(exec: OpExecutor, switch: FrameSwitch, assigned: Vec<AssignedRow>) -> Self {
+    /// Takes over the assigned rows. An assignment that names one global
+    /// row twice is a protocol violation: ops could not tell the copies
+    /// apart.
+    fn new(
+        exec: OpExecutor,
+        switch: FrameSwitch,
+        assigned: Vec<AssignedRow>,
+    ) -> Result<Self, NetError> {
         let mut rows = Vec::with_capacity(assigned.len());
         let mut labels = Vec::with_capacity(assigned.len());
-        let mut index = BTreeMap::new();
+        let mut index = Vec::with_capacity(assigned.len());
         for (local, r) in assigned.into_iter().enumerate() {
-            index.insert(r.global, local);
+            // Past u32::MAX rows some global index repeats anyway.
+            let local = u32::try_from(local)
+                .map_err(|_| NetError::Protocol("more rows than global indices".into()))?;
+            index.push((r.global, local));
             rows.push(r.row);
             labels.push(r.label);
         }
+        index.sort_unstable();
+        if let Some(pair) = index.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(NetError::Protocol(format!(
+                "row {} assigned twice",
+                pair[0].0
+            )));
+        }
         let all = (0..rows.len()).collect();
-        Runtime {
+        Ok(Runtime {
             exec,
             switch,
             rows,
             labels,
             index,
             all,
-        }
+        })
     }
 
     /// Runs one op over this worker's rows; an op that does not fit the
@@ -239,8 +261,15 @@ impl Runtime {
             partition: &self.all,
         };
         let index = &self.index;
+        let resolve = |g: u32| {
+            let at = index.partition_point(|&(global, _)| global < g);
+            match index.get(at) {
+                Some(&(global, local)) if global == g => Some(local as usize),
+                _ => None,
+            }
+        };
         self.exec
-            .execute(&shard, |g| index.get(&g).copied(), op)
+            .execute(&shard, resolve, op)
             .map_err(|e| NetError::Protocol(e.to_string()))
     }
 }
@@ -249,12 +278,18 @@ impl Runtime {
 mod tests {
     use super::*;
     use crate::transport::channel_pair;
+    use mlstar_exec::ExecError;
     use mlstar_glm::{LearningRate, Loss, Regularizer};
     use mlstar_linalg::DenseVector;
 
     fn assign(worker: u32) -> Vec<u8> {
-        let row = |global: u32, label: f64, pairs: &[(u32, f64)]| AssignedRow {
-            global,
+        assign_rows(worker, [4, 9, 11])
+    }
+
+    /// An assignment of three rows under the given global indices.
+    fn assign_rows(worker: u32, globals: [u32; 3]) -> Vec<u8> {
+        let row = |at: usize, label: f64, pairs: &[(u32, f64)]| AssignedRow {
+            global: globals[at],
             label,
             row: SparseVector::from_pairs(3, pairs).unwrap(),
         };
@@ -267,9 +302,9 @@ mod tests {
                 lr: LearningRate::InvSqrt(0.5),
                 switch: FrameSwitch::Adaptive,
                 rows: vec![
-                    row(4, 1.0, &[(0, 1.0), (2, -0.5)]),
-                    row(9, -1.0, &[(1, 2.0)]),
-                    row(11, 1.0, &[(0, -1.0), (1, 0.25), (2, 3.0)]),
+                    row(0, 1.0, &[(0, 1.0), (2, -0.5)]),
+                    row(1, -1.0, &[(1, 2.0)]),
+                    row(2, 1.0, &[(0, -1.0), (1, 0.25), (2, 3.0)]),
                 ],
             },
             FrameSwitch::Adaptive,
@@ -389,5 +424,49 @@ mod tests {
         drop(worker_end);
         orch.recv().unwrap();
         assert!(matches!(orch.recv(), Err(NetError::Io(_))));
+    }
+
+    #[test]
+    fn an_assignment_naming_a_row_twice_is_refused() {
+        // Accepted, Partition* ops would run over both copies and batch
+        // ops would reach one of them.
+        for globals in [[4, 9, 4], [7, 7, 2]] {
+            let mut worker = Worker::new(0, None);
+            let refused = worker.handle(&assign_rows(0, globals));
+            let twice = format!("row {} assigned twice", globals[0]);
+            assert!(
+                matches!(&refused, Err(NetError::Protocol(m)) if *m == twice),
+                "{globals:?}: {refused:?}"
+            );
+        }
+        // The same rows under distinct indices are taken.
+        let mut worker = Worker::new(0, None);
+        assert!(worker.handle(&assign_rows(0, [4, 9, 2])).is_ok());
+    }
+
+    #[test]
+    fn an_op_naming_an_unassigned_row_is_a_protocol_error() {
+        // Rows 4, 9 and 11 are assigned. Probe below, between and above
+        // them, and the largest index.
+        for g in [0, 5, 10, 12, u32::MAX] {
+            let mut worker = Worker::new(0, None);
+            assert!(worker.handle(&assign(0)).is_ok());
+            let op = encode_msg(
+                &Msg::Ops {
+                    batch: 0,
+                    ops: vec![WorkerOp::BatchGrad {
+                        w: DenseVector::zeros(3),
+                        batch: vec![9, g],
+                    }],
+                },
+                FrameSwitch::Dense,
+            );
+            let refused = worker.handle(&op);
+            let expected = ExecError::RowNotInPartition(g).to_string();
+            assert!(
+                matches!(&refused, Err(NetError::Protocol(m)) if *m == expected),
+                "row {g}: {refused:?}"
+            );
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! [`ServeError::VersionMismatch`] rather than decoded with a guessed
 //! thread count or reported as corrupt.
 
-use mlstar_codec::{decode_frame, schema, Reader, Writer, HEADER_LEN};
+use mlstar_codec::{decode_frame, schema, Reader, Writer};
 use mlstar_core::{TrainConfig, TrainOutput, TrainProvenance};
 use mlstar_data::{fingerprint_codec, SparseDataset};
 use mlstar_glm::GlmModel;
@@ -102,7 +102,7 @@ impl ModelArtifact {
 
     /// Encodes the artifact into its binary form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(HEADER_LEN + 96 + self.weights.dim() * 8);
+        let mut w = Writer::for_frame_with_capacity(96 + self.weights.dim() * 8);
         artifact::put(&mut w, self, ());
         w.into_frame(ARTIFACT_MAGIC, CODEC_VERSION)
     }
@@ -155,7 +155,7 @@ schema! { map weights: DenseVector { f64s, |v| v.as_slice(), |x| Ok(DenseVector:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlstar_codec::encode_frame;
+    use mlstar_codec::{encode_frame, HEADER_LEN};
 
     fn provenance() -> TrainProvenance {
         TrainProvenance {
