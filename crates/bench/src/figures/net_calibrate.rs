@@ -2,7 +2,7 @@
 //! (`DESIGN.md` §15.4): trains one system on the `mlstar-net` thread
 //! backend, fits GFLOP/s, bytes/s and per-message latency from the
 //! measured per-worker round timings of the linked workers (the last
-//! worker runs on the orchestrating thread, with no transport to time)
+//! worker runs in process on the orchestrating thread, with no frames)
 //! by least squares, re-simulates the
 //! same training under the fitted cluster, and reports measured vs.
 //! simulated makespan. A rate the run did not identify (non-positive
@@ -91,8 +91,9 @@ pub fn run(args: &Args) -> Result<(), Failure> {
     );
 
     // Fit the cost model from the per-worker round timings of all runs.
-    // The last worker runs on the orchestrating thread, so its turnaround
-    // holds no transport: only the linked workers' samples are fitted.
+    // The last worker runs in process on the orchestrating thread: it
+    // moves no frames and its turnaround holds no codec or transport, so
+    // only the linked workers' samples are fitted.
     let samples: Vec<RateSample> = runs
         .iter()
         .flat_map(|run| run.batches.iter().flat_map(|b| b.workers.iter()))

@@ -15,10 +15,11 @@
 //!
 //! `k` workers take `k` threads: workers `0..k − 1` run on spawned
 //! threads, one link each, and the last worker runs on the orchestrating
-//! thread itself. The orchestrator sends it its ops after every other
-//! worker has theirs and runs them inside that send, so it computes
-//! while they do instead of blocking until they answer. Its link carries
-//! the same frames, so every byte count and decode check is the same.
+//! thread itself. The orchestrator sends the linked workers their ops,
+//! then runs the last worker's ops in process, against the dataset it
+//! already holds, so it computes while they do instead of blocking until
+//! they answer. That worker gets no frame and no copy of its rows; byte
+//! and message counts are those of the linked workers' transports.
 //!
 //! # Determinism contract
 //!
@@ -85,6 +86,7 @@ use mlstar_core::{
     system_partitions, AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput,
 };
 use mlstar_data::SparseDataset;
+use mlstar_exec::{OpExecutor, Shard};
 use mlstar_sim::ClusterSpec;
 
 pub use error::NetError;
@@ -94,7 +96,7 @@ pub use transport::{channel_pair, ChannelTransport, TcpTransport, Transport};
 
 use measure::Stopwatch;
 use orchestrator::Orchestrator;
-use worker::LocalLink;
+use worker::Runtime;
 
 /// Which transport carries the command protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,9 +158,9 @@ impl NetTrainOutput {
     }
 }
 
-/// Trains `system` on real worker threads — `k − 1` spawned, plus the
-/// calling thread for the last worker — returning the bit-identical
-/// trainer output plus per-round wall-clock measurements.
+/// Trains `system` on real worker threads — `k − 1` spawned behind
+/// links, plus the calling thread for the last worker — returning the
+/// bit-identical trainer output plus per-round wall-clock measurements.
 ///
 /// `ps` and `angel` configure the parameter-server trainers exactly as in
 /// [`System::train`]; BSP trainers ignore them.
@@ -182,6 +184,11 @@ pub fn train_net(
     net: &NetConfig,
 ) -> Result<NetTrainOutput, NetError> {
     let k = cluster.num_executors();
+    if k == 0 {
+        return Err(NetError::Handshake(
+            "a run needs at least one worker".into(),
+        ));
+    }
     let dim = ds.num_features();
     let parts = system_partitions(system, ds, cluster, cfg);
     let row_nnz: Vec<usize> = ds.rows().iter().map(|r| r.nnz()).collect();
@@ -192,18 +199,17 @@ pub fn train_net(
 
     let sw = Stopwatch::start();
 
-    // The last worker runs on this thread, behind a `LocalLink`; the
-    // others run on spawned threads. For channels their links exist up
-    // front; for TCP the orchestrator accepts connections once the
+    // Workers `0..local` run on spawned threads, one link each; the last
+    // worker runs on this thread, in process. For channels the links exist
+    // up front; for TCP the orchestrator accepts connections once the
     // workers are running.
     let kill_for = |w: usize| net.kill.filter(|ks| ks.worker == w).map(|ks| ks.batch);
-    let spawned = k.saturating_sub(1);
-    let mut raw_links: Vec<Box<dyn Transport>> = Vec::with_capacity(k);
-    raw_links.push(Box::new(LocalLink::new(spawned, kill_for(spawned))));
-    let mut bodies: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(spawned);
+    let local = k - 1;
+    let mut raw_links: Vec<Box<dyn Transport>> = Vec::with_capacity(local);
+    let mut bodies: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(local);
     let listener = match net.transport {
         TransportKind::Channel => {
-            for w in 0..spawned {
+            for w in 0..local {
                 let (orch_end, worker_end) = channel_pair();
                 raw_links.push(Box::new(orch_end));
                 let kill = kill_for(w);
@@ -219,7 +225,7 @@ pub fn train_net(
             let addr = listener
                 .local_addr()
                 .map_err(|e| NetError::Io(format!("tcp local_addr: {e}")))?;
-            for w in 0..spawned {
+            for w in 0..local {
                 let kill = kill_for(w);
                 bodies.push(Box::new(move || {
                     let Ok(stream) = TcpStream::connect(addr) else {
@@ -237,7 +243,7 @@ pub fn train_net(
 
     let result = pool::run_scoped(bodies, move || {
         if let Some(listener) = listener {
-            for _ in 0..spawned {
+            for _ in 0..local {
                 let (stream, _peer) = listener
                     .accept()
                     .map_err(|e| NetError::Io(format!("tcp accept: {e}")))?;
@@ -246,17 +252,16 @@ pub fn train_net(
         }
 
         // Handshake: every link leads with Hello; order the links by the
-        // announced worker id (TCP connections arrive in any order), which
-        // puts the local link last.
-        let mut slots: Vec<Option<Box<dyn Transport>>> = (0..k).map(|_| None).collect();
+        // announced worker id (TCP connections arrive in any order).
+        let mut slots: Vec<Option<Box<dyn Transport>>> = (0..local).map(|_| None).collect();
         for mut link in raw_links {
             let Msg::Hello { worker } = decode_msg(&link.recv()?)? else {
                 return Err(NetError::Handshake("first message was not Hello".into()));
             };
             let w = worker as usize;
-            if w >= k {
+            if w >= local {
                 return Err(NetError::Handshake(format!(
-                    "worker id {w} out of range (k = {k})"
+                    "worker id {w} out of range ({local} linked workers)"
                 )));
             }
             if slots[w].is_some() {
@@ -266,45 +271,32 @@ pub fn train_net(
         }
         #[expect(
             clippy::expect_used,
-            reason = "the duplicate/range checks above guarantee k distinct in-range ids fill every slot"
+            reason = "the duplicate/range checks above guarantee distinct in-range ids fill every slot"
         )]
         let mut links: Vec<Box<dyn Transport>> = slots
             .into_iter()
-            .map(|s| s.expect("k links with k distinct in-range ids fill every slot"))
+            .map(|s| s.expect("one link per linked worker fills every slot"))
             .collect();
 
-        // Partition assignment. The frame switch for all model payloads
-        // of the session comes from the training config's compression
-        // settings and is announced to every worker here. Each message
-        // borrows its rows from the dataset, so the frame is the only new
-        // copy of a partition on this side. A partition then exists at
-        // most as the frame, the transport's copy of it and the worker's
-        // decoded rows. The local worker decodes inside `send` and its
-        // frame is dropped right after, so it is assigned first: assigning
-        // it last would decode it while a linked worker still decodes its
-        // own, and that overlap sets the run's peak heap.
+        // Partition assignment of the linked workers. The frame switch for
+        // all model payloads of the session comes from the training
+        // config's compression settings and is announced to every linked
+        // worker here. Each message borrows its rows from the dataset, so
+        // the frame is the only new copy of a partition on this side.
         let switch = cfg.compression.switch;
-        for (w, link) in links.iter_mut().enumerate().rev() {
-            #[expect(
-                clippy::expect_used,
-                reason = "dataset row counts are bounded far below u32::MAX by construction"
-            )]
+        for (w, link) in links.iter_mut().enumerate() {
             let rows = parts[w]
                 .iter()
                 .map(|&i| AssignedRow {
-                    global: u32::try_from(i).expect("row index exceeds wire width"),
+                    global: wire_index(i),
                     label: ds.labels()[i],
                     row: &ds.rows()[i],
                 })
                 .collect();
-            #[expect(
-                clippy::expect_used,
-                reason = "feature dimensions are bounded far below u32::MAX by construction"
-            )]
             let frame = protocol::encode(
                 &Msg::Assign {
                     worker: w as u32,
-                    dim: u32::try_from(dim).expect("dimension exceeds wire width"),
+                    dim: wire_index(dim),
                     loss: cfg.loss,
                     reg: cfg.reg,
                     lr: cfg.lr,
@@ -316,13 +308,40 @@ pub fn train_net(
             link.send(&frame)?;
         }
 
+        // The local worker's rows stay in the dataset: its runtime borrows
+        // them, and its table resolves each of its rows' global index to
+        // itself, so a row outside its partition is refused as a linked
+        // worker refuses it.
+        let table = worker::row_table(
+            parts[local]
+                .iter()
+                .map(|&i| (wire_index(i), wire_index(i)))
+                .collect(),
+        )?;
+        let shard = Shard {
+            rows: ds.rows(),
+            labels: ds.labels(),
+            partition: &parts[local],
+        };
+        let exec = OpExecutor::new(dim, cfg.loss, cfg.reg, cfg.lr);
+        let runtime = Runtime::new(exec, shard, &table);
+
         // Train with the orchestrator as the compute backend. A failed
         // batch comes back as the rendered ExecAbort; the typed error is
         // parked in the orchestrator.
-        let mut backend = Orchestrator::new(links, row_nnz, part_nnz, dim, switch);
+        let mut backend = Orchestrator::new(
+            links,
+            runtime,
+            kill_for(local),
+            row_nnz,
+            part_nnz,
+            dim,
+            switch,
+        );
         let trained = system.train_on(ds, cluster, cfg, ps, angel, &mut backend);
 
-        // Orderly shutdown, dead links ignored (their workers are gone).
+        // Orderly shutdown of the linked workers, dead links ignored
+        // (their workers are gone).
         for link in &mut backend.links {
             let _ = link.send(&encode_msg(&Msg::Shutdown, switch));
         }
@@ -342,6 +361,15 @@ pub fn train_net(
         batches,
         wall_s: sw.elapsed_s(),
     })
+}
+
+/// A row index or dimension as the protocol's `u32` carries it.
+#[expect(
+    clippy::expect_used,
+    reason = "dataset row counts and dimensions are bounded far below u32::MAX by construction"
+)]
+fn wire_index(i: usize) -> u32 {
+    u32::try_from(i).expect("index exceeds wire width")
 }
 
 #[cfg(test)]
@@ -415,9 +443,12 @@ mod tests {
                     .collect();
                 assert_eq!(locals, [2], "batch {}", b.batch);
                 let local = &b.workers[2];
-                // The local link counts its frames like any other.
-                assert!(local.bytes_out > 0 && local.bytes_in > 0);
-                assert_eq!(local.messages, 2);
+                // The local worker moves no frames; the linked ones do.
+                assert_eq!((local.bytes_out, local.bytes_in, local.messages), (0, 0, 0));
+                for w in &b.workers[..2] {
+                    assert!(w.bytes_out > 0 && w.bytes_in > 0, "{b:?}");
+                    assert_eq!(w.messages, 2, "{b:?}");
+                }
                 for w in &b.workers {
                     assert!(w.turnaround_s >= local.turnaround_s, "{b:?}");
                     assert!(w.turnaround_s <= b.wall_s, "{b:?}");

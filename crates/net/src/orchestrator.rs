@@ -1,10 +1,9 @@
 //! The orchestrator side: a [`ComputeBackend`] that ships op batches to
-//! real workers and measures each phase of the exchange. The last worker
-//! runs on the orchestrating thread, inside its link's `send`
-//! (`worker::LocalLink`).
+//! the linked workers and runs the last worker's ops itself, in process
+//! (`worker::Runtime`), while the linked workers compute.
 //!
 //! Per dispatch batch, the orchestrator records for every participating
-//! worker the serialized bytes in each direction, the worker-reported
+//! worker the transport bytes in each direction, the worker-reported
 //! pure compute time, and the orchestrator-observed turnaround — the
 //! samples `cluster::calibrate` fits the cost-model rates from. All
 //! timing flows through [`crate::measure`]; none of it feeds back into
@@ -21,6 +20,7 @@ use crate::error::NetError;
 use crate::measure::Stopwatch;
 use crate::protocol::{decode_msg, encode_msg, Msg};
 use crate::transport::Transport;
+use crate::worker::Runtime;
 
 /// One worker's share of one dispatch batch.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,11 +32,14 @@ pub struct WorkerBatchStats {
     /// Modeled floating-point work of those ops (same formulas the
     /// simulator charges).
     pub flops: f64,
-    /// Encoded bytes orchestrator → worker.
+    /// Transport frame bytes orchestrator → worker (0 for the local
+    /// worker, which gets no frames).
     pub bytes_out: u64,
-    /// Encoded bytes worker → orchestrator.
+    /// Transport frame bytes worker → orchestrator (0 for the local
+    /// worker).
     pub bytes_in: u64,
-    /// Protocol messages exchanged (request + reply).
+    /// Transport frames exchanged (request + reply; 0 for the local
+    /// worker).
     pub messages: u64,
     /// Worker-reported pure compute seconds.
     pub compute_s: f64,
@@ -47,8 +50,9 @@ pub struct WorkerBatchStats {
     /// early its reply arrived.
     pub turnaround_s: f64,
     /// Whether this worker ran on the orchestrating thread (the last
-    /// worker does). Its frames never leave that thread, so its turnaround
-    /// is its ops plus the frame codec, with no transport in it.
+    /// worker does). Its ops run in process, so its turnaround is the
+    /// linked workers' sends plus its own compute, with no codec or
+    /// transport in it.
     pub local: bool,
 }
 
@@ -84,10 +88,13 @@ impl NetBatchStats {
 /// The backend a net-backed training run dispatches to. `train_net`
 /// lends it to the trainer for the duration of the run and reads the
 /// links, measurements and any parked failure back afterwards.
-pub(crate) struct Orchestrator {
-    /// One link per worker, in worker order; the last is the local
-    /// worker's (`worker::LocalLink`).
+pub(crate) struct Orchestrator<'a> {
+    /// One link per linked worker, in worker order (workers `0..k − 1`).
     pub links: Vec<Box<dyn Transport>>,
+    /// The last worker (`k − 1`), whose ops run on this thread.
+    local: Runtime<'a>,
+    /// Fault injection: the batch at which the local worker is lost.
+    local_kill: Option<u64>,
     /// Per-dispatch-batch measurements, in dispatch order.
     pub stats: Vec<NetBatchStats>,
     /// The typed error behind a failed `run_ops`, whose own error channel
@@ -104,9 +111,11 @@ pub(crate) struct Orchestrator {
     next_batch: u64,
 }
 
-impl Orchestrator {
+impl<'a> Orchestrator<'a> {
     pub(crate) fn new(
         links: Vec<Box<dyn Transport>>,
+        local: Runtime<'a>,
+        local_kill: Option<u64>,
         row_nnz: Vec<usize>,
         part_nnz: Vec<usize>,
         dim: usize,
@@ -114,6 +123,8 @@ impl Orchestrator {
     ) -> Self {
         Orchestrator {
             links,
+            local,
+            local_kill,
             stats: Vec::new(),
             failure: None,
             row_nnz,
@@ -159,7 +170,7 @@ impl Orchestrator {
     }
 }
 
-impl ComputeBackend for Orchestrator {
+impl ComputeBackend for Orchestrator<'_> {
     #[expect(
         clippy::expect_used,
         reason = "the reply loop returns an error unless every dispatched op produced a result"
@@ -184,39 +195,59 @@ impl ComputeBackend for Orchestrator {
         // submission slots.
         let mut worker_stats: Vec<WorkerBatchStats> = Vec::with_capacity(per_worker.len());
         let mut positions: Vec<Vec<usize>> = Vec::with_capacity(per_worker.len());
+        let mut slots: Vec<Option<OpResult>> = (0..n_ops).map(|_| None).collect();
 
-        // Send phase: every worker gets its ops before any reply is
-        // awaited, so workers genuinely compute concurrently. The local
-        // worker, last in worker order, computes inside its `send`, while
-        // the linked workers compute on their threads.
-        let local = self.links.len().saturating_sub(1);
+        // Send phase: every linked worker gets its ops before any reply is
+        // awaited, so they genuinely compute concurrently. The local
+        // worker, last in worker order, then computes here while they do.
+        let local = self.links.len();
         for (worker, (pos, ops, flops)) in per_worker {
-            let frame = encode_msg(&Msg::Ops { batch, ops }, self.switch);
-            if self.links[worker].send(&frame).is_err() {
-                return Err(self.fail(NetError::WorkerLost { worker }));
-            }
-            worker_stats.push(WorkerBatchStats {
+            let mut ws = WorkerBatchStats {
                 worker,
                 ops: pos.len(),
                 flops,
-                bytes_out: frame.len() as u64,
+                bytes_out: 0,
                 bytes_in: 0,
-                messages: 2,
+                messages: 0,
                 compute_s: 0.0,
                 turnaround_s: 0.0,
                 local: worker == local,
-            });
+            };
+            if worker == local {
+                if self.local_kill == Some(batch) {
+                    return Err(self.fail(NetError::WorkerLost { worker }));
+                }
+                let (results, compute_nanos) = match self.local.run(ops) {
+                    Ok(done) => done,
+                    Err(e) => return Err(self.fail(e)),
+                };
+                ws.compute_s = compute_nanos as f64 * 1e-9;
+                ws.turnaround_s = sw.elapsed_s();
+                for (&slot, res) in pos.iter().zip(results) {
+                    slots[slot] = Some(res);
+                }
+            } else {
+                let frame = encode_msg(&Msg::Ops { batch, ops }, self.switch);
+                // A dead link is a lost worker; a frame the transport
+                // refuses (over its cap) is reported as itself.
+                match self.links[worker].send(&frame) {
+                    Ok(()) => {}
+                    Err(NetError::Io(_)) => return Err(self.fail(NetError::WorkerLost { worker })),
+                    Err(e) => return Err(self.fail(e)),
+                }
+                ws.bytes_out = frame.len() as u64;
+                ws.messages = 2;
+            }
+            worker_stats.push(ws);
             positions.push(pos);
         }
 
-        // Receive phase (the barrier): the local worker's reply is already
-        // waiting, so it is taken first; then the linked workers', in
-        // worker order.
-        let mut slots: Vec<Option<OpResult>> = (0..n_ops).map(|_| None).collect();
-        let n = worker_stats.len();
-        let linked = n - usize::from(worker_stats.last().is_some_and(|ws| ws.local));
-        for i in (linked..n).chain(0..linked) {
-            let ws = &mut worker_stats[i];
+        // Receive phase (the barrier): the linked workers' replies, in
+        // worker order. The local worker's results are already in place.
+        for (ws, pos) in worker_stats.iter_mut().zip(&positions) {
+            if ws.local {
+                continue;
+            }
             let worker = ws.worker;
             let frame = match self.links[worker].recv() {
                 Ok(f) => f,
@@ -243,7 +274,6 @@ impl ComputeBackend for Orchestrator {
                     "worker {worker} answered batch {echoed}, expected {batch}"
                 ))));
             }
-            let pos = &positions[i];
             if results.len() != pos.len() {
                 return Err(self.fail(NetError::Protocol(format!(
                     "worker {worker} returned {} results for {} ops",

@@ -11,8 +11,8 @@
 //!   offset, so the receiver reads the header, then exactly the declared
 //!   payload.
 //!
-//! The last worker of a run needs neither: its link is a crate-private
-//! `worker::LocalLink`, which runs the worker on the orchestrating thread.
+//! Only linked workers have a transport: the last worker of a run runs in
+//! process on the orchestrating thread and exchanges no frames.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -23,8 +23,20 @@ use mlstar_codec::HEADER_LEN;
 use crate::error::NetError;
 
 /// Upper bound on a single frame's payload (64 MiB). A header declaring
-/// more is treated as corruption rather than an allocation request.
+/// more is treated as corruption rather than an allocation request, and
+/// such a frame is refused before it is sent.
 const MAX_PAYLOAD: u64 = 64 << 20;
+
+/// Refuses a payload length over [`MAX_PAYLOAD`]. Both ends of a TCP link
+/// apply it, so a frame one side would refuse is never written.
+fn check_payload_len(payload_len: u64) -> Result<(), NetError> {
+    if payload_len > MAX_PAYLOAD {
+        return Err(NetError::Protocol(format!(
+            "frame declares {payload_len} payload bytes (cap {MAX_PAYLOAD})"
+        )));
+    }
+    Ok(())
+}
 
 /// A bidirectional, ordered, reliable frame pipe.
 pub trait Transport: Send {
@@ -91,6 +103,7 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        check_payload_len(frame.len().saturating_sub(HEADER_LEN) as u64)?;
         self.stream
             .write_all(frame)
             .map_err(|e| NetError::Io(format!("tcp write: {e}")))
@@ -105,11 +118,7 @@ impl Transport for TcpTransport {
         // u64 | checksum u64`, little-endian; the length lives at bytes
         // 8..16.
         let payload_len = u64::from_le_bytes(std::array::from_fn(|i| header[8 + i]));
-        if payload_len > MAX_PAYLOAD {
-            return Err(NetError::Protocol(format!(
-                "frame declares {payload_len} payload bytes (cap {MAX_PAYLOAD})"
-            )));
-        }
+        check_payload_len(payload_len)?;
         // One allocation at the frame's final size, header copied in.
         let mut frame = vec![0u8; HEADER_LEN + payload_len as usize];
         frame[..HEADER_LEN].copy_from_slice(&header);
@@ -164,5 +173,33 @@ mod tests {
         drop(tx);
         assert!(matches!(rx.recv(), Err(NetError::Io(_))));
         assert!(matches!(rx.recv(), Err(NetError::Io(_))));
+    }
+
+    #[test]
+    fn the_payload_cap_is_inclusive() {
+        assert!(check_payload_len(MAX_PAYLOAD).is_ok());
+        let over = check_payload_len(MAX_PAYLOAD + 1);
+        let why = format!(
+            "frame declares {} payload bytes (cap {MAX_PAYLOAD})",
+            MAX_PAYLOAD + 1
+        );
+        assert!(
+            matches!(&over, Err(NetError::Protocol(m)) if *m == why),
+            "{over:?}"
+        );
+    }
+
+    #[test]
+    fn tcp_refuses_to_send_an_over_cap_frame_and_writes_nothing() {
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let mut tx =
+            TcpTransport::new(TcpStream::connect(listener.local_addr().unwrap()).unwrap()).unwrap();
+        let mut rx = TcpTransport::new(listener.accept().unwrap().0).unwrap();
+        let huge = vec![0u8; HEADER_LEN + MAX_PAYLOAD as usize + 1];
+        assert!(matches!(tx.send(&huge), Err(NetError::Protocol(_))));
+        // Nothing of it reached the peer: the next frame arrives whole.
+        let frame = encode_frame(0x1234_5678, 1, b"after");
+        tx.send(&frame).unwrap();
+        assert_eq!(rx.recv().unwrap(), frame);
     }
 }

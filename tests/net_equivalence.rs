@@ -221,25 +221,29 @@ fn killed_worker_is_typed_and_does_not_poison_later_runs() {
 
 #[test]
 fn tcp_kill_is_also_typed() {
+    // A linked worker (0) and the local one (2 of 3, which runs on the
+    // orchestrating thread) are each lost at batch 0 as a typed error.
     let ds = dataset();
     let cluster = cluster();
     let cfg = cfg(7);
-    let kill_cfg = NetConfig {
-        transport: TransportKind::Tcp,
-        kill: Some(KillSpec {
-            batch: 0,
-            worker: 0,
-        }),
-    };
-    let err = train_net(
-        System::Mllib,
-        &ds,
-        &cluster,
-        &cfg,
-        &PsSystemConfig::default(),
-        &AngelConfig::default(),
-        &kill_cfg,
-    )
-    .expect_err("killed worker must fail the run");
-    assert!(matches!(err, NetError::WorkerLost { worker: 0 }), "{err:?}");
+    for worker in [0, 2] {
+        let kill_cfg = NetConfig {
+            transport: TransportKind::Tcp,
+            kill: Some(KillSpec { batch: 0, worker }),
+        };
+        let err = train_net(
+            System::Mllib,
+            &ds,
+            &cluster,
+            &cfg,
+            &PsSystemConfig::default(),
+            &AngelConfig::default(),
+            &kill_cfg,
+        )
+        .expect_err("killed worker must fail the run");
+        assert!(
+            matches!(err, NetError::WorkerLost { worker: w } if w == worker),
+            "{err:?}"
+        );
+    }
 }
