@@ -20,11 +20,15 @@
 //! times (compute + comm + idle + recovery) sum to the round's elapsed sim
 //! time.
 
+use std::collections::BTreeSet;
+
 use mllib_star::codec::fnv1a;
+use mllib_star::collectives::wire::{encoded_dense_len, encoded_sparse_len};
 use mllib_star::core::{
-    AngelConfig, CompressionConfig, FrameSwitch, MaWeighting, PsSystemConfig, Sparsifier, System,
-    TrainConfig, TrainOutput,
+    system_partitions, AngelConfig, CompressionConfig, FrameSwitch, MaWeighting, PsSystemConfig,
+    Sparsifier, System, TrainConfig, TrainOutput,
 };
+use mllib_star::data::catalog::kddb_like;
 use mllib_star::data::{SparseDataset, SyntheticConfig};
 use mllib_star::glm::{LearningRate, Loss, Regularizer};
 use mllib_star::sim::ClusterSpec;
@@ -325,6 +329,71 @@ fn ps_runs_are_pinned() {
     let got = expected.map(|(system, target, _)| {
         let digest = run(system, Regularizer::None, false, 2, Some(target));
         (system, target, digest)
+    });
+    assert_eq!(got, expected);
+}
+
+/// A kddb-shaped parameter-server run: 29 890 features over 400 rows on
+/// cluster 1, so a partition touches far fewer features than the model
+/// has. Every sparse pull is then sized by the partition's distinct
+/// features and never clamps to the dense size, as it does in
+/// `ps_runs_are_pinned`'s 30-feature runs. Petuum (parallel SGD without a
+/// penalty, one GD step with L2) and Angel run with sparse messages, and
+/// each run is pinned by the FNV-1a of `format!("{out:?}")`.
+#[test]
+fn wide_ps_runs_pin_sparse_pulls() {
+    let ds = SyntheticConfig {
+        num_instances: 400,
+        ..kddb_like()
+    }
+    .generate();
+    let cluster = ClusterSpec::cluster1();
+    let dense = encoded_dense_len(ds.num_features());
+    let l2 = Regularizer::L2 { lambda: 0.1 };
+    let ps = PsSystemConfig {
+        staleness: 2,
+        sparse_messages: true,
+        ..PsSystemConfig::default()
+    };
+    let angel = AngelConfig {
+        staleness: 2,
+        sparse_messages: true,
+        ..AngelConfig::default()
+    };
+    let expected = [
+        (System::Petuum, Regularizer::None, 0x5726d3e4ed8ad51a),
+        (System::Petuum, l2, 0xc0c4a55a1793794e),
+        (System::Angel, Regularizer::None, 0x1fac256a029503d5),
+        (System::Angel, l2, 0x5a39f3d9d6a44da9),
+    ];
+    let got = expected.map(|(system, reg, _)| {
+        let cfg = TrainConfig {
+            reg,
+            ..golden_config(42)
+        };
+        let parts = system_partitions(system, &ds, &cluster, &cfg);
+        let pull: usize = parts
+            .iter()
+            .map(|part| {
+                let features: BTreeSet<usize> = part
+                    .iter()
+                    .flat_map(|&i| ds.rows()[i].iter().map(|(j, _)| j))
+                    .collect();
+                let len = encoded_sparse_len(features.len());
+                assert!(len < dense, "{system}: a partition pull clamps");
+                len
+            })
+            .sum();
+        let out = system.train(&ds, &cluster, &cfg, &ps, &angel);
+        assert_eq!(out.round_stats.len() as u64, cfg.max_rounds, "{system}");
+        for stats in &out.round_stats {
+            assert_eq!(stats.bytes.ps_pull, pull as u64, "{system} {reg:?}");
+            if reg == Regularizer::None {
+                // Loss-only deltas push sparse, below the dense size.
+                assert!(stats.bytes.ps_push < (parts.len() * dense) as u64);
+            }
+        }
+        (system, reg, fnv1a(format!("{out:?}").as_bytes()))
     });
     assert_eq!(got, expected);
 }
