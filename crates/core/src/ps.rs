@@ -30,7 +30,7 @@
 use std::path::Path;
 
 use mlstar_data::{BatchSampler, DatasetFingerprint, EpochOrder, SparseDataset};
-use mlstar_exec::WorkerOp;
+use mlstar_exec::{OpResult, WorkerOp};
 use mlstar_linalg::DenseVector;
 use mlstar_ps::{Aggregation, PsConfig, PsEngine, PsRunStats, WorkerLogic, WorkerStep};
 use mlstar_sim::{
@@ -227,12 +227,25 @@ impl WorkerLogic for PsWorker<'_> {
             LocalStep::MgdStep(samplers) => {
                 let batch = samplers[worker].sample(part, batch_size);
                 let flops = pass_flops(batch_nnz(&batch)) + 2.0 * dense_op_flops(dim);
-                // The schedule is evaluated here, so the counter stream
-                // never leaves the orchestrator.
-                let op = WorkerOp::MgdStep {
-                    w: model.clone(),
-                    batch: to_wire_indices(&batch),
-                    eta: self.cfg.lr.eta(t0),
+                let batch = to_wire_indices(&batch);
+                let w = model.clone();
+                let op = match self.aggregation {
+                    // The executor returns the step it took: Petuum's push.
+                    // The schedule is evaluated here, so the counter stream
+                    // never leaves the orchestrator.
+                    Aggregation::Sum => WorkerOp::MgdStep {
+                        w,
+                        batch,
+                        eta: self.cfg.lr.eta(t0),
+                    },
+                    // Petuum* pushes the stepped model: one GD step at
+                    // `lr(t0)` is a one-chunk epoch.
+                    Aggregation::Average { .. } => WorkerOp::MgdEpoch {
+                        w,
+                        batch_size: batch.len() as u32,
+                        order: batch,
+                        t0,
+                    },
                 };
                 (op, 1, flops, SimDuration::ZERO)
             }
@@ -255,12 +268,7 @@ impl WorkerLogic for PsWorker<'_> {
                 (op, n_batches, flops, alloc)
             }
         };
-        let (w_local, t) = expect_model(dispatch_one(self.backend, worker, op));
-        self.counters[worker] = match self.step {
-            LocalStep::MgdStep(_) => t0 + 1,
-            _ => t,
-        };
-        debug_assert_eq!(self.counters[worker], t0 + local_updates);
+        self.counters[worker] = t0 + local_updates;
 
         // Sparse pushes are only sound for summation of loss-only deltas
         // (the regularizer's gradient and averaged models are dense). The
@@ -269,20 +277,21 @@ impl WorkerLogic for PsWorker<'_> {
         // in): the encoded length of that delta's index/value frame.
         let sparse_push =
             self.sparse_messages && self.cfg.reg.is_none() && self.aggregation == Aggregation::Sum;
-        let payload_bytes = if sparse_push {
-            mlstar_glm::sparse_delta(&w_local, model)
-                .ok()
-                .map(|d| mlstar_collectives::wire::encoded_sparse_len(d.nnz()))
-        } else {
-            None
-        };
-        let payload = match self.aggregation {
-            Aggregation::Sum => {
-                let mut delta = w_local;
-                delta.axpy(-1.0, model);
-                delta
+        let mut payload_bytes = None;
+        let payload = match dispatch_one(self.backend, worker, op) {
+            // Petuum's GD step comes back as the step it took: its push.
+            OpResult::Grad(delta) => delta,
+            result => {
+                let (mut w_local, t) = expect_model(result);
+                debug_assert_eq!(t, t0 + local_updates);
+                if sparse_push {
+                    payload_bytes = subtract_counting(&mut w_local, model)
+                        .map(mlstar_collectives::wire::encoded_sparse_len);
+                } else if self.aggregation == Aggregation::Sum {
+                    w_local.axpy(-1.0, model);
+                }
+                w_local
             }
-            Aggregation::Average { .. } => w_local,
         };
         WorkerStep {
             payload_bytes,
@@ -299,6 +308,28 @@ impl WorkerLogic for PsWorker<'_> {
         self.sparse_messages
             .then(|| mlstar_collectives::wire::encoded_sparse_len(self.part_active[worker]))
     }
+}
+
+/// Turns `w_local` into the push `w_local − model`, as `w_local +=
+/// −1·model` (the float operations of `DenseVector::axpy`), and counts in
+/// the same pass the coordinates whose bits the local step changed: the
+/// entries of the sparse delta frame. `None` if any of those differences
+/// is non-finite, which a sparse frame does not carry, so the push goes
+/// dense.
+#[expect(
+    clippy::neg_multiply,
+    reason = "the float operations of axpy(−1, model)"
+)]
+fn subtract_counting(w_local: &mut DenseVector, model: &DenseVector) -> Option<usize> {
+    assert_eq!(w_local.dim(), model.dim(), "model dimension mismatch");
+    let (mut nnz, mut finite) = (0, true);
+    for (a, &b) in w_local.as_mut_slice().iter_mut().zip(model.as_slice()) {
+        let moved = a.to_bits() != b.to_bits();
+        *a += -1.0 * b;
+        nnz += usize::from(moved);
+        finite &= !moved || a.is_finite();
+    }
+    finite.then_some(nnz)
 }
 
 /// The engine's clock callback: checks a replay against its anchor,

@@ -20,8 +20,8 @@
 use std::fmt;
 
 use mlstar_glm::{
-    batch_gradient_into, mgd_step, objective_value_subset, sgd_epoch_lazy, LearningRate, Loss,
-    Regularizer,
+    batch_gradient_into, mgd_delta, mgd_step, objective_value_subset, sgd_epoch_lazy, LearningRate,
+    Loss, Regularizer,
 };
 use mlstar_linalg::{DenseVector, ScaledVector, SparseVector};
 
@@ -68,10 +68,12 @@ pub enum WorkerOp {
         /// Sampled batch (global row indices).
         batch: Vec<u32>,
     },
-    /// One dense mini-batch GD step (Petuum, `Ω ≠ 0`): a single
-    /// `mgd_step` at the given step size. Returns [`OpResult::Model`]
-    /// (the counter advance for a single step lives with the
-    /// orchestrator, which evaluated `η`; `t` is echoed as 0).
+    /// One dense mini-batch GD step (Petuum, `Ω ≠ 0`) that returns the
+    /// step, not the stepped model: a single `mgd_delta` at the given step
+    /// size. Returns [`OpResult::Grad`] holding `(w − η·(g + ∇Ω(w))) − w`,
+    /// bit for bit what `mgd_step` on `w` minus `w` gives; `w` itself is
+    /// only read. The orchestrator evaluated `η`, so the update counter
+    /// stays with it. An empty `batch` is refused.
     MgdStep {
         /// Model at the start of the step.
         w: DenseVector,
@@ -83,6 +85,7 @@ pub enum WorkerOp {
     /// One local epoch of per-batch GD steps (Angel): `mgd_step` per
     /// `batch_size` chunk of `order`, with `η = lr(t)` advancing per
     /// chunk. Returns [`OpResult::Model`] with the advanced counter.
+    /// Petuum\*'s single GD step is this op with one chunk.
     MgdEpoch {
         /// Model at the start of the epoch.
         w: DenseVector,
@@ -150,6 +153,8 @@ pub enum ExecError {
     /// A gradient, GD-step or objective op over no rows: a
     /// [`WorkerOp::BatchGrad`] or [`WorkerOp::MgdStep`] with an empty
     /// `batch`, or a `Partition*` op on a shard with an empty partition.
+    /// (A [`WorkerOp::MgdEpoch`] over no rows takes no step and is not
+    /// an error.)
     EmptyBatch,
 }
 
@@ -190,8 +195,9 @@ pub struct OpExecutor {
     loss: Loss,
     reg: Regularizer,
     lr: LearningRate,
-    /// Gradient buffer of `mgd_step`; the gradient ops swap it with the
-    /// op's model buffer instead of allocating a result.
+    /// Gradient buffer of `mgd_step` and `mgd_delta`; the gradient ops
+    /// and `MgdStep` swap it with the op's model buffer instead of
+    /// allocating a result.
     grad_buf: DenseVector,
     /// Resolved row positions of the current op.
     idx: Vec<usize>,
@@ -288,17 +294,18 @@ impl OpExecutor {
             WorkerOp::MgdStep { mut w, batch, eta } => {
                 nonempty(&batch)?;
                 self.resolve(&batch, resolve)?;
-                mgd_step(
+                mgd_delta(
                     self.loss,
                     self.reg,
-                    &mut w,
+                    &w,
                     rows,
                     labels,
                     &self.idx,
                     eta,
                     &mut self.grad_buf,
                 );
-                Ok(OpResult::Model { w, t: 0 })
+                std::mem::swap(&mut w, &mut self.grad_buf);
+                Ok(OpResult::Grad(w))
             }
             WorkerOp::MgdEpoch {
                 mut w,

@@ -15,8 +15,8 @@
 //!   every figure of the paper.
 //! * [`batch_gradient_into`] — the worker-side kernel of the *SendGradient*
 //!   paradigm (MLlib).
-//! * [`sgd_epoch_lazy`] / [`mgd_step`] — the worker-side kernels of the
-//!   *SendModel* paradigm (MLlib\*, Petuum, Angel).
+//! * [`sgd_epoch_lazy`] / [`mgd_step`] / [`mgd_delta`] — the worker-side
+//!   kernels of the *SendModel* paradigm (MLlib\*, Petuum, Angel).
 //! * [`ElasticNet`], [`cd_fit`] and [`fit_path`] — the elastic-net penalty,
 //!   cyclic proximal coordinate descent over CSC columns, and warm-started
 //!   glmnet-style lambda paths. They take the concrete [`Loss`] and
@@ -75,7 +75,7 @@ pub use lr_schedule::LearningRate;
 pub use metrics::{
     accuracy, auc, auc_from_scores, margins, model_accuracy, model_auc, BinaryConfusion,
 };
-pub use model::{logistic, sparse_delta, GlmModel};
+pub use model::{logistic, GlmModel};
 pub use objective::{objective_value, objective_value_subset, training_loss};
 pub use path::{
     fit_path, fit_path_on_grid, lambda_grid, lambda_max, PathConfig, PathPoint, PathResult,
@@ -83,4 +83,4 @@ pub use path::{
 };
 pub use penalty::{soft_threshold, ElasticNet};
 pub use regularizer::Regularizer;
-pub use sgd::{mgd_step, sgd_epoch_eager, sgd_epoch_lazy};
+pub use sgd::{mgd_delta, mgd_step, sgd_epoch_eager, sgd_epoch_lazy};

@@ -80,37 +80,6 @@ pub fn logistic(m: f64) -> f64 {
     }
 }
 
-/// The sparse model delta `new − base`: one stored entry per coordinate
-/// whose *bit pattern* changed, holding the arithmetic difference. This
-/// is what a worker actually has to ship after a local pass — under L1 /
-/// elastic-net training most coordinates never move, so the delta is far
-/// sparser than the model itself. Fails if any difference is non-finite
-/// (a diverged model); callers fall back to shipping dense.
-///
-/// # Panics
-///
-/// Panics if the vectors' dimensions differ.
-pub fn sparse_delta(
-    new: &DenseVector,
-    base: &DenseVector,
-) -> Result<SparseVector, mlstar_linalg::LinalgError> {
-    assert_eq!(new.dim(), base.dim(), "model dimension mismatch");
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for (i, (a, b)) in new
-        .as_slice()
-        .iter()
-        .zip(base.as_slice().iter())
-        .enumerate()
-    {
-        if a.to_bits() != b.to_bits() {
-            indices.push(i as u32);
-            values.push(a - b);
-        }
-    }
-    SparseVector::new(new.dim(), indices, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,32 +138,6 @@ mod tests {
                 "{m}"
             );
         }
-    }
-
-    #[test]
-    fn sparse_delta_ships_only_touched_coordinates() {
-        let base = DenseVector::from_vec(vec![1.0, 0.0, -2.0, 0.5]);
-        let new = DenseVector::from_vec(vec![1.0, 0.25, -2.0, 0.75]);
-        let d = sparse_delta(&new, &base).unwrap();
-        assert_eq!(d.indices(), &[1, 3]);
-        assert_eq!(d.values(), &[0.25, 0.25]);
-        // Applying the delta to the base reproduces the new model.
-        let mut rebuilt = base.clone();
-        rebuilt.axpy_sparse(1.0, &d);
-        assert_eq!(rebuilt.as_slice(), new.as_slice());
-    }
-
-    #[test]
-    fn sparse_delta_of_identical_models_is_empty() {
-        let w = DenseVector::from_vec(vec![1.0, -1.0]);
-        assert_eq!(sparse_delta(&w, &w).unwrap().nnz(), 0);
-    }
-
-    #[test]
-    fn sparse_delta_rejects_non_finite_differences() {
-        let base = DenseVector::from_vec(vec![0.0]);
-        let new = DenseVector::from_vec(vec![f64::INFINITY]);
-        assert!(sparse_delta(&new, &base).is_err());
     }
 
     #[test]

@@ -9,13 +9,16 @@
 //! | MLlib | [`crate::batch_gradient_into`] only (driver applies the update) |
 //! | MLlib+MA / MLlib\* | [`sgd_epoch_lazy`] over the local partition |
 //! | Petuum (reg = 0) | [`sgd_epoch_lazy`] over one batch |
-//! | Petuum (reg ≠ 0) | [`mgd_step`] on one batch |
+//! | Petuum (reg ≠ 0) | [`mgd_delta`] on one batch |
+//! | Petuum\* (reg ≠ 0) | [`mgd_step`] on one batch |
 //! | Angel | [`mgd_step`] per batch, communicated per epoch |
 //!
-//! The SGD epochs cost `O(nnz)` per example. [`mgd_step`] is the one dense
-//! kernel: after the sparse batch gradient it makes a single `O(d)` pass
-//! that adds the penalty gradient and takes the step together, and it
-//! returns nothing, leaving the batch loss gradient in the caller's buffer.
+//! The SGD epochs cost `O(nnz)` per example. [`mgd_step`] and
+//! [`mgd_delta`] are the dense kernels: after the sparse batch gradient
+//! each makes a single `O(d)` pass that adds the penalty gradient and takes
+//! the step together. [`mgd_step`] writes the stepped model and leaves the
+//! batch loss gradient in the caller's buffer; [`mgd_delta`] leaves the
+//! model alone and writes the step it took into the buffer.
 
 use mlstar_linalg::{DenseVector, ScaledVector, SparseVector};
 
@@ -146,6 +149,29 @@ pub fn sgd_epoch_eager(
     t
 }
 
+/// Runs `$pass` under the `t = g_j + ∇Ω(w)_j` of `reg`'s arm, bound to
+/// `$t` as a closure of `(w_j, g_j)`: the L2 gradient is `λ·w_j`, and the
+/// L1 subgradient is `λ·sign(w_j)` and exactly zero at `w_j = ±0.0`. The
+/// match runs once per call, so each arm's loop is compiled on its own.
+macro_rules! per_penalty {
+    ($reg:expr, $t:ident => $pass:block) => {
+        match $reg {
+            Regularizer::None => {
+                let $t = |_: f64, g: f64| g;
+                $pass
+            }
+            Regularizer::L2 { lambda } => {
+                let $t = |w: f64, g: f64| g + lambda * w;
+                $pass
+            }
+            Regularizer::L1 { lambda } => {
+                let $t = |w: f64, g: f64| if w != 0.0 { g + lambda * w.signum() } else { g };
+                $pass
+            }
+        }
+    };
+}
+
 /// One mini-batch gradient-descent step (the body of Algorithm 1):
 ///
 /// ```text
@@ -182,30 +208,52 @@ pub fn mgd_step(
 ) {
     crate::batch_gradient_into(loss, w, rows, labels, batch, grad_buf);
     let coords = w.as_mut_slice().iter_mut().zip(grad_buf.as_slice());
-    match reg {
-        Regularizer::None => {
-            for (w, &g) in coords {
-                *w += -eta * g;
-            }
+    per_penalty!(reg, t => {
+        for (w, &g) in coords {
+            *w += -eta * t(*w, g);
         }
-        Regularizer::L2 { lambda } => {
-            for (w, &g) in coords {
-                let t = g + lambda * *w;
-                *w += -eta * t;
-            }
+    });
+}
+
+/// The step [`mgd_step`] would take, without taking it:
+///
+/// ```text
+/// grad_buf ← (w − η·(g_B + ∇Ω(w))) − w
+/// ```
+///
+/// One pass over `(w, grad_buf)` after [`crate::batch_gradient_into`]:
+/// per coordinate, `t = g_j + ∇Ω(w)_j` and
+/// `grad_buf[j] = (w_j + (−η·t)) + (−1·w_j)`. These are the float
+/// operations, in the order, of [`mgd_step`] on a copy of `w` followed by
+/// `copy.axpy(−1, w)`, so the two forms agree bit for bit. This is
+/// Petuum's push under summation, made without a second pass over the
+/// model.
+///
+/// # Panics
+///
+/// Panics if `batch` is empty.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a worker kernel takes the objective, the model, the rows and the visit order as separate borrows"
+)]
+#[expect(clippy::neg_multiply, reason = "the float operations of axpy(−1, w)")]
+pub fn mgd_delta(
+    loss: Loss,
+    reg: Regularizer,
+    w: &DenseVector,
+    rows: &[SparseVector],
+    labels: &[f64],
+    batch: &[usize],
+    eta: f64,
+    grad_buf: &mut DenseVector,
+) {
+    crate::batch_gradient_into(loss, w, rows, labels, batch, grad_buf);
+    let coords = w.as_slice().iter().zip(grad_buf.as_mut_slice());
+    per_penalty!(reg, t => {
+        for (&w, g) in coords {
+            *g = (w + -eta * t(w, *g)) + -1.0 * w;
         }
-        Regularizer::L1 { lambda } => {
-            for (w, &g) in coords {
-                // the L1 subgradient is exactly zero at exactly-zero weights
-                let t = if *w != 0.0 {
-                    g + lambda * w.signum()
-                } else {
-                    g
-                };
-                *w += -eta * t;
-            }
-        }
-    }
+    });
 }
 
 #[cfg(test)]

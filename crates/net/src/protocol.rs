@@ -128,15 +128,18 @@ schema! {
     }
 }
 schema! { tagged switch: FrameSwitch { 0 => Dense, 1 => Adaptive } }
+// Tag 5 is retired: it was an `MgdStep` answered with the stepped model.
+// Its successor, tag 8, is answered with the step, so an old peer's
+// tag-5 op is refused as an unknown tag rather than misread.
 schema! {
     tagged op: WorkerOp [frames: FrameSwitch] {
         1 => SgdPass { w: model, t0: u64, order: u32s },
         2 => SgdBatch { w: model, t0: u64, batch: u32s },
         3 => PartitionGrad { w: model },
         4 => BatchGrad { w: model, batch: u32s },
-        5 => MgdStep { w: model, eta: f64, batch: u32s },
         6 => MgdEpoch { w: model, t0: u64, batch_size: u32, order: u32s },
         7 => PartitionObjective { w: model },
+        8 => MgdStep { w: model, eta: f64, batch: u32s },
     }
 }
 schema! {

@@ -11,9 +11,11 @@ use rand::rngs::StdRng;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregation {
     /// *Model summation* (original Petuum): the push payload is a **delta**
-    /// (`w_local − w_pulled`, or `−η·g` accumulated) that servers add to
-    /// the global model. The paper notes this "can lead to potential
-    /// divergence".
+    /// that servers add to the global model. The worker forms it: Petuum's
+    /// GD step returns its step `−η·(g + ∇Ω(w))` from the executor's fused
+    /// kernel, and a local SGD pass or epoch is differenced against the
+    /// pulled model (`w_local − w_pulled`). The paper notes this "can lead
+    /// to potential divergence".
     Sum,
     /// *Model averaging* (Petuum\*): the push payload is the worker's
     /// **local model**; servers move the global model toward it by `1/k`
@@ -31,10 +33,13 @@ impl Aggregation {
         match self {
             Aggregation::Sum => model.axpy(1.0, payload),
             Aggregation::Average { num_workers } => {
+                assert_eq!(model.dim(), payload.dim(), "push dimension mismatch");
                 let alpha = 1.0 / num_workers as f64;
-                // model ← (1 − 1/k)·model + (1/k)·payload
-                model.scale(1.0 - alpha);
-                model.axpy(alpha, payload);
+                let keep = 1.0 - alpha;
+                // model ← (1 − 1/k)·model + (1/k)·payload, in one pass
+                for (m, &p) in model.as_mut_slice().iter_mut().zip(payload.as_slice()) {
+                    *m = *m * keep + alpha * p;
+                }
             }
         }
     }
@@ -670,6 +675,24 @@ mod tests {
             Aggregation::Average { num_workers: 2 }.apply(&mut m, &dv(&[1.0]));
         }
         assert!((m.get(0) - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn average_is_scale_then_axpy_bit_for_bit() {
+        let model = dv(&[0.1, -0.0, 0.0, 1e-310, -3.7, 1e300, 2.5e-8, -1.0]);
+        let pushed = dv(&[-0.3, 0.0, -0.0, -1e-310, 3.7, -1e300, 7.25, 1.0 / 3.0]);
+        for k in 1..=7 {
+            let mut got = model.clone();
+            Aggregation::Average { num_workers: k }.apply(&mut got, &pushed);
+            let alpha = 1.0 / k as f64;
+            let mut want = model.clone();
+            want.scale(1.0 - alpha);
+            want.axpy(alpha, &pushed);
+            let bits = |v: &DenseVector| -> Vec<u64> {
+                v.as_slice().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "k = {k}");
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! `WorkerOp` kind is live, and a backend that fails mid-run yields its
 //! failure — no partial `TrainOutput`, nothing left behind on the thread.
 //!
-//! The last test pins the per-batch GD kernel: `mgd_step`, and the
-//! `MgdStep` and `MgdEpoch` ops that run it, agree bit for bit with the
-//! two-pass loop (penalty into the gradient buffer, then `w −= η·buf`).
+//! The last test pins the per-batch GD kernels: `mgd_step` and the
+//! `MgdEpoch` op that runs it agree bit for bit with the two-pass loop
+//! (penalty into the gradient buffer, then `w −= η·buf`), and `mgd_delta`
+//! and the `MgdStep` op that runs it with that loop's step, `w₁ − w₀`.
 
 use std::collections::BTreeSet;
 
@@ -14,7 +15,7 @@ use mllib_star::core::{
     OpResult, PsSystemConfig, Shard, System, TrainConfig, TrainOutput, WorkerOp,
 };
 use mllib_star::data::{SparseDataset, SyntheticConfig};
-use mllib_star::glm::{batch_gradient_into, mgd_step, LearningRate, Loss, Regularizer};
+use mllib_star::glm::{batch_gradient_into, mgd_delta, mgd_step, LearningRate, Loss, Regularizer};
 use mllib_star::linalg::{DenseVector, SparseVector};
 use mllib_star::sim::{ClusterSpec, NetworkSpec, NodeSpec};
 use proptest::prelude::*;
@@ -281,12 +282,21 @@ fn model_of(result: Result<OpResult, ExecError>) -> (DenseVector, u64) {
     }
 }
 
+fn grad_of(result: Result<OpResult, ExecError>) -> DenseVector {
+    match result {
+        Ok(OpResult::Grad(g)) => g,
+        other => panic!("expected a gradient, got {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `mgd_step` and the `MgdStep` / `MgdEpoch` ops move no weight bit
-    /// against the two-pass loop, and `mgd_step` leaves the batch loss
-    /// gradient (without the penalty) in its buffer.
+    /// `mgd_step` and the `MgdEpoch` op (one chunk and many) move no
+    /// weight bit against the two-pass loop, and `mgd_step` leaves the
+    /// batch loss gradient (without the penalty) in its buffer.
+    /// `mgd_delta` and the `MgdStep` op give the two-pass step followed by
+    /// `axpy(−1, w₀)` bit for bit, and leave the model alone.
     #[test]
     fn mgd_step_matches_the_two_pass_loop_bit_for_bit(
         seed in any::<u64>(),
@@ -309,6 +319,8 @@ proptest! {
 
         let mut want = w0.clone();
         two_pass_step(loss, reg, &mut want, &rows, &labels, batch, eta, &mut junk(d));
+        let mut want_delta = want.clone();
+        want_delta.axpy(-1.0, &w0);
         let mut loss_grad = DenseVector::zeros(d);
         batch_gradient_into(loss, &w0, &rows, &labels, batch, &mut loss_grad);
 
@@ -316,6 +328,10 @@ proptest! {
         mgd_step(loss, reg, &mut w, &rows, &labels, batch, eta, &mut buf);
         prop_assert_eq!(bits(&w), bits(&want));
         prop_assert_eq!(bits(&buf), bits(&loss_grad));
+
+        let mut delta = junk(d);
+        mgd_delta(loss, reg, &w0, &rows, &labels, batch, eta, &mut delta);
+        prop_assert_eq!(bits(&delta), bits(&want_delta));
 
         // Through the executor, whose buffer first takes a swapped-in model.
         let lr = LearningRate::InvSqrt(eta);
@@ -327,9 +343,21 @@ proptest! {
         let swapped = exec.execute(&shard, resolve, WorkerOp::BatchGrad { w: junk(d), batch: global(batch) });
         prop_assert!(matches!(swapped, Ok(OpResult::Grad(_))));
         let step = WorkerOp::MgdStep { w: w0.clone(), batch: global(batch), eta };
-        let (w, t) = model_of(exec.execute(&shard, resolve, step));
+        let delta = grad_of(exec.execute(&shard, resolve, step));
+        prop_assert_eq!(bits(&delta), bits(&want_delta));
+
+        // Petuum*'s GD step: one chunk at `lr(t0)` is the stepped model.
+        let (mut want, eta0) = (w0.clone(), lr.eta(t0));
+        two_pass_step(loss, reg, &mut want, &rows, &labels, batch, eta0, &mut junk(d));
+        let one = WorkerOp::MgdEpoch {
+            w: w0.clone(),
+            order: global(batch),
+            batch_size: batch.len() as u32,
+            t0,
+        };
+        let (w, t) = model_of(exec.execute(&shard, resolve, one));
         prop_assert_eq!(bits(&w), bits(&want));
-        prop_assert_eq!(t, 0);
+        prop_assert_eq!(t, t0 + 1);
 
         let (mut want, mut t_want, mut buf) = (w0.clone(), t0, junk(d));
         for chunk in order.chunks(batch_size as usize) {

@@ -434,3 +434,31 @@ fn assign_row_of_the_wrong_dimension_is_refused() {
     let err = decode_msg(&encode_msg(&assign, FrameSwitch::Dense)).unwrap_err();
     assert!(matches!(err, NetError::Protocol(_)), "{err}");
 }
+
+/// `MgdStep` moved from op tag 5, whose result was the stepped model, to
+/// tag 8, whose result is the step it took. A checksum-valid `Ops` frame
+/// holding a tag-5 op, as a peer built before the move sends it, is
+/// refused as an unknown op tag, so nobody reads a step as a model.
+#[test]
+fn retired_mgd_step_tag_5_is_refused() {
+    let ops = Msg::Ops {
+        batch: 1,
+        ops: vec![WorkerOp::MgdStep {
+            w: DenseVector::zeros(2),
+            batch: vec![0],
+            eta: 0.5,
+        }],
+    };
+    for switch in [FrameSwitch::Dense, FrameSwitch::Adaptive] {
+        let frame = encode_msg(&ops, switch);
+        let mut payload = frame[HEADER_LEN..].to_vec();
+        // Message tag, batch id (u64), op count (u64), then the op's tag.
+        assert_eq!(payload[17], 8, "{switch:?}");
+        payload[17] = 5;
+        let err = decode_msg(&encode_frame(NET_MAGIC, NET_VERSION, &payload)).unwrap_err();
+        assert!(
+            matches!(&err, NetError::Protocol(m) if m.contains("unknown op tag 5")),
+            "{switch:?}: {err}"
+        );
+    }
+}
