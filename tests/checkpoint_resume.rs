@@ -691,6 +691,165 @@ fn misfit_error_feedback_residuals_are_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The spark.ml state of a checkpoint payload, split into its fields: the
+/// model, the gradient, the `(s, y)` pairs (one byte run each) and the
+/// cached objective. The state is the payload's last field; `at` is where
+/// its `u64` length starts.
+#[derive(Clone)]
+struct LbfgsBytes<'a> {
+    at: usize,
+    w: &'a [u8],
+    grad: &'a [u8],
+    pairs: Vec<&'a [u8]>,
+    f: &'a [u8],
+}
+
+impl<'a> LbfgsBytes<'a> {
+    fn split(payload: &'a [u8], dim: usize) -> Self {
+        let vector = 8 + 8 * dim;
+        // The pair count fixes the state's length: find the count whose
+        // length word sits where that length says it does.
+        let (at, n) = (0..=10)
+            .map(|n| (16 + (2 + 2 * n) * vector, n))
+            .find_map(|(len, n)| {
+                let at = payload.len().checked_sub(len + 8)?;
+                let word = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+                (word == len as u64).then_some((at, n))
+            })
+            .expect("a spark.ml strategy state");
+        let state = &payload[at + 8..];
+        let (w, rest) = state.split_at(vector);
+        let (grad, rest) = rest.split_at(vector);
+        assert_eq!(rest[..8], (n as u64).to_le_bytes(), "pair count");
+        let (pairs, f) = rest[8..].split_at(n * 2 * vector);
+        LbfgsBytes {
+            at,
+            w,
+            grad,
+            pairs: pairs.chunks(2 * vector).collect(),
+            f,
+        }
+    }
+
+    /// Re-encodes `payload` with this state in place of its own.
+    fn checkpoint(&self, payload: &[u8]) -> TrainCheckpoint {
+        let mut state = [self.w, self.grad].concat();
+        state.extend_from_slice(&(self.pairs.len() as u64).to_le_bytes());
+        self.pairs.iter().for_each(|p| state.extend_from_slice(p));
+        state.extend_from_slice(self.f);
+        let mut out = payload[..self.at].to_vec();
+        out.extend_from_slice(&(state.len() as u64).to_le_bytes());
+        out.extend_from_slice(&state);
+        TrainCheckpoint::decode(&encode_frame(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &out)).unwrap()
+    }
+}
+
+/// A dense vector's bytes one coordinate short.
+fn one_short(vector: &[u8]) -> Vec<u8> {
+    let dim = u64::from_le_bytes(vector[..8].try_into().unwrap());
+    let mut out = (dim - 1).to_le_bytes().to_vec();
+    out.extend_from_slice(&vector[8..vector.len() - 8]);
+    out
+}
+
+/// A spark.ml checkpoint whose state does not fit the run — more `(s, y)`
+/// pairs than the history keeps, or a model, gradient or pair of the
+/// wrong dimension — is refused as corrupt, never resumed.
+#[test]
+fn hostile_sparkml_states_are_refused() {
+    let ds = dataset();
+    let cfg = config(42);
+    let dir = scratch_dir("sparkml_refusals");
+    train_reference(System::SparkMl, &ds, &cfg, &dir);
+    let bytes = std::fs::read(checkpoint_path(&dir, System::SparkMl, 2)).unwrap();
+    let payload = decode_frame(&bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        .unwrap()
+        .to_vec();
+    let real = LbfgsBytes::split(&payload, ds.num_features());
+    assert!(
+        !real.pairs.is_empty(),
+        "the history holds a pair by round 2"
+    );
+    assert_eq!(
+        real.checkpoint(&payload).encode(),
+        bytes,
+        "split and rejoined"
+    );
+
+    let (short_w, short_grad) = (one_short(real.w), one_short(real.grad));
+    let (s, y) = real.pairs[0].split_at(real.pairs[0].len() / 2);
+    let short_pair = [one_short(s), y.to_vec()].concat();
+    let mut short_pairs = real.pairs.clone();
+    short_pairs[0] = &short_pair;
+
+    for (what, state, why) in [
+        (
+            "history",
+            LbfgsBytes {
+                // Eleven pairs for a history of ten.
+                pairs: real.pairs.iter().copied().cycle().take(11).collect(),
+                ..real.clone()
+            },
+            "11 correction pairs",
+        ),
+        (
+            "w",
+            LbfgsBytes {
+                w: &short_w,
+                ..real.clone()
+            },
+            "dimension 29",
+        ),
+        (
+            "grad",
+            LbfgsBytes {
+                grad: &short_grad,
+                ..real.clone()
+            },
+            "dimension 29",
+        ),
+        (
+            "pair",
+            LbfgsBytes {
+                pairs: short_pairs,
+                ..real.clone()
+            },
+            "dimension 29",
+        ),
+    ] {
+        let err = System::SparkMl
+            .resume(
+                &ds,
+                &ClusterSpec::cluster1(),
+                &cfg,
+                &PsSystemConfig::default(),
+                &AngelConfig::default(),
+                &dir,
+                state.checkpoint(&payload),
+            )
+            .unwrap_err();
+        match err {
+            CheckpointError::Codec(CodecError::Corrupt(msg)) => {
+                assert!(msg.contains(why), "{what}: {msg}")
+            }
+            other => panic!("{what}: expected a corrupt-state refusal, got {other:?}"),
+        }
+    }
+    // The state re-encoded unedited resumes.
+    System::SparkMl
+        .resume(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &cfg,
+            &PsSystemConfig::default(),
+            &AngelConfig::default(),
+            &dir,
+            real.checkpoint(&payload),
+        )
+        .unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn pruning_is_per_system_and_ignores_foreign_files() {
     use mllib_star::core::prune_checkpoints;
