@@ -330,12 +330,7 @@ fn second_order(c: &Ctx) {
         seed: c.seed,
         ..TrainConfig::default()
     };
-    let lbfgs = mlstar_core::train_sparkml_lbfgs(
-        &c.ds,
-        &c.cluster,
-        &lbfgs_cfg,
-        &mlstar_core::SparkMlConfig::default(),
-    );
+    let lbfgs = System::SparkMl.train_default(&c.ds, &c.cluster, &lbfgs_cfg);
     let best = |o: &TrainOutput| o.trace.best_objective().unwrap_or(f64::INFINITY);
     let target = best(&star).min(best(&lbfgs)) + 0.01;
     let mut sheet = Sheet::new(

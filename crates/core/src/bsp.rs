@@ -1,12 +1,16 @@
-//! MLlib, MLlib+MA and MLlib\*: one BSP round resolved from the paper's
-//! two choices (Section I: MLlib\* = MLlib + model averaging + AllReduce).
+//! MLlib, MLlib+MA, MLlib\* and spark.ml: one BSP round resolved from the
+//! paper's two choices (Section I: MLlib\* = MLlib + model averaging +
+//! AllReduce), plus the L-BFGS update of its future work.
 //!
 //! * **The update (B1).** *SendGradient*: each executor computes the
 //!   average loss gradient over a sampled batch, and the driver applies
 //!   **one** update per step, `w ← w − η·(g + ∇Ω(w))`. *SendModel*: each
 //!   executor runs a full local SGD pass over its partition (lazy
 //!   regularization), and the step's model is the average of the local
-//!   models — many updates per step.
+//!   models — many updates per step. *L-BFGS* (`crate::sparkml`): the
+//!   driver's line search runs its trials as supersteps of their own,
+//!   then each executor sends its full-partition gradient weighted by
+//!   `|part|/n`, and the driver adds `∇Ω` and updates the `(s, y)` history.
 //! * **The combine (B2).** *Driver*: a driver broadcast, then a
 //!   hierarchical `treeAggregate` up to the driver, so every byte
 //!   serializes through its NIC. *AllReduce* (Algorithm 3): Reduce-Scatter
@@ -19,18 +23,20 @@
 //! | MLlib | SendGradient | driver | Figures 2a, 3a |
 //! | MLlib+MA | SendModel | driver | Figure 3b |
 //! | MLlib\* | SendModel | AllReduce | Algorithm 3, Figures 2b, 3c |
+//! | spark.ml | L-BFGS | driver | the conclusion's future work |
 
 use mlstar_codec::{schema, CodecError, Reader, Writer};
 use mlstar_collectives::CompressionConfig;
 use mlstar_data::{BatchSampler, SparseDataset};
 use mlstar_exec::WorkerOp;
 use mlstar_linalg::DenseVector;
-use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, NodeId, SeedStream};
+use mlstar_sim::{dense_op_flops, pass_flops, Activity, ClusterSpec, SeedStream};
 
 use crate::checkpoint::{check_dim, check_workers, dense};
-use crate::common::{pass_state, BspHarness, LocalPasses};
-use crate::engine::{BspRound, RoundStrategy, StepCtx};
+use crate::common::{eval_objective, pass_state, BspHarness, LocalPasses};
+use crate::engine::{BspRound, StepCtx};
 use crate::exec::{dispatch, expect_grad, to_wire_indices, ComputeBackend};
+use crate::sparkml::Lbfgs;
 use crate::{System, TrainConfig, TrainOutput};
 
 /// SendGradient's local phase: per-worker batch samplers and gradient
@@ -62,10 +68,9 @@ impl BatchGradients {
         rd: &mut BspRound<'_, '_>,
         backend: &mut dyn ComputeBackend,
         h: &BspHarness<'_>,
-        ds: &SparseDataset,
-        cfg: &TrainConfig,
         w: &DenseVector,
     ) {
+        let (ds, cfg) = (h.ds, h.cfg);
         let mut ops = Vec::with_capacity(h.k());
         for (r, part) in h.parts.iter().enumerate() {
             if part.is_empty() {
@@ -83,13 +88,7 @@ impl BatchGradients {
                     batch: to_wire_indices(&batch),
                 },
             ));
-            rd.charge_flops(pass_flops(batch_nnz));
-            rd.rb.work(
-                NodeId::Executor(r),
-                Activity::Compute,
-                h.cost
-                    .executor_waves(r, pass_flops(batch_nnz), cfg.waves, rd.straggler_rng),
-            );
+            rd.task(h, r, pass_flops(batch_nnz), cfg.waves);
         }
         for (r, res) in dispatch(backend, ops) {
             self.grads[r] = expect_grad(res);
@@ -103,6 +102,9 @@ enum Update {
     Gradient(BatchGradients),
     /// SendModel: one local SGD pass per worker, then the average.
     Model(LocalPasses),
+    /// spark.ml's L-BFGS: a line search, then one weighted full-partition
+    /// gradient per worker and a quasi-Newton step at the driver.
+    Lbfgs(Lbfgs),
 }
 
 /// The combine choice (B2): how the workers' vectors become one average.
@@ -119,15 +121,15 @@ enum Combine {
     },
 }
 
-/// The round of MLlib, MLlib+MA and MLlib\*, as resolved by
-/// [`BspStrategy::resolve`].
+/// The round of MLlib, MLlib+MA, MLlib\* and spark.ml, as resolved by
+/// [`BspStrategy::resolve`] — the one trainer `run_rounds` drives.
 pub(crate) struct BspStrategy<'a> {
-    system: System,
-    h: BspHarness<'a>,
+    pub system: System,
+    pub h: BspHarness<'a>,
     /// The global model. Under AllReduce every executor holds an
     /// identical copy; we track one (they are bit-identical by
     /// construction).
-    w: DenseVector,
+    pub w: DenseVector,
     update: Update,
     combine: Combine,
 }
@@ -137,15 +139,15 @@ impl<'a> BspStrategy<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `system` is not MLlib, MLlib+MA or MLlib\*.
+    /// Panics if `system` is a parameter-server system.
     pub(crate) fn resolve(
         system: System,
-        ds: &SparseDataset,
+        ds: &'a SparseDataset,
         cluster: &ClusterSpec,
-        cfg: &TrainConfig,
+        cfg: &'a TrainConfig,
         parts: &'a [Vec<usize>],
     ) -> Self {
-        let h = BspHarness::new(ds, cluster, parts);
+        let h = BspHarness::new(ds, cluster, cfg, parts);
         let (k, dim) = (h.k(), ds.num_features());
         let driver = Combine::Driver {
             fanin: cfg.tree_fanin,
@@ -163,6 +165,7 @@ impl<'a> BspStrategy<'a> {
                     residuals: Vec::new(),
                 },
             ),
+            System::SparkMl => (Update::Lbfgs(Lbfgs::new(&h)), driver),
             other => unreachable!("{other} is not a BSP strategy system"),
         };
         BspStrategy {
@@ -173,29 +176,41 @@ impl<'a> BspStrategy<'a> {
             combine,
         }
     }
-}
 
-impl RoundStrategy for BspStrategy<'_> {
-    fn name(&self) -> &'static str {
-        self.system.name()
+    /// Objective at the current model, never charged to simulated time.
+    /// L-BFGS reuses the value its line search already paid for.
+    pub(crate) fn objective(&self) -> f64 {
+        let (ds, cfg) = (self.h.ds, self.h.cfg);
+        match &self.update {
+            Update::Lbfgs(l) => l.f,
+            _ => eval_objective(ds, cfg.loss, cfg.reg, &self.w),
+        }
     }
 
-    fn weights(&self) -> &DenseVector {
-        &self.w
+    /// L-BFGS's warm-up gradient at `w₀`: one round of simulated time
+    /// before the first step, which no `RoundStats` counts.
+    pub(crate) fn warm_up(&mut self, ctx: &mut StepCtx, backend: &mut dyn ComputeBackend) {
+        if matches!(self.update, Update::Lbfgs(_)) {
+            self.round(ctx, backend, 0);
+        }
     }
 
-    fn into_weights(self) -> DenseVector {
-        self.w
-    }
-
-    fn step(
+    /// Performs communication step `round` and returns the number of model
+    /// updates, or `None` when L-BFGS stops before the step counts.
+    pub(crate) fn step(
         &mut self,
         ctx: &mut StepCtx,
         backend: &mut dyn ComputeBackend,
-        ds: &SparseDataset,
-        cfg: &TrainConfig,
         round: u64,
     ) -> Option<u64> {
+        if let Update::Lbfgs(l) = &mut self.update {
+            l.line_search(ctx, backend, &self.h, &mut self.w)?;
+        }
+        Some(self.round(ctx, backend, round))
+    }
+
+    /// The shared superstep: broadcast, local phase, combine, finish.
+    fn round(&mut self, ctx: &mut StepCtx, backend: &mut dyn ComputeBackend, round: u64) -> u64 {
         let BspStrategy {
             h,
             w,
@@ -203,35 +218,46 @@ impl RoundStrategy for BspStrategy<'_> {
             combine,
             ..
         } = self;
-        let dim = ds.num_features();
+        let (cfg, dim) = (h.cfg, h.ds.num_features());
         let driver = matches!(combine, Combine::Driver { .. });
         let nodes = if driver { &h.all_nodes } else { &h.exec_nodes };
-        let updates = ctx.round(nodes, |rd| {
+        ctx.round(nodes, |rd| {
             // (1) The driver broadcasts the model.
             if driver {
                 rd.broadcast(&h.cost, dim);
             }
 
             // (2) The local phase. A failed task re-reads what it read: its
-            // batch's share of the partition, or all of it.
+            // batch's share of the partition, or all of it. spark.ml's
+            // round draws no failure.
             let (updates, inputs, send, reread) = match update {
                 Update::Gradient(g) => {
-                    g.run(rd, backend, h, ds, cfg, w);
-                    (1, &g.grads, Activity::SendGradient, cfg.batch_frac)
+                    g.run(rd, backend, h, w);
+                    (1, &g.grads, Activity::SendGradient, Some(cfg.batch_frac))
                 }
                 Update::Model(passes) => {
-                    let updates = passes.run(rd, backend, h, ds, cfg, w);
-                    (updates, &passes.locals, Activity::SendModel, 1.0)
+                    let updates = passes.run(rd, backend, h, w);
+                    (updates, &passes.locals, Activity::SendModel, Some(1.0))
+                }
+                Update::Lbfgs(l) => {
+                    l.run(rd, backend, h, w);
+                    (1, &l.partials, Activity::SendGradient, None)
                 }
             };
             rd.rb.barrier();
-            rd.inject_failure(h, cfg, |r| pass_flops(h.part_nnz[r]) * reread);
+            if let Some(reread) = reread {
+                rd.inject_failure(h, |r| pass_flops(h.part_nnz[r]) * reread);
+            }
 
             // (3) The combine: the average of the workers' vectors.
             let avg = match combine {
                 Combine::Driver { fanin } => {
                     let mut sum = rd.tree_aggregate(&h.cost, inputs, *fanin, send);
-                    sum.scale(1.0 / h.k() as f64);
+                    // L-BFGS's partials arrive weighted: their sum is the
+                    // average already.
+                    if !matches!(update, Update::Lbfgs(_)) {
+                        sum.scale(1.0 / h.k() as f64);
+                    }
                     sum
                 }
                 Combine::AllReduce {
@@ -241,7 +267,8 @@ impl RoundStrategy for BspStrategy<'_> {
             };
 
             // (4) The finish: MLlib's single driver update (its own
-            // kernel), or the average becoming the model.
+            // kernel), the average becoming the model, or L-BFGS's
+            // gradient and history update.
             let driver_passes = match update {
                 Update::Gradient(_) => {
                     let mut grad = avg;
@@ -253,39 +280,48 @@ impl RoundStrategy for BspStrategy<'_> {
                     *w = avg;
                     1.0
                 }
+                Update::Lbfgs(l) => {
+                    l.finish(w, avg, cfg);
+                    1.0
+                }
             };
             if driver {
-                let flops = driver_passes * dense_op_flops(dim);
-                rd.charge_flops(flops);
-                rd.rb.work(
-                    NodeId::Driver,
-                    Activity::DriverUpdate,
-                    h.cost.driver_compute(flops),
-                );
+                rd.driver_update(h, driver_passes * dense_op_flops(dim));
             }
             updates
-        });
-        Some(updates)
+        })
     }
 
     /// Writes the model, then the update's state (every worker's sampler
-    /// stream, or the local-pass streams and counters), then — under
-    /// AllReduce only — the error-feedback residuals, which carry
-    /// un-shipped gradient mass across rounds.
-    fn save_state(&self, w: &mut Writer) {
-        dense::put(w, &self.w, ());
+    /// stream, or the local-pass streams and counters; L-BFGS writes one
+    /// record with the model inside), then — under AllReduce only — the
+    /// error-feedback residuals, which carry un-shipped gradient mass
+    /// across rounds.
+    pub(crate) fn save_state(&self, w: &mut Writer) {
         match &self.update {
-            Update::Gradient(g) => samplers::put(w, &g.samplers, ()),
-            Update::Model(passes) => pass_state::put(w, &passes.state(), ()),
+            Update::Gradient(g) => {
+                dense::put(w, &self.w, ());
+                samplers::put(w, &g.samplers, ());
+            }
+            Update::Model(passes) => {
+                dense::put(w, &self.w, ());
+                pass_state::put(w, &passes.state(), ());
+            }
+            Update::Lbfgs(l) => l.save(&self.w, w),
         }
         if let Combine::AllReduce { residuals, .. } = &self.combine {
             residual_list::put(w, residuals, ());
         }
     }
 
-    fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+    /// Restores what [`BspStrategy::save_state`] wrote; a dimension or
+    /// worker count that is not this run's is [`CodecError::Corrupt`].
+    pub(crate) fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
         let dim = self.w.dim();
-        let w = dense::get(r)?;
+        let w = match &mut self.update {
+            Update::Gradient(_) | Update::Model(_) => dense::get(r)?,
+            Update::Lbfgs(l) => l.restore(r, dim)?,
+        };
         check_dim(&w, dim)?;
         match &mut self.update {
             Update::Gradient(g) => {
@@ -294,6 +330,7 @@ impl RoundStrategy for BspStrategy<'_> {
                 g.samplers = saved;
             }
             Update::Model(passes) => passes.restore(pass_state::get(r)?)?,
+            Update::Lbfgs(_) => {}
         }
         if let Combine::AllReduce { residuals, .. } = &mut self.combine {
             let saved = residual_list::get(r)?;
@@ -366,6 +403,7 @@ mod tests {
     use mlstar_collectives::{FrameSwitch, Sparsifier};
     use mlstar_data::SyntheticConfig;
     use mlstar_glm::{LearningRate, Loss, Regularizer};
+    use mlstar_sim::NodeId;
 
     fn tiny_ds() -> SparseDataset {
         let mut cfg = SyntheticConfig::small("bsp-test", 240, 30);
@@ -850,8 +888,8 @@ mod tests {
         let mut backend = crate::InProcessBackend::new(&ds, &parts, &cfg);
         let mut strat = BspStrategy::resolve(System::MllibStar, &ds, &cluster, &cfg, &parts);
         let mut ctx = StepCtx::new(cfg.seed);
-        strat.step(&mut ctx, &mut backend, &ds, &cfg, 0);
-        strat.step(&mut ctx, &mut backend, &ds, &cfg, 1);
+        strat.step(&mut ctx, &mut backend, 0);
+        strat.step(&mut ctx, &mut backend, 1);
         assert!(
             residuals(&strat).iter().any(|r| r.norm1() > 0.0),
             "top-k should leave residual mass behind"

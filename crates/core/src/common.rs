@@ -5,15 +5,17 @@ use mlstar_data::{EpochOrder, SparseDataset};
 use mlstar_exec::WorkerOp;
 use mlstar_glm::{objective_value, Loss, Regularizer};
 use mlstar_linalg::DenseVector;
-use mlstar_sim::{pass_flops, Activity, ClusterSpec, CostModel, NodeId, SeedStream};
+use mlstar_sim::{pass_flops, ClusterSpec, CostModel, NodeId, SeedStream};
 
 use crate::checkpoint::check_workers;
 use crate::engine::BspRound;
 use crate::exec::{dispatch, expect_model, to_wire_indices, ComputeBackend};
 use crate::{MaWeighting, TrainConfig};
 
-/// Partitioned dataset + cost model + node lists for one BSP run.
+/// Dataset, config, partitions, cost model and node lists of one BSP run.
 pub(crate) struct BspHarness<'a> {
+    pub ds: &'a SparseDataset,
+    pub cfg: &'a TrainConfig,
     /// The cost model over the cluster.
     pub cost: CostModel,
     /// Driver plus all executors (round participants for driver-centric
@@ -30,7 +32,12 @@ pub(crate) struct BspHarness<'a> {
 
 impl<'a> BspHarness<'a> {
     /// Builds the harness over `parts`, one partition per executor.
-    pub fn new(ds: &SparseDataset, cluster: &ClusterSpec, parts: &'a [Vec<usize>]) -> Self {
+    pub fn new(
+        ds: &'a SparseDataset,
+        cluster: &ClusterSpec,
+        cfg: &'a TrainConfig,
+        parts: &'a [Vec<usize>],
+    ) -> Self {
         assert_eq!(
             parts.len(),
             cluster.num_executors(),
@@ -40,6 +47,8 @@ impl<'a> BspHarness<'a> {
         let mut all_nodes = vec![NodeId::Driver];
         all_nodes.extend(exec_nodes.iter().copied());
         BspHarness {
+            ds,
+            cfg,
             cost: CostModel::new(cluster.clone()),
             all_nodes,
             exec_nodes,
@@ -97,11 +106,9 @@ impl LocalPasses {
         rd: &mut BspRound<'_, '_>,
         backend: &mut dyn ComputeBackend,
         h: &BspHarness<'_>,
-        ds: &SparseDataset,
-        cfg: &TrainConfig,
         w: &DenseVector,
     ) -> u64 {
-        let k = h.k();
+        let (k, ds, cfg) = (h.k(), h.ds, h.cfg);
         let mut updates = 0u64;
         let mut ops = Vec::with_capacity(k);
         for (r, part) in h.parts.iter().enumerate() {
@@ -119,13 +126,7 @@ impl LocalPasses {
                     t0: self.counters[r],
                 },
             ));
-            rd.charge_flops(pass_flops(h.part_nnz[r]));
-            rd.rb.work(
-                NodeId::Executor(r),
-                Activity::Compute,
-                h.cost
-                    .executor_waves(r, pass_flops(h.part_nnz[r]), cfg.waves, rd.straggler_rng),
-            );
+            rd.task(h, r, pass_flops(h.part_nnz[r]), cfg.waves);
         }
         for (r, res) in dispatch(backend, ops) {
             (self.locals[r], self.counters[r]) = expect_model(res);
@@ -235,8 +236,9 @@ mod tests {
     fn harness_accounts_for_every_row() {
         let ds = SyntheticConfig::small("h", 103, 20).generate();
         let cluster = ClusterSpec::cluster1();
-        let parts = system_partitions(System::Mllib, &ds, &cluster, &TrainConfig::default());
-        let h = BspHarness::new(&ds, &cluster, &parts);
+        let cfg = TrainConfig::default();
+        let parts = system_partitions(System::Mllib, &ds, &cluster, &cfg);
+        let h = BspHarness::new(&ds, &cluster, &cfg, &parts);
         assert_eq!(h.k(), 8);
         assert_eq!(h.all_nodes.len(), 9);
         assert_eq!(h.exec_nodes.len(), 8);
@@ -273,13 +275,12 @@ mod tests {
         let cfg = TrainConfig::default();
         let mut parts = system_partitions(System::MllibStar, &ds, &cluster, &cfg);
         parts[2].clear();
-        let h = BspHarness::new(&ds, &cluster, &parts);
+        let h = BspHarness::new(&ds, &cluster, &cfg, &parts);
         let mut backend = InProcessBackend::new(&ds, &parts, &cfg);
         let w = DenseVector::filled(ds.num_features(), 0.5);
         let mut passes = LocalPasses::new(3, ds.num_features(), cfg.seed);
-        let updates = crate::engine::StepCtx::new(cfg.seed).round(&h.exec_nodes, |rd| {
-            passes.run(rd, &mut backend, &h, &ds, &cfg, &w)
-        });
+        let updates = crate::engine::StepCtx::new(cfg.seed)
+            .round(&h.exec_nodes, |rd| passes.run(rd, &mut backend, &h, &w));
         assert_eq!(updates as usize, parts[0].len() + parts[1].len());
         assert_ne!(passes.locals[0], w);
         assert_eq!(passes.locals[2], w);

@@ -31,6 +31,7 @@ use std::path::Path;
 
 use mlstar_data::{BatchSampler, DatasetFingerprint, EpochOrder, SparseDataset};
 use mlstar_exec::{OpResult, WorkerOp};
+use mlstar_glm::GlmModel;
 use mlstar_linalg::DenseVector;
 use mlstar_ps::{Aggregation, PsConfig, PsEngine, PsRunStats, WorkerLogic, WorkerStep};
 use mlstar_sim::{
@@ -42,7 +43,7 @@ use crate::checkpoint::{
     TrainCheckpoint,
 };
 use crate::common::{eval_objective, partition_active_coords, partition_nnz, workload_label};
-use crate::engine::{assemble_output, CommBytes, RoundStats};
+use crate::engine::{CommBytes, RoundStats};
 use crate::exec::{dispatch_one, expect_model, to_wire_indices, ComputeBackend};
 use crate::{
     AngelConfig, ConvergenceTrace, PsSystemConfig, System, TracePoint, TrainConfig, TrainOutput,
@@ -508,18 +509,18 @@ pub(crate) fn train_ps(
     );
     let (trace, converged) = clock.finish()?;
 
-    // A PS worker dispatches one op per tick, so no batch ever spreads
-    // over host threads.
-    Ok(assemble_output(
+    Ok(TrainOutput {
         trace,
-        engine.gantt().clone(),
-        model,
-        stats.total_updates,
-        stats.clock_times.len() as u64,
+        gantt: engine.gantt().clone(),
+        model: GlmModel::from_weights(model),
+        total_updates: stats.total_updates,
+        rounds_run: stats.clock_times.len() as u64,
         converged,
-        ps_round_stats(&stats, k),
-        1,
-    ))
+        round_stats: ps_round_stats(&stats, k),
+        // A PS worker dispatches one op per tick, so no batch ever spreads
+        // over host threads.
+        host_threads: 1,
+    })
 }
 
 /// Converts the PS engine's per-clock telemetry into [`RoundStats`],

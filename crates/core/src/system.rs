@@ -9,13 +9,10 @@ use mlstar_sim::ClusterSpec;
 
 use crate::bsp::BspStrategy;
 use crate::checkpoint::{config_digest, CheckpointState, TrainCheckpoint};
-use crate::engine::{expect_uncheckpointed, run_rounds, CheckpointRun};
+use crate::engine::{expect_uncheckpointed, run_rounds};
 use crate::exec::{system_partitions, ComputeBackend, ExecAbort, InProcessBackend};
 use crate::ps::{train_ps, PsPlan};
-use crate::sparkml::SparkMlStrategy;
-use crate::{
-    AngelConfig, CheckpointError, PsSystemConfig, SparkMlConfig, TrainConfig, TrainOutput,
-};
+use crate::{AngelConfig, CheckpointError, PsSystemConfig, TrainConfig, TrainOutput};
 
 /// Where a checkpointed run writes, and the decoded state it resumes from
 /// (if any).
@@ -278,17 +275,9 @@ impl System {
             }
             None => None,
         };
-        let run = dir.map(|dir| CheckpointRun {
-            dir,
-            system: *self,
-            resume,
-        });
-        if *self == System::SparkMl {
-            let strategy = SparkMlStrategy::new(ds, cluster, cfg, &SparkMlConfig::default(), parts);
-            return run_rounds(ds, cfg, strategy, run, backend);
-        }
         let strategy = BspStrategy::resolve(*self, ds, cluster, cfg, parts);
-        run_rounds(ds, cfg, strategy, run, backend)
+        let ckpt = dir.map(|dir| (dir, resume));
+        run_rounds(strategy, ckpt, backend)
     }
 }
 

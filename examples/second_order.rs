@@ -5,7 +5,7 @@
 //! cargo run --release --example second_order
 //! ```
 
-use mllib_star::core::{train_mllib_star, train_sparkml_lbfgs, SparkMlConfig, TrainConfig};
+use mllib_star::core::{train_mllib_star, System, TrainConfig};
 use mllib_star::data::SyntheticConfig;
 use mllib_star::glm::{Lbfgs, LbfgsConfig, LearningRate, Loss, Regularizer};
 use mllib_star::sim::ClusterSpec;
@@ -36,7 +36,7 @@ fn main() {
         max_rounds: 30,
         ..TrainConfig::default()
     };
-    let dist = train_sparkml_lbfgs(&dataset, &cluster, &cfg, &SparkMlConfig::default());
+    let dist = System::SparkMl.train_default(&dataset, &cluster, &cfg);
     println!(
         "spark.ml(L-BFGS):  {} outer iterations, objective {:.4}, {:.2}s simulated",
         dist.rounds_run,
