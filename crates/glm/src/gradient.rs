@@ -1,4 +1,11 @@
 //! Batch gradient computation — the worker kernel of *SendGradient*.
+//!
+//! The batch is a sampled, so scattered, set of rows. Each row of the loop
+//! first loads a few words of the next one ([`load_ahead`]), so that
+//! row's cache misses overlap this row's dot and axpy. The loads are plain
+//! reads kept alive by [`std::hint::black_box`] rather than a prefetch
+//! intrinsic, which would need `unsafe` and one path per architecture;
+//! nothing reads their values, so the gradient's bits do not move.
 
 use mlstar_linalg::{DenseVector, SparseVector};
 
@@ -35,13 +42,33 @@ pub fn batch_gradient_into(
     assert_eq!(grad.dim(), w.dim(), "gradient buffer dimension mismatch");
     grad.clear();
     let inv = 1.0 / batch.len() as f64;
-    for &i in batch {
+    for (k, &i) in batch.iter().enumerate() {
+        load_ahead(rows, batch.get(k + 1));
         let x = &rows[i];
         let d = loss.dloss(w.dot_sparse(x), labels[i]);
         // exact-zero subgradient means no update — a sparsity fast path
         if d != 0.0 {
             grad.axpy_sparse(d * inv, x);
         }
+    }
+}
+
+/// Loads a few words of the row `next` names, if it is one: the header,
+/// the first and last index, and the first, middle and last value. The
+/// loads feed nothing but [`std::hint::black_box`], so they change no
+/// result; they start the next row's cache misses while the current
+/// row's dot and axpy run.
+#[inline(always)]
+pub(crate) fn load_ahead(rows: &[SparseVector], next: Option<&usize>) {
+    if let Some(x) = next.and_then(|&n| rows.get(n)) {
+        let (idx, val) = (x.indices(), x.values());
+        std::hint::black_box((
+            idx.first().copied(),
+            idx.last().copied(),
+            val.first().copied(),
+            val.get(val.len() / 2).copied(),
+            val.last().copied(),
+        ));
     }
 }
 

@@ -44,26 +44,29 @@ impl LazyL1 {
     /// Settles coordinate `i`'s penalty debt against the weight vector by
     /// soft-thresholding it with the outstanding debt `u − q[i]` (which is
     /// always ≥ 0, so the threshold clips at zero exactly like the shared
-    /// kernel's dead zone).
+    /// kernel's dead zone), and returns the settled weight, so a caller
+    /// can read each coordinate as it settles it.
     #[inline]
-    pub fn apply_at(&mut self, w: &mut DenseVector, i: usize) {
-        let z = w.get(i);
-        // exactly-zero coordinates owe nothing — a sparsity fast path
-        let applied = if z != 0.0 {
-            let nw = soft_threshold(z, self.u - self.q[i]);
-            w.set(i, nw);
-            (nw - z).abs()
-        } else {
-            0.0
-        };
-        // `applied` is the magnitude of penalty consumed this settlement.
-        self.q[i] += applied;
+    pub fn apply_at(&mut self, w: &mut DenseVector, i: usize) -> f64 {
+        let z = w[i];
+        let settled = soft_threshold(z, self.u - self.q[i]);
+        // exactly-zero coordinates owe nothing and keep their bits, so a
+        // `-0.0` weight keeps its sign (`soft_threshold` would give `0.0`).
+        // The settled value is computed either way and this fast path is a
+        // select rather than a branch: an L1 model mixes zero and nonzero
+        // coordinates too evenly for a branch to predict.
+        let nw = if z == 0.0 { z } else { settled };
+        w[i] = nw;
         // A zero coordinate owes nothing further until it becomes nonzero,
-        // so mark its debt as settled.
+        // so its debt is marked settled; otherwise the settlement consumed
+        // `|nw − z|` of it.
         // truncation clamps to exactly 0.0, so the check is exact
-        if w.get(i) == 0.0 {
-            self.q[i] = self.u;
-        }
+        self.q[i] = if nw == 0.0 {
+            self.u
+        } else {
+            self.q[i] + (nw - z).abs()
+        };
+        nw
     }
 
     /// Settles every coordinate (an `O(d)` pass). Called at epoch
