@@ -184,7 +184,8 @@ proptest! {
         for &(i, delta, eta_lambda) in &steps {
             lazy.accumulate(eta_lambda);
             w_lazy.set(i, w_lazy.get(i) + delta);
-            lazy.apply_at(&mut w_lazy, i);
+            let settled = lazy.apply_at(&mut w_lazy, i);
+            prop_assert_eq!(settled.to_bits(), w_lazy.get(i).to_bits());
 
             u += eta_lambda;
             w_eager.set(i, w_eager.get(i) + delta);
@@ -201,6 +202,31 @@ proptest! {
                 w_eager.get(i).to_bits(),
                 "coord {}: lazy {} vs eager {}", i, w_lazy.get(i), w_eager.get(i)
             );
+        }
+    }
+
+    /// `apply_at` returns exactly the weight it leaves at the coordinate,
+    /// whether that coordinate shrinks, clips to zero or starts at a signed
+    /// zero, which it keeps bit for bit (`-0.0` included).
+    #[test]
+    fn apply_at_returns_the_coordinate_it_leaves(
+        start in proptest::collection::vec(
+            prop_oneof![Just(0.0f64), Just(-0.0f64), -1.5f64..1.5],
+            DIM,
+        ),
+        steps in update_sequence(),
+    ) {
+        let mut w = DenseVector::from_vec(start);
+        let mut lazy = LazyL1::new(DIM);
+        for &(i, delta, eta_lambda) in &steps {
+            lazy.accumulate(eta_lambda);
+            let before = w.get(i);
+            let settled = lazy.apply_at(&mut w, i);
+            prop_assert_eq!(settled.to_bits(), w.get(i).to_bits());
+            if before == 0.0 {
+                prop_assert_eq!(settled.to_bits(), before.to_bits());
+            }
+            w.set(i, w.get(i) + delta);
         }
     }
 
