@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Samples mini-batches without replacement from a worker's index pool.
 ///
@@ -12,6 +12,10 @@ use rand::SeedableRng;
 #[derive(Debug, Clone)]
 pub struct BatchSampler {
     rng: StdRng,
+    /// The identity `0, 1, 2, …` over at least the last pool's positions,
+    /// kept between calls: [`BatchSampler::sample`] swaps a prefix of it
+    /// and swaps it back. Not part of the sampler's state.
+    positions: Vec<u32>,
 }
 
 impl BatchSampler {
@@ -19,24 +23,54 @@ impl BatchSampler {
     pub fn new(seed: u64) -> Self {
         BatchSampler {
             rng: StdRng::seed_from_u64(seed),
+            positions: Vec::new(),
         }
     }
 
     /// Samples `batch_size` distinct elements of `pool` (all of `pool` if
-    /// `batch_size >= pool.len()`).
+    /// `batch_size >= pool.len()`), in `O(batch_size)` after the first
+    /// call on a pool this long.
+    ///
+    /// The draws are `rand::seq::index::sample`'s partial Fisher–Yates
+    /// pass, made over a kept identity of pool positions instead of a
+    /// fresh pool-sized vector: position `i` swaps with one drawn from
+    /// `i..=n − 1`, the first `batch_size` positions pick the batch, and
+    /// the swaps are undone in reverse.
     ///
     /// # Panics
     ///
-    /// Panics if `pool` is empty.
+    /// Panics if `pool` is empty or longer than `u32::MAX`.
     pub fn sample(&mut self, pool: &[usize], batch_size: usize) -> Vec<usize> {
         assert!(!pool.is_empty(), "cannot sample from an empty pool");
-        if batch_size >= pool.len() {
+        let n = pool.len();
+        if batch_size >= n {
             return pool.to_vec();
         }
-        rand::seq::index::sample(&mut self.rng, pool.len(), batch_size)
-            .into_iter()
-            .map(|i| pool[i])
-            .collect()
+        assert!(
+            u32::try_from(n).is_ok(),
+            "a pool of {n} rows exceeds u32 positions"
+        );
+        if self.positions.len() < n {
+            self.positions.extend(self.positions.len() as u32..n as u32);
+        }
+        let positions = &mut self.positions[..n];
+        // Holds each step's swap partner until the undo pass replaces it
+        // with the sampled pool element.
+        let mut batch = Vec::with_capacity(batch_size);
+        for i in 0..batch_size {
+            let j = self.rng.gen_range(i..=n - 1);
+            positions.swap(i, j);
+            batch.push(j);
+        }
+        // Position i is final once step i has run (later steps swap only
+        // positions above it), so undoing the swaps from the last one back
+        // reads each sampled position before its own swap is undone.
+        for i in (0..batch_size).rev() {
+            let j = batch[i];
+            batch[i] = pool[positions[i] as usize];
+            positions.swap(i, j);
+        }
+        batch
     }
 
     /// Exports the sampler's RNG position (for checkpointing).
@@ -47,7 +81,10 @@ impl BatchSampler {
     /// Rebuilds a sampler mid-stream from [`BatchSampler::export_state`];
     /// `None` for states no reachable RNG can produce.
     pub fn restore_state(state: &[u8; 41]) -> Option<Self> {
-        StdRng::restore_state(state).map(|rng| BatchSampler { rng })
+        StdRng::restore_state(state).map(|rng| BatchSampler {
+            rng,
+            positions: Vec::new(),
+        })
     }
 }
 
@@ -161,6 +198,89 @@ mod tests {
         assert_eq!(sorted.len(), 5);
         for x in &b {
             assert!(pool.contains(x));
+        }
+    }
+
+    /// The path `sample` replaced: `rand::seq::index::sample` over a
+    /// fresh pool-sized vector, on the same RNG.
+    fn index_sample(rng: &mut StdRng, pool: &[usize], batch_size: usize) -> Vec<usize> {
+        if batch_size >= pool.len() {
+            return pool.to_vec();
+        }
+        rand::seq::index::sample(rng, pool.len(), batch_size)
+            .into_iter()
+            .map(|i| pool[i])
+            .collect()
+    }
+
+    fn assert_identity(s: &BatchSampler) {
+        assert!(s
+            .positions
+            .iter()
+            .enumerate()
+            .all(|(i, &p)| p as usize == i));
+    }
+
+    #[test]
+    fn sample_draws_what_index_sample_drew() {
+        let shapes = [
+            (1, 1),
+            (2, 1),
+            (7, 3),
+            (50, 49),
+            (50, 50),
+            (50, 80),
+            (2_408, 120),
+            (9_632, 96),
+            (20_214, 202),
+        ];
+        for seed in 0..4 {
+            for (n, batch_size) in shapes {
+                let pool: Vec<usize> = (0..n).map(|i| 3 * i + 1).collect();
+                let mut s = BatchSampler::new(seed);
+                let mut rng = StdRng::seed_from_u64(seed);
+                for _ in 0..5 {
+                    let want = index_sample(&mut rng, &pool, batch_size);
+                    assert_eq!(
+                        s.sample(&pool, batch_size),
+                        want,
+                        "seed {seed}, {n}/{batch_size}"
+                    );
+                }
+                assert_identity(&s);
+            }
+        }
+    }
+
+    #[test]
+    fn sample_follows_a_pool_whose_length_changes_and_a_restore() {
+        let calls = [
+            (40, 7),
+            (200, 19),
+            (13, 12),
+            (200, 3),
+            (1, 1),
+            (57, 56),
+            (300, 30),
+        ];
+        let mut s = BatchSampler::new(8);
+        let mut rng = StdRng::seed_from_u64(8);
+        for (n, batch_size) in calls {
+            let pool: Vec<usize> = (100..100 + n).rev().collect();
+            assert_eq!(
+                s.sample(&pool, batch_size),
+                index_sample(&mut rng, &pool, batch_size)
+            );
+            assert_identity(&s);
+        }
+        // A restored sampler starts with no positions and draws the same.
+        let mut restored = BatchSampler::restore_state(&s.export_state()).unwrap();
+        assert!(restored.positions.is_empty());
+        for (n, batch_size) in calls.into_iter().rev() {
+            let pool: Vec<usize> = (0..n).collect();
+            let want = index_sample(&mut rng, &pool, batch_size);
+            assert_eq!(restored.sample(&pool, batch_size), want);
+            assert_eq!(s.sample(&pool, batch_size), want);
         }
     }
 
