@@ -133,7 +133,7 @@ impl Lbfgs {
         let mut iterations = 0u64;
         // Scratch buffers reused across iterations; `spare` recycles the
         // storage of evicted correction pairs, so the steady state of the
-        // outer loop allocates nothing (hot_loop_alloc discipline).
+        // outer loop allocates nothing.
         let mut w_new = DenseVector::zeros(dim);
         let mut grad_new = DenseVector::zeros(dim);
         let mut spare: Option<(DenseVector, DenseVector)> = None;
@@ -225,7 +225,8 @@ pub fn lbfgs_direction(grad: &DenseVector, pairs: &[(DenseVector, DenseVector)])
     for (s, y) in pairs {
         let sy = s.dot(y);
         if sy > 1e-12 {
-            // lint:allow(hot_loop_alloc): the owned history is built once per call (≤ history pairs), not per optimization step
+            // The owned history: one copy of each kept pair per call (a
+            // line of the allocation ledger, tests/fixtures/allocs.txt).
             let (s, y) = (s.clone(), y.clone());
             history.push_back(Correction {
                 rho: 1.0 / sy,

@@ -155,7 +155,8 @@ pub fn fit_path_on_grid(
         let objective = cd_objective(loss, &pen, &margins, labels, &w);
         points.push(PathPoint {
             lambda,
-            // lint:allow(hot_loop_alloc): the per-λ snapshot is the path's output, not a loop temporary
+            // The per-λ snapshot is the path's output, not a loop temporary
+            // (a line of the allocation ledger, tests/fixtures/allocs.txt).
             weights: w.clone(),
             nnz: w.count_nonzero(),
             objective,
