@@ -36,41 +36,9 @@ pub fn read<R: BufRead>(reader: R, num_features: usize) -> Result<SparseDataset,
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let mut tokens = trimmed.split_whitespace();
-        let label_tok = tokens.next().ok_or_else(|| DataError::Parse {
-            line: lineno + 1,
-            message: "missing label".into(),
-        })?;
-        let raw_label: f64 = label_tok.parse().map_err(|_| DataError::Parse {
-            line: lineno + 1,
-            message: format!("invalid label {label_tok:?}"),
-        })?;
-        let label = normalize_label(raw_label).ok_or_else(|| DataError::Parse {
-            line: lineno + 1,
-            message: format!("label {raw_label} is not one of -1, 0, +1"),
-        })?;
-        let mut pairs = Vec::new();
-        for tok in tokens {
-            let (idx_str, val_str) = tok.split_once(':').ok_or_else(|| DataError::Parse {
-                line: lineno + 1,
-                message: format!("expected index:value, got {tok:?}"),
-            })?;
-            let idx: usize = idx_str.parse().map_err(|_| DataError::Parse {
-                line: lineno + 1,
-                message: format!("invalid index {idx_str:?}"),
-            })?;
-            if idx == 0 {
-                return Err(DataError::Parse {
-                    line: lineno + 1,
-                    message: "LIBSVM indices are 1-based; found 0".into(),
-                });
-            }
-            let val: f64 = val_str.parse().map_err(|_| DataError::Parse {
-                line: lineno + 1,
-                message: format!("invalid value {val_str:?}"),
-            })?;
-            max_index = max_index.max(idx);
-            pairs.push(((idx - 1) as u32, val));
+        let (pairs, label) = parse_tokens(trimmed, lineno + 1)?;
+        for &(j, _) in &pairs {
+            max_index = max_index.max(j as usize + 1);
         }
         parsed.push((lineno + 1, pairs, label));
     }
@@ -82,11 +50,7 @@ pub fn read<R: BufRead>(reader: R, num_features: usize) -> Result<SparseDataset,
     };
     let mut ds = SparseDataset::empty(dim);
     for (file_line, pairs, label) in parsed {
-        let row = SparseVector::from_pairs(dim, &pairs).map_err(|e| DataError::Parse {
-            line: file_line,
-            message: e.to_string(),
-        })?;
-        ds.push(row, label);
+        ds.push(build_row(dim, &pairs, file_line)?, label);
     }
     Ok(ds)
 }
@@ -226,46 +190,53 @@ fn parse_line(
     num_features: usize,
     line_no: usize,
 ) -> Result<(SparseVector, f64), DataError> {
+    let (pairs, label) = parse_tokens(trimmed, line_no)?;
+    Ok((build_row(num_features, &pairs, line_no)?, label))
+}
+
+/// Tokenizes one LIBSVM line into its 0-based `(index, value)` pairs and
+/// normalized label. A 1-based index must be at least 1 and at most
+/// `u32::MAX + 1`, so that it fits the `u32` a row stores.
+fn parse_tokens(trimmed: &str, line_no: usize) -> Result<(Vec<(u32, f64)>, f64), DataError> {
+    let error = |message: String| DataError::Parse {
+        line: line_no,
+        message,
+    };
     let mut tokens = trimmed.split_whitespace();
-    let label_tok = tokens.next().ok_or_else(|| DataError::Parse {
-        line: line_no,
-        message: "missing label".into(),
-    })?;
-    let raw_label: f64 = label_tok.parse().map_err(|_| DataError::Parse {
-        line: line_no,
-        message: format!("invalid label {label_tok:?}"),
-    })?;
-    let label = normalize_label(raw_label).ok_or_else(|| DataError::Parse {
-        line: line_no,
-        message: format!("label {raw_label} is not one of -1, 0, +1"),
-    })?;
+    let label_tok = tokens.next().ok_or_else(|| error("missing label".into()))?;
+    let raw_label: f64 = label_tok
+        .parse()
+        .map_err(|_| error(format!("invalid label {label_tok:?}")))?;
+    let label = normalize_label(raw_label)
+        .ok_or_else(|| error(format!("label {raw_label} is not one of -1, 0, +1")))?;
     let mut pairs = Vec::new();
     for tok in tokens {
-        let (idx_str, val_str) = tok.split_once(':').ok_or_else(|| DataError::Parse {
-            line: line_no,
-            message: format!("expected index:value, got {tok:?}"),
-        })?;
-        let idx: usize = idx_str.parse().map_err(|_| DataError::Parse {
-            line: line_no,
-            message: format!("invalid index {idx_str:?}"),
-        })?;
+        let (idx_str, val_str) = tok
+            .split_once(':')
+            .ok_or_else(|| error(format!("expected index:value, got {tok:?}")))?;
+        let idx: usize = idx_str
+            .parse()
+            .map_err(|_| error(format!("invalid index {idx_str:?}")))?;
         if idx == 0 {
-            return Err(DataError::Parse {
-                line: line_no,
-                message: "LIBSVM indices are 1-based; found 0".into(),
-            });
+            return Err(error("LIBSVM indices are 1-based; found 0".into()));
         }
-        let val: f64 = val_str.parse().map_err(|_| DataError::Parse {
-            line: line_no,
-            message: format!("invalid value {val_str:?}"),
-        })?;
-        pairs.push(((idx - 1) as u32, val));
+        let j = u32::try_from(idx - 1)
+            .map_err(|_| error(format!("index {idx} exceeds the u32 feature range")))?;
+        let val: f64 = val_str
+            .parse()
+            .map_err(|_| error(format!("invalid value {val_str:?}")))?;
+        pairs.push((j, val));
     }
-    let row = SparseVector::from_pairs(num_features, &pairs).map_err(|e| DataError::Parse {
+    Ok((pairs, label))
+}
+
+/// Builds a `dim`-dimensional row from parsed pairs; a pair outside `dim`
+/// is a parse error on `line_no`.
+fn build_row(dim: usize, pairs: &[(u32, f64)], line_no: usize) -> Result<SparseVector, DataError> {
+    SparseVector::from_pairs(dim, pairs).map_err(|e| DataError::Parse {
         line: line_no,
         message: e.to_string(),
-    })?;
-    Ok((row, label))
+    })
 }
 
 /// Maps raw file labels to the `±1` convention: `+1`/`1` → `+1`,
@@ -347,6 +318,27 @@ mod tests {
     fn rejects_out_of_bounds_index_for_fixed_dim() {
         let err = read_str("+1 9:1\n", 4).unwrap_err();
         assert!(matches!(err, DataError::Parse { .. }));
+    }
+
+    #[test]
+    fn refuses_an_index_past_the_u32_range_instead_of_wrapping() {
+        // 4294967297 − 1 = 2³² would wrap to feature 0 under `as u32`.
+        let line = "+1 1:1\n+1 4294967297:1.0\n";
+        let refused = |err: DataError| {
+            assert!(
+                matches!(&err, DataError::Parse { line: 2, message } if message.contains("u32")),
+                "expected a u32-range parse error on line 2, got {err}"
+            );
+        };
+        refused(read_str(line, 4).unwrap_err());
+        refused(read_str(line, 0).unwrap_err());
+        let mut chunks = ChunkedReader::new(std::io::Cursor::new(line), 4, 8);
+        refused(chunks.next_chunk().unwrap_err());
+        // The largest index that fits is still read, and sets the
+        // inferred dimension.
+        let ds = read_str("+1 4294967296:1.0\n", 0).unwrap();
+        assert_eq!(ds.num_features(), 1 << 32);
+        assert_eq!(ds.rows()[0].indices(), &[u32::MAX]);
     }
 
     #[test]
