@@ -188,7 +188,11 @@ pub struct Shard<'a> {
 /// Executes [`WorkerOp`]s against a [`Shard`]: the objective, the
 /// learning-rate schedule and the scratch buffers every op reuses. One
 /// executor serves one worker thread. Model ops compute in the op's own
-/// buffer, so executing an op allocates nothing.
+/// buffer, so once the index buffer has grown an op allocates nothing,
+/// except an SGD op under L1: each [`WorkerOp::SgdPass`] or
+/// [`WorkerOp::SgdBatch`] then allocates its pass's `dim`-length
+/// `LazyL1` (the `execute/Sgd*/l1` lines of the allocation ledger,
+/// `tests/fixtures/allocs.txt`).
 #[derive(Debug, Clone)]
 pub struct OpExecutor {
     dim: usize,
