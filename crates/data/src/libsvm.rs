@@ -165,8 +165,8 @@ impl<R: BufRead> ChunkedReader<R> {
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
             }
-            let (row, label) = parse_line(trimmed, self.num_features, self.line_no)?;
-            chunk.push(row, label);
+            let (pairs, label) = parse_tokens(trimmed, self.line_no)?;
+            chunk.push(build_row(self.num_features, &pairs, self.line_no)?, label);
         }
         if chunk.is_empty() {
             Ok(None)
@@ -182,16 +182,6 @@ impl<R: BufRead> Iterator for ChunkedReader<R> {
     fn next(&mut self) -> Option<Self::Item> {
         self.next_chunk().transpose()
     }
-}
-
-/// Parses one LIBSVM line into a row and normalized label.
-fn parse_line(
-    trimmed: &str,
-    num_features: usize,
-    line_no: usize,
-) -> Result<(SparseVector, f64), DataError> {
-    let (pairs, label) = parse_tokens(trimmed, line_no)?;
-    Ok((build_row(num_features, &pairs, line_no)?, label))
 }
 
 /// Tokenizes one LIBSVM line into its 0-based `(index, value)` pairs and
@@ -322,7 +312,7 @@ mod tests {
 
     #[test]
     fn refuses_an_index_past_the_u32_range_instead_of_wrapping() {
-        // 4294967297 − 1 = 2³² would wrap to feature 0 under `as u32`.
+        // Index 4294967297 is feature 2³², one past what a u32 holds.
         let line = "+1 1:1\n+1 4294967297:1.0\n";
         let refused = |err: DataError| {
             assert!(
