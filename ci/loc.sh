@@ -4,7 +4,9 @@
 # A file counts its lines before the first `#[cfg(test)]` (all of them if
 # it has none). Files under a `tests/` or `fixtures/` directory are left
 # out. A crate is a directory under crates/ or vendor/; src/ (the root
-# package) counts as one crate.
+# package) counts as one crate. examples/ is printed after the total and
+# kept out of it, so the total stays comparable while code moved into an
+# example still shows.
 #
 # Usage: ci/loc.sh [repo root]   (defaults to the parent of this script)
 set -euo pipefail
@@ -30,3 +32,6 @@ for dir in crates/* src vendor/*; do
     total=$((total + n))
 done
 printf '%-24s %6d\n' total "$total"
+if [ -d examples ]; then
+    printf '%-24s %6d\n' examples "$(count examples)"
+fi

@@ -3,15 +3,14 @@
 //! comment of each function).
 
 use mlstar_core::{
-    reference_optimum, train_mllib, train_mllib_star, train_petuum, train_petuum_star, GridSearch,
-    PsSystemConfig, System, TrainConfig, TrainOutput,
+    reference_optimum, AngelConfig, PsSystemConfig, System, TrainConfig, TrainOutput,
 };
 use mlstar_data::{catalog, SparseDataset};
 use mlstar_glm::{LearningRate, Loss, Regularizer};
 use mlstar_sim::ClusterSpec;
 
 use crate::cli::{Args, Failure};
-use crate::figures::tuning::{best_objective, fixed_rounds, quick_mode, tune_system};
+use crate::figures::tuning::{best_objective, fixed_rounds, quick_mode, tune_system, winner};
 use crate::report::{
     banner, fmt_opt, fmt_split, round_stats_json, summarize_rounds, write_json, Sheet,
 };
@@ -128,7 +127,7 @@ fn fanin_sweep(c: &Ctx) {
             tree_fanin: fanin,
             ..fixed_rounds(c.reg, c.seed, 4.0, 0.01, 20)
         };
-        let out = train_mllib(&c.ds, &c.cluster, &cfg);
+        let out = System::Mllib.train_default(&c.ds, &c.cluster, &cfg);
         let total = out.gantt.makespan().as_secs_f64();
         let driver = out.gantt.busy_time(mlstar_sim::NodeId::Driver);
         let label = if fanin >= c.cluster.num_executors() {
@@ -156,7 +155,7 @@ fn staleness_sweep(c: &Ctx) {
             num_servers: 2,
             ..PsSystemConfig::default()
         };
-        train_petuum_star(&c.ds, &cluster, &base_cfg, &ps)
+        System::PetuumStar.train(&c.ds, &cluster, &base_cfg, &ps, &AngelConfig::default())
     };
     // Establish a common target from a BSP probe run.
     let target = run(0).trace.best_objective().unwrap_or(c.opt).min(c.opt) + 0.01;
@@ -204,8 +203,8 @@ fn aggregation_schemes(c: &Ctx) {
             eval_every: rounds,
             ..petuum_base(c)
         };
-        let fs = final_f(&train_petuum(&c.ds, &c.cluster, &cfg, &ps));
-        let fa = final_f(&train_petuum_star(&c.ds, &c.cluster, &cfg, &ps));
+        let [fs, fa] = [System::Petuum, System::PetuumStar]
+            .map(|s| final_f(&s.train(&c.ds, &c.cluster, &cfg, &ps, &AngelConfig::default())));
         sheet.row(
             &[format!("{eta}"), format!("{fs:.4}"), format!("{fa:.4}")],
             format!("{eta},{fs:.6},{fa:.6}"),
@@ -215,32 +214,31 @@ fn aggregation_schemes(c: &Ctx) {
     println!("(summation can win at small rates but destabilizes as η grows — Zhang & Jordan)");
 }
 
-/// Ablation 5 — the paper's tuning protocol, run live.
+/// Ablation 5 — the paper's tuning protocol, run live: MLlib\* at three
+/// rates, the winner picked by the figures' own rule ([`winner`]).
 fn grid_search_demo(c: &Ctx) {
     banner("Ablation 5 — the paper's grid-search protocol, live (MLlib*)");
-    let base = TrainConfig {
-        reg: c.reg,
-        batch_frac: 1.0,
-        max_rounds: if quick_mode() { 5 } else { 20 },
-        seed: c.seed,
-        ..TrainConfig::default()
-    };
-    let grid = GridSearch {
-        etas: vec![0.002, 0.02, 0.2],
-        batch_fracs: vec![1.0],
-        stalenesses: vec![0],
-        lambdas: vec![c.reg.lambda()],
-    };
-    let result = grid.run(&base, c.opt + 0.01, |cfg, _point| {
-        train_mllib_star(&c.ds, &c.cluster, cfg)
-    });
+    let etas = [0.002, 0.02, 0.2];
+    let runs: Vec<TrainOutput> = etas
+        .iter()
+        .map(|&eta| {
+            let cfg = TrainConfig {
+                reg: c.reg,
+                lr: LearningRate::Constant(eta),
+                batch_frac: 1.0,
+                max_rounds: if quick_mode() { 5 } else { 20 },
+                seed: c.seed,
+                ..TrainConfig::default()
+            };
+            System::MllibStar.train_default(&c.ds, &c.cluster, &cfg)
+        })
+        .collect();
+    let best = winner(runs.iter().map(|o| &o.trace), c.opt + 0.01).expect("three rates");
     println!(
-        "evaluated {} combinations; winner: η={}, batch_frac={}, λ={} → final f = {:.4}",
-        result.evaluated,
-        result.best_point.eta,
-        result.best_point.batch_frac,
-        result.best_point.lambda,
-        final_f(&result.best_output),
+        "evaluated {} rates; winner: η={} → final f = {:.4}",
+        runs.len(),
+        etas[best],
+        final_f(&runs[best]),
     );
 }
 
@@ -276,7 +274,7 @@ fn angel_batch_sweep(c: &Ctx) {
             alloc_bandwidth_bps: 2e8,
             ..Default::default()
         };
-        let out = mlstar_core::train_angel(&c.ds, &c.cluster, &cfg, &angel);
+        let out = System::Angel.train(&c.ds, &c.cluster, &cfg, &PsSystemConfig::default(), &angel);
         let (t, f) = (end_time(&out), final_f(&out));
         sheet.row(
             &[format!("{frac}"), format!("{t:.2}s"), format!("{f:.4}")],
@@ -306,8 +304,8 @@ fn weighted_averaging(c: &Ctx) {
             ma_weighting: mlstar_core::MaWeighting::PartitionSize,
             ..uniform.clone()
         };
-        let fu = final_f(&train_mllib_star(&c.ds, &c.cluster, &uniform));
-        let fw = final_f(&train_mllib_star(&c.ds, &c.cluster, &weighted));
+        let fu = final_f(&System::MllibStar.train_default(&c.ds, &c.cluster, &uniform));
+        let fw = final_f(&System::MllibStar.train_default(&c.ds, &c.cluster, &weighted));
         sheet.row(
             &[format!("{skew}"), format!("{fu:.4}"), format!("{fw:.4}")],
             format!("{skew},{fu:.6},{fw:.6}"),
@@ -429,7 +427,7 @@ fn waves_sweep(c: &Ctx) {
             waves,
             ..fixed_rounds(c.reg, c.seed, 0.2, 1.0, rounds)
         };
-        let out = train_mllib_star(&c.ds, &cluster, &cfg);
+        let out = System::MllibStar.train_default(&c.ds, &cluster, &cfg);
         let (t, f) = (out.gantt.makespan().as_secs_f64(), final_f(&out));
         sheet.row(
             &[waves.to_string(), format!("{t:.2}s"), format!("{f:.4}")],
@@ -468,7 +466,7 @@ fn sparse_messaging(seed: u64) {
             staleness: 2,
             sparse_messages: sparse,
         };
-        let out = train_petuum(&ds, &cluster, &cfg, &ps);
+        let out = System::Petuum.train(&ds, &cluster, &cfg, &ps, &AngelConfig::default());
         let (t, f) = (end_time(&out), final_f(&out));
         sheet.row(
             &[label.into(), format!("{t:.2}s"), format!("{f:.4}")],
@@ -496,7 +494,7 @@ fn failure_overhead(c: &Ctx) {
             failure_prob: prob,
             ..fixed_rounds(c.reg, c.seed, 0.2, 1.0, rounds)
         };
-        let out = train_mllib_star(&c.ds, &c.cluster, &cfg);
+        let out = System::MllibStar.train_default(&c.ds, &c.cluster, &cfg);
         let t = out.gantt.makespan().as_secs_f64();
         let overhead = (t / *base_time.get_or_insert(t) - 1.0) * 100.0;
         sheet.row(

@@ -5,7 +5,7 @@
 //! 300 seconds; we render the same span as ASCII (one row per node, one
 //! letter per activity) and export the raw spans as CSV.
 
-use mlstar_core::{train_mllib, train_mllib_ma, train_mllib_star, TrainOutput};
+use mlstar_core::{System, TrainOutput};
 use mlstar_data::catalog;
 use mlstar_glm::Regularizer;
 use mlstar_sim::{ClusterSpec, NodeId, SimDuration, SimTime};
@@ -23,11 +23,17 @@ pub fn run(_args: &Args) -> Result<(), Failure> {
     // rounds; the text renderer clips to the shared horizon.
     let mllib_c = fixed_rounds(Regularizer::None, 42, 4.0, 0.01, 60);
     let ma_c = fixed_rounds(Regularizer::None, 42, 0.2, 1.0, 12);
-    let ma = train_mllib_ma(&ds, &cluster, &ma_c);
+    let ma = System::MllibMa.train_default(&ds, &cluster, &ma_c);
     let runs: Vec<(&str, TrainOutput)> = vec![
-        ("MLlib", train_mllib(&ds, &cluster, &mllib_c)),
+        (
+            "MLlib",
+            System::Mllib.train_default(&ds, &cluster, &mllib_c),
+        ),
         ("MLlib + model averaging", ma),
-        ("MLlib*", train_mllib_star(&ds, &cluster, &ma_c)),
+        (
+            "MLlib*",
+            System::MllibStar.train_default(&ds, &cluster, &ma_c),
+        ),
     ];
 
     // Shared horizon: the shortest makespan keeps all three readable.

@@ -3,8 +3,9 @@
 //! The paper: "For each system, we also tune the hyper-parameters by grid
 //! search for fair comparison." [`tune_system`] runs exactly that — a
 //! small learning-rate grid per system per workload — and returns the
-//! winner: the run that reaches (global best over the grid + 0.01)
+//! [`winner`]: the run that reaches (global best over the grid + 0.01)
 //! fastest in simulated time, falling back to lowest final objective.
+//! Ablation 5 picks its winner by the same rule.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -190,22 +191,32 @@ pub fn tune_system(
     data_scale: f64,
 ) -> TrainOutput {
     let (.., etas) = system_schedule(system, cluster.num_executors());
-    let outputs = train_at_rates(system, ds, cluster, reg, seed, data_scale, &etas);
+    let mut outputs = train_at_rates(system, ds, cluster, reg, seed, data_scale, &etas);
     let target = best_objective(&outputs, f64::INFINITY) + 0.01;
-    outputs
+    let best = winner(outputs.iter().map(|o| &o.trace), target).expect("grid was nonempty");
+    outputs.swap_remove(best)
+}
+
+/// The paper's selection rule over one grid's runs: the earliest
+/// simulated time to `target` wins, and a tie in time (including never
+/// reaching it) goes to the lower final objective. A NaN or missing final
+/// objective ranks as +∞, and among equal runs the first wins. Returns
+/// the winner's index, or `None` if there are no runs.
+pub(crate) fn winner<'a>(
+    traces: impl IntoIterator<Item = &'a ConvergenceTrace>,
+    target: f64,
+) -> Option<usize> {
+    let score = |t: &ConvergenceTrace| {
+        let reach = t.time_to_reach(target).unwrap_or(f64::INFINITY);
+        let last = t.final_objective().filter(|f| !f.is_nan());
+        (reach, last.unwrap_or(f64::INFINITY))
+    };
+    traces
         .into_iter()
-        .min_by(|a, b| {
-            let score = |o: &TrainOutput| {
-                (
-                    o.trace.time_to_reach(target).unwrap_or(f64::INFINITY),
-                    o.trace.final_objective().unwrap_or(f64::INFINITY),
-                )
-            };
-            score(a)
-                .partial_cmp(&score(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .expect("grid was nonempty")
+        .map(score)
+        .enumerate()
+        .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)))
+        .map(|(i, _)| i)
 }
 
 /// The Figure 4/5 grid: on each public preset under each of `regs`, tunes
@@ -243,6 +254,54 @@ pub(crate) fn public_grid(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlstar_core::TracePoint;
+    use mlstar_sim::{SimDuration, SimTime};
+
+    /// A trace through `(seconds, objective)` points, one step apart.
+    fn trace(points: &[(f64, f64)]) -> ConvergenceTrace {
+        let mut t = ConvergenceTrace::new("s", "w");
+        for (step, &(secs, objective)) in (0u64..).zip(points) {
+            t.push(TracePoint {
+                step,
+                time: SimTime::ZERO + SimDuration::from_secs_f64(secs),
+                objective,
+                total_updates: step,
+            });
+        }
+        t
+    }
+
+    #[test]
+    fn an_earlier_time_to_target_wins() {
+        let slow = trace(&[(0.0, 1.0), (2.0, 0.3)]);
+        let fast = trace(&[(0.0, 1.0), (1.0, 0.4)]);
+        assert_eq!(winner([&slow, &fast], 0.5), Some(1));
+        assert_eq!(winner([&fast, &slow], 0.5), Some(0));
+    }
+
+    #[test]
+    fn a_tie_in_time_goes_to_the_lower_final_objective() {
+        let higher = trace(&[(0.0, 1.0), (1.0, 0.4), (2.0, 0.35)]);
+        let lower = trace(&[(0.0, 1.0), (1.0, 0.45), (2.0, 0.3)]);
+        assert_eq!(winner([&higher, &lower], 0.5), Some(1));
+    }
+
+    #[test]
+    fn a_nan_final_listed_first_never_beats_a_finite_one() {
+        // Both signs: a NaN made by arithmetic has the sign bit set on x86.
+        for nan in [f64::NAN, -f64::NAN] {
+            let diverged = trace(&[(0.0, 1.0), (1.0, nan)]);
+            let finite = trace(&[(0.0, 1.0), (1.0, 0.9)]);
+            assert_eq!(winner([&diverged, &finite], 0.1), Some(1));
+        }
+    }
+
+    #[test]
+    fn without_a_run_at_target_the_lowest_final_objective_wins() {
+        let runs = [0.5, 0.3, 0.4].map(|f| trace(&[(0.0, 1.0), (1.0, f)]));
+        assert_eq!(winner(&runs, 0.0), Some(1));
+        assert_eq!(winner(&[], 0.0), None);
+    }
 
     #[test]
     fn schedules_are_sane() {

@@ -37,8 +37,11 @@ pub fn reduce_scatter_average(
     for range in &ranges {
         let mut acc = DenseVector::zeros(range.len());
         for local in locals {
-            let slice = local.slice_range(range.start, range.end);
-            acc.axpy(1.0, &slice);
+            // `1.0 * x` keeps the float ops of an axpy with α = 1.
+            let part = &local.as_slice()[range.clone()];
+            for (a, x) in acc.as_mut_slice().iter_mut().zip(part) {
+                *a += 1.0 * x;
+            }
         }
         acc.scale(inv_k);
         owned.push(acc);

@@ -37,7 +37,7 @@ use crate::common::{eval_objective, pass_state, BspHarness, LocalPasses};
 use crate::engine::{BspRound, StepCtx};
 use crate::exec::{dispatch, expect_grad, to_wire_indices, ComputeBackend};
 use crate::sparkml::Lbfgs;
-use crate::{System, TrainConfig, TrainOutput};
+use crate::{System, TrainConfig};
 
 /// SendGradient's local phase: per-worker batch samplers and gradient
 /// buffers.
@@ -365,41 +365,10 @@ schema! {
     }
 }
 
-/// Trains with the MLlib baseline (SendGradient, driver `treeAggregate`).
-///
-/// # Panics
-///
-/// Panics if the dataset is empty.
-pub fn train_mllib(ds: &SparseDataset, cluster: &ClusterSpec, cfg: &TrainConfig) -> TrainOutput {
-    System::Mllib.train_default(ds, cluster, cfg)
-}
-
-/// Trains with MLlib + model averaging (driver-centric SendModel).
-///
-/// # Panics
-///
-/// Panics if the dataset is empty.
-pub fn train_mllib_ma(ds: &SparseDataset, cluster: &ClusterSpec, cfg: &TrainConfig) -> TrainOutput {
-    System::MllibMa.train_default(ds, cluster, cfg)
-}
-
-/// Trains with MLlib\* (model averaging + AllReduce).
-///
-/// # Panics
-///
-/// Panics if the dataset is empty.
-pub fn train_mllib_star(
-    ds: &SparseDataset,
-    cluster: &ClusterSpec,
-    cfg: &TrainConfig,
-) -> TrainOutput {
-    System::MllibStar.train_default(ds, cluster, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MaWeighting;
+    use crate::{MaWeighting, TrainOutput};
     use mlstar_collectives::{FrameSwitch, Sparsifier};
     use mlstar_data::SyntheticConfig;
     use mlstar_glm::{LearningRate, Loss, Regularizer};
@@ -500,7 +469,7 @@ mod tests {
     #[test]
     fn mllib_objective_decreases() {
         let ds = tiny_ds();
-        let out = train_mllib(&ds, &ClusterSpec::cluster1(), &mllib_cfg());
+        let out = System::Mllib.train_default(&ds, &ClusterSpec::cluster1(), &mllib_cfg());
         let first = out.trace.points.first().unwrap().objective;
         let best = out.trace.best_objective().unwrap();
         assert!(best < first * 0.7, "{first} → {best}");
@@ -514,7 +483,7 @@ mod tests {
             max_rounds: 3,
             ..mllib_cfg()
         };
-        let acts = activities(&train_mllib(&ds, &ClusterSpec::cluster1(), &cfg));
+        let acts = activities(&System::Mllib.train_default(&ds, &ClusterSpec::cluster1(), &cfg));
         assert!(acts.contains(&Activity::Broadcast));
         assert!(acts.contains(&Activity::SendGradient));
         assert!(acts.contains(&Activity::TreeAggregate));
@@ -534,7 +503,7 @@ mod tests {
             max_rounds: 500,
             ..mllib_cfg()
         };
-        let out = train_mllib(&ds, &ClusterSpec::cluster1(), &cfg);
+        let out = System::Mllib.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
         assert!(out.converged);
         assert!(out.rounds_run < 500);
         assert!(out.trace.final_objective().unwrap() <= 0.9);
@@ -548,7 +517,7 @@ mod tests {
             eval_every: 5,
             ..mllib_cfg()
         };
-        let out = train_mllib(&ds, &ClusterSpec::cluster1(), &cfg);
+        let out = System::Mllib.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
         // step 0, 5, 10.
         assert_eq!(out.trace.points.len(), 3);
         assert_eq!(out.trace.points[1].step, 5);
@@ -561,7 +530,7 @@ mod tests {
             max_rounds: 4,
             ..mllib_cfg()
         };
-        let out = train_mllib(&ds, &ClusterSpec::cluster1(), &cfg);
+        let out = System::Mllib.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
         assert_eq!(out.round_stats.len(), 4);
         for rs in &out.round_stats {
             assert_eq!(rs.updates, 1, "one driver update per MLlib round");
@@ -584,7 +553,7 @@ mod tests {
     #[test]
     fn ma_many_updates_per_step() {
         let ds = tiny_ds();
-        let out = train_mllib_ma(&ds, &ClusterSpec::cluster1(), &ma_cfg());
+        let out = System::MllibMa.train_default(&ds, &ClusterSpec::cluster1(), &ma_cfg());
         // Each step performs one update per local example: n per round.
         assert_eq!(out.total_updates, out.rounds_run * ds.len() as u64);
         // The telemetry agrees, round by round.
@@ -602,7 +571,7 @@ mod tests {
             max_rounds: 50,
             ..ma_cfg()
         };
-        let ma = train_mllib_ma(&ds, &ClusterSpec::cluster1(), &ma_cfg);
+        let ma = System::MllibMa.train_default(&ds, &ClusterSpec::cluster1(), &ma_cfg);
         let gd_cfg = TrainConfig {
             lr: LearningRate::Constant(0.5),
             batch_frac: 0.1,
@@ -610,7 +579,7 @@ mod tests {
             max_rounds: 400,
             ..TrainConfig::default()
         };
-        let gd = train_mllib(&ds, &ClusterSpec::cluster1(), &gd_cfg);
+        let gd = System::Mllib.train_default(&ds, &ClusterSpec::cluster1(), &gd_cfg);
         let ma_steps = ma.trace.steps_to_reach(target).expect("MA reaches target");
         match gd.trace.steps_to_reach(target) {
             Some(gd_steps) => assert!(
@@ -628,7 +597,7 @@ mod tests {
             max_rounds: 2,
             ..ma_cfg()
         };
-        let acts = activities(&train_mllib_ma(&ds, &ClusterSpec::cluster1(), &cfg));
+        let acts = activities(&System::MllibMa.train_default(&ds, &ClusterSpec::cluster1(), &cfg));
         assert!(acts.contains(&Activity::Broadcast));
         assert!(acts.contains(&Activity::SendModel), "models, not gradients");
         assert!(!acts.contains(&Activity::SendGradient));
@@ -638,7 +607,7 @@ mod tests {
     #[test]
     fn star_converges() {
         let ds = tiny_ds();
-        let out = train_mllib_star(&ds, &ClusterSpec::cluster1(), &ma_cfg());
+        let out = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &ma_cfg());
         let first = out.trace.points.first().unwrap().objective;
         let best = out.trace.best_objective().unwrap();
         assert!(best < first * 0.5, "{first} → {best}");
@@ -651,7 +620,7 @@ mod tests {
             max_rounds: 3,
             ..ma_cfg()
         };
-        let out = train_mllib_star(&ds, &ClusterSpec::cluster1(), &cfg);
+        let out = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
         assert_eq!(out.gantt.busy_time(NodeId::Driver), 0.0);
         let acts = activities(&out);
         assert!(acts.contains(&Activity::ReduceScatter));
@@ -673,8 +642,8 @@ mod tests {
             max_rounds: 3,
             ..ma_cfg()
         };
-        let star = train_mllib_star(&ds, &ClusterSpec::cluster1(), &cfg);
-        let ma = train_mllib_ma(&ds, &ClusterSpec::cluster1(), &cfg);
+        let star = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
+        let ma = System::MllibMa.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
         // Identical objective-vs-step curves (same local math, averaging).
         for (a, b) in star.trace.points.iter().zip(ma.trace.points.iter()) {
             assert_eq!(a.step, b.step);
@@ -701,7 +670,7 @@ mod tests {
             max_rounds: 5,
             ..ma_cfg()
         };
-        let out = train_mllib_star(&ds, &ClusterSpec::cluster1(), &cfg);
+        let out = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
         for r in 0..8 {
             let u = out.gantt.utilization(NodeId::Executor(r));
             assert!(u > 0.5, "executor {r} utilization {u}");
@@ -715,8 +684,8 @@ mod tests {
             max_rounds: 6,
             ..ma_cfg()
         };
-        let clean = train_mllib_star(&ds, &ClusterSpec::cluster1(), &base);
-        let faulty = train_mllib_star(
+        let clean = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &base);
+        let faulty = System::MllibStar.train_default(
             &ds,
             &ClusterSpec::cluster1(),
             &TrainConfig {
@@ -745,7 +714,7 @@ mod tests {
             max_rounds: 3,
             ..ma_cfg()
         };
-        let out = train_mllib_star(&ds, &ClusterSpec::cluster1(), &cfg);
+        let out = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
         assert_eq!(out.round_stats.len(), 3);
         for rs in &out.round_stats {
             assert!(rs.bytes.reduce_scatter > 0);
@@ -781,8 +750,9 @@ mod tests {
             max_rounds: 6,
             ..ma_cfg()
         };
-        let dense = train_mllib_star(&ds, &ClusterSpec::cluster1(), &cfg);
-        let compressed = train_mllib_star(&ds, &ClusterSpec::cluster1(), &compressed_cfg(cfg));
+        let dense = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
+        let compressed =
+            System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &compressed_cfg(cfg));
         // Simulated *time* differs (one all-to-all phase instead of two
         // shuffle phases); every mathematical quantity must not.
         assert_eq!(dense.trace.points.len(), compressed.trace.points.len());
@@ -819,7 +789,7 @@ mod tests {
             max_rounds: 3,
             ..ma_cfg()
         });
-        let out = train_mllib_star(&ds, &ClusterSpec::cluster1(), &cfg);
+        let out = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
         for rs in &out.round_stats {
             assert_eq!(
                 rs.bytes.reduce_scatter, 0,
@@ -842,7 +812,7 @@ mod tests {
             },
             ..ma_cfg()
         };
-        let out = train_mllib_star(&ds, &ClusterSpec::cluster1(), &cfg);
+        let out = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
         let first = out.trace.points.first().unwrap().objective;
         let best = out.trace.best_objective().unwrap();
         assert!(
@@ -864,8 +834,8 @@ mod tests {
             },
             ..ma_cfg()
         };
-        let a = train_mllib_star(&ds, &ClusterSpec::cluster1(), &cfg);
-        let b = train_mllib_star(&ds, &ClusterSpec::cluster1(), &cfg);
+        let a = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
+        let b = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.model.weights().as_slice(), b.model.weights().as_slice());
     }
@@ -916,8 +886,8 @@ mod tests {
             max_rounds: 3,
             ..ma_cfg()
         };
-        let uniform = train_mllib_star(&ds, &ClusterSpec::cluster1(), &cfg);
-        let weighted = train_mllib_star(
+        let uniform = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &cfg);
+        let weighted = System::MllibStar.train_default(
             &ds,
             &ClusterSpec::cluster1(),
             &TrainConfig {
@@ -949,8 +919,8 @@ mod tests {
             partition_skew: Some(0.6),
             ..ma_cfg()
         };
-        let uniform = train_mllib_star(&ds, &ClusterSpec::cluster1(), &base);
-        let weighted = train_mllib_star(
+        let uniform = System::MllibStar.train_default(&ds, &ClusterSpec::cluster1(), &base);
+        let weighted = System::MllibStar.train_default(
             &ds,
             &ClusterSpec::cluster1(),
             &TrainConfig {

@@ -85,15 +85,22 @@ pub(crate) fn dispatch(
     }
 }
 
-/// [`dispatch`] for a single op.
+/// [`dispatch`] for a single op, without its worker and result lists.
 pub(crate) fn dispatch_one(
     backend: &mut dyn ComputeBackend,
     worker: usize,
     op: WorkerOp,
 ) -> OpResult {
-    match dispatch(backend, vec![(worker, op)]).pop() {
-        Some((_, res)) => res,
-        None => unreachable!("dispatch returns one result per op"),
+    let results = match backend.run_ops(vec![(worker, op)]) {
+        Ok(results) => results,
+        Err(why) => std::panic::panic_any(ExecAbort(why)),
+    };
+    match <[OpResult; 1]>::try_from(results) {
+        Ok([res]) => res,
+        Err(results) => panic!(
+            "backend contract: exactly one reply per submitted op, got {}",
+            results.len()
+        ),
     }
 }
 

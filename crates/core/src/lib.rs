@@ -24,7 +24,7 @@
 //! # Example
 //!
 //! ```
-//! use mlstar_core::{train_mllib_star, TrainConfig};
+//! use mlstar_core::{System, TrainConfig};
 //! use mlstar_data::SyntheticConfig;
 //! use mlstar_glm::LearningRate;
 //! use mlstar_sim::ClusterSpec;
@@ -36,7 +36,7 @@
 //!     max_rounds: 5,
 //!     ..TrainConfig::default()
 //! };
-//! let out = train_mllib_star(&dataset, &cluster, &cfg);
+//! let out = System::MllibStar.train_default(&dataset, &cluster, &cfg);
 //! assert!(out.trace.final_objective().unwrap() < 1.0);
 //! ```
 
@@ -48,12 +48,10 @@
 mod bsp;
 mod checkpoint;
 mod common;
-mod comparison;
 mod config;
 mod cv;
 mod engine;
 mod exec;
-mod grid;
 mod ovr;
 mod ps;
 mod sequential;
@@ -61,23 +59,19 @@ mod sparkml;
 mod system;
 mod trace;
 
-pub use bsp::{train_mllib, train_mllib_ma, train_mllib_star};
 pub use checkpoint::{
     checkpoint_path, prune_checkpoints, CheckpointError, TrainCheckpoint, CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
 };
-pub use comparison::{Comparison, ComparisonReport, ComparisonRow};
 pub use config::{
     AngelConfig, MaWeighting, PsSystemConfig, TrainConfig, TrainOutput, TrainProvenance,
 };
 pub use cv::{cross_validate_path, CvConfig, CvError, CvFoldResult, CvJobStats, CvResult};
 pub use engine::{CommBytes, RoundStats};
 pub use exec::{system_partitions, ComputeBackend, ExecAbort, InProcessBackend};
-pub use grid::{GridPoint, GridResult, GridSearch};
 pub use mlstar_collectives::{CompressionConfig, FrameSwitch, Sparsifier};
 pub use mlstar_exec::{ExecError, OpExecutor, OpResult, Shard, WorkerOp};
 pub use ovr::{OneVsRest, OvrModel, OvrOutput};
-pub use ps::{train_angel, train_petuum, train_petuum_star};
 pub use sequential::reference_optimum;
 pub use system::System;
 pub use trace::{ConvergenceTrace, TracePoint};

@@ -49,40 +49,6 @@ use crate::{
     AngelConfig, ConvergenceTrace, PsSystemConfig, System, TracePoint, TrainConfig, TrainOutput,
 };
 
-/// Trains with original Petuum (model **summation**, per-batch SSP).
-pub fn train_petuum(
-    ds: &SparseDataset,
-    cluster: &ClusterSpec,
-    cfg: &TrainConfig,
-    ps: &PsSystemConfig,
-) -> TrainOutput {
-    System::Petuum.train(ds, cluster, cfg, ps, &AngelConfig::default())
-}
-
-/// Trains with Petuum\* (the paper's model-**averaging** variant).
-pub fn train_petuum_star(
-    ds: &SparseDataset,
-    cluster: &ClusterSpec,
-    cfg: &TrainConfig,
-    ps: &PsSystemConfig,
-) -> TrainOutput {
-    System::PetuumStar.train(ds, cluster, cfg, ps, &AngelConfig::default())
-}
-
-/// Trains with Angel (per-epoch PS communication, per-batch GD, summation).
-///
-/// # Panics
-///
-/// Panics if the dataset is empty.
-pub fn train_angel(
-    ds: &SparseDataset,
-    cluster: &ClusterSpec,
-    cfg: &TrainConfig,
-    angel: &AngelConfig,
-) -> TrainOutput {
-    System::Angel.train(ds, cluster, cfg, &PsSystemConfig::default(), angel)
-}
-
 /// What a worker does with one pulled model, with the row streams it
 /// draws from (one per worker).
 enum LocalStep {
@@ -603,12 +569,7 @@ mod tests {
     #[test]
     fn petuum_star_converges_without_reg() {
         let ds = tiny_ds();
-        let out = train_petuum_star(
-            &ds,
-            &ClusterSpec::cluster1(),
-            &petuum_cfg(),
-            &PsSystemConfig::default(),
-        );
+        let out = System::PetuumStar.train_default(&ds, &ClusterSpec::cluster1(), &petuum_cfg());
         let first = out.trace.points.first().unwrap().objective;
         let best = out.trace.best_objective().unwrap();
         assert!(best < first * 0.6, "{first} → {best}");
@@ -617,12 +578,7 @@ mod tests {
     #[test]
     fn reg_zero_does_many_updates_per_clock() {
         let ds = tiny_ds();
-        let out = train_petuum_star(
-            &ds,
-            &ClusterSpec::cluster1(),
-            &petuum_cfg(),
-            &PsSystemConfig::default(),
-        );
+        let out = System::PetuumStar.train_default(&ds, &ClusterSpec::cluster1(), &petuum_cfg());
         // Parallel SGD: each clock tick does ~batch_size updates per worker.
         assert!(
             out.total_updates > out.rounds_run * 8,
@@ -640,7 +596,13 @@ mod tests {
             max_rounds: 10,
             ..petuum_cfg()
         };
-        let out = train_petuum_star(&ds, &ClusterSpec::cluster1(), &cfg, &bsp());
+        let out = System::PetuumStar.train(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &cfg,
+            &bsp(),
+            &AngelConfig::default(),
+        );
         // With BSP (staleness 0) every worker contributes exactly one
         // update per clock.
         assert_eq!(out.total_updates, 8 * 10);
@@ -654,8 +616,20 @@ mod tests {
             ..petuum_cfg()
         };
         let ps = PsSystemConfig::default();
-        let sum = train_petuum(&ds, &ClusterSpec::cluster1(), &cfg, &ps);
-        let avg = train_petuum_star(&ds, &ClusterSpec::cluster1(), &cfg, &ps);
+        let sum = System::Petuum.train(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &cfg,
+            &ps,
+            &AngelConfig::default(),
+        );
+        let avg = System::PetuumStar.train(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &cfg,
+            &ps,
+            &AngelConfig::default(),
+        );
         assert_ne!(
             sum.model.weights().as_slice(),
             avg.model.weights().as_slice(),
@@ -678,8 +652,20 @@ mod tests {
             max_rounds: 1,
             ..petuum_cfg()
         };
-        let sum = train_petuum(&ds, &ClusterSpec::cluster1(), &cfg, &bsp());
-        let avg = train_petuum_star(&ds, &ClusterSpec::cluster1(), &cfg, &bsp());
+        let sum = System::Petuum.train(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &cfg,
+            &bsp(),
+            &AngelConfig::default(),
+        );
+        let avg = System::PetuumStar.train(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &cfg,
+            &bsp(),
+            &AngelConfig::default(),
+        );
         let sum_norm = sum.model.weights().norm2();
         let avg_norm = avg.model.weights().norm2();
         assert!(
@@ -696,12 +682,36 @@ mod tests {
             ..petuum_cfg()
         };
         let ps = PsSystemConfig::default();
-        let a = train_petuum_star(&ds, &ClusterSpec::cluster1(), &cfg, &ps);
-        let b = train_petuum_star(&ds, &ClusterSpec::cluster1(), &cfg, &ps);
+        let a = System::PetuumStar.train(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &cfg,
+            &ps,
+            &AngelConfig::default(),
+        );
+        let b = System::PetuumStar.train(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &cfg,
+            &ps,
+            &AngelConfig::default(),
+        );
         assert_eq!(a.trace, b.trace);
         let angel = AngelConfig::default();
-        let a = train_angel(&ds, &ClusterSpec::cluster1(), &angel_cfg(), &angel);
-        let b = train_angel(&ds, &ClusterSpec::cluster1(), &angel_cfg(), &angel);
+        let a = System::Angel.train(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &angel_cfg(),
+            &PsSystemConfig::default(),
+            &angel,
+        );
+        let b = System::Angel.train(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &angel_cfg(),
+            &PsSystemConfig::default(),
+            &angel,
+        );
         assert_eq!(a.trace, b.trace);
     }
 
@@ -722,7 +732,13 @@ mod tests {
                 sparse_messages,
                 ..bsp()
             };
-            train_petuum(&ds, &ClusterSpec::cluster1(), &cfg, &ps)
+            System::Petuum.train(
+                &ds,
+                &ClusterSpec::cluster1(),
+                &cfg,
+                &ps,
+                &AngelConfig::default(),
+            )
         };
         let (dense, sparse) = (run(false), run(true));
         // Near-identical final models: the wire volume only shifts event
@@ -746,12 +762,7 @@ mod tests {
     #[test]
     fn angel_converges() {
         let ds = tiny_ds();
-        let out = train_angel(
-            &ds,
-            &ClusterSpec::cluster1(),
-            &angel_cfg(),
-            &AngelConfig::default(),
-        );
+        let out = System::Angel.train_default(&ds, &ClusterSpec::cluster1(), &angel_cfg());
         let first = out.trace.points.first().unwrap().objective;
         let best = out.trace.best_objective().unwrap();
         assert!(best < first * 0.7, "{first} → {best}");
@@ -777,7 +788,13 @@ mod tests {
             staleness: 0,
             ..AngelConfig::default()
         };
-        let out = train_angel(&ds, &ClusterSpec::cluster1(), &cfg, &angel);
+        let out = System::Angel.train(
+            &ds,
+            &ClusterSpec::cluster1(),
+            &cfg,
+            &PsSystemConfig::default(),
+            &angel,
+        );
         // 240 rows / 8 workers = 30 rows per worker; batch 20% of 30 = 6
         // rows → 5 batches per epoch per worker.
         assert_eq!(out.total_updates, 8 * 5 * 4);
@@ -799,7 +816,13 @@ mod tests {
                 alloc_bandwidth_bps: alloc_bps,
                 ..AngelConfig::default()
             };
-            let out = train_angel(&ds, &ClusterSpec::cluster1(), &cfg, &angel);
+            let out = System::Angel.train(
+                &ds,
+                &ClusterSpec::cluster1(),
+                &cfg,
+                &PsSystemConfig::default(),
+                &angel,
+            );
             out.trace.points.last().unwrap().time.as_secs_f64()
         };
         // Tiny batches → many allocations; slow allocator amplifies it.
@@ -848,7 +871,13 @@ mod tests {
                 ..AngelConfig::default()
             };
             let err = std::panic::catch_unwind(|| {
-                train_angel(&ds, &ClusterSpec::cluster1(), &angel_cfg(), &angel)
+                System::Angel.train(
+                    &ds,
+                    &ClusterSpec::cluster1(),
+                    &angel_cfg(),
+                    &PsSystemConfig::default(),
+                    &angel,
+                )
             })
             .expect_err("a free allocator must be refused");
             let msg = err.downcast_ref::<String>().unwrap();

@@ -53,11 +53,13 @@ impl ConvergenceTrace {
         self.points.last().map(|p| p.objective)
     }
 
-    /// The minimum objective along the trace.
+    /// The minimum objective along the trace, skipping NaN points (a
+    /// diverged run ends on one); `None` if no other point is left.
     pub fn best_objective(&self) -> Option<f64> {
         self.points
             .iter()
             .map(|p| p.objective)
+            .filter(|f| !f.is_nan())
             .min_by(|a, b| a.total_cmp(b))
     }
 
@@ -197,6 +199,33 @@ mod tests {
         assert!(csv.starts_with("system,workload,step,time_s,objective,total_updates\n"));
         assert_eq!(csv.lines().count(), 5);
         assert!(csv.contains("MLlib*,test,1,2.000000,0.5"));
+    }
+
+    #[test]
+    fn best_objective_skips_nan_points() {
+        // A NaN made by arithmetic (x86 sets its sign bit, which
+        // `total_cmp` orders below every number) and both literal signs.
+        let inf = std::hint::black_box(f64::INFINITY);
+        for nan in [inf - inf, f64::NAN, -f64::NAN] {
+            let mut tr = ConvergenceTrace::new("x", "y");
+            for (step, objective) in [(0, 0.7), (1, 0.5), (2, nan)] {
+                tr.push(TracePoint {
+                    step,
+                    time: t(step as f64),
+                    objective,
+                    total_updates: step,
+                });
+            }
+            assert_eq!(tr.best_objective(), Some(0.5));
+            tr.points.clear();
+            tr.push(TracePoint {
+                step: 0,
+                time: t(0.0),
+                objective: nan,
+                total_updates: 0,
+            });
+            assert_eq!(tr.best_objective(), None);
+        }
     }
 
     #[test]

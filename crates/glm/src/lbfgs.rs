@@ -73,13 +73,6 @@ pub struct Lbfgs {
     config: LbfgsConfig,
 }
 
-/// One stored correction pair.
-struct Correction {
-    s: DenseVector,
-    y: DenseVector,
-    rho: f64,
-}
-
 impl Lbfgs {
     /// Creates the optimizer.
     ///
@@ -129,11 +122,14 @@ impl Lbfgs {
         full_gradient(&w, &mut grad, &mut evaluations);
         let mut f = eval_obj(&w, &mut evaluations);
         let mut trace = vec![(0u64, f)];
-        let mut history: VecDeque<Correction> = VecDeque::with_capacity(cfg.history);
+        // Correction pairs `(s, y)`, oldest first; only pairs of positive
+        // curvature are kept.
+        let mut history: VecDeque<(DenseVector, DenseVector)> =
+            VecDeque::with_capacity(cfg.history);
         let mut iterations = 0u64;
         // Scratch buffers reused across iterations; `spare` recycles the
-        // storage of evicted correction pairs, so the steady state of the
-        // outer loop allocates nothing.
+        // storage of evicted correction pairs, so an iteration of the
+        // steady state allocates only inside `lbfgs_direction`.
         let mut w_new = DenseVector::zeros(dim);
         let mut grad_new = DenseVector::zeros(dim);
         let mut spare: Option<(DenseVector, DenseVector)> = None;
@@ -142,9 +138,7 @@ impl Lbfgs {
             if grad.norm2() <= cfg.grad_tolerance {
                 break;
             }
-            // Two-loop recursion: d = −H·∇f.
-            let mut direction = two_loop(&grad, &history);
-            direction.scale(-1.0);
+            let mut direction = lbfgs_direction(&grad, history.make_contiguous());
             let mut dg = direction.dot(&grad);
             if dg >= 0.0 {
                 // Not a descent direction (possible with subgradients);
@@ -186,15 +180,9 @@ impl Lbfgs {
             let sy = s.dot(&y);
             if sy > 1e-12 {
                 if history.len() == cfg.history {
-                    if let Some(evicted) = history.pop_front() {
-                        spare = Some((evicted.s, evicted.y));
-                    }
+                    spare = history.pop_front();
                 }
-                history.push_back(Correction {
-                    rho: 1.0 / sy,
-                    s,
-                    y,
-                });
+                history.push_back((s, y));
             } else {
                 spare = Some((s, y));
             }
@@ -218,49 +206,35 @@ impl Lbfgs {
 
 /// Computes the L-BFGS search direction `−H·g` from raw `(s, y)`
 /// correction pairs (oldest first), skipping pairs without positive
-/// curvature. Exposed for distributed drivers (`mlstar-core`'s
-/// `spark.ml`-style trainer), which keep their own history.
+/// curvature: the two-loop recursion over the borrowed pairs. [`Lbfgs`]
+/// and distributed drivers (`mlstar-core`'s `spark.ml`-style trainer),
+/// which keep their own history, both call it.
 pub fn lbfgs_direction(grad: &DenseVector, pairs: &[(DenseVector, DenseVector)]) -> DenseVector {
-    let mut history: VecDeque<Correction> = VecDeque::with_capacity(pairs.len());
+    // The kept pairs with ρ = 1/(s·y), and a slot for each pair's α.
+    let mut kept = Vec::with_capacity(pairs.len());
     for (s, y) in pairs {
         let sy = s.dot(y);
         if sy > 1e-12 {
-            // The owned history: one copy of each kept pair per call (a
-            // line of the allocation ledger, tests/fixtures/allocs.txt).
-            let (s, y) = (s.clone(), y.clone());
-            history.push_back(Correction {
-                rho: 1.0 / sy,
-                s,
-                y,
-            });
+            kept.push((s, y, 1.0 / sy, 0.0));
         }
     }
-    let mut d = two_loop(grad, &history);
-    d.scale(-1.0);
-    d
-}
-
-/// The L-BFGS two-loop recursion: returns `H·g` for the implicit inverse
-/// Hessian approximation defined by `history`.
-fn two_loop(g: &DenseVector, history: &VecDeque<Correction>) -> DenseVector {
-    let mut q = g.clone();
-    let mut alphas = Vec::with_capacity(history.len());
-    for c in history.iter().rev() {
-        let alpha = c.rho * c.s.dot(&q);
-        q.axpy(-alpha, &c.y);
-        alphas.push(alpha);
+    let mut q = grad.clone();
+    for (s, y, rho, alpha) in kept.iter_mut().rev() {
+        *alpha = *rho * s.dot(&q);
+        q.axpy(-*alpha, y);
     }
     // Initial Hessian scaling γ = s·y / y·y from the newest pair.
-    if let Some(last) = history.back() {
-        let yy = last.y.norm2_sq();
+    if let Some(&(_, y, rho, _)) = kept.last() {
+        let yy = y.norm2_sq();
         if yy > 0.0 {
-            q.scale(1.0 / (last.rho * yy));
+            q.scale(1.0 / (rho * yy));
         }
     }
-    for (c, &alpha) in history.iter().zip(alphas.iter().rev()) {
-        let beta = c.rho * c.y.dot(&q);
-        q.axpy(alpha - beta, &c.s);
+    for &(s, y, rho, alpha) in &kept {
+        let beta = rho * y.dot(&q);
+        q.axpy(alpha - beta, s);
     }
+    q.scale(-1.0);
     q
 }
 

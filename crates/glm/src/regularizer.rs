@@ -57,22 +57,6 @@ impl Regularizer {
         }
     }
 
-    /// The same regularizer flavor at strength `lambda`: L2 stays L2, L1
-    /// stays L1, `lambda = 0` collapses any flavor to [`Regularizer::None`],
-    /// and `None` at a nonzero strength becomes L2 (the paper's default
-    /// flavor). This is the hook the grid search's regularization-strength
-    /// axis threads through.
-    pub fn with_lambda(&self, lambda: f64) -> Regularizer {
-        // λ = 0.0 is an exact sentinel for "unregularized"
-        if lambda == 0.0 {
-            return Regularizer::None;
-        }
-        match self {
-            Regularizer::None | Regularizer::L2 { .. } => Regularizer::L2 { lambda },
-            Regularizer::L1 { .. } => Regularizer::L1 { lambda },
-        }
-    }
-
     /// True if `Ω ≡ 0`. Petuum's local computation switches on exactly this
     /// predicate in the paper (parallel SGD when zero, per-batch GD when
     /// nonzero).
@@ -146,29 +130,6 @@ mod tests {
         let mut g = dv(&[7.0, 7.0, 7.0]);
         Regularizer::None.add_gradient(&w, &mut g);
         assert_eq!(g.as_slice(), &[7.0, 7.0, 7.0]);
-    }
-
-    #[test]
-    fn with_lambda_keeps_flavor_and_collapses_zero() {
-        assert_eq!(
-            Regularizer::L2 { lambda: 0.1 }.with_lambda(0.5),
-            Regularizer::L2 { lambda: 0.5 }
-        );
-        assert_eq!(
-            Regularizer::L1 { lambda: 0.1 }.with_lambda(0.5),
-            Regularizer::L1 { lambda: 0.5 }
-        );
-        assert_eq!(
-            Regularizer::None.with_lambda(0.5),
-            Regularizer::L2 { lambda: 0.5 }
-        );
-        for base in [
-            Regularizer::None,
-            Regularizer::L2 { lambda: 0.1 },
-            Regularizer::L1 { lambda: 0.1 },
-        ] {
-            assert_eq!(base.with_lambda(0.0), Regularizer::None);
-        }
     }
 
     #[test]

@@ -203,21 +203,9 @@ impl DenseVector {
         Ok(())
     }
 
-    /// Copies a contiguous coordinate range `[start, end)` into a new vector.
-    ///
-    /// Used by the AllReduce implementation to break a model into partitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds.
-    pub fn slice_range(&self, start: usize, end: usize) -> DenseVector {
-        DenseVector::from_vec(self.values[start..end].to_vec())
-    }
-
     /// Writes `part` into coordinates `[start, start + part.dim())`.
     ///
-    /// The inverse of [`DenseVector::slice_range`]; used to reassemble a
-    /// model from gathered partitions.
+    /// Used to reassemble a model from gathered partitions.
     ///
     /// # Panics
     ///
@@ -379,10 +367,8 @@ mod tests {
     }
 
     #[test]
-    fn slice_and_write_range_roundtrip() {
-        let v = DenseVector::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        let part = v.slice_range(1, 4);
-        assert_eq!(part.as_slice(), &[2.0, 3.0, 4.0]);
+    fn write_range_fills_only_its_range() {
+        let part = DenseVector::from_vec(vec![2.0, 3.0, 4.0]);
         let mut w = DenseVector::zeros(5);
         w.write_range(1, &part);
         assert_eq!(w.as_slice(), &[0.0, 2.0, 3.0, 4.0, 0.0]);

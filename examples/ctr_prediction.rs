@@ -9,7 +9,7 @@
 //! cargo run --release --example ctr_prediction
 //! ```
 
-use mllib_star::core::{train_mllib, train_mllib_star, TrainConfig};
+use mllib_star::core::{System, TrainConfig};
 use mllib_star::data::catalog;
 use mllib_star::glm::{BinaryConfusion, LearningRate, Loss, Regularizer};
 use mllib_star::sim::ClusterSpec;
@@ -44,8 +44,8 @@ fn main() {
         ..TrainConfig::default()
     };
 
-    let mllib = train_mllib(&dataset, &cluster, &mllib_cfg);
-    let star = train_mllib_star(&dataset, &cluster, &star_cfg);
+    let mllib = System::Mllib.train_default(&dataset, &cluster, &mllib_cfg);
+    let star = System::MllibStar.train_default(&dataset, &cluster, &star_cfg);
 
     println!("\n                      MLlib      MLlib*");
     println!(

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mllib_star::core::{train_mllib_star, TrainConfig};
+use mllib_star::core::{System, TrainConfig};
 use mllib_star::data::SyntheticConfig;
 use mllib_star::glm::{accuracy, LearningRate, Loss, Regularizer};
 use mllib_star::sim::ClusterSpec;
@@ -32,7 +32,7 @@ fn main() {
         max_rounds: 10,
         ..TrainConfig::default()
     };
-    let output = train_mllib_star(&dataset, &cluster, &config);
+    let output = System::MllibStar.train_default(&dataset, &cluster, &config);
 
     // 4. Inspect the convergence trace (objective vs. step and simulated
     //    time — the axes of the paper's figures).

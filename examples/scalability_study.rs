@@ -6,7 +6,7 @@
 //! cargo run --release --example scalability_study
 //! ```
 
-use mllib_star::core::{train_mllib_star, TrainConfig};
+use mllib_star::core::{System, TrainConfig};
 use mllib_star::data::catalog;
 use mllib_star::glm::{LearningRate, Loss, Regularizer};
 use mllib_star::sim::{ClusterSpec, NodeId};
@@ -34,7 +34,7 @@ fn main() {
         // Heterogeneous "Cluster 2": per-node speeds vary, lognormal
         // straggler tail — the reason BSP scaling stalls.
         let cluster = ClusterSpec::cluster2(k, 7);
-        let out = train_mllib_star(&dataset, &cluster, &cfg);
+        let out = System::MllibStar.train_default(&dataset, &cluster, &cfg);
         let t = out.trace.points.last().unwrap().time.as_secs_f64();
         let base = *base_time.get_or_insert(t);
         let util: f64 = (0..k)

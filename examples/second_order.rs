@@ -5,7 +5,7 @@
 //! cargo run --release --example second_order
 //! ```
 
-use mllib_star::core::{train_mllib_star, System, TrainConfig};
+use mllib_star::core::{System, TrainConfig};
 use mllib_star::data::SyntheticConfig;
 use mllib_star::glm::{Lbfgs, LbfgsConfig, LearningRate, Loss, Regularizer};
 use mllib_star::sim::ClusterSpec;
@@ -46,7 +46,7 @@ fn main() {
 
     // 3. MLlib* for comparison: first-order but thousands of cheap updates
     //    per round.
-    let star = train_mllib_star(
+    let star = System::MllibStar.train_default(
         &dataset,
         &cluster,
         &TrainConfig {

@@ -1,7 +1,7 @@
 //! Property-based integration tests on distributed-training invariants.
 
 use mllib_star::collectives::{all_reduce_average, wire};
-use mllib_star::core::{train_mllib_ma, train_mllib_star, TrainConfig};
+use mllib_star::core::{System, TrainConfig};
 use mllib_star::data::{Partitioner, SyntheticConfig};
 use mllib_star::glm::{objective_value, LearningRate, Loss, Regularizer};
 use mllib_star::linalg::{average, DenseVector};
@@ -83,7 +83,7 @@ proptest! {
             seed,
             ..TrainConfig::default()
         };
-        let out = train_mllib_star(&ds, &cluster, &cfg);
+        let out = System::MllibStar.train_default(&ds, &cluster, &cfg);
         let mut prev_time = None;
         for p in &out.trace.points {
             prop_assert!(p.objective.is_finite());
@@ -132,8 +132,8 @@ proptest! {
             seed,
             ..TrainConfig::default()
         };
-        let ma = train_mllib_ma(&ds, &cluster, &cfg);
-        let star = train_mllib_star(&ds, &cluster, &cfg);
+        let ma = System::MllibMa.train_default(&ds, &cluster, &cfg);
+        let star = System::MllibStar.train_default(&ds, &cluster, &cfg);
         for (a, b) in ma.trace.points.iter().zip(star.trace.points.iter()) {
             prop_assert!((a.objective - b.objective).abs() < 1e-9);
         }

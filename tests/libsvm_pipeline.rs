@@ -1,7 +1,7 @@
 //! Integration test: the LIBSVM I/O path feeds the trainers exactly like
 //! in-memory generation — the drop-in-real-data workflow.
 
-use mllib_star::core::{train_mllib_star, TrainConfig};
+use mllib_star::core::{System, TrainConfig};
 use mllib_star::data::{libsvm, SyntheticConfig};
 use mllib_star::glm::LearningRate;
 use mllib_star::sim::ClusterSpec;
@@ -21,8 +21,8 @@ fn train_on_roundtripped_libsvm_data_matches_direct_training() {
         max_rounds: 5,
         ..TrainConfig::default()
     };
-    let direct = train_mllib_star(&ds, &cluster, &cfg);
-    let via_file = train_mllib_star(&reloaded, &cluster, &cfg);
+    let direct = System::MllibStar.train_default(&ds, &cluster, &cfg);
+    let via_file = System::MllibStar.train_default(&reloaded, &cluster, &cfg);
     assert_eq!(direct.trace, via_file.trace);
     assert_eq!(
         direct.model.weights().as_slice(),
@@ -55,6 +55,6 @@ fn dimension_inference_handles_trailing_empty_features() {
         max_rounds: 3,
         ..TrainConfig::default()
     };
-    let out = train_mllib_star(&ds, &cluster, &cfg);
+    let out = System::MllibStar.train_default(&ds, &cluster, &cfg);
     assert!(out.trace.final_objective().unwrap().is_finite());
 }

@@ -4,9 +4,7 @@
 //! paper?".
 
 use mllib_star::collectives::{all_reduce_average, broadcast_model, tree_aggregate, wire};
-use mllib_star::core::{
-    train_mllib, train_mllib_ma, train_mllib_star, train_petuum_star, PsSystemConfig, TrainConfig,
-};
+use mllib_star::core::{System, TrainConfig};
 use mllib_star::data::SyntheticConfig;
 use mllib_star::glm::LearningRate;
 use mllib_star::linalg::DenseVector;
@@ -30,7 +28,7 @@ fn b1_updates_per_communication_step() {
     let ds = dataset();
     let cluster = ClusterSpec::cluster1();
     let rounds = 5;
-    let mllib = train_mllib(
+    let mllib = System::Mllib.train_default(
         &ds,
         &cluster,
         &TrainConfig {
@@ -44,7 +42,7 @@ fn b1_updates_per_communication_step() {
         "SendGradient: one update per step"
     );
 
-    let star = train_mllib_star(
+    let star = System::MllibStar.train_default(
         &ds,
         &cluster,
         &TrainConfig {
@@ -119,7 +117,7 @@ fn fig3_wait_bars() {
         max_rounds: 3,
         ..TrainConfig::default()
     };
-    let ma = train_mllib_ma(&ds, &cluster, &cfg);
+    let ma = System::MllibMa.train_default(&ds, &cluster, &cfg);
     let waits_ma = ma
         .gantt
         .spans()
@@ -131,7 +129,7 @@ fn fig3_wait_bars() {
         "driver-centric rounds leave executors waiting"
     );
 
-    let star = train_mllib_star(&ds, &cluster, &cfg);
+    let star = System::MllibStar.train_default(&ds, &cluster, &cfg);
     let exec_util: f64 = (0..8)
         .map(|r| star.gantt.utilization(NodeId::Executor(r)))
         .sum::<f64>()
@@ -149,7 +147,7 @@ fn fig3_wait_bars() {
 fn fig5_star_and_petuum_star_agree_without_reg() {
     let ds = dataset();
     let cluster = ClusterSpec::cluster1();
-    let star = train_mllib_star(
+    let star = System::MllibStar.train_default(
         &ds,
         &cluster,
         &TrainConfig {
@@ -158,7 +156,7 @@ fn fig5_star_and_petuum_star_agree_without_reg() {
             ..TrainConfig::default()
         },
     );
-    let petuum = train_petuum_star(
+    let petuum = System::PetuumStar.train_default(
         &ds,
         &cluster,
         &TrainConfig {
@@ -167,7 +165,6 @@ fn fig5_star_and_petuum_star_agree_without_reg() {
             max_rounds: 60,
             ..TrainConfig::default()
         },
-        &PsSystemConfig::default(),
     );
     let f_star = star.trace.best_objective().unwrap();
     let f_petuum = petuum.trace.best_objective().unwrap();

@@ -2,9 +2,7 @@
 //! problems, exercising data generation, partitioning, the simulated
 //! cluster, collectives, the PS engine, and the trainers together.
 
-use mllib_star::core::{
-    train_mllib, train_mllib_ma, train_mllib_star, ConvergenceTrace, System, TrainConfig,
-};
+use mllib_star::core::{ConvergenceTrace, System, TrainConfig};
 use mllib_star::data::SyntheticConfig;
 use mllib_star::glm::{accuracy, LearningRate, Loss, Regularizer};
 use mllib_star::sim::{ClusterSpec, NodeId};
@@ -109,8 +107,8 @@ fn mllib_star_matches_mllib_ma_per_step_but_is_faster() {
         max_rounds: 3,
         ..base_cfg()
     };
-    let ma = train_mllib_ma(&ds, &cluster, &cfg);
-    let star = train_mllib_star(&ds, &cluster, &cfg);
+    let ma = System::MllibMa.train_default(&ds, &cluster, &cfg);
+    let star = System::MllibStar.train_default(&ds, &cluster, &cfg);
     assert_eq!(ma.trace.points.len(), star.trace.points.len());
     for (a, b) in ma.trace.points.iter().zip(star.trace.points.iter()) {
         assert_eq!(a.step, b.step);
@@ -138,7 +136,7 @@ fn sendmodel_converges_in_fewer_steps_than_sendgradient() {
     let ds = gen.generate();
     let cluster = ClusterSpec::cluster1();
     let target = 0.2;
-    let star = train_mllib_star(
+    let star = System::MllibStar.train_default(
         &ds,
         &cluster,
         &TrainConfig {
@@ -146,7 +144,7 @@ fn sendmodel_converges_in_fewer_steps_than_sendgradient() {
             ..base_cfg()
         },
     );
-    let mllib = train_mllib(
+    let mllib = System::Mllib.train_default(
         &ds,
         &cluster,
         &TrainConfig {
@@ -177,9 +175,9 @@ fn driver_participates_only_in_driver_centric_systems() {
         max_rounds: 3,
         ..base_cfg()
     };
-    let ma = train_mllib_ma(&ds, &cluster, &cfg);
+    let ma = System::MllibMa.train_default(&ds, &cluster, &cfg);
     assert!(ma.gantt.busy_time(NodeId::Driver) > 0.0);
-    let star = train_mllib_star(&ds, &cluster, &cfg);
+    let star = System::MllibStar.train_default(&ds, &cluster, &cfg);
     assert_eq!(star.gantt.busy_time(NodeId::Driver), 0.0);
 }
 
@@ -187,7 +185,7 @@ fn driver_participates_only_in_driver_centric_systems() {
 fn trained_models_classify_well() {
     let ds = dataset();
     let cluster = ClusterSpec::cluster1();
-    let out = train_mllib_star(
+    let out = System::MllibStar.train_default(
         &ds,
         &cluster,
         &TrainConfig {
@@ -224,7 +222,7 @@ fn whole_pipeline_is_deterministic() {
 fn traces_serialize_to_csv() {
     let ds = dataset();
     let cluster = ClusterSpec::cluster1();
-    let out = train_mllib_star(
+    let out = System::MllibStar.train_default(
         &ds,
         &cluster,
         &TrainConfig {
