@@ -20,8 +20,8 @@
 use std::fmt;
 
 use mlstar_glm::{
-    batch_gradient_into, mgd_delta, mgd_step, objective_value_subset, sgd_epoch_lazy, LearningRate,
-    Loss, Regularizer,
+    batch_gradient_into, mgd_delta, mgd_step, objective_value_subset, sgd_epoch_lazy_with, LazyL1,
+    LearningRate, Loss, Regularizer,
 };
 use mlstar_linalg::{DenseVector, ScaledVector, SparseVector};
 
@@ -188,11 +188,10 @@ pub struct Shard<'a> {
 /// Executes [`WorkerOp`]s against a [`Shard`]: the objective, the
 /// learning-rate schedule and the scratch buffers every op reuses. One
 /// executor serves one worker thread. Model ops compute in the op's own
-/// buffer, so once the index buffer has grown an op allocates nothing,
-/// except an SGD op under L1: each [`WorkerOp::SgdPass`] or
-/// [`WorkerOp::SgdBatch`] then allocates its pass's `dim`-length
-/// `LazyL1` (the `execute/Sgd*/l1` lines of the allocation ledger,
-/// `tests/fixtures/allocs.txt`).
+/// buffer, and an SGD op under L1 resets the executor's one `LazyL1`
+/// rather than allocating its own, so once the index and penalty buffers
+/// have grown an op allocates nothing (the `execute/*` lines of the
+/// allocation ledger, `tests/fixtures/allocs.txt`).
 #[derive(Debug, Clone)]
 pub struct OpExecutor {
     dim: usize,
@@ -205,6 +204,8 @@ pub struct OpExecutor {
     grad_buf: DenseVector,
     /// Resolved row positions of the current op.
     idx: Vec<usize>,
+    /// The lazy-L1 penalty state of the SGD ops, reset by each pass.
+    l1: LazyL1,
 }
 
 impl OpExecutor {
@@ -218,6 +219,7 @@ impl OpExecutor {
             lr,
             grad_buf: DenseVector::zeros(dim),
             idx: Vec::new(),
+            l1: LazyL1::new(0),
         }
     }
 
@@ -274,8 +276,16 @@ impl OpExecutor {
             } => {
                 self.resolve(&visit, resolve)?;
                 let mut local = ScaledVector::from_dense(w);
-                let t = sgd_epoch_lazy(
-                    self.loss, self.reg, &mut local, rows, labels, &self.idx, self.lr, t0,
+                let t = sgd_epoch_lazy_with(
+                    &mut self.l1,
+                    self.loss,
+                    self.reg,
+                    &mut local,
+                    rows,
+                    labels,
+                    &self.idx,
+                    self.lr,
+                    t0,
                 );
                 Ok(OpResult::Model {
                     w: local.into_dense(),

@@ -29,6 +29,15 @@ impl LazyL1 {
         }
     }
 
+    /// Returns the state to [`LazyL1::new`]'s for a model of dimension
+    /// `dim`, reusing the per-coordinate buffer (it allocates only to grow
+    /// past the largest `dim` it has held).
+    pub fn reset(&mut self, dim: usize) {
+        self.u = 0.0;
+        self.q.clear();
+        self.q.resize(dim, 0.0);
+    }
+
     /// The outstanding global penalty (exposed for tests).
     pub fn pending(&self) -> f64 {
         self.u

@@ -83,4 +83,4 @@ pub use path::{
 };
 pub use penalty::{soft_threshold, ElasticNet};
 pub use regularizer::Regularizer;
-pub use sgd::{mgd_delta, mgd_step, sgd_epoch_eager, sgd_epoch_lazy};
+pub use sgd::{mgd_delta, mgd_step, sgd_epoch_eager, sgd_epoch_lazy, sgd_epoch_lazy_with};

@@ -46,7 +46,8 @@ use crate::{soft_threshold, LazyL1, LearningRate, Loss, Regularizer};
 /// * `None`: plain sparse SGD.
 ///
 /// `t0` is the global update counter at entry (drives the learning-rate
-/// schedule); the new counter is returned.
+/// schedule); the new counter is returned. Under L1 the pass allocates its
+/// `dim`-length penalty state; [`sgd_epoch_lazy_with`] reuses a caller's.
 ///
 /// # Panics
 ///
@@ -57,6 +58,29 @@ use crate::{soft_threshold, LazyL1, LearningRate, Loss, Regularizer};
     reason = "a worker kernel takes the objective, the model, the rows and the visit order as separate borrows"
 )]
 pub fn sgd_epoch_lazy(
+    loss: Loss,
+    reg: Regularizer,
+    w: &mut ScaledVector,
+    rows: &[SparseVector],
+    labels: &[f64],
+    order: &[usize],
+    lr: LearningRate,
+    t0: u64,
+) -> u64 {
+    let mut l1 = LazyL1::new(0);
+    sgd_epoch_lazy_with(&mut l1, loss, reg, w, rows, labels, order, lr, t0)
+}
+
+/// [`sgd_epoch_lazy`] with the L1 penalty state in `l1`, which the pass
+/// resets (and grows to the model's dimension once) instead of
+/// allocating, so a caller that runs pass after pass keeps one. Under
+/// `None` and L2 `l1` is not touched.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "a worker kernel takes the objective, the model, the rows and the visit order as separate borrows"
+)]
+pub fn sgd_epoch_lazy_with(
+    l1: &mut LazyL1,
     loss: Loss,
     reg: Regularizer,
     w: &mut ScaledVector,
@@ -98,7 +122,7 @@ pub fn sgd_epoch_lazy(
         }
         Regularizer::L1 { lambda } => {
             let dense = w.dense_mut();
-            let mut l1 = LazyL1::new(dense.dim());
+            l1.reset(dense.dim());
             for (k, &i) in order.iter().enumerate() {
                 load_ahead(rows, order.get(k + 1));
                 let eta = lr.eta(t);

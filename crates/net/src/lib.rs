@@ -21,6 +21,18 @@
 //! they answer. That worker gets no frame and no copy of its rows; byte
 //! and message counts are those of the linked workers' transports.
 //!
+//! A session over one link runs `Hello`, then the worker's assignment,
+//! then `Ops`/`OpDone` exchanges until `Shutdown`. The assignment is an
+//! `Assign` header — the objective, the frame switch, the row count —
+//! followed by the partition's rows in `Rows` frames of at most
+//! [`ROW_FRAME_BUDGET`] payload bytes, encoded from rows borrowed from the
+//! dataset one frame at a time. The linked worker ([`serve_worker`]) moves
+//! each frame's rows into the rows it keeps, so neither side ever holds a
+//! whole partition as a frame or as a list, and the worker's copy is the
+//! only one the session makes. A channel link holds two unread frames, so
+//! the orchestrator encodes the next frame while the worker decodes the
+//! last.
+//!
 //! # Determinism contract
 //!
 //! * All randomness stays on the orchestrating thread; workers receive
@@ -91,8 +103,11 @@ use mlstar_sim::ClusterSpec;
 
 pub use error::NetError;
 pub use orchestrator::{NetBatchStats, WorkerBatchStats};
-pub use protocol::{decode_msg, encode_msg, AssignedRow, Msg, NET_MAGIC, NET_VERSION};
+pub use protocol::{
+    decode_msg, encode_msg, row_frames, AssignedRow, Msg, NET_MAGIC, NET_VERSION, ROW_FRAME_BUDGET,
+};
 pub use transport::{channel_pair, ChannelTransport, TcpTransport, Transport};
+pub use worker::serve_worker;
 
 use measure::Stopwatch;
 use orchestrator::Orchestrator;
@@ -191,10 +206,9 @@ pub fn train_net(
     }
     let dim = ds.num_features();
     let parts = system_partitions(system, ds, cluster, cfg);
-    let row_nnz: Vec<usize> = ds.rows().iter().map(|r| r.nnz()).collect();
     let part_nnz: Vec<usize> = parts
         .iter()
-        .map(|p| p.iter().map(|&i| row_nnz[i]).sum())
+        .map(|p| p.iter().map(|&i| ds.rows()[i].nnz()).sum())
         .collect();
 
     let sw = Stopwatch::start();
@@ -278,34 +292,33 @@ pub fn train_net(
             .map(|s| s.expect("one link per linked worker fills every slot"))
             .collect();
 
-        // Partition assignment of the linked workers. The frame switch for
-        // all model payloads of the session comes from the training
-        // config's compression settings and is announced to every linked
-        // worker here. Each message borrows its rows from the dataset, so
-        // the frame is the only new copy of a partition on this side.
+        // Partition assignment of the linked workers: an `Assign` header,
+        // then the rows in `Rows` frames. The frame switch for all model
+        // payloads of the session comes from the training config's
+        // compression settings and is announced to every linked worker
+        // here. The rows are borrowed from the dataset and encoded one
+        // bounded frame at a time, each sent before the next is encoded,
+        // so no copy of a whole partition exists on this side.
         let switch = cfg.compression.switch;
         for (w, link) in links.iter_mut().enumerate() {
-            let rows = parts[w]
-                .iter()
-                .map(|&i| AssignedRow {
-                    global: wire_index(i),
-                    label: ds.labels()[i],
-                    row: &ds.rows()[i],
-                })
-                .collect();
-            let frame = protocol::encode(
-                &Msg::Assign {
-                    worker: w as u32,
-                    dim: wire_index(dim),
-                    loss: cfg.loss,
-                    reg: cfg.reg,
-                    lr: cfg.lr,
-                    switch,
-                    rows,
-                },
+            let header = Msg::Assign {
+                worker: w as u32,
+                dim: wire_index(dim),
+                loss: cfg.loss,
+                reg: cfg.reg,
+                lr: cfg.lr,
                 switch,
-            );
-            link.send(&frame)?;
+                rows: wire_index(parts[w].len()),
+            };
+            link.send(&encode_msg(&header, switch))?;
+            let rows = parts[w].iter().map(|&i| AssignedRow {
+                global: wire_index(i),
+                label: ds.labels()[i],
+                row: &ds.rows()[i],
+            });
+            for frame in row_frames(rows) {
+                link.send(&frame)?;
+            }
         }
 
         // The local worker's rows stay in the dataset: its runtime borrows
@@ -333,7 +346,7 @@ pub fn train_net(
             links,
             runtime,
             kill_for(local),
-            row_nnz,
+            ds.rows(),
             part_nnz,
             dim,
             switch,

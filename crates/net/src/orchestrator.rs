@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use mlstar_collectives::FrameSwitch;
 use mlstar_core::ComputeBackend;
 use mlstar_exec::{OpResult, WorkerOp};
+use mlstar_linalg::SparseVector;
 use mlstar_sim::{dense_op_flops, pass_flops};
 
 use crate::error::NetError;
@@ -100,8 +101,8 @@ pub(crate) struct Orchestrator<'a> {
     /// The typed error behind a failed `run_ops`, whose own error channel
     /// carries only its rendering.
     pub failure: Option<NetError>,
-    /// nnz of every dataset row, for per-op flop accounting.
-    row_nnz: Vec<usize>,
+    /// The dataset's rows, whose nnz the per-op flop accounting sums.
+    rows: &'a [SparseVector],
     /// Total nnz per worker partition.
     part_nnz: Vec<usize>,
     dim: usize,
@@ -116,7 +117,7 @@ impl<'a> Orchestrator<'a> {
         links: Vec<Box<dyn Transport>>,
         local: Runtime<'a>,
         local_kill: Option<u64>,
-        row_nnz: Vec<usize>,
+        rows: &'a [SparseVector],
         part_nnz: Vec<usize>,
         dim: usize,
         switch: FrameSwitch,
@@ -127,7 +128,7 @@ impl<'a> Orchestrator<'a> {
             local_kill,
             stats: Vec::new(),
             failure: None,
-            row_nnz,
+            rows,
             part_nnz,
             dim,
             switch,
@@ -144,7 +145,7 @@ impl<'a> Orchestrator<'a> {
     }
 
     fn indices_nnz(&self, idx: &[u32]) -> usize {
-        idx.iter().map(|&i| self.row_nnz[i as usize]).sum()
+        idx.iter().map(|&i| self.rows[i as usize].nnz()).sum()
     }
 
     /// The modeled flops of one op — the same formulas the trainers charge

@@ -20,11 +20,19 @@
 //! link move the same frames the simulator charges for. Decoding is
 //! switch-agnostic — the frame kind byte selects the decoder.
 //!
+//! A partition is streamed, never sent whole: `Assign` is a header that
+//! declares the row count, and the rows follow in `Rows` frames that
+//! [`row_frames`] cuts at [`ROW_FRAME_BUDGET`] payload bytes. Each frame
+//! decodes on its own; the worker checks the sequence (every declared
+//! row, no more, each of the assigned dimension and named once) as it
+//! takes the frames in.
+//!
 //! Message flow:
 //!
 //! ```text
 //! worker → orchestrator   Hello { worker }
 //! orchestrator → worker   Assign { worker, dim, loss, reg, lr, switch, rows }
+//! orchestrator → worker   Rows { rows }               (until `rows` have come)
 //! orchestrator → worker   Ops { batch, ops }          (repeated)
 //! worker → orchestrator   OpDone { batch, results }   (one per Ops)
 //! orchestrator → worker   Shutdown
@@ -42,9 +50,14 @@ use crate::error::NetError;
 
 /// `"MLSN"` — the protocol frame magic.
 pub const NET_MAGIC: u32 = 0x4D4C_534E;
-/// Protocol version this build speaks. Version 2 checksums frames with
-/// XXH64 (version 1 used FNV-1a).
-pub const NET_VERSION: u32 = 2;
+/// Protocol version this build speaks. Version 3 streams a partition as
+/// an `Assign` header and `Rows` frames (version 2 sent it as one
+/// `Assign` frame; version 1 checksummed frames with FNV-1a).
+pub const NET_VERSION: u32 = 3;
+
+/// The most payload bytes a `Rows` frame from [`row_frames`] holds. A row
+/// larger than this alone travels alone, in a frame of its own.
+pub const ROW_FRAME_BUDGET: usize = 256 << 10;
 
 /// One row shipped to a worker at assignment time. A decoded row owns
 /// its vector; the orchestrator encodes rows that borrow theirs from the
@@ -59,7 +72,7 @@ pub struct AssignedRow<R = SparseVector> {
     pub row: R,
 }
 
-/// A protocol message. `R` is how an `Assign` holds its rows' vectors:
+/// A protocol message. `R` is how a `Rows` frame holds its rows' vectors:
 /// owned, as decoded, or borrowed, as the orchestrator encodes them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg<R = SparseVector> {
@@ -68,7 +81,8 @@ pub enum Msg<R = SparseVector> {
         /// The worker's index.
         worker: u32,
     },
-    /// The worker's standing state: its partition and the GLM problem.
+    /// The worker's standing state: the GLM problem, and how many rows of
+    /// its partition the `Rows` frames after it carry.
     Assign {
         /// Worker index (echoed for cross-checking).
         worker: u32,
@@ -84,7 +98,13 @@ pub enum Msg<R = SparseVector> {
         /// The frame switch both ends encode model payloads with for the
         /// rest of the session.
         switch: FrameSwitch,
-        /// The rows of this worker's partition, in partition order.
+        /// The partition's row count.
+        rows: u32,
+    },
+    /// The next rows of the partition an `Assign` announced, in
+    /// partition order.
+    Rows {
+        /// The rows this frame carries.
         rows: Vec<AssignedRow<R>>,
     },
     /// A batch of compute ops for this worker.
@@ -152,52 +172,72 @@ schema! {
 schema! {
     tagged msg: Msg<R: Borrow<SparseVector>> [frames: FrameSwitch] {
         1 => Hello { worker: u32 },
-        2 => Assign {
-            worker: u32, dim: u32, loss: loss, reg: reg, lr: lr, switch: switch, rows: list(row),
-        },
+        2 => Assign { worker: u32, dim: u32, loss: loss, reg: reg, lr: lr, switch: switch, rows: u32 },
         3 => Ops { batch: u64, ops: list(op) },
         4 => OpDone { batch: u64, compute_nanos: u64, results: list(result) },
         5 => Shutdown,
+        6 => Rows { rows: list(row) },
     }
 }
 
 /// Encodes a message as one checksummed frame.
 ///
 /// `switch` selects the model-payload encoding for `Ops` and `OpDone`
-/// (an `Assign` carries its own switch field; `Hello` and `Shutdown`
-/// have no model payloads). [`FrameSwitch::Dense`] reproduces the legacy
-/// all-dense frames byte for byte.
+/// (an `Assign` carries its own switch field; `Hello`, `Rows` and
+/// `Shutdown` have no model payloads). [`FrameSwitch::Dense`] reproduces
+/// the legacy all-dense frames byte for byte.
 pub fn encode_msg(msg: &Msg, switch: FrameSwitch) -> Vec<u8> {
-    encode(msg, switch)
-}
-
-/// [`encode_msg`] for a message whose `Assign` rows are owned or borrowed.
-pub(crate) fn encode<R: Borrow<SparseVector>>(msg: &Msg<R>, switch: FrameSwitch) -> Vec<u8> {
     let mut w = Writer::for_frame();
     msg::put(&mut w, msg, switch);
     w.into_frame(NET_MAGIC, NET_VERSION)
 }
 
+/// Cuts a partition's rows, in partition order, into `Rows` frames of at
+/// most [`ROW_FRAME_BUDGET`] payload bytes each; a row that alone exceeds
+/// the budget gets a frame of its own. Frames are encoded one at a time,
+/// as the iterator is advanced, each into a buffer of its exact size, so
+/// a sender that sends each before taking the next holds one frame of
+/// the partition at a time. The rows may borrow their vectors
+/// (`R = &SparseVector`).
+pub fn row_frames<R: Borrow<SparseVector>>(
+    rows: impl IntoIterator<Item = AssignedRow<R>>,
+) -> impl Iterator<Item = Vec<u8>> {
+    // The message tag and the row count come before the rows; a row is
+    // its global index, its label, the `u64` length of its sparse frame
+    // and the frame.
+    const LIST_HEAD: usize = 1 + 8;
+    let encoded_len =
+        |r: &AssignedRow<R>| 4 + 8 + 8 + wire::encoded_sparse_len(r.row.borrow().nnz());
+    let mut rows = rows.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let mut batch = Vec::new();
+        let mut len = LIST_HEAD;
+        while let Some(r) =
+            rows.next_if(|r| batch.is_empty() || len + encoded_len(r) <= ROW_FRAME_BUDGET)
+        {
+            len += encoded_len(&r);
+            batch.push(r);
+        }
+        if batch.is_empty() {
+            return None;
+        }
+        let mut w = Writer::for_frame_with_capacity(len);
+        msg::put(&mut w, &Msg::Rows { rows: batch }, FrameSwitch::Dense);
+        Some(w.into_frame(NET_MAGIC, NET_VERSION))
+    })
+}
+
 /// Decodes one frame into a message, validating magic, version, checksum
 /// and full payload consumption. A payload no encoder produces — an
-/// unknown tag, a count the bytes cannot hold, an `Assign` row whose
-/// dimension is not the assigned one — is a [`NetError::Protocol`].
+/// unknown tag, a count the bytes cannot hold — is a
+/// [`NetError::Protocol`]. A frame decodes on its own: whether a `Rows`
+/// frame fits the assignment it belongs to is the worker's check.
 pub fn decode_msg(frame: &[u8]) -> Result<Msg, NetError> {
     let payload = decode_frame(frame, NET_MAGIC, NET_VERSION)?;
     let mut r = Reader::new(payload);
-    let msg = msg::get(&mut r)
+    msg::get(&mut r)
         .and_then(|msg| r.finish().map(|()| msg))
-        .map_err(|e| NetError::Protocol(e.to_string()))?;
-    if let Msg::Assign { dim, rows, .. } = &msg {
-        if let Some(bad) = rows.iter().find(|r| r.row.dim() != *dim as usize) {
-            return Err(NetError::Protocol(format!(
-                "row {} has dimension {}, the assignment {dim}",
-                bad.global,
-                bad.row.dim()
-            )));
-        }
-    }
-    Ok(msg)
+        .map_err(|e| NetError::Protocol(e.to_string()))
 }
 
 #[cfg(test)]
@@ -229,6 +269,10 @@ mod tests {
                 period: 7,
             },
             switch: FrameSwitch::Adaptive,
+            rows: 1,
+        });
+        roundtrip(Msg::Rows { rows: vec![] });
+        roundtrip(Msg::Rows {
             rows: vec![AssignedRow {
                 global: 9,
                 label: -1.0,
@@ -287,17 +331,6 @@ mod tests {
 
     #[test]
     fn borrowed_rows_encode_to_the_bytes_of_owned_rows() {
-        fn assign<R>(switch: FrameSwitch, rows: Vec<AssignedRow<R>>) -> Msg<R> {
-            Msg::Assign {
-                worker: 2,
-                dim: 4,
-                loss: Loss::Squared,
-                reg: Regularizer::L2 { lambda: 0.5 },
-                lr: LearningRate::Constant(0.25),
-                switch,
-                rows,
-            }
-        }
         let owned = vec![
             AssignedRow {
                 global: 3,
@@ -310,19 +343,16 @@ mod tests {
                 row: SparseVector::from_pairs(4, &[]).unwrap(),
             },
         ];
-        for switch in [FrameSwitch::Dense, FrameSwitch::Adaptive] {
-            let borrowed = owned
-                .iter()
-                .map(|r| AssignedRow {
-                    global: r.global,
-                    label: r.label,
-                    row: &r.row,
-                })
-                .collect();
-            let frame = encode(&assign(switch, borrowed), switch);
-            assert_eq!(frame, encode_msg(&assign(switch, owned.clone()), switch));
-            assert_eq!(decode_msg(&frame).unwrap(), assign(switch, owned.clone()));
-        }
+        let borrowed = owned.iter().map(|r| AssignedRow {
+            global: r.global,
+            label: r.label,
+            row: &r.row,
+        });
+        let frames: Vec<Vec<u8>> = row_frames(borrowed).collect();
+        assert_eq!(frames, row_frames(owned.clone()).collect::<Vec<_>>());
+        let rows = Msg::Rows { rows: owned };
+        assert_eq!(frames, [encode_msg(&rows, FrameSwitch::Dense)]);
+        assert_eq!(decode_msg(&frames[0]).unwrap(), rows);
     }
 
     #[test]
@@ -342,7 +372,7 @@ mod tests {
                 reg: Regularizer::None,
                 lr,
                 switch: FrameSwitch::Dense,
-                rows: vec![],
+                rows: 0,
             });
         }
         roundtrip(Msg::Assign {
@@ -352,7 +382,7 @@ mod tests {
             reg: Regularizer::L1 { lambda: 0.5 },
             lr: LearningRate::Constant(0.1),
             switch: FrameSwitch::Dense,
-            rows: vec![],
+            rows: u32::MAX,
         });
     }
 
@@ -381,12 +411,12 @@ mod tests {
             reg: Regularizer::None,
             lr: LearningRate::Constant(0.1),
             switch: FrameSwitch::Dense,
-            rows: vec![],
+            rows: 0,
         };
         let frame = encode_msg(&assign, FrameSwitch::Dense);
-        // The switch byte sits just before the empty row list's count.
+        // The switch byte sits just before the `u32` row count.
         let mut payload = frame[mlstar_codec::HEADER_LEN..].to_vec();
-        let at = payload.len() - 9;
+        let at = payload.len() - 5;
         payload[at] = 7; // not a valid frame-switch tag
         let frame = mlstar_codec::encode_frame(NET_MAGIC, NET_VERSION, &payload);
         assert!(matches!(decode_msg(&frame), Err(NetError::Protocol(_))));

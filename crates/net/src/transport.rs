@@ -4,8 +4,10 @@
 //! `mlstar-codec` envelope plus payload) in both directions. Two
 //! implementations share the trait:
 //!
-//! * [`ChannelTransport`] — `std::sync::mpsc` channels between threads of
-//!   one process; frames arrive intact by construction.
+//! * [`ChannelTransport`] — bounded `std::sync::mpsc` channels between
+//!   threads of one process; frames arrive intact by construction, and a
+//!   sender blocks while two frames wait unread, as a TCP sender does on
+//!   full socket buffers.
 //! * [`TcpTransport`] — a loopback TCP stream; frames are self-delimiting
 //!   because the codec header carries the payload length at a fixed
 //!   offset, so the receiver reads the header, then exactly the declared
@@ -16,7 +18,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, SyncSender};
 
 use mlstar_codec::HEADER_LEN;
 
@@ -47,16 +49,22 @@ pub trait Transport: Send {
     fn recv(&mut self) -> Result<Vec<u8>, NetError>;
 }
 
-/// In-process transport over a pair of mpsc channels.
+/// Frames one direction of a [`ChannelTransport`] holds unread. Two let
+/// the sender encode a frame while the receiver decodes the one before.
+const CHANNEL_FRAMES: usize = 2;
+
+/// In-process transport over a pair of bounded mpsc channels.
 pub struct ChannelTransport {
-    tx: Sender<Vec<u8>>,
+    tx: SyncSender<Vec<u8>>,
     rx: Receiver<Vec<u8>>,
 }
 
-/// Builds a connected orchestrator/worker endpoint pair.
+/// Builds a connected orchestrator/worker endpoint pair. Each direction
+/// holds at most two unread frames; a third `send` blocks until the peer
+/// takes one.
 pub fn channel_pair() -> (ChannelTransport, ChannelTransport) {
-    let (to_worker, from_orch) = std::sync::mpsc::channel();
-    let (to_orch, from_worker) = std::sync::mpsc::channel();
+    let (to_worker, from_orch) = std::sync::mpsc::sync_channel(CHANNEL_FRAMES);
+    let (to_orch, from_worker) = std::sync::mpsc::sync_channel(CHANNEL_FRAMES);
     (
         ChannelTransport {
             tx: to_worker,
@@ -119,12 +127,21 @@ impl Transport for TcpTransport {
         // 8..16.
         let payload_len = u64::from_le_bytes(std::array::from_fn(|i| header[8 + i]));
         check_payload_len(payload_len)?;
-        // One allocation at the frame's final size, header copied in.
-        let mut frame = vec![0u8; HEADER_LEN + payload_len as usize];
-        frame[..HEADER_LEN].copy_from_slice(&header);
-        self.stream
-            .read_exact(&mut frame[HEADER_LEN..])
+        // One allocation at the frame's final size, header copied in; the
+        // payload is read into its unfilled capacity, not over zeros.
+        let len = HEADER_LEN + payload_len as usize;
+        let mut frame = Vec::with_capacity(len);
+        frame.extend_from_slice(&header);
+        (&mut self.stream)
+            .take(payload_len)
+            .read_to_end(&mut frame)
             .map_err(|e| NetError::Io(format!("tcp read payload: {e}")))?;
+        if frame.len() < len {
+            return Err(NetError::Io(format!(
+                "tcp read payload: peer closed after {} of {payload_len} bytes",
+                frame.len() - HEADER_LEN
+            )));
+        }
         Ok(frame)
     }
 }

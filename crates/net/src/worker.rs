@@ -8,12 +8,14 @@
 //! computed itself.
 //!
 //! A worker runs in one of two places. A linked worker runs on a spawned
-//! thread behind a transport ([`run_worker`]): it sends `Hello`, decodes
-//! its `Assign` into rows it owns, and answers `Ops` with `OpDone` until
-//! `Shutdown`. The last worker of a run is local: the orchestrator runs
-//! its ops in process, on its own thread, through a [`Runtime`] that
-//! borrows the dataset's rows and labels, so that worker has no frame and
-//! no copy of a row. Both kinds execute ops through [`Runtime::run`].
+//! thread behind a transport ([`serve_worker`]): it sends `Hello`, takes
+//! its `Assign` header and then its `Rows` frames, moving each frame's
+//! decoded rows into the rows, labels and table it owns, and answers
+//! `Ops` with `OpDone` until `Shutdown`. The last worker of a run is
+//! local: the orchestrator runs its ops in process, on its own thread,
+//! through a [`Runtime`] that borrows the dataset's rows and labels, so
+//! that worker has no frame and no copy of a row. Both kinds execute ops
+//! through [`Runtime::run`].
 
 use mlstar_collectives::FrameSwitch;
 use mlstar_exec::{OpExecutor, OpResult, Shard, WorkerOp};
@@ -31,11 +33,24 @@ pub(crate) fn run_worker(mut link: Box<dyn Transport>, worker: usize, kill_at_ba
     let _ = serve(&mut *link, worker, kill_at_batch);
 }
 
-/// One linked worker's side of the protocol: `Hello` out, then `Assign`
-/// in, then `Ops` answered by `OpDone` until `Shutdown`. An error is a
-/// protocol violation or a dead link; the worker exits on it as it does on
-/// `Shutdown`. `kill_at_batch` injects a fault: the worker exits without
-/// answering that batch, and its dropped link is the crash signal.
+/// One linked worker's side of a session over `link`: `Hello` out, then
+/// its assignment in (the `Assign` header and the `Rows` frames it
+/// announces), then `Ops` answered by `OpDone` until `Shutdown`.
+///
+/// # Errors
+///
+/// Returns why the session ended early: a dead link, an undecodable
+/// frame, or a [`NetError::Protocol`] for a sequence no orchestrator
+/// sends — a message other than this worker's `Assign` after `Hello`,
+/// anything but `Rows` before every announced row has come, more rows
+/// than announced, a row whose dimension is not the assigned one, a
+/// global row named twice, or an op that does not fit the partition.
+pub fn serve_worker(link: &mut dyn Transport, worker: u32) -> Result<(), NetError> {
+    serve(link, worker as usize, None)
+}
+
+/// [`serve_worker`] with a fault: at `kill_at_batch` the worker exits
+/// without answering, and its dropped link is the crash signal.
 fn serve(link: &mut dyn Transport, id: usize, kill_at_batch: Option<u64>) -> Result<(), NetError> {
     // Hello precedes the assignment, so it is always encoded dense (it
     // carries no model payloads either way).
@@ -43,7 +58,7 @@ fn serve(link: &mut dyn Transport, id: usize, kill_at_batch: Option<u64>) -> Res
         &Msg::Hello { worker: id as u32 },
         FrameSwitch::Dense,
     ))?;
-    let (exec, switch, part) = assignment(decode_msg(&link.recv()?)?, id)?;
+    let (exec, switch, part) = receive_assignment(link, id)?;
     let mut rt = Runtime::new(exec, part.shard(), &part.table);
     loop {
         match decode_msg(&link.recv()?)? {
@@ -71,9 +86,13 @@ fn serve(link: &mut dyn Transport, id: usize, kill_at_batch: Option<u64>) -> Res
     }
 }
 
-/// Takes the first frame after `Hello`, which must be this worker's
-/// `Assign`: the executor, the session's frame switch and the partition.
-fn assignment(msg: Msg, id: usize) -> Result<(OpExecutor, FrameSwitch, Partition), NetError> {
+/// Takes the frames after `Hello`: this worker's `Assign` header, then
+/// `Rows` frames until the rows it announced have all come. Returns the
+/// executor, the session's frame switch and the partition.
+fn receive_assignment(
+    link: &mut dyn Transport,
+    id: usize,
+) -> Result<(OpExecutor, FrameSwitch, Partition), NetError> {
     let Msg::Assign {
         worker: echoed,
         dim,
@@ -81,8 +100,8 @@ fn assignment(msg: Msg, id: usize) -> Result<(OpExecutor, FrameSwitch, Partition
         reg,
         lr,
         switch,
-        rows,
-    } = msg
+        rows: count,
+    } = decode_msg(&link.recv()?)?
     else {
         return Err(NetError::Protocol("expected Assign after Hello".into()));
     };
@@ -91,36 +110,76 @@ fn assignment(msg: Msg, id: usize) -> Result<(OpExecutor, FrameSwitch, Partition
             "assignment for worker {echoed} delivered to worker {id}"
         )));
     }
+    let mut part = Partition::default();
+    while part.rows.len() < count as usize {
+        let Msg::Rows { rows } = decode_msg(&link.recv()?)? else {
+            return Err(NetError::Protocol(format!(
+                "expected Rows: {} of {count} assigned rows have come",
+                part.rows.len()
+            )));
+        };
+        part.extend(rows, dim, count)?;
+    }
     let exec = OpExecutor::new(dim as usize, loss, reg, lr);
-    Ok((exec, switch, Partition::new(rows)?))
+    Ok((exec, switch, part.finish()?))
 }
 
-/// A linked worker's partition, as its `Assign` delivered it.
+/// A linked worker's partition, as its `Rows` frames delivered it.
+#[derive(Default)]
 struct Partition {
     /// Partition rows, in assignment (= partition) order.
     rows: Vec<SparseVector>,
     labels: Vec<f64>,
-    /// Resolves a global row index to its position in `rows`.
+    /// Resolves a global row index to its position in `rows`; sorted
+    /// once every row has come.
     table: Vec<(u32, u32)>,
     /// `0..rows.len()` — the whole partition, in partition order.
     all: Vec<usize>,
 }
 
 impl Partition {
-    fn new(assigned: Vec<AssignedRow>) -> Result<Self, NetError> {
-        let mut rows = Vec::with_capacity(assigned.len());
-        let mut labels = Vec::with_capacity(assigned.len());
-        let mut pairs = Vec::with_capacity(assigned.len());
-        for (local, r) in assigned.into_iter().enumerate() {
-            // Past u32::MAX rows some global index repeats anyway.
-            let local = u32::try_from(local)
-                .map_err(|_| NetError::Protocol("more rows than global indices".into()))?;
-            pairs.push((r.global, local));
-            rows.push(r.row);
-            labels.push(r.label);
+    /// Moves one `Rows` frame's rows in behind those already held. Each
+    /// buffer grows by exactly the frame's rows: its size follows the rows
+    /// that came, never the count an `Assign` declared.
+    fn extend(&mut self, rows: Vec<AssignedRow>, dim: u32, count: u32) -> Result<(), NetError> {
+        let held = self.rows.len();
+        if held + rows.len() > count as usize {
+            return Err(NetError::Protocol(format!(
+                "{} rows past the {count} assigned",
+                held + rows.len() - count as usize
+            )));
         }
+        self.rows.reserve_exact(rows.len());
+        self.labels.reserve_exact(rows.len());
+        self.table.reserve_exact(rows.len());
+        // Every position is below `count`, a `u32`, so it fits one.
+        for (local, r) in (held as u32..).zip(rows) {
+            if r.row.dim() != dim as usize {
+                return Err(NetError::Protocol(format!(
+                    "row {} has dimension {}, the assignment {dim}",
+                    r.global,
+                    r.row.dim()
+                )));
+            }
+            self.table.push((r.global, local));
+            self.rows.push(r.row);
+            self.labels.push(r.label);
+        }
+        Ok(())
+    }
+
+    /// The partition once every row has come: its table sorted for
+    /// lookup (a global row named twice is refused here), and its
+    /// whole-partition order.
+    fn finish(self) -> Result<Self, NetError> {
+        let Partition {
+            rows,
+            labels,
+            table,
+            ..
+        } = self;
         Ok(Partition {
-            table: row_table(pairs)?,
+            table: row_table(table)?,
             all: (0..rows.len()).collect(),
             rows,
             labels,
@@ -198,6 +257,8 @@ impl<'a> Runtime<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
     use super::*;
     use crate::transport::channel_pair;
     use mlstar_exec::ExecError;
@@ -222,32 +283,33 @@ mod tests {
             .unzip()
     }
 
-    /// An assignment of the dataset's rows under the given global indices.
-    fn assign_rows(worker: u32, globals: [u32; 3], switch: FrameSwitch) -> Vec<u8> {
+    /// An assignment of the dataset's rows under the given global
+    /// indices: the `Assign` header, then one `Rows` frame per row.
+    fn assign_rows(worker: u32, globals: [u32; 3], switch: FrameSwitch) -> Vec<Vec<u8>> {
         let (rows, labels) = data();
-        let rows = globals
-            .iter()
-            .map(|&g| AssignedRow {
+        let header = Msg::Assign {
+            worker,
+            dim: DIM as u32,
+            loss: LOSS,
+            reg: REG,
+            lr: LR,
+            switch,
+            rows: globals.len() as u32,
+        };
+        let rows = globals.iter().map(|&g| {
+            let row = AssignedRow {
                 global: g,
                 label: labels[g as usize],
                 row: rows[g as usize].clone(),
-            })
-            .collect();
-        encode_msg(
-            &Msg::Assign {
-                worker,
-                dim: DIM as u32,
-                loss: LOSS,
-                reg: REG,
-                lr: LR,
-                switch,
-                rows,
-            },
-            switch,
-        )
+            };
+            encode_msg(&Msg::Rows { rows: vec![row] }, switch)
+        });
+        std::iter::once(encode_msg(&header, switch))
+            .chain(rows)
+            .collect()
     }
 
-    fn assign(worker: u32) -> Vec<u8> {
+    fn assign(worker: u32) -> Vec<Vec<u8>> {
         assign_rows(worker, PART, FrameSwitch::Adaptive)
     }
 
@@ -292,21 +354,39 @@ mod tests {
         encode_msg(&Msg::Ops { batch, ops: ops() }, switch)
     }
 
-    /// Runs worker 0 over a channel whose orchestrator end has already
-    /// sent `frames`; returns how the worker ended and what it sent.
+    /// A link whose orchestrator end has already sent `frames`: `recv`
+    /// takes them in order and then fails, as a hung-up peer does; `send`
+    /// keeps what the worker sent.
+    struct Script {
+        frames: VecDeque<Vec<u8>>,
+        sent: Vec<Vec<u8>>,
+    }
+
+    impl Transport for Script {
+        fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+            self.sent.push(frame.to_vec());
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, NetError> {
+            self.frames
+                .pop_front()
+                .ok_or_else(|| NetError::Io("peer hung up".into()))
+        }
+    }
+
+    /// Runs worker 0 over a link whose orchestrator end has already sent
+    /// `frames`; returns how the worker ended and what it sent.
     fn serve_frames(
-        frames: &[Vec<u8>],
+        frames: Vec<Vec<u8>>,
         kill_at_batch: Option<u64>,
     ) -> (Result<(), NetError>, Vec<Msg>) {
-        let (mut orch, mut worker_end) = channel_pair();
-        for frame in frames {
-            orch.send(frame).unwrap();
-        }
-        let ended = serve(&mut worker_end, 0, kill_at_batch);
-        drop(worker_end);
-        let sent = std::iter::from_fn(|| orch.recv().ok())
-            .map(|f| decode_msg(&f).unwrap())
-            .collect();
+        let mut link = Script {
+            frames: frames.into(),
+            sent: Vec::new(),
+        };
+        let ended = serve(&mut link, 0, kill_at_batch);
+        let sent = link.sent.iter().map(|f| decode_msg(f).unwrap()).collect();
         (ended, sent)
     }
 
@@ -348,7 +428,9 @@ mod tests {
                     decode_msg(&orch.recv().unwrap()).unwrap(),
                     Msg::Hello { worker: 2 }
                 );
-                orch.send(&assign_rows(2, PART, switch)).unwrap();
+                for frame in assign_rows(2, PART, switch) {
+                    orch.send(&frame).unwrap();
+                }
                 orch.send(&ops_frame(5, switch)).unwrap();
                 let reply = decode_msg(&orch.recv().unwrap()).unwrap();
                 orch.send(&encode_msg(&Msg::Shutdown, switch)).unwrap();
@@ -373,12 +455,12 @@ mod tests {
         );
         let shutdown = encode_msg(&Msg::Shutdown, FrameSwitch::Dense);
         // Batch 0 is answered; at batch 1 the worker exits unanswered.
-        let (ended, sent) = serve_frames(&[assign(0), a.clone(), b.clone()], Some(1));
+        let (ended, sent) = serve_frames([assign(0), vec![a.clone(), b.clone()]].concat(), Some(1));
         assert!(ended.is_ok(), "{ended:?}");
         assert_eq!(sent.len(), 2);
         assert!(matches!(sent[1], Msg::OpDone { batch: 0, .. }), "{sent:?}");
         // Without the kill both are answered, then Shutdown ends it.
-        let (ended, sent) = serve_frames(&[assign(0), a, b, shutdown], None);
+        let (ended, sent) = serve_frames([assign(0), vec![a, b, shutdown]].concat(), None);
         assert!(ended.is_ok(), "{ended:?}");
         assert_eq!(sent.len(), 3);
         assert!(matches!(sent[2], Msg::OpDone { batch: 1, .. }), "{sent:?}");
@@ -388,10 +470,10 @@ mod tests {
     fn a_linked_worker_refuses_ops_before_its_own_assignment() {
         let early = ops_frame(0, FrameSwitch::Dense);
         for (first, why) in [
-            (early, "expected Assign after Hello"),
+            (vec![early], "expected Assign after Hello"),
             (assign(1), "assignment for worker 1 delivered to worker 0"),
         ] {
-            let (ended, sent) = serve_frames(&[first], None);
+            let (ended, sent) = serve_frames(first, None);
             assert!(
                 matches!(&ended, Err(NetError::Protocol(m)) if m == why),
                 "{ended:?}"
@@ -413,7 +495,7 @@ mod tests {
             },
             FrameSwitch::Adaptive,
         );
-        let (ended, sent) = serve_frames(&[assign(0), empty_step], None);
+        let (ended, sent) = serve_frames([assign(0), vec![empty_step]].concat(), None);
         assert!(
             matches!(&ended, Err(NetError::Protocol(m)) if m.contains("empty batch")),
             "{ended:?}"
@@ -428,8 +510,8 @@ mod tests {
         // ops would reach one of them.
         let shutdown = encode_msg(&Msg::Shutdown, FrameSwitch::Dense);
         for globals in [[4, 9, 4], [7, 7, 2]] {
-            let frame = assign_rows(0, globals, FrameSwitch::Dense);
-            let (refused, _) = serve_frames(&[frame, shutdown.clone()], None);
+            let frames = assign_rows(0, globals, FrameSwitch::Dense);
+            let (refused, _) = serve_frames([frames, vec![shutdown.clone()]].concat(), None);
             let twice = format!("row {} assigned twice", globals[0]);
             assert!(
                 matches!(&refused, Err(NetError::Protocol(m)) if *m == twice),
@@ -437,8 +519,10 @@ mod tests {
             );
         }
         // The same rows under distinct indices are taken.
-        let frame = assign_rows(0, [4, 9, 2], FrameSwitch::Dense);
-        assert!(serve_frames(&[frame, shutdown], None).0.is_ok());
+        let frames = assign_rows(0, [4, 9, 2], FrameSwitch::Dense);
+        assert!(serve_frames([frames, vec![shutdown]].concat(), None)
+            .0
+            .is_ok());
     }
 
     #[test]
@@ -461,7 +545,7 @@ mod tests {
                 FrameSwitch::Dense,
             );
             let expected = ExecError::RowNotInPartition(g).to_string();
-            let (linked, _) = serve_frames(&[assign(0), frame], None);
+            let (linked, _) = serve_frames([assign(0), vec![frame]].concat(), None);
             let local = local_run(op());
             for refused in [linked, local.map(drop)] {
                 assert!(
