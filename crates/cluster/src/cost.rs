@@ -139,20 +139,6 @@ impl CostModel {
         self.spec.network.latency
             + SimDuration::from_secs_f64(total_bytes as f64 / self.spec.network.bandwidth_bps)
     }
-
-    /// `count` transfers of `bytes` each that proceed in parallel over
-    /// distinct links (e.g. the shuffle phases of Reduce-Scatter /
-    /// AllGather where every executor talks to a different peer
-    /// simultaneously). Cost is that of the slowest single link: one
-    /// latency per round trip plus one payload per link.
-    pub fn parallel_transfers(&self, bytes: usize, rounds: usize) -> SimDuration {
-        let per_round = self.transfer(bytes);
-        let mut total = SimDuration::ZERO;
-        for _ in 0..rounds {
-            total += per_round;
-        }
-        total
-    }
 }
 
 /// Approximate flops to process one training example of `nnz` nonzeros
@@ -234,14 +220,6 @@ mod tests {
         let small = m.serialized_transfer_total(1_000);
         let big = m.serialized_transfer_total(125_000_000);
         assert!(small.as_secs_f64() < big.as_secs_f64());
-    }
-
-    #[test]
-    fn parallel_transfers_pay_per_round() {
-        let m = model();
-        let t = m.parallel_transfers(125_000_000, 3);
-        // Three rounds of (1 s + 1 ms).
-        assert!((t.as_secs_f64() - 3.003).abs() < 1e-6, "{t}");
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.event))
     }
 
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -105,7 +100,6 @@ mod tests {
         q.push(t(1.0), "a");
         q.push(t(2.0), "b");
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(t(1.0)));
         assert_eq!(q.pop(), Some((t(1.0), "a")));
         assert_eq!(q.pop(), Some((t(2.0), "b")));
         assert_eq!(q.pop(), Some((t(3.0), "c")));
@@ -138,7 +132,6 @@ mod tests {
     fn empty_queue_behaves() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         assert_eq!(q.pop(), None);
     }
 }

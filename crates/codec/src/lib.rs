@@ -570,8 +570,8 @@ impl<'a> Reader<'a> {
 /// `str16`, `blob64`, `[u8; N]`, `f64s` and `u32s` (behind a `u64` count),
 /// `list(kind)` (a count, refused unless `count × MIN_LEN` bytes remain),
 /// `counted(kind, n)` (`n` elements, `n` from an earlier field),
-/// `option(kind)` (a flag, then the value if present), `fixed_option(kind)`
-/// (a flag, then the value or its default), or another schema's name.
+/// `fixed_option(kind)` (a flag, then the value or its default), or another
+/// schema's name.
 #[macro_export]
 macro_rules! schema {
     ($(#[$m:meta])* $vis:vis $form:ident $name:ident : $ty:ident $(<$g:ident : $gb:path>)?
@@ -699,10 +699,6 @@ macro_rules! schema {
             $crate::schema!(@put $w, x, $cx; $k $(($($ka)*))?);
         }
     }};
-    (@put $w:ident, $v:expr, $cx:ident; option($($k:tt)*)) => {{
-        $w.put_u8(u8::from($v.is_some()));
-        if let Some(x) = $v { $crate::schema!(@put $w, x, $cx; $($k)*) }
-    }};
     (@put $w:ident, $v:expr, $cx:ident; fixed_option($($k:tt)*)) => {{
         $w.put_u8(u8::from($v.is_some()));
         match $v {
@@ -747,9 +743,6 @@ macro_rules! schema {
         }
         out
     }};
-    (@get $r:ident; option($($k:tt)*)) => {
-        if $crate::schema!(@get $r; bool) { Some($crate::schema!(@get $r; $($k)*)) } else { None }
-    };
     (@get $r:ident; fixed_option($($k:tt)*)) => {{
         let present = $crate::schema!(@get $r; bool);
         let value = $crate::schema!(@get $r; $($k)*);
@@ -763,7 +756,6 @@ macro_rules! schema {
     (@min str16) => { 2 };
     (@min [u8; $n:expr]) => { $n };
     (@min counted($($k:tt)*)) => { 0 };
-    (@min option($($k:tt)*)) => { 1 };
     (@min fixed_option($($k:tt)*)) => { 1 + $crate::schema!(@min $($k)*) };
     (@min list($($k:tt)*)) => { 8 };
     (@min u64) => { 8 };
@@ -996,7 +988,7 @@ mod tests {
     enum Node {
         Driver,
         Worker(usize),
-        Pair { a: u32, b: Option<u64> },
+        Pair { a: u32, b: Option<u8> },
     }
 
     #[derive(Debug, PartialEq)]
@@ -1017,7 +1009,7 @@ mod tests {
         inner: Nanos,
     }
 
-    schema! { tagged node: Node { 0 => Driver [u64], 1 => Worker(i: usize), 2 => Pair { a: u32, b: option(u64) } } }
+    schema! { tagged node: Node { 0 => Driver [u64], 1 => Worker(i: usize), 2 => Pair { a: u32, b: fixed_option(u8) } } }
     schema! { map nanos: Nanos { u64, |n| n.0, |n| Ok(Nanos(n)) } }
     /// A one-byte value with the context byte in front.
     fn put_tagged(w: &mut Writer, v: &Nanos, cx: u8) {
@@ -1079,7 +1071,7 @@ mod tests {
         let mut w = Writer::new();
         everything::put(&mut w, &v, 0xEE);
         let bytes = w.into_payload();
-        let nodes = 8 + (1 + 8) + (1 + 8) + (1 + 4 + 1 + 8) + (1 + 4 + 1);
+        let nodes = 8 + (1 + 8) + (1 + 8) + (1 + 4 + 1 + 1) + (1 + 4 + 1 + 1);
         let len = 1 + 4 + 1 + 8 + 4 + 10 + 3 + 24 + 12 + nodes + 32 + 9 + 8 + 10;
         assert_eq!(bytes.len(), len);
         assert_eq!(&bytes[..6], &[7, 0x70, 0x11, 0x01, 0x00, 1]);
@@ -1088,7 +1080,7 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(everything::get(&mut r).unwrap(), v);
         r.finish().unwrap();
-        assert_eq!(node::MIN_LEN, 1 + 5);
+        assert_eq!(node::MIN_LEN, 1 + 6);
         assert_eq!(
             everything::MIN_LEN,
             1 + 4 + 1 + 8 + 2 + 8 + 3 + 8 + 8 + 8 + 9 + 8 + 8

@@ -52,7 +52,6 @@ mod config;
 mod cv;
 mod engine;
 mod exec;
-mod ovr;
 mod ps;
 mod sequential;
 mod sparkml;
@@ -71,7 +70,6 @@ pub use engine::{CommBytes, RoundStats};
 pub use exec::{system_partitions, ComputeBackend, ExecAbort, InProcessBackend};
 pub use mlstar_collectives::{CompressionConfig, FrameSwitch, Sparsifier};
 pub use mlstar_exec::{ExecError, OpExecutor, OpResult, Shard, WorkerOp};
-pub use ovr::{OneVsRest, OvrModel, OvrOutput};
 pub use sequential::reference_optimum;
 pub use system::System;
 pub use trace::{ConvergenceTrace, TracePoint};

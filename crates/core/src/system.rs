@@ -90,15 +90,20 @@ impl System {
 
     /// [`System::train`] with the worker-local math on a backend of the
     /// caller's choosing — the entry point for backend hosts such as
-    /// `mlstar-net`. Worker `r` of `backend` must hold exactly the rows
-    /// [`system_partitions`] assigns it. Everything but the math (RNG
-    /// streams, simulated clock, aggregation) runs here, so the output is
+    /// `mlstar-net`. `parts` are the caller's row lists, one per worker,
+    /// and worker `r` of `backend` must hold exactly `parts[r]`. Everything
+    /// but the math (RNG streams, simulated clock, aggregation) runs here,
+    /// so when `parts` are [`system_partitions`]' lists the output is
     /// bit-identical to [`System::train`]'s for any correct backend.
     ///
     /// # Errors
     ///
     /// Returns the [`ExecAbort`] raised when `backend` fails a batch; the
     /// trainer stopped mid-round and no partial output exists.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "System::train's inputs plus the backend and its row lists"
+    )]
     pub fn train_on(
         &self,
         ds: &SparseDataset,
@@ -106,14 +111,14 @@ impl System {
         cfg: &TrainConfig,
         ps: &PsSystemConfig,
         angel: &AngelConfig,
+        parts: &[Vec<usize>],
         backend: &mut dyn ComputeBackend,
     ) -> Result<TrainOutput, ExecAbort> {
-        let parts = system_partitions(*self, ds, cluster, cfg);
         // The trainer's state is dropped by the unwind and `backend` is
         // the caller's to inspect, so observing either after a panic is
         // sound.
         catch_unwind(AssertUnwindSafe(|| {
-            expect_uncheckpointed(self.run(ds, cluster, cfg, ps, angel, None, &parts, backend))
+            expect_uncheckpointed(self.run(ds, cluster, cfg, ps, angel, None, parts, backend))
         }))
         .map_err(|payload| match payload.downcast::<ExecAbort>() {
             Ok(abort) => *abort,

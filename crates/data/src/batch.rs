@@ -162,11 +162,6 @@ impl RowSampler {
         RowSampler { order, hot_len }
     }
 
-    /// The hot-set row indices (the shuffle prefix).
-    pub fn hot_rows(&self) -> &[usize] {
-        &self.order[..self.hot_len]
-    }
-
     /// Draws one row index: with probability `hot_prob` uniformly from
     /// the hot set (when non-empty), otherwise uniformly from all rows.
     ///
@@ -185,6 +180,11 @@ impl RowSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The hot-set row indices (the shuffle prefix).
+    fn hot_rows(s: &RowSampler) -> &[usize] {
+        &s.order[..s.hot_len]
+    }
 
     #[test]
     fn sample_returns_distinct_pool_members() {
@@ -374,18 +374,18 @@ mod tests {
     #[test]
     fn row_sampler_hot_set_is_seeded_prefix() {
         let s = RowSampler::new(100, 0.1, 7);
-        assert_eq!(s.hot_rows().len(), 10);
-        assert_eq!(RowSampler::new(100, 0.1, 7).hot_rows(), s.hot_rows());
-        assert_ne!(RowSampler::new(100, 0.1, 8).hot_rows(), s.hot_rows());
+        assert_eq!(hot_rows(&s).len(), 10);
+        assert_eq!(hot_rows(&RowSampler::new(100, 0.1, 7)), hot_rows(&s));
+        assert_ne!(hot_rows(&RowSampler::new(100, 0.1, 8)), hot_rows(&s));
         // A positive fraction always yields at least one hot row.
-        assert_eq!(RowSampler::new(3, 0.01, 7).hot_rows().len(), 1);
-        assert_eq!(RowSampler::new(3, 0.0, 7).hot_rows().len(), 0);
+        assert_eq!(hot_rows(&RowSampler::new(3, 0.01, 7)).len(), 1);
+        assert_eq!(hot_rows(&RowSampler::new(3, 0.0, 7)).len(), 0);
     }
 
     #[test]
     fn row_sampler_skews_toward_hot_rows() {
         let s = RowSampler::new(1000, 0.01, 42);
-        let hot: std::collections::BTreeSet<usize> = s.hot_rows().iter().copied().collect();
+        let hot: std::collections::BTreeSet<usize> = hot_rows(&s).iter().copied().collect();
         let mut rng = StdRng::seed_from_u64(1);
         let draws = 5000;
         let hot_hits = (0..draws)

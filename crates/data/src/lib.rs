@@ -46,7 +46,6 @@ mod dataset;
 mod error;
 mod fingerprint;
 pub mod libsvm;
-mod multiclass;
 mod partition;
 mod synthetic;
 pub mod workload;
@@ -55,6 +54,5 @@ pub use batch::{BatchSampler, EpochOrder, RowSampler};
 pub use dataset::{DatasetStats, SparseDataset};
 pub use error::DataError;
 pub use fingerprint::{fingerprint_codec, DatasetFingerprint};
-pub use multiclass::{MulticlassConfig, MulticlassDataset};
 pub use partition::Partitioner;
 pub use synthetic::SyntheticConfig;

@@ -38,11 +38,6 @@ impl LazyL1 {
         self.q.resize(dim, 0.0);
     }
 
-    /// The outstanding global penalty (exposed for tests).
-    pub fn pending(&self) -> f64 {
-        self.u
-    }
-
     /// Records that one SGD step with effective penalty `eta * lambda` has
     /// occurred (to be applied lazily).
     #[inline]

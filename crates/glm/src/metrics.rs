@@ -3,8 +3,8 @@
 //! Every metric here is built from one margin loop ([`margins`]) and two
 //! score-space primitives ([`BinaryConfusion::from_scores`] and
 //! [`auc_from_scores`]); the weight-based and [`GlmModel`]-based entry
-//! points are thin wrappers, so training code, one-vs-rest, and the
-//! serving subsystem all score through the same arithmetic.
+//! points are thin wrappers, so training code and the serving subsystem
+//! score through the same arithmetic.
 
 use crate::GlmModel;
 use mlstar_linalg::{DenseVector, SparseVector};
@@ -126,15 +126,6 @@ impl BinaryConfusion {
             "metrics over an empty dataset are undefined"
         );
         BinaryConfusion::from_scores(&margins(w, rows), labels)
-    }
-
-    /// [`BinaryConfusion::evaluate`] for a [`GlmModel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is empty or lengths differ.
-    pub fn evaluate_model(model: &GlmModel, rows: &[SparseVector], labels: &[f64]) -> Self {
-        BinaryConfusion::evaluate(model.weights(), rows, labels)
     }
 
     /// Builds the confusion matrix from precomputed scores (ties at zero
@@ -305,10 +296,6 @@ mod tests {
     fn model_wrappers_match_weight_entry_points() {
         let (w, rows, labels) = problem();
         let model = GlmModel::from_weights(w.clone());
-        assert_eq!(
-            BinaryConfusion::evaluate_model(&model, &rows, &labels),
-            BinaryConfusion::evaluate(&w, &rows, &labels)
-        );
         assert_eq!(
             model_accuracy(&model, &rows, &labels).to_bits(),
             accuracy(&w, &rows, &labels).to_bits()

@@ -41,11 +41,6 @@ impl GlmModel {
         &mut self.weights
     }
 
-    /// Consumes the model, returning the weights.
-    pub fn into_weights(self) -> DenseVector {
-        self.weights
-    }
-
     /// The margin `w·x` for an example.
     pub fn margin(&self, x: &SparseVector) -> f64 {
         self.weights.dot_sparse(x)
@@ -146,6 +141,6 @@ mod tests {
         m.weights_mut().set(1, 5.0);
         assert_eq!(m.weights().get(1), 5.0);
         assert_eq!(m.dim(), 2);
-        assert_eq!(m.into_weights().as_slice(), &[0.0, 5.0]);
+        assert_eq!(m.weights().as_slice(), &[0.0, 5.0]);
     }
 }

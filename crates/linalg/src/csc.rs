@@ -43,11 +43,6 @@ impl<'a> CscCol<'a> {
         self.values.len()
     }
 
-    /// Row indices of the stored entries, ascending.
-    pub fn row_indices(&self) -> &'a [u32] {
-        self.rows
-    }
-
     /// Values of the stored entries.
     pub fn values(&self) -> &'a [f64] {
         self.values
@@ -238,7 +233,7 @@ mod tests {
     fn row_indices_ascend_within_columns() {
         let m = CscMatrix::from_rows(&rows(), 4);
         for j in 0..m.n_cols() {
-            let idx = m.col(j).row_indices();
+            let idx: Vec<usize> = m.col(j).iter().map(|(i, _)| i).collect();
             assert!(idx.windows(2).all(|w| w[0] < w[1]), "column {j}");
         }
     }

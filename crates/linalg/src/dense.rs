@@ -63,11 +63,6 @@ impl DenseVector {
         &mut self.values
     }
 
-    /// Consumes the vector, returning the underlying `Vec`.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.values
-    }
-
     /// Returns the value at `i`.
     ///
     /// # Panics

@@ -97,16 +97,6 @@ impl ScaledVector {
         self.v.axpy_sparse(alpha / self.scale, x);
     }
 
-    /// `self += alpha · d` on the represented vector, in `O(dim)`.
-    pub fn axpy_dense(&mut self, alpha: f64, d: &DenseVector) {
-        // scale = 0.0 is an exact state set by scale_by
-        if self.scale == 0.0 {
-            self.v.clear();
-            self.scale = 1.0;
-        }
-        self.v.axpy(alpha / self.scale, d);
-    }
-
     /// Squared Euclidean norm of the represented vector.
     pub fn norm2_sq(&self) -> f64 {
         self.scale * self.scale * self.v.norm2_sq()
@@ -269,13 +259,5 @@ mod tests {
         w.assign_dense(&DenseVector::from_vec(vec![1.0, 2.0, 3.0]));
         assert_eq!(w.scale_factor(), 1.0);
         assert_eq!(w.get(2), 3.0);
-    }
-
-    #[test]
-    fn axpy_dense_matches_eager() {
-        let mut w = ScaledVector::from_dense(DenseVector::from_vec(vec![1.0, 2.0]));
-        w.scale_by(0.5);
-        w.axpy_dense(1.0, &DenseVector::from_vec(vec![10.0, 10.0]));
-        assert_eq!(w.to_dense().as_slice(), &[10.5, 11.0]);
     }
 }

@@ -139,11 +139,6 @@ impl SparseVector {
         }
     }
 
-    /// Dot product with a dense vector. `O(nnz)`.
-    pub fn dot_dense(&self, w: &DenseVector) -> f64 {
-        w.dot_sparse(self)
-    }
-
     /// Dot product with another sparse vector via a sorted merge.
     /// `O(nnz(self) + nnz(other))`.
     pub fn dot_sparse(&self, other: &SparseVector) -> f64 {

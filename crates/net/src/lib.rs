@@ -351,7 +351,7 @@ pub fn train_net(
             dim,
             switch,
         );
-        let trained = system.train_on(ds, cluster, cfg, ps, angel, &mut backend);
+        let trained = system.train_on(ds, cluster, cfg, ps, angel, &parts, &mut backend);
 
         // Orderly shutdown of the linked workers, dead links ignored
         // (their workers are gone).

@@ -119,17 +119,6 @@ impl ModelArtifact {
         r.finish()?;
         Ok(artifact)
     }
-
-    /// Writes the encoded artifact to a file.
-    pub fn write_file(&self, path: impl AsRef<std::path::Path>) -> Result<(), ServeError> {
-        std::fs::write(path, self.encode())?;
-        Ok(())
-    }
-
-    /// Reads and decodes an artifact file.
-    pub fn read_file(path: impl AsRef<std::path::Path>) -> Result<ModelArtifact, ServeError> {
-        ModelArtifact::decode(&std::fs::read(path)?)
-    }
 }
 
 schema! {
@@ -337,25 +326,5 @@ mod tests {
             1.0,
         );
         assert_ne!(fa.content_hash, DatasetFingerprint::of(&c).content_hash);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("mlstar_serve_artifact_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("model.mlsa");
-        let a = artifact();
-        a.write_file(&path).unwrap();
-        let back = ModelArtifact::read_file(&path).unwrap();
-        assert_eq!(a, back);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        assert!(matches!(
-            ModelArtifact::read_file("/nonexistent/missing.mlsa"),
-            Err(ServeError::Io(_))
-        ));
     }
 }

@@ -35,17 +35,8 @@ pub enum ServeError {
     EmptyModel,
     /// The payload is structurally invalid (bad UTF-8, impossible counts).
     Corrupt(String),
-    /// An I/O failure while reading or writing an artifact file.
-    Io(std::io::Error),
     /// The registry has no model under this name.
     UnknownModel(String),
-    /// The registry has the model but not this version.
-    UnknownVersion {
-        /// Model name.
-        name: String,
-        /// Requested version.
-        version: u64,
-    },
     /// No staged version exists to promote.
     NothingStaged(String),
     /// An artifact's feature dimension disagrees with the one already
@@ -77,11 +68,7 @@ impl fmt::Display for ServeError {
             ),
             ServeError::EmptyModel => write!(f, "artifact declares a zero-dimensional model"),
             ServeError::Corrupt(msg) => write!(f, "corrupt artifact payload: {msg}"),
-            ServeError::Io(e) => write!(f, "I/O error: {e}"),
             ServeError::UnknownModel(name) => write!(f, "no model named {name:?} in registry"),
-            ServeError::UnknownVersion { name, version } => {
-                write!(f, "model {name:?} has no version {version}")
-            }
             ServeError::NothingStaged(name) => {
                 write!(f, "model {name:?} has no staged version to promote")
             }
@@ -92,20 +79,7 @@ impl fmt::Display for ServeError {
     }
 }
 
-impl std::error::Error for ServeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ServeError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for ServeError {
-    fn from(e: std::io::Error) -> Self {
-        ServeError::Io(e)
-    }
-}
+impl std::error::Error for ServeError {}
 
 impl From<mlstar_codec::CodecError> for ServeError {
     fn from(e: mlstar_codec::CodecError) -> Self {
@@ -152,11 +126,6 @@ mod tests {
         assert!(ServeError::UnknownModel("ctr".into())
             .to_string()
             .contains("ctr"));
-        let e = ServeError::UnknownVersion {
-            name: "ctr".into(),
-            version: 4,
-        };
-        assert!(e.to_string().contains("version 4"));
         assert!(ServeError::NothingStaged("ctr".into())
             .to_string()
             .contains("staged"));
@@ -165,10 +134,6 @@ mod tests {
             found: 4,
         };
         assert!(e.to_string().contains("10"));
-        let e: ServeError = std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into();
-        assert!(e.to_string().contains("gone"));
-        assert!(std::error::Error::source(&e).is_some());
-        assert!(std::error::Error::source(&ServeError::EmptyModel).is_none());
     }
 
     #[test]

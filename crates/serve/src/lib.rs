@@ -13,9 +13,7 @@
 //!    model.
 //! 2. **Registry** ([`ModelRegistry`]) — named, versioned artifact lines
 //!    with staged rollout: publish warms a new version behind the active
-//!    one, promote flips it live, pin rolls back. The whole registry
-//!    snapshots to disk through the same shared codec
-//!    ([`ModelRegistry::write_file`] / [`ModelRegistry::read_file`]).
+//!    one, promote flips it live.
 //! 3. **Engine** ([`ScoringEngine`]) — micro-batched scoring under a
 //!    fixed batch-size + batch-deadline policy ([`BatchPolicy`]), scored
 //!    by `std::thread` shard workers that live for the whole run.
@@ -61,10 +59,12 @@
 //! let cfg = TrainConfig { max_rounds: 3, ..TrainConfig::default() };
 //! let out = System::MllibStar.train_default(&dataset, &ClusterSpec::cluster1(), &cfg);
 //!
-//! // Package, publish, and serve.
+//! // Package, publish, stage a retrained version, promote it and serve.
 //! let artifact = ModelArtifact::from_run(System::MllibStar, &cfg, &out, &dataset).unwrap();
 //! let mut registry = ModelRegistry::new();
-//! registry.publish("demo", artifact).unwrap();
+//! assert_eq!(registry.publish("demo", artifact.clone()).unwrap(), 1);
+//! assert_eq!(registry.publish("demo", artifact).unwrap(), 2);
+//! assert_eq!(registry.promote("demo").unwrap(), 2);
 //!
 //! let requests = QueryWorkload { num_requests: 64, ..QueryWorkload::default() }
 //!     .generate(&dataset);
@@ -90,7 +90,7 @@ mod workload;
 pub use artifact::{DatasetFingerprint, ModelArtifact, ARTIFACT_MAGIC, CODEC_VERSION};
 pub use engine::{BatchPolicy, Prediction, ScoreCostModel, ScoreRequest, ScoringEngine, ServeRun};
 pub use error::ServeError;
-pub use registry::{ModelRegistry, SnapshotWrite, REGISTRY_MAGIC, REGISTRY_VERSION};
+pub use registry::ModelRegistry;
 pub use telemetry::{BatchRecord, LatencyHistogram, ServeTelemetry};
 pub use workload::QueryWorkload;
 

@@ -1,23 +1,22 @@
 //! Property tests on the shared binary codec (`mlstar-codec`) and the
 //! file formats built on it.
 //!
-//! The durable formats — model artifacts, registry snapshots, training
-//! checkpoints — all ride the same frame, so the properties are proved
+//! The durable formats — model artifacts and training checkpoints — all
+//! ride the same frame, so the properties are proved
 //! once at the codec layer: any payload round-trips exactly, any
 //! truncation point is detected, and any single flipped bit is refused
 //! (the XXH64 checksum catches a payload flip; a header flip breaks the
 //! magic, version, length or stored-checksum check). A final property
 //! checks the artifact layer end to end with adversarial weight bit
-//! patterns, and the known-answer tests at the end pin the MLSA artifact
-//! and MLSR registry layouts byte for byte.
+//! patterns, and the known-answer test at the end pins the MLSA artifact
+//! layout byte for byte.
 
 use mllib_star::codec::{decode_frame, encode_frame, CodecError, Reader, Writer, HEADER_LEN};
 use mllib_star::core::TrainProvenance;
 use mllib_star::glm::GlmModel;
 use mllib_star::linalg::DenseVector;
 use mllib_star::serve::{
-    DatasetFingerprint, ModelArtifact, ModelRegistry, ServeError, SnapshotWrite, ARTIFACT_MAGIC,
-    CODEC_VERSION,
+    DatasetFingerprint, ModelArtifact, ServeError, ARTIFACT_MAGIC, CODEC_VERSION,
 };
 use proptest::prelude::*;
 
@@ -218,22 +217,12 @@ fn unhex(s: &str) -> Vec<u8> {
         .collect()
 }
 
-/// Pins a frame as hex with every envelope header apart from the payload
-/// bytes: `headers` are the frame's own header, then the header of each
-/// frame nested in its payload at the `nested` payload offsets; `payload`
-/// is the payload with each nested header's version and checksum words
-/// zeroed. An envelope change (version, checksum) moves only `headers`.
+/// Pins a frame as hex with its envelope header apart from the payload
+/// bytes, so an envelope change (version, checksum) moves only `header`.
 #[track_caller]
-fn assert_pinned(frame: &[u8], nested: &[usize], headers: &[&str], payload: &str) {
-    let mut body = frame[HEADER_LEN..].to_vec();
-    let mut found = vec![hex(&frame[..HEADER_LEN])];
-    for &at in nested {
-        found.push(hex(&body[at..at + HEADER_LEN]));
-        body[at + 4..at + 8].fill(0);
-        body[at + 16..at + HEADER_LEN].fill(0);
-    }
-    assert_eq!(found, headers, "envelope headers");
-    assert_eq!(hex(&body), payload, "payload");
+fn assert_pinned(frame: &[u8], header: &str, payload: &str) {
+    assert_eq!(hex(&frame[..HEADER_LEN]), header, "envelope header");
+    assert_eq!(hex(&frame[HEADER_LEN..]), payload, "payload");
 }
 
 fn artifact(weights: Vec<f64>, final_objective: Option<f64>) -> ModelArtifact {
@@ -284,78 +273,14 @@ fn artifact_frames_are_pinned() {
     for (objective, header, payload) in cases {
         let a = artifact(vec![1.5, -0.0, 0.25], objective);
         let bytes = a.encode();
-        assert_pinned(&bytes, &[], &[header], payload);
+        assert_pinned(&bytes, header, payload);
         assert_eq!(ModelArtifact::decode(&bytes).unwrap(), a);
     }
 }
 
-/// KAT: the MLSR registry snapshot — two model lines, one with a staged
-/// version — then the delta frame `append_file` writes past it after a
-/// promote and a publish. The chain decodes to the live registry.
-#[test]
-fn registry_snapshot_and_delta_frames_are_pinned() {
-    let mut reg = ModelRegistry::new();
-    reg.publish("a", artifact(vec![1.0], None)).unwrap();
-    reg.publish("a", artifact(vec![2.0], None)).unwrap();
-    reg.publish("b", artifact(vec![3.0], Some(0.25))).unwrap();
-    let dir = std::env::temp_dir().join("mlstar_registry_golden");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("registry.mlsr");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(reg.append_file(&path).unwrap(), SnapshotWrite::Rewritten);
-    let base = std::fs::read(&path).unwrap();
-    // The snapshot nests three whole MLSA frames, at these payload offsets.
-    assert_pinned(
-        &base,
-        &[52, 182, 332],
-        &[
-            "52534c4d02000000be010000000000006329646bcf6cb497",
-            "41534c4d030000005a000000000000000d46ed9c702f8725",
-            "41534c4d030000005a00000000000000f27318d7c252309f",
-            "41534c4d030000005a00000000000000f841c9668d9b5dba",
-        ],
-        "0200000000000000010061010000000000000001020000000000000002000000\
-        000000000100000000000000720000000000000041534c4d000000005a000000\
-        00000000000000000000000006004d4c6c69622a2a0000000000000007000000\
-        0000000063000000000000000000000000000000000002000000000000000100\
-        0000000000000a00000000000000cdab00000000000001000000000000000000\
-        00000000f03f0200000000000000720000000000000041534c4d000000005a00\
-        000000000000000000000000000006004d4c6c69622a2a000000000000000700\
-        0000000000006300000000000000000000000000000000000200000000000000\
-        01000000000000000a00000000000000cdab0000000000000100000000000000\
-        0000000000000040010062010000000000000000010000000000000001000000\
-        00000000720000000000000041534c4d000000005a0000000000000000000000\
-        0000000006004d4c6c69622a2a00000000000000070000000000000063000000\
-        000000000101000000000000d03f020000000000000001000000000000000a00\
-        000000000000cdab00000000000001000000000000000000000000000840",
-    );
-
-    reg.promote("a").unwrap();
-    reg.publish("b", artifact(vec![4.0], None)).unwrap();
-    assert_eq!(reg.append_file(&path).unwrap(), SnapshotWrite::Appended);
-    let chain = std::fs::read(&path).unwrap();
-    assert_eq!(&chain[..base.len()], &base[..]);
-    assert_pinned(
-        &chain[base.len()..],
-        &[72],
-        &[
-            "52534c4d02000000ba00000000000000c6cbcba49f41b28a",
-            "41534c4d030000005a00000000000000ff7f8308b348026a",
-        ],
-        "0200000000000000010061020000000000000000000000000000000001006201\
-        0000000000000001020000000000000001000000000000000200000000000000\
-        720000000000000041534c4d000000005a000000000000000000000000000000\
-        06004d4c6c69622a2a0000000000000007000000000000006300000000000000\
-        00000000000000000000020000000000000001000000000000000a0000000000\
-        0000cdab00000000000001000000000000000000000000001040",
-    );
-    assert_eq!(ModelRegistry::decode(&chain).unwrap(), reg);
-    std::fs::remove_file(&path).ok();
-}
-
-/// The artifact (codec version 2) and registry snapshot (version 1) the
-/// goldens above pinned before the checksum changed from FNV-1a to XXH64
-/// are refused by their version, never reported as corrupt.
+/// The artifact (codec version 2) the golden above pinned before the
+/// checksum changed from FNV-1a to XXH64 is refused by its version, never
+/// reported as corrupt.
 #[test]
 fn previous_version_frames_are_refused_by_version() {
     let artifact_v2 = unhex(
@@ -372,34 +297,6 @@ fn previous_version_frames_are_refused_by_version() {
             ServeError::VersionMismatch {
                 found: 2,
                 supported: 3
-            }
-        ),
-        "{err}"
-    );
-    let registry_v1 = unhex(
-        "52534c4d01000000be010000000000003444d3aadcf8075d\
-         0200000000000000010061010000000000000001020000000000000002000000\
-         000000000100000000000000720000000000000041534c4d020000005a000000\
-         00000000ceb6d92c718a4b3e06004d4c6c69622a2a0000000000000007000000\
-         0000000063000000000000000000000000000000000002000000000000000100\
-         0000000000000a00000000000000cdab00000000000001000000000000000000\
-         00000000f03f0200000000000000720000000000000041534c4d020000005a00\
-         0000000000002ff3f12b71353b3d06004d4c6c69622a2a000000000000000700\
-         0000000000006300000000000000000000000000000000000200000000000000\
-         01000000000000000a00000000000000cdab0000000000000100000000000000\
-         0000000000000040010062010000000000000000010000000000000001000000\
-         00000000720000000000000041534c4d020000005a00000000000000d0afc3aa\
-         5c80cf7706004d4c6c69622a2a00000000000000070000000000000063000000\
-         000000000101000000000000d03f020000000000000001000000000000000a00\
-         000000000000cdab00000000000001000000000000000000000000000840",
-    );
-    let err = ModelRegistry::decode(&registry_v1).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            ServeError::VersionMismatch {
-                found: 1,
-                supported: 2
             }
         ),
         "{err}"

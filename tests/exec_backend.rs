@@ -105,6 +105,7 @@ fn train_recorded(
             cfg,
             &PsSystemConfig::default(),
             &AngelConfig::default(),
+            &parts,
             &mut backend,
         )
         .map_err(|abort| abort.0);
