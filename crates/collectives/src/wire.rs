@@ -396,6 +396,15 @@ pub fn put_adaptive(w: &mut Writer, v: &DenseVector, switch: FrameSwitch) {
     }
 }
 
+/// Exact length of the frame [`put_adaptive`] appends for `v` under
+/// `switch`.
+pub fn encoded_adaptive_len(v: &DenseVector, switch: FrameSwitch) -> usize {
+    match sparse_nnz(v, switch) {
+        Some(nnz) => encoded_sparse_len(nnz),
+        None => encoded_dense_len(v.dim()),
+    }
+}
+
 /// [`put_adaptive`] into a buffer of its own.
 pub fn encode_adaptive(v: &DenseVector, switch: FrameSwitch) -> Vec<u8> {
     let mut w = Writer::new();
@@ -446,21 +455,26 @@ pub enum FrameSwitch {
     Adaptive,
 }
 
-/// The exact sparse form of `v`, iff the switch allows it, it is strictly
-/// smaller on the wire, and `v` is representable (finite). The entries
-/// [`DenseVector::to_sparse`] would keep (every bit pattern but `+0.0`)
-/// are counted first, so a vector whose dense frame wins is never
-/// materialised.
-fn sparse_candidate(v: &DenseVector, switch: FrameSwitch) -> Option<SparseVector> {
+/// The number of entries of `v`'s exact sparse form (every bit pattern but
+/// `+0.0`, as [`DenseVector::to_sparse`] keeps them), iff the switch
+/// allows that form, it is strictly smaller on the wire, and `v` is
+/// representable (finite). One pass counts the entries and checks the
+/// values.
+fn sparse_nnz(v: &DenseVector, switch: FrameSwitch) -> Option<usize> {
     if switch != FrameSwitch::Adaptive {
         return None;
     }
-    let nnz = v.as_slice().iter().filter(|x| x.to_bits() != 0).count();
-    if encoded_sparse_len(nnz) < encoded_dense_len(v.dim()) {
-        v.to_sparse().ok()
-    } else {
-        None
-    }
+    let (nnz, finite) = v.as_slice().iter().fold((0, true), |(nnz, finite), x| {
+        (nnz + usize::from(x.to_bits() != 0), finite && x.is_finite())
+    });
+    (finite && encoded_sparse_len(nnz) < encoded_dense_len(v.dim())).then_some(nnz)
+}
+
+/// The exact sparse form of `v` when [`sparse_nnz`] chooses it, so a
+/// vector whose dense frame wins is never materialised.
+fn sparse_candidate(v: &DenseVector, switch: FrameSwitch) -> Option<SparseVector> {
+    sparse_nnz(v, switch)?;
+    v.to_sparse().ok()
 }
 
 /// `(min, max)` over `values`; `(0, 0)` when empty.
@@ -678,6 +692,17 @@ mod tests {
             decode_adaptive(&frame).unwrap().get(7).to_bits(),
             quiet.to_bits()
         );
+
+        // The length the encoder is sized from is the frame's, whichever
+        // form wins.
+        let mut dense_wins = v.clone();
+        dense_wins.set(0, -0.0);
+        for u in [&v, &dense_wins, &nan] {
+            for switch in [FrameSwitch::Adaptive, FrameSwitch::Dense] {
+                let frame = encode_adaptive(u, switch);
+                assert_eq!(encoded_adaptive_len(u, switch), frame.len());
+            }
+        }
     }
 
     #[test]

@@ -33,6 +33,14 @@
 //! the orchestrator encodes the next frame while the worker decodes the
 //! last.
 //!
+//! Each link end keeps one frame buffer for the session. The orchestrator
+//! encodes each `Ops` frame into its link's buffer ([`encode_msg_into`],
+//! reserved at the frame's exact length) and receives the `OpDone` reply
+//! into it ([`Transport::recv_into`]); the linked worker receives each
+//! `Ops` frame into its buffer and encodes the reply there. So a round
+//! touches each frame byte once per step — encode, checksum, transport,
+//! check, decode — and a buffer holds its largest frame, not twice it.
+//!
 //! # Determinism contract
 //!
 //! * All randomness stays on the orchestrating thread; workers receive
@@ -104,13 +112,14 @@ use mlstar_sim::ClusterSpec;
 pub use error::NetError;
 pub use orchestrator::{NetBatchStats, WorkerBatchStats};
 pub use protocol::{
-    decode_msg, encode_msg, row_frames, AssignedRow, Msg, NET_MAGIC, NET_VERSION, ROW_FRAME_BUDGET,
+    decode_msg, encode_msg, encode_msg_into, row_frames, AssignedRow, Msg, NET_MAGIC, NET_VERSION,
+    ROW_FRAME_BUDGET,
 };
 pub use transport::{channel_pair, ChannelTransport, TcpTransport, Transport};
 pub use worker::serve_worker;
 
 use measure::Stopwatch;
-use orchestrator::Orchestrator;
+use orchestrator::{Link, Orchestrator};
 use worker::Runtime;
 
 /// Which transport carries the command protocol.
@@ -267,9 +276,11 @@ pub fn train_net(
 
         // Handshake: every link leads with Hello; order the links by the
         // announced worker id (TCP connections arrive in any order).
-        let mut slots: Vec<Option<Box<dyn Transport>>> = (0..local).map(|_| None).collect();
-        for mut link in raw_links {
-            let Msg::Hello { worker } = decode_msg(&link.recv()?)? else {
+        let mut slots: Vec<Option<Link>> = (0..local).map(|_| None).collect();
+        for transport in raw_links {
+            let mut link = Link::new(transport);
+            link.recv()?;
+            let Msg::Hello { worker } = link.decode()? else {
                 return Err(NetError::Handshake("first message was not Hello".into()));
             };
             let w = worker as usize;
@@ -287,7 +298,7 @@ pub fn train_net(
             clippy::expect_used,
             reason = "the duplicate/range checks above guarantee distinct in-range ids fill every slot"
         )]
-        let mut links: Vec<Box<dyn Transport>> = slots
+        let mut links: Vec<Link> = slots
             .into_iter()
             .map(|s| s.expect("one link per linked worker fills every slot"))
             .collect();
@@ -310,14 +321,14 @@ pub fn train_net(
                 switch,
                 rows: wire_index(parts[w].len()),
             };
-            link.send(&encode_msg(&header, switch))?;
+            link.send(&header, switch)?;
             let rows = parts[w].iter().map(|&i| AssignedRow {
                 global: wire_index(i),
                 label: ds.labels()[i],
                 row: &ds.rows()[i],
             });
             for frame in row_frames(rows) {
-                link.send(&frame)?;
+                link.send_frame(&frame)?;
             }
         }
 
@@ -356,7 +367,7 @@ pub fn train_net(
         // Orderly shutdown of the linked workers, dead links ignored
         // (their workers are gone).
         for link in &mut backend.links {
-            let _ = link.send(&encode_msg(&Msg::Shutdown, switch));
+            let _ = link.send(&Msg::Shutdown, switch);
         }
 
         match trained {

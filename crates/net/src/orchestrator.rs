@@ -19,7 +19,7 @@ use mlstar_sim::{dense_op_flops, pass_flops};
 
 use crate::error::NetError;
 use crate::measure::Stopwatch;
-use crate::protocol::{decode_msg, encode_msg, Msg};
+use crate::protocol::{decode_msg, encode_msg_into, Msg};
 use crate::transport::Transport;
 use crate::worker::Runtime;
 
@@ -86,12 +86,56 @@ impl NetBatchStats {
     }
 }
 
+/// The orchestrator's end of one link, with the one frame buffer it keeps
+/// for the session: every message it sends is encoded into the buffer,
+/// and every frame it receives is read into it, so once the buffer has
+/// grown to the session's largest frame an exchange allocates no frame on
+/// this side (a channel still moves its own copy of each frame in; see
+/// [`Transport::recv_into`]).
+pub(crate) struct Link {
+    transport: Box<dyn Transport>,
+    frame: Vec<u8>,
+}
+
+impl Link {
+    pub(crate) fn new(transport: Box<dyn Transport>) -> Self {
+        Link {
+            transport,
+            frame: Vec::new(),
+        }
+    }
+
+    /// Encodes `msg` into the buffer and sends it; returns the frame's
+    /// length.
+    pub(crate) fn send(&mut self, msg: &Msg, switch: FrameSwitch) -> Result<usize, NetError> {
+        encode_msg_into(msg, switch, &mut self.frame);
+        self.transport.send(&self.frame)?;
+        Ok(self.frame.len())
+    }
+
+    /// Sends a frame encoded elsewhere (a partition's `Rows` frames).
+    pub(crate) fn send_frame(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        self.transport.send(frame)
+    }
+
+    /// Receives the next frame into the buffer; returns its length.
+    pub(crate) fn recv(&mut self) -> Result<usize, NetError> {
+        self.transport.recv_into(&mut self.frame)?;
+        Ok(self.frame.len())
+    }
+
+    /// Decodes the frame last received.
+    pub(crate) fn decode(&self) -> Result<Msg, NetError> {
+        decode_msg(&self.frame)
+    }
+}
+
 /// The backend a net-backed training run dispatches to. `train_net`
 /// lends it to the trainer for the duration of the run and reads the
 /// links, measurements and any parked failure back afterwards.
 pub(crate) struct Orchestrator<'a> {
     /// One link per linked worker, in worker order (workers `0..k − 1`).
-    pub links: Vec<Box<dyn Transport>>,
+    pub links: Vec<Link>,
     /// The last worker (`k − 1`), whose ops run on this thread.
     local: Runtime<'a>,
     /// Fault injection: the batch at which the local worker is lost.
@@ -114,7 +158,7 @@ pub(crate) struct Orchestrator<'a> {
 
 impl<'a> Orchestrator<'a> {
     pub(crate) fn new(
-        links: Vec<Box<dyn Transport>>,
+        links: Vec<Link>,
         local: Runtime<'a>,
         local_kill: Option<u64>,
         rows: &'a [SparseVector],
@@ -228,15 +272,13 @@ impl ComputeBackend for Orchestrator<'_> {
                     slots[slot] = Some(res);
                 }
             } else {
-                let frame = encode_msg(&Msg::Ops { batch, ops }, self.switch);
                 // A dead link is a lost worker; a frame the transport
                 // refuses (over its cap) is reported as itself.
-                match self.links[worker].send(&frame) {
-                    Ok(()) => {}
+                match self.links[worker].send(&Msg::Ops { batch, ops }, self.switch) {
+                    Ok(bytes) => ws.bytes_out = bytes as u64,
                     Err(NetError::Io(_)) => return Err(self.fail(NetError::WorkerLost { worker })),
                     Err(e) => return Err(self.fail(e)),
                 }
-                ws.bytes_out = frame.len() as u64;
                 ws.messages = 2;
             }
             worker_stats.push(ws);
@@ -250,13 +292,13 @@ impl ComputeBackend for Orchestrator<'_> {
                 continue;
             }
             let worker = ws.worker;
-            let frame = match self.links[worker].recv() {
-                Ok(f) => f,
+            let bytes = match self.links[worker].recv() {
+                Ok(bytes) => bytes,
                 Err(_) => return Err(self.fail(NetError::WorkerLost { worker })),
             };
-            ws.bytes_in = frame.len() as u64;
+            ws.bytes_in = bytes as u64;
             ws.turnaround_s = sw.elapsed_s();
-            let msg = match decode_msg(&frame) {
+            let msg = match self.links[worker].decode() {
                 Ok(m) => m,
                 Err(e) => return Err(self.fail(e)),
             };

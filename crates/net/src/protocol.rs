@@ -3,7 +3,11 @@
 //! Every message is one `mlstar-codec` frame (magic `"MLSN"`,
 //! checksummed payload) whose layout is the `msg` field list below: one
 //! [`schema!`] declaration per message, op, result and tag type, from
-//! which the encoder and the decoder are both generated. Vector payloads
+//! which the encoder, the decoder and the encoded length are all
+//! generated. [`encode_msg_into`] writes a frame into a buffer a link end
+//! keeps for the session, reserved at that exact length, so the buffer
+//! holds its frame and not twice it; [`encode_msg`] is its wrapper with a
+//! fresh buffer. Vector payloads
 //! reuse `collectives::wire` — the
 //! exact encoding whose byte counts the simulator charges for — written
 //! in place as length-prefixed blobs. Model payloads go through the adaptive
@@ -133,9 +137,16 @@ schema! {
     frame model: DenseVector [frames: FrameSwitch] {
         |w, v| wire::put_adaptive(w, v, frames),
         wire::decode_adaptive,
+        |v| wire::encoded_adaptive_len(v, frames),
     }
 }
-schema! { frame sparse: SparseVector { wire::put_sparse, wire::decode_sparse } }
+schema! {
+    frame sparse: SparseVector {
+        wire::put_sparse,
+        wire::decode_sparse,
+        |v| wire::encoded_sparse_len(v.nnz()),
+    }
+}
 schema! { record row: AssignedRow<R: Borrow<SparseVector>> { global: u32, label: f64, row: sparse } }
 schema! { tagged loss: Loss { 0 => Hinge, 1 => Logistic, 2 => Squared } }
 schema! { tagged reg: Regularizer { 0 => None, 1 => L2 { lambda: f64 }, 2 => L1 { lambda: f64 } } }
@@ -180,16 +191,36 @@ schema! {
     }
 }
 
-/// Encodes a message as one checksummed frame.
+/// Encodes a message as one checksummed frame, in a buffer of its exact
+/// size.
 ///
 /// `switch` selects the model-payload encoding for `Ops` and `OpDone`
 /// (an `Assign` carries its own switch field; `Hello`, `Rows` and
 /// `Shutdown` have no model payloads). [`FrameSwitch::Dense`] reproduces
 /// the legacy all-dense frames byte for byte.
 pub fn encode_msg(msg: &Msg, switch: FrameSwitch) -> Vec<u8> {
-    let mut w = Writer::for_frame();
+    let mut frame = Vec::new();
+    encode_msg_into(msg, switch, &mut frame);
+    frame
+}
+
+/// [`encode_msg`] into `frame`, replacing what it held: the bytes are the
+/// same, and `frame`'s allocation is kept, growing to exactly the frame
+/// only when it is too small. A link end that encodes every frame into
+/// the buffer it receives into allocates for frames once per session.
+pub fn encode_msg_into(msg: &Msg, switch: FrameSwitch, frame: &mut Vec<u8>) {
+    encode_into(msg, switch, frame);
+}
+
+/// The encoder behind [`encode_msg_into`] and [`row_frames`], for rows
+/// owned or borrowed. The frame is reserved at the length `msg::len`
+/// derives from the same field list `msg::put` writes.
+fn encode_into<R: Borrow<SparseVector>>(msg: &Msg<R>, switch: FrameSwitch, frame: &mut Vec<u8>) {
+    let len = msg::len(msg, switch);
+    let mut w = Writer::for_frame_in(std::mem::take(frame), len);
     msg::put(&mut w, msg, switch);
-    w.into_frame(NET_MAGIC, NET_VERSION)
+    debug_assert_eq!(w.len(), len, "msg::len disagrees with msg::put");
+    *frame = w.into_frame(NET_MAGIC, NET_VERSION);
 }
 
 /// Cuts a partition's rows, in partition order, into `Rows` frames of at
@@ -202,28 +233,25 @@ pub fn encode_msg(msg: &Msg, switch: FrameSwitch) -> Vec<u8> {
 pub fn row_frames<R: Borrow<SparseVector>>(
     rows: impl IntoIterator<Item = AssignedRow<R>>,
 ) -> impl Iterator<Item = Vec<u8>> {
-    // The message tag and the row count come before the rows; a row is
-    // its global index, its label, the `u64` length of its sparse frame
-    // and the frame.
+    // The message tag and the row count come before the rows.
     const LIST_HEAD: usize = 1 + 8;
-    let encoded_len =
-        |r: &AssignedRow<R>| 4 + 8 + 8 + wire::encoded_sparse_len(r.row.borrow().nnz());
+    let row_len = |r: &AssignedRow<R>| row::len(r, FrameSwitch::Dense);
     let mut rows = rows.into_iter().peekable();
     std::iter::from_fn(move || {
         let mut batch = Vec::new();
         let mut len = LIST_HEAD;
         while let Some(r) =
-            rows.next_if(|r| batch.is_empty() || len + encoded_len(r) <= ROW_FRAME_BUDGET)
+            rows.next_if(|r| batch.is_empty() || len + row_len(r) <= ROW_FRAME_BUDGET)
         {
-            len += encoded_len(&r);
+            len += row_len(&r);
             batch.push(r);
         }
         if batch.is_empty() {
             return None;
         }
-        let mut w = Writer::for_frame_with_capacity(len);
-        msg::put(&mut w, &Msg::Rows { rows: batch }, FrameSwitch::Dense);
-        Some(w.into_frame(NET_MAGIC, NET_VERSION))
+        let mut frame = Vec::new();
+        encode_into(&Msg::Rows { rows: batch }, FrameSwitch::Dense, &mut frame);
+        Some(frame)
     })
 }
 

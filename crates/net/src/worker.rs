@@ -23,7 +23,7 @@ use mlstar_linalg::SparseVector;
 
 use crate::error::NetError;
 use crate::measure::Stopwatch;
-use crate::protocol::{decode_msg, encode_msg, AssignedRow, Msg};
+use crate::protocol::{decode_msg, encode_msg_into, AssignedRow, Msg};
 use crate::transport::Transport;
 
 /// Entry point for a worker thread. Any error (protocol violation, dead
@@ -51,17 +51,22 @@ pub fn serve_worker(link: &mut dyn Transport, worker: u32) -> Result<(), NetErro
 
 /// [`serve_worker`] with a fault: at `kill_at_batch` the worker exits
 /// without answering, and its dropped link is the crash signal.
+///
+/// The worker keeps one frame buffer for the session: `Hello` is encoded
+/// into it, and in the op loop every `Ops` frame is received into it and
+/// every reply encoded into it.
 fn serve(link: &mut dyn Transport, id: usize, kill_at_batch: Option<u64>) -> Result<(), NetError> {
+    let mut frame = Vec::new();
     // Hello precedes the assignment, so it is always encoded dense (it
     // carries no model payloads either way).
-    link.send(&encode_msg(
-        &Msg::Hello { worker: id as u32 },
-        FrameSwitch::Dense,
-    ))?;
+    let hello = Msg::Hello { worker: id as u32 };
+    encode_msg_into(&hello, FrameSwitch::Dense, &mut frame);
+    link.send(&frame)?;
     let (exec, switch, part) = receive_assignment(link, id)?;
     let mut rt = Runtime::new(exec, part.shard(), &part.table);
     loop {
-        match decode_msg(&link.recv()?)? {
+        link.recv_into(&mut frame)?;
+        match decode_msg(&frame)? {
             Msg::Ops { batch, ops } => {
                 if kill_at_batch == Some(batch) {
                     return Ok(());
@@ -74,7 +79,8 @@ fn serve(link: &mut dyn Transport, id: usize, kill_at_batch: Option<u64>) -> Res
                     compute_nanos,
                     results,
                 };
-                link.send(&encode_msg(&reply, switch))?;
+                encode_msg_into(&reply, switch, &mut frame);
+                link.send(&frame)?;
             }
             Msg::Shutdown => return Ok(()),
             other => {
@@ -88,7 +94,9 @@ fn serve(link: &mut dyn Transport, id: usize, kill_at_batch: Option<u64>) -> Res
 
 /// Takes the frames after `Hello`: this worker's `Assign` header, then
 /// `Rows` frames until the rows it announced have all come. Returns the
-/// executor, the session's frame switch and the partition.
+/// executor, the session's frame switch and the partition. Each frame is
+/// dropped once decoded, so the rows never sit beside the frame they came
+/// in.
 fn receive_assignment(
     link: &mut dyn Transport,
     id: usize,
@@ -260,6 +268,7 @@ mod tests {
     use std::collections::VecDeque;
 
     use super::*;
+    use crate::protocol::encode_msg;
     use crate::transport::channel_pair;
     use mlstar_exec::ExecError;
     use mlstar_glm::{LearningRate, Loss, Regularizer};
@@ -368,10 +377,12 @@ mod tests {
             Ok(())
         }
 
-        fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-            self.frames
+        fn recv_into(&mut self, frame: &mut Vec<u8>) -> Result<(), NetError> {
+            *frame = self
+                .frames
                 .pop_front()
-                .ok_or_else(|| NetError::Io("peer hung up".into()))
+                .ok_or_else(|| NetError::Io("peer hung up".into()))?;
+            Ok(())
         }
     }
 

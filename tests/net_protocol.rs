@@ -14,8 +14,8 @@ use mllib_star::core::{OpResult, WorkerOp};
 use mllib_star::glm::{LearningRate, Loss, Regularizer};
 use mllib_star::linalg::{DenseVector, SparseVector};
 use mllib_star::net::{
-    decode_msg, encode_msg, row_frames, serve_worker, AssignedRow, Msg, NetError, Transport,
-    NET_MAGIC, NET_VERSION, ROW_FRAME_BUDGET,
+    decode_msg, encode_msg, encode_msg_into, row_frames, serve_worker, AssignedRow, Msg, NetError,
+    Transport, NET_MAGIC, NET_VERSION, ROW_FRAME_BUDGET,
 };
 use proptest::prelude::*;
 
@@ -174,6 +174,54 @@ proptest! {
                 "bit {bit} at {pos}/{} still decoded", frame.len()
             );
         }
+    }
+}
+
+/// A link end encodes every message into the one buffer it keeps:
+/// whatever the buffer last held — nothing, a larger frame, a smaller one
+/// — the frame is `encode_msg`'s, byte for byte, for every message kind
+/// under both switches.
+#[test]
+fn encoding_into_a_kept_buffer_gives_encode_msgs_bytes() {
+    for seed in 0..6u64 {
+        let mut kept = Vec::new();
+        for dim in [40, 3, 17] {
+            for switch in [FrameSwitch::Dense, FrameSwitch::Adaptive] {
+                for msg in exchange(seed, dim) {
+                    let frame = encode_msg(&msg, switch);
+                    let held = kept.capacity();
+                    encode_msg_into(&msg, switch, &mut kept);
+                    assert_eq!(kept, frame, "seed {seed} dim {dim} {switch:?}: {msg:?}");
+                    assert_eq!(kept.capacity(), held.max(frame.len()));
+                }
+            }
+        }
+    }
+}
+
+/// The frame buffer a link end keeps holds its frame, not twice it. A
+/// kddb-like `BatchGrad` frame (29 890 coordinates, 96 batch rows) is
+/// 239 578 bytes, in a buffer of exactly that size, fresh or reused; a
+/// smaller frame after it keeps that buffer.
+#[test]
+fn a_kept_frame_buffer_is_sized_to_its_largest_frame() {
+    let ops = |rows: u32| Msg::Ops {
+        batch: 7,
+        ops: vec![WorkerOp::BatchGrad {
+            w: DenseVector::filled(29_890, 0.5),
+            batch: (0..rows).collect(),
+        }],
+    };
+    for switch in [FrameSwitch::Dense, FrameSwitch::Adaptive] {
+        let frame = encode_msg(&ops(96), switch);
+        assert_eq!((frame.len(), frame.capacity()), (239_578, 239_578));
+        let mut kept = encode_msg(&Msg::Hello { worker: 0 }, switch);
+        encode_msg_into(&ops(96), switch, &mut kept);
+        assert_eq!((kept.len(), kept.capacity()), (239_578, 239_578));
+        let at = kept.as_ptr();
+        encode_msg_into(&ops(10), switch, &mut kept);
+        assert_eq!(kept, encode_msg(&ops(10), switch));
+        assert_eq!((kept.as_ptr(), kept.capacity()), (at, 239_578));
     }
 }
 
@@ -482,9 +530,9 @@ fn retired_mgd_step_tag_5_is_refused() {
     }
 }
 
-/// A link whose orchestrator end has already sent `frames`: `recv` takes
-/// them in order and then fails, as a hung-up peer does; `send` keeps
-/// what the worker sent.
+/// A link whose orchestrator end has already sent `frames`: `recv_into`
+/// takes them in order and then fails, as a hung-up peer does; `send`
+/// keeps what the worker sent.
 struct Script {
     frames: VecDeque<Vec<u8>>,
     sent: Vec<Vec<u8>>,
@@ -496,10 +544,12 @@ impl Transport for Script {
         Ok(())
     }
 
-    fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        self.frames
+    fn recv_into(&mut self, frame: &mut Vec<u8>) -> Result<(), NetError> {
+        *frame = self
+            .frames
             .pop_front()
-            .ok_or_else(|| NetError::Io("peer hung up".into()))
+            .ok_or_else(|| NetError::Io("peer hung up".into()))?;
+        Ok(())
     }
 }
 

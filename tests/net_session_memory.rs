@@ -1,20 +1,23 @@
-//! The peak heap of a channel-transport `train_net` session, held against
-//! what the session has to hold: the linked worker's one copy of its
-//! rows, what the trainer itself holds (the simulated run of the same
-//! call), and a few row frames in flight. A session that held a linked
-//! worker's whole partition as one frame, or decoded it into a list and
-//! then moved it again, would exceed the bound by about that partition.
+//! The peak heap of a `train_net` session, over channels and over
+//! loopback TCP, held against what the session has to hold: the linked
+//! worker's one copy of its rows, what the trainer itself holds (the
+//! simulated run of the same call), and a few row frames in flight,
+//! among them the frame buffer each link end keeps. A session that held a
+//! linked worker's whole partition as one frame, or decoded it into a
+//! list and then moved it again, would exceed the bound by about that
+//! partition.
 //!
-//! The file holds one `#[test]`: the counters are process-wide, so a
-//! second test running on a parallel thread would count into its figures.
+//! The counters are process-wide, so the tests take one lock: a test
+//! running on a parallel thread would count into another's figures.
 
 use std::mem::size_of;
+use std::sync::Mutex;
 
 use mllib_star::core::{system_partitions, AngelConfig, PsSystemConfig, System, TrainConfig};
 use mllib_star::data::{catalog, SyntheticConfig};
 use mllib_star::glm::{LearningRate, Loss, Regularizer};
 use mllib_star::linalg::SparseVector;
-use mllib_star::net::{train_net, NetConfig, ROW_FRAME_BUDGET};
+use mllib_star::net::{train_net, NetConfig, TransportKind, ROW_FRAME_BUDGET};
 use mllib_star::sim::{ClusterSpec, NetworkSpec, NodeSpec};
 use mlstar_alloc_count::{Counting, Session};
 
@@ -25,11 +28,27 @@ static COUNTING: Counting = Counting;
 /// and the channel's copy of it, the two the channel holds unread and
 /// the one the worker decodes, and one more for what the orchestrator
 /// holds beside the trainer (its copy of the partition lists, the local
-/// worker's row table, the per-batch measurements).
+/// worker's row table, the per-batch measurements). A TCP link holds no
+/// frames in flight on the heap, so the same bound is looser there.
 const FRAMES: usize = 6;
+
+/// Held by each test while it counts.
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 #[test]
 fn a_channel_session_holds_one_copy_of_the_linked_rows() {
+    holds_one_copy_of_the_linked_rows(TransportKind::Channel);
+}
+
+#[test]
+fn a_tcp_session_holds_one_copy_of_the_linked_rows() {
+    holds_one_copy_of_the_linked_rows(TransportKind::Tcp);
+}
+
+fn holds_one_copy_of_the_linked_rows(transport: TransportKind) {
+    let _counting = COUNTERS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
     let ds = SyntheticConfig {
         num_instances: 20_000,
         ..catalog::avazu_like()
@@ -68,7 +87,10 @@ fn a_channel_session_holds_one_copy_of_the_linked_rows() {
         &cfg,
         &ps,
         &angel,
-        &NetConfig::default(),
+        &NetConfig {
+            transport,
+            kill: None,
+        },
     );
     let net_peak = session.close().peak_bytes as usize;
 
@@ -76,7 +98,7 @@ fn a_channel_session_holds_one_copy_of_the_linked_rows() {
     assert_eq!(net.output.model.weights(), sim.model.weights());
     let mib = |b: usize| b as f64 / (1 << 20) as f64;
     println!(
-        "peak {:.3} MiB; rows {:.3} + simulated run {:.3} + {FRAMES} frames {:.3} = {:.3} MiB",
+        "{transport:?}: peak {:.3} MiB; rows {:.3} + simulated run {:.3} + {FRAMES} frames {:.3} = {:.3} MiB",
         mib(net_peak),
         mib(rows),
         mib(sim_peak),
@@ -85,7 +107,7 @@ fn a_channel_session_holds_one_copy_of_the_linked_rows() {
     );
     assert!(
         net_peak < rows + sim_peak + frames,
-        "a session peaked at {:.3} MiB, above its rows {:.3} + the simulated run {:.3} + {FRAMES} \
+        "a {transport:?} session peaked at {:.3} MiB, above its rows {:.3} + the simulated run {:.3} + {FRAMES} \
          frames {:.3} MiB",
         mib(net_peak),
         mib(rows),
