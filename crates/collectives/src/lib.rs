@@ -69,5 +69,5 @@ pub use allreduce::{all_reduce_average, compressed_all_reduce_average, reduce_sc
 pub use broadcast::broadcast_model;
 pub use compress::{compress_update, CompressionConfig, EncodedUpdate, Sparsifier};
 pub use ring::ring_all_reduce_average;
-pub use tree::tree_aggregate;
+pub use tree::{tree_aggregate, tree_aggregate_with};
 pub use wire::FrameSwitch;

@@ -165,6 +165,28 @@ impl BspRound<'_, '_> {
         sum
     }
 
+    /// [`BspRound::tree_aggregate`] with the driver's work on the last
+    /// level given as `driver` (`mlstar_collectives::tree_aggregate_with`).
+    pub fn tree_aggregate_with<T>(
+        &mut self,
+        cost: &CostModel,
+        inputs: &[DenseVector],
+        fanin: usize,
+        send_activity: Activity,
+        driver: impl FnOnce(&mut dyn Iterator<Item = &DenseVector>) -> T,
+    ) -> T {
+        let (out, b) = mlstar_collectives::tree_aggregate_with(
+            &mut self.rb,
+            cost,
+            inputs,
+            fanin,
+            send_activity,
+            driver,
+        );
+        self.bytes.tree_aggregate += b as u64;
+        out
+    }
+
     /// AllReduce of the workers' vectors into their average. Dense, it is
     /// Reduce-Scatter + AllGather, each half charged to its own counter
     /// (the composition of `mlstar_collectives::all_reduce_average`). With
