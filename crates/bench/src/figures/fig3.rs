@@ -24,14 +24,17 @@ pub fn run(_args: &Args) -> Result<(), Failure> {
     let mllib_c = fixed_rounds(Regularizer::None, 42, 4.0, 0.01, 60);
     let ma_c = fixed_rounds(Regularizer::None, 42, 0.2, 1.0, 12);
     let ma = System::MllibMa.train_default(&ds, &cluster, &ma_c);
-    let runs: Vec<(&str, TrainOutput)> = vec![
+    // (title, artefact slug, run)
+    let runs: Vec<(&str, &str, TrainOutput)> = vec![
         (
             "MLlib",
+            "mllib",
             System::Mllib.train_default(&ds, &cluster, &mllib_c),
         ),
-        ("MLlib + model averaging", ma),
+        ("MLlib + model averaging", "mllib_ma", ma),
         (
             "MLlib*",
+            "mllib_star",
             System::MllibStar.train_default(&ds, &cluster, &ma_c),
         ),
     ];
@@ -39,12 +42,12 @@ pub fn run(_args: &Args) -> Result<(), Failure> {
     // Shared horizon: the shortest makespan keeps all three readable.
     let horizon = runs
         .iter()
-        .map(|(_, o)| o.gantt.makespan())
+        .map(|(_, _, o)| o.gantt.makespan())
         .min()
         .unwrap_or(SimTime::ZERO)
         .max(SimTime::ZERO + SimDuration::from_secs_f64(1.0));
 
-    for (name, out) in &runs {
+    for (name, slug, out) in &runs {
         println!("--- ({name}) ---");
         print!("{}", out.gantt.render_text(96, horizon));
         let drv = out.gantt.utilization(NodeId::Driver).max(0.0);
@@ -57,7 +60,6 @@ pub fn run(_args: &Args) -> Result<(), Failure> {
             drv * 100.0,
             avg_exec * 100.0
         );
-        let slug = name.replace([' ', '+', '*'], "_").to_lowercase();
         write_artifact(&format!("fig3_gantt_{slug}.csv"), &out.gantt.to_csv());
     }
     println!("legend: C compute, B broadcast, g send-gradient, m send-model,");
