@@ -9,7 +9,6 @@ mod fig4;
 mod fig5;
 mod fig6;
 mod lr_sweep;
-mod net_calibrate;
 mod path;
 mod serve;
 mod table1;
@@ -34,12 +33,6 @@ pub const EXHIBITS: &[Exhibit] = &[
     ("comm", "convergence vs. wire bytes", comm::FLAGS, comm::run),
     ("serve", "model serving telemetry", serve::FLAGS, serve::run),
     ("path", "cross-validated λ paths", path::FLAGS, path::run),
-    (
-        "net-calibrate",
-        "cost-model rates from a real run",
-        net_calibrate::FLAGS,
-        net_calibrate::run,
-    ),
     (
         "lr-sweep",
         "learning-rate sweep",

@@ -20,7 +20,6 @@
 //! | `comm` | (ours) convergence vs. bytes on the wire; asserts adaptive == dense bit for bit at ≥ 5× fewer bytes |
 //! | `serve` | (ours) serving telemetry; asserts shard-sweep bit-identity |
 //! | `path` | (ours) cross-validated λ path; asserts executor-sweep bit-identity |
-//! | `net-calibrate` | (ours) cost-model rates fitted from a real run; asserts net-trained == re-simulated weights |
 //! | `lr-sweep` | (ours) learning-rate sweep for one system and preset |
 //! | `crash-restore` | (ours) crash/resume identity of all seven trainers |
 //!

@@ -45,7 +45,6 @@
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
 mod barrier;
-mod calibrate;
 mod cost;
 mod event;
 mod gantt;
@@ -54,7 +53,6 @@ mod spec;
 mod time;
 
 pub use barrier::{PhaseTotals, RoundBuilder};
-pub use calibrate::{fit_rates, FittedRates, RateSample};
 pub use cost::{dense_op_flops, pass_flops, CostModel};
 pub use event::EventQueue;
 pub use gantt::{Activity, ActivityKind, GanttRecorder, NodeId, Span};

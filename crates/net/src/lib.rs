@@ -215,10 +215,6 @@ pub fn train_net(
     }
     let dim = ds.num_features();
     let parts = system_partitions(system, ds, cluster, cfg);
-    let part_nnz: Vec<usize> = parts
-        .iter()
-        .map(|p| p.iter().map(|&i| ds.rows()[i].nnz()).sum())
-        .collect();
 
     let sw = Stopwatch::start();
 
@@ -353,15 +349,7 @@ pub fn train_net(
         // Train with the orchestrator as the compute backend. A failed
         // batch comes back as the rendered ExecAbort; the typed error is
         // parked in the orchestrator.
-        let mut backend = Orchestrator::new(
-            links,
-            runtime,
-            kill_for(local),
-            ds.rows(),
-            part_nnz,
-            dim,
-            switch,
-        );
+        let mut backend = Orchestrator::new(links, runtime, kill_for(local), switch);
         let trained = system.train_on(ds, cluster, cfg, ps, angel, &parts, &mut backend);
 
         // Orderly shutdown of the linked workers, dead links ignored

@@ -4,8 +4,7 @@
 //!
 //! Per dispatch batch, the orchestrator records for every participating
 //! worker the transport bytes in each direction, the worker-reported
-//! pure compute time, and the orchestrator-observed turnaround — the
-//! samples `cluster::calibrate` fits the cost-model rates from. All
+//! pure compute time, and the orchestrator-observed turnaround. All
 //! timing flows through [`crate::measure`]; none of it feeds back into
 //! the math.
 
@@ -14,8 +13,6 @@ use std::collections::BTreeMap;
 use mlstar_collectives::FrameSwitch;
 use mlstar_core::ComputeBackend;
 use mlstar_exec::{OpResult, WorkerOp};
-use mlstar_linalg::SparseVector;
-use mlstar_sim::{dense_op_flops, pass_flops};
 
 use crate::error::NetError;
 use crate::measure::Stopwatch;
@@ -28,11 +25,6 @@ use crate::worker::Runtime;
 pub struct WorkerBatchStats {
     /// Worker index.
     pub worker: usize,
-    /// Ops executed by this worker in the batch.
-    pub ops: usize,
-    /// Modeled floating-point work of those ops (same formulas the
-    /// simulator charges).
-    pub flops: f64,
     /// Transport frame bytes orchestrator → worker (0 for the local
     /// worker, which gets no frames).
     pub bytes_out: u64,
@@ -57,14 +49,6 @@ pub struct WorkerBatchStats {
     pub local: bool,
 }
 
-impl WorkerBatchStats {
-    /// Turnaround minus compute — time spent serializing, in flight, and
-    /// queued (clamped at zero against clock skew).
-    pub fn comm_s(&self) -> f64 {
-        (self.turnaround_s - self.compute_s).max(0.0)
-    }
-}
-
 /// Measurements for one dispatch batch (one `Ops`/`OpDone` exchange with
 /// every participating worker).
 #[derive(Debug, Clone, PartialEq)]
@@ -76,14 +60,6 @@ pub struct NetBatchStats {
     pub wall_s: f64,
     /// Per-worker breakdown, in worker order.
     pub workers: Vec<WorkerBatchStats>,
-}
-
-impl NetBatchStats {
-    /// A worker's idle share of this batch: wall time minus its own
-    /// turnaround (it had answered and sat waiting for the barrier).
-    pub fn idle_s(&self, worker_stats: &WorkerBatchStats) -> f64 {
-        (self.wall_s - worker_stats.turnaround_s).max(0.0)
-    }
 }
 
 /// The orchestrator's end of one link, with the one frame buffer it keeps
@@ -145,11 +121,6 @@ pub(crate) struct Orchestrator<'a> {
     /// The typed error behind a failed `run_ops`, whose own error channel
     /// carries only its rendering.
     pub failure: Option<NetError>,
-    /// The dataset's rows, whose nnz the per-op flop accounting sums.
-    rows: &'a [SparseVector],
-    /// Total nnz per worker partition.
-    part_nnz: Vec<usize>,
-    dim: usize,
     /// Model-payload encoding for outgoing `Ops` frames (the same switch
     /// the workers were told in `Assign`).
     switch: FrameSwitch,
@@ -161,9 +132,6 @@ impl<'a> Orchestrator<'a> {
         links: Vec<Link>,
         local: Runtime<'a>,
         local_kill: Option<u64>,
-        rows: &'a [SparseVector],
-        part_nnz: Vec<usize>,
-        dim: usize,
         switch: FrameSwitch,
     ) -> Self {
         Orchestrator {
@@ -172,9 +140,6 @@ impl<'a> Orchestrator<'a> {
             local_kill,
             stats: Vec::new(),
             failure: None,
-            rows,
-            part_nnz,
-            dim,
             switch,
             next_batch: 0,
         }
@@ -186,32 +151,6 @@ impl<'a> Orchestrator<'a> {
         let msg = e.to_string();
         self.failure = Some(e);
         msg
-    }
-
-    fn indices_nnz(&self, idx: &[u32]) -> usize {
-        idx.iter().map(|&i| self.rows[i as usize].nnz()).sum()
-    }
-
-    /// The modeled flops of one op — the same formulas the trainers charge
-    /// to simulated time for it.
-    fn op_flops(&self, worker: usize, op: &WorkerOp) -> f64 {
-        match op {
-            WorkerOp::SgdPass { order, .. } => pass_flops(self.indices_nnz(order)),
-            WorkerOp::SgdBatch { batch, .. } => pass_flops(self.indices_nnz(batch)),
-            WorkerOp::PartitionGrad { .. } => pass_flops(self.part_nnz[worker]),
-            WorkerOp::BatchGrad { batch, .. } => pass_flops(self.indices_nnz(batch)),
-            WorkerOp::MgdStep { batch, .. } => {
-                pass_flops(self.indices_nnz(batch)) + 2.0 * dense_op_flops(self.dim)
-            }
-            WorkerOp::MgdEpoch {
-                order, batch_size, ..
-            } => {
-                let n_batches = order.len().div_ceil((*batch_size).max(1) as usize);
-                pass_flops(self.indices_nnz(order))
-                    + 2.0 * dense_op_flops(self.dim) * n_batches as f64
-            }
-            WorkerOp::PartitionObjective { .. } => pass_flops(self.part_nnz[worker]) / 2.0,
-        }
     }
 }
 
@@ -226,13 +165,11 @@ impl ComputeBackend for Orchestrator<'_> {
         let n_ops = ops.len();
 
         // Group ops per worker, remembering each op's submission slot.
-        let mut per_worker: BTreeMap<usize, (Vec<usize>, Vec<WorkerOp>, f64)> = BTreeMap::new();
+        let mut per_worker: BTreeMap<usize, (Vec<usize>, Vec<WorkerOp>)> = BTreeMap::new();
         for (pos, (worker, op)) in ops.into_iter().enumerate() {
-            let flops = self.op_flops(worker, &op);
             let entry = per_worker.entry(worker).or_default();
             entry.0.push(pos);
             entry.1.push(op);
-            entry.2 += flops;
         }
 
         let sw = Stopwatch::start();
@@ -246,11 +183,9 @@ impl ComputeBackend for Orchestrator<'_> {
         // awaited, so they genuinely compute concurrently. The local
         // worker, last in worker order, then computes here while they do.
         let local = self.links.len();
-        for (worker, (pos, ops, flops)) in per_worker {
+        for (worker, (pos, ops)) in per_worker {
             let mut ws = WorkerBatchStats {
                 worker,
-                ops: pos.len(),
-                flops,
                 bytes_out: 0,
                 bytes_in: 0,
                 messages: 0,

@@ -17,7 +17,7 @@ use std::fs;
 use std::path::Path;
 
 use mllib_star::codec::fnv1a;
-use mlstar_bench::cli::{self, Exhibit};
+use mlstar_bench::cli;
 use mlstar_bench::figures::EXHIBITS;
 
 const FIXTURE: &str = include_str!("fixtures/exhibits.txt");
@@ -80,14 +80,8 @@ fn exhibit_artefacts_match_their_pins() {
     fs::create_dir_all(&out).expect("create the output directory");
     std::env::set_var("MLSTAR_OUT", &out);
 
-    // `net-calibrate` fits rates from wall-clock timings: not pinnable.
-    let table: Vec<Exhibit> = EXHIBITS
-        .iter()
-        .filter(|e| e.0 != "net-calibrate")
-        .copied()
-        .collect();
     let argv = ["all", "--quick", "--json"].map(String::from);
-    if let Err(f) = cli::run(&table, &argv) {
+    if let Err(f) = cli::run(EXHIBITS, &argv) {
         panic!("exit {}: {}", f.code, f.message);
     }
     let got = artefacts(&out);
