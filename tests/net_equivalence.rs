@@ -1,17 +1,19 @@
 //! Simulated ↔ real-thread equivalence: every system trained through the
 //! `mlstar-net` backend must reproduce the simulated run bit-for-bit —
 //! same convergence trace, same per-round telemetry, same final weights —
-//! on both the in-process channel transport and loopback TCP. A killed
+//! on both the in-process channel transport and loopback TCP; against a
+//! simulation under other cluster rates, everything but the clock. A killed
 //! worker must surface as a typed error, without a hang and without a
 //! partial `TrainOutput`, and must not poison subsequent runs.
 
 use mllib_star::core::{
-    AngelConfig, CompressionConfig, FrameSwitch, PsSystemConfig, Sparsifier, System, TrainConfig,
+    AngelConfig, CompressionConfig, ConvergenceTrace, FrameSwitch, PsSystemConfig, Sparsifier,
+    System, TrainConfig,
 };
 use mllib_star::data::{SparseDataset, SyntheticConfig};
 use mllib_star::glm::{LearningRate, Loss, Regularizer};
 use mllib_star::net::{train_net, KillSpec, NetConfig, NetError, TransportKind};
-use mllib_star::sim::{ClusterSpec, NetworkSpec, NodeSpec};
+use mllib_star::sim::{ClusterSpec, NetworkSpec, NodeSpec, SimDuration};
 
 fn dataset() -> SparseDataset {
     SyntheticConfig::small("net-equivalence", 120, 16).generate()
@@ -81,6 +83,65 @@ fn all_systems_bit_identical_on_loopback_tcp() {
     };
     for system in System::ALL {
         assert_sim_net_identical(system, &ds, &cluster, &cfg(42), &net_cfg);
+    }
+}
+
+/// A trace without its clock: each point's step, objective bits and
+/// cumulative updates.
+fn steps(trace: &ConvergenceTrace) -> Vec<(u64, u64, u64)> {
+    trace
+        .points
+        .iter()
+        .map(|p| (p.step, p.objective.to_bits(), p.total_updates))
+        .collect()
+}
+
+#[test]
+fn a_cluster_changes_the_clock_never_the_math() {
+    // The same k under rates far from `cluster()`'s: slow compute, a thin
+    // link, no task overhead. Simulated time differs; the model, and the
+    // steps, objectives and updates that led to it, must not. The PS
+    // engines order their clocks by simulated time, so other rates could
+    // reorder them in general; at this size and these seeds they do not,
+    // and all seven systems are held to it.
+    let ds = dataset();
+    let slow = ClusterSpec::uniform(
+        3,
+        NodeSpec {
+            gflops: 0.01,
+            task_overhead: SimDuration::ZERO,
+        },
+        NetworkSpec {
+            bandwidth_bps: 4.7e6,
+            latency: SimDuration::from_secs_f64(300e-6),
+        },
+    );
+    let ps = PsSystemConfig::default();
+    let angel = AngelConfig::default();
+    for system in System::ALL {
+        for seed in [1, 42] {
+            let cfg = cfg(seed);
+            let sim = system.train(&ds, &slow, &cfg, &ps, &angel);
+            let net = train_net(
+                system,
+                &ds,
+                &cluster(),
+                &cfg,
+                &ps,
+                &angel,
+                &NetConfig::default(),
+            )
+            .unwrap_or_else(|e| panic!("net run failed for {}: {e}", system.name()));
+            let label = format!("{} (seed {seed})", system.name());
+            assert_eq!(sim.model, net.output.model, "weights diverged: {label}");
+            assert_eq!(steps(&sim.trace), steps(&net.output.trace), "{label}");
+            assert_eq!(sim.total_updates, net.output.total_updates, "{label}");
+            assert_eq!(sim.rounds_run, net.output.rounds_run, "{label}");
+            assert_ne!(
+                sim.trace, net.output.trace,
+                "the clock did not move: {label}"
+            );
+        }
     }
 }
 
