@@ -11,7 +11,8 @@
 //! produces a `TrainOutput` that is
 //! **bit-for-bit identical** to the simulated run (traces, Gantt,
 //! weights, telemetry), plus real measured wall-clock per worker per
-//! round that `mlstar_sim`'s cost model can be calibrated against.
+//! round, which the `mlstar` CLI summarises and the repo benchmark reads
+//! as its `net.*` layers.
 //!
 //! `k` workers take `k` threads: workers `0..k − 1` run on spawned
 //! threads, one link each, and the last worker runs on the orchestrating

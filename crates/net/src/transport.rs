@@ -117,8 +117,8 @@ pub struct TcpTransport {
 
 impl TcpTransport {
     /// Wraps a connected stream. `NODELAY` is set so the small command
-    /// frames of the protocol are not Nagle-delayed — per-message latency
-    /// is one of the calibrated quantities.
+    /// frames of the protocol are not Nagle-delayed: a round's dispatch
+    /// would otherwise wait on the delayed-ACK timer.
     pub fn new(stream: TcpStream) -> Result<Self, NetError> {
         stream
             .set_nodelay(true)

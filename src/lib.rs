@@ -22,7 +22,7 @@
 //! * [`net`] — the real-thread execution backend: the same trainers,
 //!   bit-identical, over an orchestrator/worker command protocol on
 //!   in-process channels or loopback TCP, with per-round wall-clock
-//!   measurements for cost-model calibration.
+//!   measurements.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory and the per-experiment index.
